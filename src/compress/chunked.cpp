@@ -1,7 +1,6 @@
 #include "compress/chunked.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <cstring>
 
 #include "common/byte_io.hpp"
@@ -53,133 +52,55 @@ BlockHeader parse_block_header(ByteReader& reader) {
   return h;
 }
 
-}  // namespace
-
+/// Upper bound on one codec stream's size, for the deterministic staging
+/// layout: headers are 32 bytes plus small codec-specific prefixes;
+/// payloads are bounded by ~33/32 of raw size for the bit-packed codecs,
+/// by 9/8 for LZSS, and by raw size + table for Huffman with a degenerate
+/// alphabet (every symbol unique: <= 6 bytes of table per element plus
+/// 33-bit codes). 4x raw + 1 KiB dominates every case.
 std::size_t worst_case_stream_bytes(std::size_t element_count) {
-  // Headers are 32 bytes plus small codec-specific prefixes; payloads are
-  // bounded by ~33/32 of raw size for the bit-packed codecs, by 9/8 for
-  // LZSS, and by raw size + table for Huffman with a degenerate alphabet
-  // (every symbol unique: <= 6 bytes of table per element plus 33-bit
-  // codes). 4x raw + 1 KiB dominates every case.
   return 4 * element_count * sizeof(float) + 1024;
 }
 
-ChunkedBuffer ChunkedCompressor::compress_optimized(
-    std::span<const ChunkSpec> chunks) const {
-  WallTimer timer;
-  ChunkedBuffer result;
-  const std::size_t n = chunks.size();
-  result.offsets.assign(n, 0);
-  result.sizes.assign(n, 0);
-
-  std::size_t capacity = 0;
-  for (const auto& chunk : chunks) {
-    capacity += worst_case_stream_bytes(chunk.data.size());
-    result.total_input_bytes += chunk.data.size_bytes();
+/// Validates a DLBK container against its pre-sized output (header,
+/// element count, directory sum == payload size), then calls
+/// visit(block_stream, block_out) for every block in order. Nothing is
+/// visited unless the whole container checks out; any inconsistency
+/// throws FormatError.
+template <typename Visit>
+void for_each_block(std::span<const std::byte> stream, std::span<float> out,
+                    const Visit& visit) {
+  ByteReader reader(stream);
+  const BlockHeader h = parse_block_header(reader);
+  if (h.element_count != out.size()) {
+    throw FormatError("block-container element count mismatch");
   }
-  result.buffer.resize(capacity);
-
-  // The GPU scheme: one kernel, each block claims its output range with
-  // an atomic add once its compressed size is known. Stream scratch and
-  // codec workspace come from the leased arena, so repeated calls stop
-  // allocating once warm.
-  std::atomic<std::size_t> cursor{0};
-  auto compress_one = [&](std::size_t i) {
-    WorkspacePool::Lease ws(workspaces_);
-    std::vector<std::byte>& scratch = ws->caller_stream();
-    scratch.clear();
-    scratch.reserve(worst_case_stream_bytes(chunks[i].data.size()));
-    codec_.compress(chunks[i].data, chunks[i].params, scratch, *ws);
-    const std::size_t offset =
-        cursor.fetch_add(scratch.size(), std::memory_order_relaxed);
-    DLCOMP_CHECK(offset + scratch.size() <= result.buffer.size());
-    std::memcpy(result.buffer.data() + offset, scratch.data(), scratch.size());
-    result.offsets[i] = offset;
-    result.sizes[i] = scratch.size();
-  };
-
-  if (pool_ != nullptr && n > 1) {
-    pool_->parallel_for(0, n, 1,
-                        [&](std::size_t lo, std::size_t hi) {
-                          for (std::size_t i = lo; i < hi; ++i) compress_one(i);
-                        });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) compress_one(i);
+  std::size_t payload_bytes = 0;
+  const std::size_t dir_at = reader.position();
+  for (std::uint32_t b = 0; b < h.block_count; ++b) {
+    const auto bytes = reader.read<std::uint64_t>();
+    if (bytes > stream.size() - payload_bytes) {
+      throw FormatError("block-container directory inconsistent with payload");
+    }
+    payload_bytes += static_cast<std::size_t>(bytes);
   }
-
-  result.buffer.resize(cursor.load());
-  result.total_output_bytes = result.buffer.size();
-  result.kernel_launches = 1;   // single fused kernel
-  result.gathered_bytes = 0;    // wrote straight into the send buffer
-  result.wall_seconds = timer.seconds();
-  return result;
+  if (reader.remaining() != payload_bytes) {
+    throw FormatError("block-container directory inconsistent with payload");
+  }
+  ByteReader dir(stream.subspan(dir_at));
+  std::size_t cursor = reader.position();
+  std::size_t elem = 0;
+  for (std::uint32_t b = 0; b < h.block_count; ++b) {
+    const auto bytes = static_cast<std::size_t>(dir.read<std::uint64_t>());
+    const std::size_t count = std::min<std::size_t>(
+        h.block_elems, static_cast<std::size_t>(h.element_count) - elem);
+    visit(stream.subspan(cursor, bytes), out.subspan(elem, count));
+    cursor += bytes;
+    elem += count;
+  }
 }
 
-ChunkedBuffer ChunkedCompressor::compress_naive(
-    std::span<const ChunkSpec> chunks) const {
-  WallTimer timer;
-  ChunkedBuffer result;
-  const std::size_t n = chunks.size();
-  result.offsets.reserve(n);
-  result.sizes.reserve(n);
-
-  // One kernel per chunk, each into its own allocation...
-  std::vector<std::vector<std::byte>> pieces(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    codec_.compress(chunks[i].data, chunks[i].params, pieces[i]);
-    result.total_input_bytes += chunks[i].data.size_bytes();
-  }
-
-  // ...then a gather pass copies them into the contiguous send buffer.
-  std::size_t total = 0;
-  for (const auto& piece : pieces) total += piece.size();
-  result.buffer.resize(total);
-  std::size_t offset = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::memcpy(result.buffer.data() + offset, pieces[i].data(),
-                pieces[i].size());
-    result.offsets.push_back(offset);
-    result.sizes.push_back(pieces[i].size());
-    offset += pieces[i].size();
-  }
-
-  result.total_output_bytes = total;
-  result.kernel_launches = n;       // one launch per chunk
-  result.gathered_bytes = total;    // every compressed byte copied once
-  result.wall_seconds = timer.seconds();
-  return result;
-}
-
-double ChunkedCompressor::decompress(
-    const ChunkedBuffer& packed,
-    std::span<const std::span<float>> outputs) const {
-  return decompress(packed.buffer, packed.offsets, packed.sizes, outputs);
-}
-
-double ChunkedCompressor::decompress(
-    std::span<const std::byte> buffer, std::span<const std::size_t> offsets,
-    std::span<const std::size_t> sizes,
-    std::span<const std::span<float>> outputs) const {
-  DLCOMP_CHECK(offsets.size() == sizes.size());
-  DLCOMP_CHECK(outputs.size() == offsets.size());
-  WallTimer timer;
-  const std::size_t n = offsets.size();
-
-  auto decompress_one = [&](std::size_t i) {
-    WorkspacePool::Lease ws(workspaces_);
-    codec_.decompress(buffer.subspan(offsets[i], sizes[i]), outputs[i], *ws);
-  };
-
-  if (pool_ != nullptr && n > 1) {
-    pool_->parallel_for(0, n, 1,
-                        [&](std::size_t lo, std::size_t hi) {
-                          for (std::size_t i = lo; i < hi; ++i) decompress_one(i);
-                        });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) decompress_one(i);
-  }
-  return timer.seconds();
-}
+}  // namespace
 
 // ------------------------------------------------------------ BlockEngine
 
@@ -357,35 +278,13 @@ void BlockEngine::decompress_begin() { decode_tasks_.clear(); }
 void BlockEngine::add_stream(std::span<const std::byte> stream,
                              std::span<float> out) {
   const std::size_t cap = decode_tasks_.capacity();
-  if (!is_blocked(stream)) {
+  if (is_blocked(stream)) {
+    for_each_block(stream, out, [&](std::span<const std::byte> block,
+                                    std::span<float> block_out) {
+      decode_tasks_.push_back({block, block_out});
+    });
+  } else {
     decode_tasks_.push_back({stream, out});
-    note_grow(cap, decode_tasks_.capacity());
-    return;
-  }
-  ByteReader reader(stream);
-  const BlockHeader h = parse_block_header(reader);
-  if (h.element_count != out.size()) {
-    throw FormatError("block-container element count mismatch");
-  }
-  std::size_t payload_bytes = 0;
-  const std::size_t dir_at = reader.position();
-  for (std::uint32_t b = 0; b < h.block_count; ++b) {
-    payload_bytes += static_cast<std::size_t>(reader.read<std::uint64_t>());
-  }
-  if (reader.remaining() != payload_bytes) {
-    throw FormatError("block-container directory inconsistent with payload");
-  }
-  ByteReader dir(stream.subspan(dir_at));
-  std::size_t cursor = reader.position();
-  std::size_t elem = 0;
-  for (std::uint32_t b = 0; b < h.block_count; ++b) {
-    const auto bytes = static_cast<std::size_t>(dir.read<std::uint64_t>());
-    const std::size_t count = std::min<std::size_t>(
-        h.block_elems, static_cast<std::size_t>(h.element_count) - elem);
-    decode_tasks_.push_back(
-        {stream.subspan(cursor, bytes), out.subspan(elem, count)});
-    cursor += bytes;
-    elem += count;
   }
   note_grow(cap, decode_tasks_.capacity());
 }
@@ -437,31 +336,10 @@ double blocked_decompress(const Compressor& codec,
     return codec.decompress(stream, out, ws);
   }
   WallTimer timer;
-  ByteReader reader(stream);
-  const BlockHeader h = parse_block_header(reader);
-  if (h.element_count != out.size()) {
-    throw FormatError("block-container element count mismatch");
-  }
-  std::size_t payload_bytes = 0;
-  const std::size_t dir_at = reader.position();
-  for (std::uint32_t b = 0; b < h.block_count; ++b) {
-    payload_bytes += static_cast<std::size_t>(reader.read<std::uint64_t>());
-  }
-  if (reader.remaining() != payload_bytes) {
-    throw FormatError("block-container directory inconsistent with payload");
-  }
-  ByteReader dir(stream.subspan(dir_at));
-  std::size_t cursor = reader.position();
-  std::size_t elem = 0;
-  for (std::uint32_t b = 0; b < h.block_count; ++b) {
-    const auto bytes = static_cast<std::size_t>(dir.read<std::uint64_t>());
-    const std::size_t count = std::min<std::size_t>(
-        h.block_elems, static_cast<std::size_t>(h.element_count) - elem);
-    codec.decompress(stream.subspan(cursor, bytes), out.subspan(elem, count),
-                     ws);
-    cursor += bytes;
-    elem += count;
-  }
+  for_each_block(stream, out, [&](std::span<const std::byte> block,
+                                  std::span<float> block_out) {
+    codec.decompress(block, block_out, ws);
+  });
   return timer.seconds();
 }
 

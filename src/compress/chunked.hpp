@@ -1,26 +1,19 @@
 #pragma once
 
 /// \file chunked.hpp
-/// Multi-tensor ("chunked") compression with the paper's buffer
-/// optimization (Sec. III-E, Fig. 7): all chunks are compressed by one
-/// logical kernel that writes directly into a single send buffer, with
-/// per-chunk offsets claimed by an atomic cursor -- versus the naive path
-/// that launches one kernel per chunk into separate allocations and then
-/// gathers them with extra copies.
+/// Blocked multi-tensor compression (see DESIGN.md "Parallel framing and
+/// SIMD dispatch").
 ///
-/// On this CPU substrate the "kernel" is a thread-pool task; the real
-/// wall time is measured, and the GPU-side cost difference (kernel
-/// launches, gather copies) is additionally *modelled* through
-/// DeviceModel so the Fig. 15 bench can reproduce the paper's ablation.
-///
-/// This file also hosts the BlockEngine: intra-message parallel framing
-/// (see DESIGN.md "Parallel framing and SIMD dispatch"). Where the
-/// ChunkedCompressor parallelizes *across* tensors, the BlockEngine
-/// splits each large tensor into fixed-size blocks that compress and
-/// decompress independently, so a single dominant message still fans out
-/// across the pool. Blocked streams travel in a "DLBK" container whose
-/// bytes are a pure function of (input, params, block size) — never of
-/// thread count or scheduling.
+/// One BlockEngine batch is the paper's buffer optimization (Sec. III-E,
+/// Fig. 7): every tensor of one logical operation is registered, then the
+/// blocks of all of them compress as one task list on the pool -- one
+/// logical kernel -- into a single staging buffer, instead of one launch
+/// per tensor into separate allocations followed by a gather copy.
+/// Tensors larger than the block size split into fixed-size blocks that
+/// compress and decompress independently, so a single dominant message
+/// still fans out across the pool. Blocked streams travel in a "DLBK"
+/// container whose bytes are a pure function of (input, params, block
+/// size) -- never of thread count or scheduling.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,89 +24,9 @@
 
 #include "compress/compressor.hpp"
 #include "compress/workspace.hpp"
-#include "parallel/device_model.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace dlcomp {
-
-/// One tensor to compress (e.g. the per-destination slice of one
-/// embedding table's lookup batch).
-struct ChunkSpec {
-  std::span<const float> data;
-  CompressParams params;
-};
-
-/// A packed buffer of back-to-back compressed streams.
-struct ChunkedBuffer {
-  std::vector<std::byte> buffer;
-  std::vector<std::size_t> offsets;  ///< per input chunk, into buffer
-  std::vector<std::size_t> sizes;    ///< per input chunk stream size
-
-  double wall_seconds = 0.0;            ///< measured CPU time
-  std::size_t kernel_launches = 0;      ///< modelled GPU launches
-  std::size_t gathered_bytes = 0;       ///< modelled extra D2D copy volume
-  std::size_t total_input_bytes = 0;
-  std::size_t total_output_bytes = 0;
-
-  /// GPU-time estimate for this operation under a device model and codec
-  /// throughput (compression side).
-  [[nodiscard]] double modeled_seconds(const DeviceModel& device,
-                                       double codec_bps) const noexcept {
-    return device.codec_seconds(kernel_launches, total_input_bytes, codec_bps) +
-           device.copy_seconds(gathered_bytes);
-  }
-
-  /// View of one chunk's stream.
-  [[nodiscard]] std::span<const std::byte> chunk(std::size_t i) const {
-    return {buffer.data() + offsets.at(i), sizes.at(i)};
-  }
-};
-
-/// Upper bound on a single stream's size for scratch pre-allocation
-/// (header + incompressible-worst-case payload across all codecs).
-std::size_t worst_case_stream_bytes(std::size_t element_count);
-
-class ChunkedCompressor {
- public:
-  /// `pool` may be null for strictly serial execution (the naive path is
-  /// always serial per chunk regardless, matching one-kernel-at-a-time
-  /// dispatch).
-  explicit ChunkedCompressor(const Compressor& codec, ThreadPool* pool = nullptr)
-      : codec_(codec), pool_(pool) {}
-
-  /// Buffer-optimized single-kernel path: chunks compress in parallel and
-  /// write directly into the shared send buffer at atomically claimed
-  /// offsets.
-  [[nodiscard]] ChunkedBuffer compress_optimized(
-      std::span<const ChunkSpec> chunks) const;
-
-  /// Naive path: serial per-chunk compression into separate buffers
-  /// followed by a gather copy into the send buffer.
-  [[nodiscard]] ChunkedBuffer compress_naive(
-      std::span<const ChunkSpec> chunks) const;
-
-  /// Decompresses every chunk of a packed buffer into the matching output
-  /// spans (outputs[i].size() must equal chunk i's element count).
-  /// Parallel across chunks when a pool is available -- the paper's
-  /// multi-stream decompression. Returns measured wall seconds.
-  double decompress(const ChunkedBuffer& packed,
-                    std::span<const std::span<float>> outputs) const;
-
-  /// Decompression over raw (buffer, offsets, sizes) triples, for buffers
-  /// received from the wire rather than produced locally.
-  double decompress(std::span<const std::byte> buffer,
-                    std::span<const std::size_t> offsets,
-                    std::span<const std::size_t> sizes,
-                    std::span<const std::span<float>> outputs) const;
-
- private:
-  const Compressor& codec_;
-  ThreadPool* pool_;
-  /// One workspace per concurrent chunk task (capacity retained across
-  /// calls; mutable because the compress/decompress entry points are
-  /// logically const).
-  mutable WorkspacePool workspaces_;
-};
 
 /// Intra-message parallel compression with deterministic framing.
 ///

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <ctime>
 #include <fstream>
 #include <sstream>
 
@@ -83,7 +84,7 @@ const char* diff_status_name(DiffStatus status) {
 
 }  // namespace
 
-void RunManifest::save(const std::string& path) const {
+std::string RunManifest::to_json(int indent) const {
   JsonValue doc = JsonValue::object();
   doc.set(std::string(kManifestMarker), JsonValue(kManifestVersion));
   doc.set("label", JsonValue(label));
@@ -100,11 +101,23 @@ void RunManifest::save(const std::string& path) const {
   JsonValue mts = JsonValue::object();
   for (const auto& [key, value] : metrics) mts.set(key, JsonValue(value));
   doc.set("metrics", std::move(mts));
+  return doc.dump(indent);
+}
 
+void RunManifest::save(const std::string& path) const {
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) throw Error("obs: cannot write '" + path + "'");
-  out << doc.dump(2) << '\n';
+  out << to_json(2) << '\n';
   if (!out) throw Error("obs: short write to '" + path + "'");
+}
+
+std::string utc_now_iso8601() {
+  const std::time_t now = std::time(nullptr);
+  std::tm utc{};
+  gmtime_r(&now, &utc);
+  char stamp[32];
+  std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
+  return stamp;
 }
 
 std::map<std::string, double> load_comparable_metrics(

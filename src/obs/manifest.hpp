@@ -41,8 +41,15 @@ struct RunManifest {
   std::map<std::string, std::string> config;  ///< flag name -> value
   std::map<std::string, double> metrics;
 
+  /// The manifest document; `indent` 0 is one compact line (the
+  /// BENCH_history.jsonl record), save() writes it with indent 2.
+  [[nodiscard]] std::string to_json(int indent = 0) const;
   void save(const std::string& path) const;
 };
+
+/// Current time as ISO-8601 UTC ("2026-01-31T12:00:00Z"), the format of
+/// RunManifest::created.
+[[nodiscard]] std::string utc_now_iso8601();
 
 /// Loads `path` as comparable key/value metrics, accepting three shapes:
 ///  - a run manifest (detected by its "dlcomp_manifest" marker): the

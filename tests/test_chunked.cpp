@@ -1,9 +1,10 @@
-// Tests for chunked (multi-tensor) compression and the buffer
-// optimization ablation.
+// Tests for the BlockEngine: blocked multi-tensor compression, its DLBK
+// framing, and both readers of it.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -12,157 +13,6 @@
 
 namespace dlcomp {
 namespace {
-
-std::vector<std::vector<float>> make_chunks(std::size_t count,
-                                            std::size_t elems,
-                                            std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::vector<float>> chunks(count);
-  for (auto& chunk : chunks) {
-    chunk.resize(elems);
-    for (auto& v : chunk) v = static_cast<float>(rng.normal(0.0, 0.2));
-  }
-  return chunks;
-}
-
-std::vector<ChunkSpec> make_specs(const std::vector<std::vector<float>>& data,
-                                  double eb = 0.01) {
-  std::vector<ChunkSpec> specs;
-  for (const auto& chunk : data) {
-    ChunkSpec spec;
-    spec.data = chunk;
-    spec.params.error_bound = eb;
-    spec.params.vector_dim = 16;
-    specs.push_back(spec);
-  }
-  return specs;
-}
-
-TEST(Chunked, OptimizedRoundTripsEveryChunk) {
-  const auto data = make_chunks(8, 512, 1);
-  const auto specs = make_specs(data);
-  ThreadPool pool(4);
-  const ChunkedCompressor chunked(get_compressor("huffman"), &pool);
-
-  const ChunkedBuffer packed = chunked.compress_optimized(specs);
-  EXPECT_EQ(packed.offsets.size(), 8u);
-  EXPECT_EQ(packed.kernel_launches, 1u);
-  EXPECT_EQ(packed.gathered_bytes, 0u);
-
-  std::vector<std::vector<float>> outputs(8, std::vector<float>(512));
-  std::vector<std::span<float>> views;
-  for (auto& out : outputs) views.emplace_back(out);
-  chunked.decompress(packed, views);
-
-  for (std::size_t c = 0; c < 8; ++c) {
-    for (std::size_t i = 0; i < 512; ++i) {
-      ASSERT_LE(std::fabs(outputs[c][i] - data[c][i]), 0.011);
-    }
-  }
-}
-
-TEST(Chunked, NaiveAndOptimizedProduceSameStreams) {
-  const auto data = make_chunks(6, 256, 2);
-  const auto specs = make_specs(data);
-  const ChunkedCompressor chunked(get_compressor("huffman"), nullptr);
-
-  const ChunkedBuffer optimized = chunked.compress_optimized(specs);
-  const ChunkedBuffer naive = chunked.compress_naive(specs);
-
-  EXPECT_EQ(optimized.total_output_bytes, naive.total_output_bytes);
-  EXPECT_EQ(naive.kernel_launches, 6u);
-  EXPECT_EQ(naive.gathered_bytes, naive.total_output_bytes);
-
-  // Chunk streams must be identical byte-for-byte (order of placement in
-  // the optimized buffer may differ; compare via per-chunk views).
-  for (std::size_t c = 0; c < 6; ++c) {
-    const auto a = optimized.chunk(c);
-    const auto b = naive.chunk(c);
-    ASSERT_EQ(a.size(), b.size());
-    for (std::size_t i = 0; i < a.size(); ++i) {
-      ASSERT_EQ(a[i], b[i]);
-    }
-  }
-}
-
-TEST(Chunked, ModeledTimeFavorsOptimizedPath) {
-  const auto data = make_chunks(16, 128, 3);
-  const auto specs = make_specs(data);
-  const ChunkedCompressor chunked(get_compressor("vector-lz"), nullptr);
-  const ChunkedBuffer optimized = chunked.compress_optimized(specs);
-  const ChunkedBuffer naive = chunked.compress_naive(specs);
-
-  const DeviceModel device;
-  const double bps = 40e9;
-  EXPECT_LT(optimized.modeled_seconds(device, bps),
-            naive.modeled_seconds(device, bps));
-}
-
-TEST(Chunked, SingleChunkDegenerate) {
-  const auto data = make_chunks(1, 64, 4);
-  const auto specs = make_specs(data);
-  const ChunkedCompressor chunked(get_compressor("huffman"), nullptr);
-  const ChunkedBuffer packed = chunked.compress_optimized(specs);
-  EXPECT_EQ(packed.offsets.size(), 1u);
-  EXPECT_EQ(packed.offsets[0], 0u);
-
-  std::vector<float> out(64);
-  std::vector<std::span<float>> views{std::span<float>(out)};
-  chunked.decompress(packed, views);
-  for (std::size_t i = 0; i < 64; ++i) {
-    ASSERT_LE(std::fabs(out[i] - data[0][i]), 0.011);
-  }
-}
-
-TEST(Chunked, EmptyChunkList) {
-  const ChunkedCompressor chunked(get_compressor("huffman"), nullptr);
-  const ChunkedBuffer packed = chunked.compress_optimized({});
-  EXPECT_TRUE(packed.buffer.empty());
-  EXPECT_TRUE(packed.offsets.empty());
-}
-
-TEST(Chunked, MixedChunkSizes) {
-  Rng rng(5);
-  std::vector<std::vector<float>> data;
-  for (const std::size_t n : {7u, 333u, 64u, 1u, 2048u}) {
-    std::vector<float> chunk(n);
-    for (auto& v : chunk) v = static_cast<float>(rng.normal(0.0, 0.1));
-    data.push_back(std::move(chunk));
-  }
-  const auto specs = make_specs(data);
-  ThreadPool pool(3);
-  const ChunkedCompressor chunked(get_compressor("fz-gpu-like"), &pool);
-  const ChunkedBuffer packed = chunked.compress_optimized(specs);
-
-  std::vector<std::vector<float>> outputs;
-  std::vector<std::span<float>> views;
-  for (const auto& chunk : data) outputs.emplace_back(chunk.size());
-  for (auto& out : outputs) views.emplace_back(out);
-  chunked.decompress(packed, views);
-  for (std::size_t c = 0; c < data.size(); ++c) {
-    for (std::size_t i = 0; i < data[c].size(); ++i) {
-      ASSERT_LE(std::fabs(outputs[c][i] - data[c][i]), 0.011);
-    }
-  }
-}
-
-TEST(Chunked, WorstCaseBoundIsSufficientForRandomData) {
-  // Incompressible data must still fit the pre-sized optimized buffer.
-  Rng rng(6);
-  std::vector<float> chunk(4096);
-  for (auto& v : chunk) v = rng.uniform_float(-100.0f, 100.0f);
-  std::vector<ChunkSpec> specs(4);
-  for (auto& spec : specs) {
-    spec.data = chunk;
-    spec.params.error_bound = 1e-6;  // enormous code alphabet
-    spec.params.vector_dim = 32;
-  }
-  const ChunkedCompressor chunked(get_compressor("huffman"), nullptr);
-  const ChunkedBuffer packed = chunked.compress_optimized(specs);  // no throw
-  EXPECT_EQ(packed.offsets.size(), 4u);
-}
-
-// ------------------------------------------------------------ BlockEngine
 
 std::vector<std::vector<std::byte>> engine_compress(
     const Compressor& codec, ThreadPool* pool, std::size_t block_elems,
@@ -378,29 +228,78 @@ TEST(BlockEngine, MalformedContainersAreRejected) {
   const std::vector<std::byte>& good = streams[0];
   ASSERT_TRUE(BlockEngine::is_blocked(good));
 
-  CompressionWorkspace ws;
+  // Both readers (serial blocked_decompress and the engine's add_stream)
+  // must reject every case, and the engine must register nothing.
   std::vector<float> out(tensor.size());
+  const auto expect_rejected = [&](const std::vector<std::byte>& bad,
+                                   std::span<float> dest) {
+    CompressionWorkspace ws;
+    EXPECT_THROW(blocked_decompress(codec, bad, dest, ws), FormatError);
+    BlockEngine engine(codec, nullptr, block);
+    engine.decompress_begin();
+    EXPECT_THROW(engine.add_stream(bad, dest), FormatError);
+    engine.decompress_run();
+    EXPECT_EQ(engine.blocks_decompressed(), 0u);
+  };
 
   {  // truncated fixed header
-    std::vector<std::byte> bad(good.begin(), good.begin() + 16);
-    EXPECT_THROW(blocked_decompress(codec, bad, out, ws), FormatError);
+    expect_rejected({good.begin(), good.begin() + 16}, out);
   }
   {  // unknown container version
     std::vector<std::byte> bad = good;
     bad[4] = std::byte{0x7F};
-    EXPECT_THROW(blocked_decompress(codec, bad, out, ws), FormatError);
+    expect_rejected(bad, out);
   }
   {  // directory sum disagrees with the remaining payload
     std::vector<std::byte> bad = good;
     bad.pop_back();
-    EXPECT_THROW(blocked_decompress(codec, bad, out, ws), FormatError);
+    expect_rejected(bad, out);
+  }
+  {  // directory entries whose sum wraps around to the payload size
+    std::vector<std::byte> bad = good;
+    std::uint64_t first = 0;
+    std::uint64_t second = 0;
+    std::memcpy(&first, bad.data() + 32, sizeof(first));
+    std::memcpy(&second, bad.data() + 40, sizeof(second));
+    second += first + 1;
+    first = ~std::uint64_t{0};
+    std::memcpy(bad.data() + 32, &first, sizeof(first));
+    std::memcpy(bad.data() + 40, &second, sizeof(second));
+    expect_rejected(bad, out);
   }
   {  // output span does not match the advertised element count
     std::vector<float> wrong(tensor.size() - 1);
-    EXPECT_THROW(blocked_decompress(codec, good, wrong, ws), FormatError);
-    BlockEngine engine(codec, nullptr, block);
-    engine.decompress_begin();
-    EXPECT_THROW(engine.add_stream(good, wrong), FormatError);
+    expect_rejected(good, wrong);
+  }
+}
+
+TEST(BlockEngine, EmptyBatch) {
+  ThreadPool pool(2);
+  BlockEngine engine(get_compressor("huffman"), &pool);
+  engine.compress_begin();
+  engine.compress_run();
+  engine.decompress_begin();
+  engine.decompress_run();
+  EXPECT_EQ(engine.blocks_compressed(), 0u);
+  EXPECT_EQ(engine.blocks_decompressed(), 0u);
+}
+
+TEST(BlockEngine, WorstCaseBoundIsSufficientForRandomData) {
+  // Incompressible data must still fit the worst-case-spaced staging
+  // buffer, both as whole tensors and as blocks of a larger one.
+  Rng rng(6);
+  std::vector<float> tensor(4096);
+  for (auto& v : tensor) v = rng.uniform_float(-100.0f, 100.0f);
+  CompressParams params;
+  params.error_bound = 1e-6;  // enormous code alphabet
+  params.vector_dim = 32;
+  for (const std::size_t block : {BlockEngine::kDefaultBlockElems,
+                                  std::size_t{1024}}) {
+    BlockEngine engine(get_compressor("huffman"), nullptr, block);
+    engine.compress_begin();
+    for (int i = 0; i < 4; ++i) engine.add_tensor(tensor, params);
+    EXPECT_NO_THROW(engine.compress_run()) << "block " << block;
+    EXPECT_GT(engine.stream_bytes(3), 0u);
   }
 }
 

@@ -1,23 +1,19 @@
-// Codec-throughput trajectory reporter. Runs the codec and all-to-all
-// microbenches on the standard 1 MiB embedding-shaped payload and emits
-// BENCH_codec.json so successive PRs have a recorded perf baseline to
-// regress against. Uses only the public codec API, so the same source
-// builds against any revision of the library (that is how baselines are
-// captured before an optimization lands).
+// Perf trajectory reporter. Runs the codec, all-to-all, overlap,
+// transport, parallel-codec, serving, dataset and tracer microbenches and
+// records every number as one flat "block/key" metric of a RunManifest
+// (mode "bench"), the record `dlcomp obs diff` reads. BENCH_codec.json is
+// that manifest; BENCH_history.jsonl holds one compact copy per recorded
+// run, so `dlcomp obs diff` compares any two of them key by key.
 //
 // Usage: bench_report [--out FILE] [--reps N] [--label NAME] [--smoke]
-//                     [--baseline FILE] [--history FILE]
+//                     [--history FILE]
 //   --smoke     1 rep per measurement (CI wiring check, numbers noisy)
-//   --label     free-form tag stored in the JSON ("baseline", "pr3", ...)
-//   --history   append one JSONL line per run (label + flattened numeric
-//               report); a fresh history file is seeded with a line
-//               derived from --baseline so trajectories start two-deep
+//   --label     free-form tag stored in the manifest ("prN", ...)
+//   --history   also append the manifest to FILE as one JSONL line
 
 #include <algorithm>
 #include <array>
 #include <cstdio>
-#include <cstdlib>
-#include <ctime>
 #include <exception>
 #include <filesystem>
 #include <fstream>
@@ -31,59 +27,51 @@
 
 #include "common/arg_parser.hpp"
 #include "common/crc32.hpp"
-#include "common/json.hpp"
+#include "common/error.hpp"
 #include "common/net.hpp"
 #include "common/rng.hpp"
 #include "common/timer.hpp"
 #include "comm/calibration.hpp"
 #include "comm/communicator.hpp"
 #include "comm/tcp_runtime.hpp"
+#include "compress/chunked.hpp"
+#include "compress/kernels.hpp"
 #include "compress/registry.hpp"
+#include "compress/simd.hpp"
+#include "compress/workspace.hpp"
 #include "core/compressed_alltoall.hpp"
 #include "data/shard_converter.hpp"
 #include "data/shard_reader.hpp"
+#include "obs/manifest.hpp"
+#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 #include "parallel/thread_pool.hpp"
-
-// The workspace API lands with the hot-path overhaul; guarding on the
-// header keeps this tool buildable against earlier revisions so baselines
-// can be captured before the optimization.
-#if __has_include("compress/workspace.hpp")
-#define DLCOMP_HAS_WORKSPACE 1
-#include "compress/workspace.hpp"
-#endif
-
-// The blocked parallel engine and SIMD dispatch land together; same
-// guard so a pre-parallel revision still builds this tool (the
-// parallel_codec block is simply omitted from its report).
-#if __has_include("compress/chunked.hpp") && __has_include("compress/kernels.hpp")
-#define DLCOMP_HAS_PARALLEL_CODEC 1
-#include <thread>
-
-#include "compress/chunked.hpp"
-#include "compress/kernels.hpp"
-#include "compress/simd.hpp"
-#endif
-
-// The sharded serving tier (compressed pages + hot-row cache) lands with
-// the serving-scale PR; same guard so earlier revisions still build.
-#if __has_include("serve/shard_store.hpp")
-#define DLCOMP_HAS_SERVING_SCALE 1
 #include "serve/simulator.hpp"
-#endif
 
 namespace {
 
 using namespace dlcomp;
 
-/// Embedding-batch-shaped payload, identical to bench_codec_throughput's:
-/// repeated vectors from a small pool plus Gaussian jitter, 1 MiB.
-std::vector<float> payload() {
+/// Codec of every block except the per-codec sweep.
+constexpr const char* kCodec = "hybrid";
+
+CompressParams bench_params() {
+  CompressParams params;
+  params.error_bound = 0.01;
+  params.vector_dim = 32;
+  return params;
+}
+
+/// Embedding-batch-shaped payload of `n` floats, identical to
+/// bench_codec_throughput's: 32-wide vectors repeated from a pool that is
+/// redrawn at random row boundaries. Shorter payloads are prefixes of
+/// longer ones.
+std::vector<float> payload(std::size_t n) {
   Rng rng(17);
   std::vector<float> out;
-  out.reserve(1 << 18);
+  out.reserve(n);
   std::vector<float> pool_vec(32);
-  for (std::size_t i = 0; i < (1u << 18); ++i) {
+  for (std::size_t i = 0; i < n; ++i) {
     if (i % 32 == 0 && rng.bernoulli(0.4)) {
       for (auto& v : pool_vec) v = static_cast<float>(rng.normal(0.0, 0.2));
     }
@@ -91,176 +79,6 @@ std::vector<float> payload() {
   }
   return out;
 }
-
-double mbps(std::size_t bytes, double seconds) {
-  return seconds > 0.0 ? static_cast<double>(bytes) / seconds / 1e6 : 0.0;
-}
-
-struct CodecReport {
-  std::string name;
-  double compress_mbps = 0.0;
-  double decompress_mbps = 0.0;
-  double roundtrip_mbps = 0.0;
-  double ratio = 0.0;
-  std::uint32_t stream_crc32 = 0;
-  long long steady_grow_events = -1;  // -1: workspace API not available
-};
-
-CodecReport measure_codec(const std::string& name,
-                          std::span<const float> input, std::size_t reps) {
-  const Compressor& codec = get_compressor(name);
-  CompressParams params;
-  params.error_bound = 0.01;
-  params.vector_dim = 32;
-
-  CodecReport report;
-  report.name = name;
-
-#if defined(DLCOMP_HAS_WORKSPACE)
-  CompressionWorkspace ws;
-  auto do_compress = [&](std::vector<std::byte>& out) {
-    out.clear();
-    codec.compress(input, params, out, ws);
-  };
-  auto do_decompress = [&](std::span<const std::byte> stream,
-                           std::span<float> out) {
-    codec.decompress(stream, out, ws);
-  };
-#else
-  auto do_compress = [&](std::vector<std::byte>& out) {
-    out.clear();
-    codec.compress(input, params, out);
-  };
-  auto do_decompress = [&](std::span<const std::byte> stream,
-                           std::span<float> out) {
-    codec.decompress(stream, out);
-  };
-#endif
-
-  std::vector<std::byte> stream;
-  do_compress(stream);  // warm-up + reference stream
-  report.stream_crc32 = crc32(stream);
-  report.ratio = static_cast<double>(input.size_bytes()) /
-                 static_cast<double>(stream.size());
-
-  double best_compress = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
-    WallTimer timer;
-    do_compress(stream);
-    best_compress = std::min(best_compress, timer.seconds());
-  }
-
-  std::vector<float> out(input.size());
-  do_decompress(stream, out);  // warm-up
-  double best_decompress = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
-    WallTimer timer;
-    do_decompress(stream, out);
-    best_decompress = std::min(best_decompress, timer.seconds());
-  }
-
-#if defined(DLCOMP_HAS_WORKSPACE)
-  // Steady-state allocation check: after the loops above every scratch
-  // buffer has hit its high-water mark, so one more round-trip must not
-  // grow anything.
-  const std::uint64_t before = ws.grow_events();
-  do_compress(stream);
-  do_decompress(stream, out);
-  report.steady_grow_events =
-      static_cast<long long>(ws.grow_events() - before);
-#endif
-
-  report.compress_mbps = mbps(input.size_bytes(), best_compress);
-  report.decompress_mbps = mbps(input.size_bytes(), best_decompress);
-  report.roundtrip_mbps = mbps(input.size_bytes(), best_compress + best_decompress);
-  return report;
-}
-
-struct A2AReport {
-  double exchange_mbps = 0.0;        // raw payload bytes / wall seconds
-  double compression_ratio = 0.0;
-  long long steady_grow_events = -1;
-};
-
-A2AReport measure_alltoall(const std::string& codec_name,
-                           std::span<const float> input, std::size_t reps) {
-  constexpr int kWorld = 4;
-  constexpr std::size_t kChunksPerDest = 2;
-  const std::size_t chunk_elems =
-      input.size() / (kWorld * kChunksPerDest);
-
-  ThreadPool pool(4);
-  A2AReport report;
-  Cluster cluster(kWorld);
-
-  std::vector<double> rank_seconds(kWorld, 0.0);
-  std::vector<double> rank_ratio(kWorld, 0.0);
-  std::vector<long long> rank_grow(kWorld, -1);
-
-  cluster.run([&](Communicator& comm) {
-    CompressedAllToAllConfig config;
-    config.codec = &get_compressor(codec_name);
-    config.pool = &pool;
-    config.charge_modeled_time = false;
-    const CompressedAllToAll a2a(config);
-
-    CompressParams params;
-    params.error_bound = 0.01;
-    params.vector_dim = 32;
-
-    std::vector<std::vector<A2AChunkSpec>> send(kWorld);
-    for (int d = 0; d < kWorld; ++d) {
-      for (std::size_t c = 0; c < kChunksPerDest; ++c) {
-        const std::size_t offset =
-            (static_cast<std::size_t>(d) * kChunksPerDest + c) * chunk_elems;
-        send[static_cast<std::size_t>(d)].push_back(
-            {input.subspan(offset, chunk_elems), params});
-      }
-    }
-    std::vector<std::vector<float>> recv_storage(kWorld * kChunksPerDest,
-                                                 std::vector<float>(chunk_elems));
-    std::vector<std::vector<std::span<float>>> recv(kWorld);
-    for (int s = 0; s < kWorld; ++s) {
-      for (std::size_t c = 0; c < kChunksPerDest; ++c) {
-        recv[static_cast<std::size_t>(s)].push_back(
-            recv_storage[static_cast<std::size_t>(s) * kChunksPerDest + c]);
-      }
-    }
-
-    A2AStats stats = a2a.exchange(comm, send, recv, "bench");  // warm-up
-    double best = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      WallTimer timer;
-      stats = a2a.exchange(comm, send, recv, "bench");
-      best = std::min(best, timer.seconds());
-    }
-#if defined(DLCOMP_HAS_WORKSPACE)
-    const std::uint64_t grow_before = a2a.workspace_grow_events();
-    a2a.exchange(comm, send, recv, "bench");
-    rank_grow[static_cast<std::size_t>(comm.rank())] =
-        static_cast<long long>(a2a.workspace_grow_events() - grow_before);
-#endif
-    rank_seconds[static_cast<std::size_t>(comm.rank())] = best;
-    rank_ratio[static_cast<std::size_t>(comm.rank())] = stats.compression_ratio();
-  });
-
-  const double worst =
-      *std::max_element(rank_seconds.begin(), rank_seconds.end());
-  report.exchange_mbps = mbps(input.size_bytes(), worst);
-  report.compression_ratio = rank_ratio[0];
-  report.steady_grow_events =
-      *std::max_element(rank_grow.begin(), rank_grow.end());
-  return report;
-}
-
-struct OverlapReport {
-  int world = 0;                      ///< simulated rank count measured
-  double serial_exposed_us = 0.0;     ///< monolithic, no overlap
-  double pipelined_exposed_us = 0.0;  ///< 4-stage pipelined exchange
-  double pipelined_hidden_us = 0.0;   ///< wire seconds absorbed by codec time
-  double exposed_reduction_pct = 0.0;
-  double sim_exchange_speedup = 0.0;  ///< simulated makespan ratio
-};
 
 /// Gradient-shaped payload for the overlap measurement: plain Gaussian
 /// values compress ~3x instead of the ~9x of the embedding-shaped
@@ -274,246 +92,181 @@ std::vector<float> overlap_payload() {
   return out;
 }
 
+double mbps(std::size_t bytes, double seconds) {
+  return seconds > 0.0 ? static_cast<double>(bytes) / seconds / 1e6 : 0.0;
+}
+
+/// Fastest wall time of `reps` runs of `body`; `before` runs untimed
+/// ahead of each one.
+template <typename Body, typename Before>
+double best_of(std::size_t reps, const Body& body, const Before& before) {
+  double best = 1e300;
+  for (std::size_t r = 0; r < reps; ++r) {
+    before();
+    WallTimer timer;
+    body();
+    best = std::min(best, timer.seconds());
+  }
+  return best;
+}
+
+template <typename Body>
+double best_of(std::size_t reps, const Body& body) {
+  return best_of(reps, body, [] {});
+}
+
+/// One rank's all-to-all buffers: `input` cut into world x
+/// chunks_per_dest equal chunks, destination d sending chunks
+/// [d*chunks_per_dest, (d+1)*chunks_per_dest), plus matching receive
+/// buffers per source. `recv` views `storage`: moving keeps the views
+/// valid, copying does not.
+struct ExchangeBuffers {
+  std::vector<std::vector<A2AChunkSpec>> send;
+  std::vector<std::vector<float>> storage;
+  std::vector<std::vector<std::span<float>>> recv;
+};
+
+ExchangeBuffers split_exchange(std::span<const float> input, int world,
+                               std::size_t chunks_per_dest) {
+  const auto peers = static_cast<std::size_t>(world);
+  const std::size_t chunk_elems = input.size() / (peers * chunks_per_dest);
+  ExchangeBuffers x;
+  x.send.resize(peers);
+  x.recv.resize(peers);
+  x.storage.assign(peers * chunks_per_dest, std::vector<float>(chunk_elems));
+  for (std::size_t p = 0; p < peers; ++p) {
+    for (std::size_t c = 0; c < chunks_per_dest; ++c) {
+      const std::size_t i = p * chunks_per_dest + c;
+      x.send[p].push_back(
+          {input.subspan(i * chunk_elems, chunk_elems), bench_params()});
+      x.recv[p].push_back(x.storage[i]);
+    }
+  }
+  return x;
+}
+
+void measure_codec(const std::string& name, std::span<const float> input,
+                   std::size_t reps, MetricsSnapshot& m) {
+  const Compressor& codec = get_compressor(name);
+  const CompressParams params = bench_params();
+  CompressionWorkspace ws;
+  std::vector<std::byte> stream;
+  std::vector<float> out(input.size());
+  const auto compress = [&] {
+    stream.clear();
+    codec.compress(input, params, stream, ws);
+  };
+  const auto decompress = [&] { codec.decompress(stream, out, ws); };
+
+  const std::string key = "codecs/" + name + "/";
+  compress();  // warm-up + reference stream
+  m.set(key + "stream_crc32", crc32(stream));
+  m.set(key + "ratio", static_cast<double>(input.size_bytes()) /
+                           static_cast<double>(stream.size()));
+  const double best_compress = best_of(reps, compress);
+  decompress();  // warm-up
+  const double best_decompress = best_of(reps, decompress);
+
+  // Steady-state allocation check: after the loops above every scratch
+  // buffer has hit its high-water mark, so one more round-trip must not
+  // grow anything.
+  const std::uint64_t before = ws.grow_events();
+  compress();
+  decompress();
+  m.set(key + "steady_grow_events",
+        static_cast<double>(ws.grow_events() - before));
+
+  m.set(key + "compress_MBps", mbps(input.size_bytes(), best_compress));
+  m.set(key + "decompress_MBps", mbps(input.size_bytes(), best_decompress));
+  m.set(key + "roundtrip_MBps",
+        mbps(input.size_bytes(), best_compress + best_decompress));
+}
+
+void measure_alltoall(std::span<const float> input, std::size_t reps,
+                      MetricsSnapshot& m) {
+  constexpr int kWorld = 4;
+  ThreadPool pool(4);
+  Cluster cluster(kWorld);
+  std::vector<double> rank_seconds(kWorld, 0.0);
+  std::vector<double> rank_ratio(kWorld, 0.0);
+  std::vector<double> rank_grow(kWorld, 0.0);
+
+  cluster.run([&](Communicator& comm) {
+    CompressedAllToAllConfig config;
+    config.codec = &get_compressor(kCodec);
+    config.pool = &pool;
+    config.charge_modeled_time = false;
+    const CompressedAllToAll a2a(config);
+    ExchangeBuffers x = split_exchange(input, kWorld, 2);
+    const auto exchange = [&] {
+      return a2a.exchange(comm, x.send, x.recv, "bench");
+    };
+
+    A2AStats stats = exchange();  // warm-up
+    const double best = best_of(reps, [&] { stats = exchange(); });
+    const std::uint64_t grow_before = a2a.workspace_grow_events();
+    exchange();
+    const auto r = static_cast<std::size_t>(comm.rank());
+    rank_grow[r] =
+        static_cast<double>(a2a.workspace_grow_events() - grow_before);
+    rank_seconds[r] = best;
+    rank_ratio[r] = stats.compression_ratio();
+  });
+
+  m.set("alltoall_hybrid/exchange_MBps",
+        mbps(input.size_bytes(), std::ranges::max(rank_seconds)));
+  m.set("alltoall_hybrid/ratio", rank_ratio[0]);
+  m.set("alltoall_hybrid/steady_grow_events", std::ranges::max(rank_grow));
+}
+
 /// Simulated (deterministic) exposed-vs-hidden communication for the
 /// pipelined exchange against the monolithic path: world 8, hybrid codec,
 /// modelled codec + wire charging. These numbers come from the SimClock,
-/// not wall time, so the JSON is reproducible across machines.
-OverlapReport measure_overlap(const std::string& codec_name,
-                              std::span<const float> input) {
+/// not wall time, so they are reproducible across machines.
+void measure_overlap(std::span<const float> input, MetricsSnapshot& m) {
   constexpr int kWorld = 8;
-  constexpr std::size_t kChunksPerDest = 4;
-  const std::size_t chunk_elems = input.size() / (kWorld * kChunksPerDest);
-
   ThreadPool pool(4);
-  OverlapReport report;
-  report.world = kWorld;
 
-  const auto run_mode = [&](std::size_t stages, double& exposed_us,
-                            double* hidden_us) {
+  struct Run {
+    double makespan_s = 0.0;
+    double exposed_us = 0.0;  ///< slowest rank
+    double hidden_us = 0.0;   ///< slowest rank
+  };
+  const auto run_mode = [&](std::size_t stages) {
     Cluster cluster(kWorld);
     std::vector<double> rank_exposed(kWorld, 0.0);
     std::vector<double> rank_hidden(kWorld, 0.0);
     cluster.run([&](Communicator& comm) {
       CompressedAllToAllConfig config;
-      config.codec = &get_compressor(codec_name);
+      config.codec = &get_compressor(kCodec);
       config.pool = &pool;
       config.pipeline_stages = stages;
       const CompressedAllToAll a2a(config);
-
-      CompressParams params;
-      params.error_bound = 0.01;
-      params.vector_dim = 32;
-      std::vector<std::vector<A2AChunkSpec>> send(kWorld);
-      for (int d = 0; d < kWorld; ++d) {
-        for (std::size_t c = 0; c < kChunksPerDest; ++c) {
-          const std::size_t offset =
-              (static_cast<std::size_t>(d) * kChunksPerDest + c) * chunk_elems;
-          send[static_cast<std::size_t>(d)].push_back(
-              {input.subspan(offset, chunk_elems), params});
-        }
-      }
-      std::vector<std::vector<float>> recv_storage(
-          kWorld * kChunksPerDest, std::vector<float>(chunk_elems));
-      std::vector<std::vector<std::span<float>>> recv(kWorld);
-      for (int s = 0; s < kWorld; ++s) {
-        for (std::size_t c = 0; c < kChunksPerDest; ++c) {
-          recv[static_cast<std::size_t>(s)].push_back(
-              recv_storage[static_cast<std::size_t>(s) * kChunksPerDest + c]);
-        }
-      }
-      const A2AStats stats = a2a.exchange(comm, send, recv, "bench");
-      rank_exposed[static_cast<std::size_t>(comm.rank())] =
-          stats.exposed_comm_seconds;
-      rank_hidden[static_cast<std::size_t>(comm.rank())] =
-          stats.hidden_comm_seconds;
+      ExchangeBuffers x = split_exchange(input, kWorld, 4);
+      const A2AStats stats = a2a.exchange(comm, x.send, x.recv, "bench");
+      const auto r = static_cast<std::size_t>(comm.rank());
+      rank_exposed[r] = stats.exposed_comm_seconds;
+      rank_hidden[r] = stats.hidden_comm_seconds;
     });
-    exposed_us =
-        *std::max_element(rank_exposed.begin(), rank_exposed.end()) * 1e6;
-    if (hidden_us != nullptr) {
-      *hidden_us =
-          *std::max_element(rank_hidden.begin(), rank_hidden.end()) * 1e6;
-    }
-    return cluster.makespan_seconds();
+    return Run{cluster.makespan_seconds(),
+               std::ranges::max(rank_exposed) * 1e6,
+               std::ranges::max(rank_hidden) * 1e6};
   };
 
-  const double serial_makespan =
-      run_mode(1, report.serial_exposed_us, nullptr);
-  const double pipelined_makespan =
-      run_mode(4, report.pipelined_exposed_us, &report.pipelined_hidden_us);
-  report.exposed_reduction_pct =
-      report.serial_exposed_us > 0.0
-          ? 100.0 * (1.0 - report.pipelined_exposed_us / report.serial_exposed_us)
-          : 0.0;
-  report.sim_exchange_speedup =
-      pipelined_makespan > 0.0 ? serial_makespan / pipelined_makespan : 0.0;
-  return report;
+  const Run serial = run_mode(1);
+  const Run pipelined = run_mode(4);
+  m.set("overlap_alltoall/world", kWorld);
+  m.set("overlap_alltoall/serial_exposed_us", serial.exposed_us);
+  m.set("overlap_alltoall/pipelined_exposed_us", pipelined.exposed_us);
+  m.set("overlap_alltoall/pipelined_hidden_us", pipelined.hidden_us);
+  m.set("overlap_alltoall/exposed_reduction_pct",
+        serial.exposed_us > 0.0
+            ? 100.0 * (1.0 - pipelined.exposed_us / serial.exposed_us)
+            : 0.0);
+  m.set("overlap_alltoall/sim_exchange_speedup",
+        pipelined.makespan_s > 0.0 ? serial.makespan_s / pipelined.makespan_s
+                                   : 0.0);
 }
-
-struct DataPipelineReport {
-  std::size_t samples = 0;
-  std::size_t shards = 0;
-  double convert_mbps = 0.0;  ///< TSV bytes through the converter
-  double read_mbps = 0.0;     ///< logical sample bytes through the stream
-  long long steady_grow_events = -1;
-  std::vector<std::uint32_t> shard_crcs;  ///< whole-file CRC per shard
-};
-
-/// Converter + reader throughput on a deterministic synthetic Criteo-
-/// style TSV (fixed seed and line count, so the shard CRCs are identical
-/// on every machine -- they regress like the codec stream CRCs).
-DataPipelineReport measure_dataset_pipeline(std::size_t reps) {
-  namespace fs = std::filesystem;
-  constexpr std::size_t kLines = 8192;
-  constexpr std::size_t kSamplesPerShard = 2048;
-  constexpr std::size_t kNumDense = 13;
-  constexpr std::size_t kNumCat = 26;
-  const fs::path root = fs::temp_directory_path() / "dlcomp_bench_dataset";
-  fs::remove_all(root);
-  fs::create_directories(root);
-  const fs::path tsv = root / "input.tsv";
-  const fs::path shards_dir = root / "shards";
-
-  {
-    Rng rng(31);
-    std::ofstream os(tsv);
-    char token[16];
-    for (std::size_t i = 0; i < kLines; ++i) {
-      os << (rng.bernoulli(0.23) ? '1' : '0');
-      for (std::size_t d = 0; d < kNumDense; ++d) {
-        os << '\t';
-        if (!rng.bernoulli(0.1)) os << rng.next_below(4000);
-      }
-      for (std::size_t c = 0; c < kNumCat; ++c) {
-        std::snprintf(token, sizeof(token), "%08llx",
-                      static_cast<unsigned long long>(rng.next_u64() & 0xFFFFFFFFull));
-        os << '\t' << (rng.bernoulli(0.05) ? "" : token);
-      }
-      os << '\n';
-    }
-  }
-
-  DataPipelineReport report;
-  ThreadPool pool;
-  double best_convert = 1e300;
-  ConvertOptions options;
-  options.input_tsv = tsv.string();
-  options.output_dir = shards_dir.string();
-  options.samples_per_shard = kSamplesPerShard;
-  options.pool = &pool;
-  for (std::size_t r = 0; r < reps; ++r) {
-    fs::remove_all(shards_dir);
-    const ConvertReport converted = convert_criteo_tsv(options);
-    report.samples = converted.samples;
-    report.shards = converted.shards;
-    best_convert = std::min(best_convert, converted.seconds);
-  }
-  report.convert_mbps =
-      best_convert > 0.0
-          ? static_cast<double>(fs::file_size(tsv)) / best_convert / 1e6
-          : 0.0;
-
-  for (const auto& entry : fs::directory_iterator(shards_dir)) {
-    std::ifstream is(entry.path(), std::ios::binary);
-    std::vector<char> bytes{std::istreambuf_iterator<char>(is),
-                            std::istreambuf_iterator<char>()};
-    report.shard_crcs.push_back(
-        crc32({reinterpret_cast<const std::byte*>(bytes.data()), bytes.size()}));
-  }
-  std::sort(report.shard_crcs.begin(), report.shard_crcs.end());
-
-  // Streaming read throughput: double-buffered prefetch, batches of 512,
-  // epoch 0 is warm-up (buffers reach the largest shard), later epochs
-  // must be allocation-free.
-  DatasetSpec spec = DatasetSpec::criteo_kaggle_like(100000);
-  const ShardedDatasetReader reader(spec, shards_dir.string());
-  ShardBatchStream stream(reader, 512);
-  SampleBatch batch;
-  const std::size_t batches_per_epoch =
-      static_cast<std::size_t>(reader.num_samples()) / 512;
-  for (std::size_t b = 0; b < 2 * batches_per_epoch; ++b) stream.next(batch);
-  const std::uint64_t grow_before = stream.grow_events();
-  const std::uint64_t delivered_before = stream.samples_delivered();
-  double best_read = 1e300;
-  for (std::size_t r = 0; r < reps; ++r) {
-    WallTimer timer;
-    for (std::size_t b = 0; b < batches_per_epoch; ++b) stream.next(batch);
-    best_read = std::min(best_read, timer.seconds());
-  }
-  const double bytes_per_sample =
-      static_cast<double>((kNumDense + 1) * sizeof(float) +
-                          kNumCat * sizeof(std::uint32_t));
-  const double epoch_bytes =
-      static_cast<double>(stream.samples_delivered() - delivered_before) /
-      static_cast<double>(reps) * bytes_per_sample;
-  report.read_mbps = best_read > 0.0 ? epoch_bytes / best_read / 1e6 : 0.0;
-  report.steady_grow_events =
-      static_cast<long long>(stream.grow_events() - grow_before);
-
-  fs::remove_all(root);
-  return report;
-}
-
-struct ObservabilityReport {
-  double span_ns = 0.0;           ///< enabled cost per begin/end span pair
-  double disabled_span_ns = 0.0;  ///< macro cost with the tracer off
-  double events_per_s = 0.0;      ///< enabled recording throughput
-  long long steady_grow_events = -1;
-};
-
-/// Tracer overhead on this machine: one thread recording begin/end span
-/// pairs into its ring. The first span allocates the thread's ring; after
-/// that warm-up, recording must not grow anything (the `steady_grow_events
-/// == 0` line CI asserts on).
-ObservabilityReport measure_observability(std::size_t reps) {
-  constexpr std::size_t kSpans = 200000;
-  ObservabilityReport report;
-  Tracer& tracer = Tracer::instance();
-
-  double best_disabled = 1e300;
-  for (std::size_t r = 0; r < std::max<std::size_t>(reps, 3); ++r) {
-    WallTimer timer;
-    for (std::size_t i = 0; i < kSpans; ++i) {
-      DLCOMP_TRACE_SPAN("bench/span");
-    }
-    best_disabled = std::min(best_disabled, timer.seconds());
-  }
-  report.disabled_span_ns = best_disabled / kSpans * 1e9;
-
-  tracer.enable();
-  { DLCOMP_TRACE_SPAN("bench/warmup"); }  // allocates this thread's ring
-  const std::uint64_t grow_before = tracer.buffer_grow_events();
-  double best = 1e300;
-  for (std::size_t r = 0; r < std::max<std::size_t>(reps, 3); ++r) {
-    WallTimer timer;
-    for (std::size_t i = 0; i < kSpans; ++i) {
-      DLCOMP_TRACE_SPAN("bench/span");
-    }
-    best = std::min(best, timer.seconds());
-  }
-  report.steady_grow_events =
-      static_cast<long long>(tracer.buffer_grow_events() - grow_before);
-  tracer.disable();
-
-  report.span_ns = best / kSpans * 1e9;
-  report.events_per_s =
-      best > 0.0 ? 2.0 * static_cast<double>(kSpans) / best : 0.0;
-  return report;
-}
-
-struct TransportReport {
-  int world = 0;
-  double measured_alltoall_mbps = 0.0;  ///< wire bytes / wall, largest size
-  double fitted_latency_us = 0.0;       ///< OLS intercept (alpha)
-  double fitted_bandwidth_mbps = 0.0;   ///< 1 / OLS slope (beta)
-  double fit_max_rel_error_pct = 0.0;
-  std::size_t holdout_wire_bytes = 0;   ///< size excluded from the fit
-  double holdout_sim_exposed_us = 0.0;  ///< fitted-model prediction
-  double holdout_real_exposed_us = 0.0; ///< measured TCP wall
-  double sim_vs_real_delta_pct = 0.0;   ///< (predicted - measured) / measured
-  double pipelined_sim_exposed_us = 0.0;  ///< fitted model, compressed a2a
-  double pipelined_wall_us = 0.0;         ///< same exchange, real TCP wall
-  std::uint64_t rank0_wire_bytes = 0;     ///< real socket bytes, rank 0
-};
 
 /// Runs `body(rank, runtime)` on `world` threads, each owning one
 /// TcpTransport endpoint of a real localhost mesh. The listener is bound
@@ -555,9 +308,8 @@ void run_tcp_world(int world, const NetworkModel& model,
 /// pipelined compressed exchange under the fitted NetworkModel so the
 /// report records how far the simulator's exposed-comm prediction sits
 /// from the measured TCP wall on this machine.
-TransportReport measure_transport(const std::string& codec_name,
-                                  std::span<const float> input,
-                                  std::size_t reps) {
+void measure_transport(std::span<const float> input, std::size_t reps,
+                       MetricsSnapshot& m) {
   constexpr int kWorld = 4;
   // Bytes per destination. The held-out size (last) is excluded from the
   // fit and used to score prediction error on unseen volume.
@@ -566,33 +318,25 @@ TransportReport measure_transport(const std::string& codec_name,
   constexpr std::size_t kFitSizes = kSizes.size() - 1;
   const std::size_t timing_reps = std::max<std::size_t>(reps, 3);
 
-  TransportReport report;
-  report.world = kWorld;
-
-  std::vector<std::array<double, kSizes.size()>> rank_best(
-      kWorld, {0.0, 0.0, 0.0, 0.0, 0.0});
-
+  std::vector<std::array<double, kSizes.size()>> rank_best(kWorld);
   run_tcp_world(kWorld, NetworkModel{}, [&](int r, TcpRuntime& runtime) {
     Transport& transport = runtime.transport();
     std::vector<std::vector<std::byte>> bufs(kWorld);
     std::vector<std::span<const std::byte>> spans(kWorld);
     std::vector<std::vector<std::byte>> controls;
     std::vector<std::vector<std::byte>> recv;
+    const auto exchange = [&] {
+      transport.exchange({}, spans, controls, recv);
+    };
     for (std::size_t s = 0; s < kSizes.size(); ++s) {
       for (int d = 0; d < kWorld; ++d) {
         auto& buf = bufs[static_cast<std::size_t>(d)];
         buf.assign(kSizes[s], static_cast<std::byte>(r * kWorld + d));
         spans[static_cast<std::size_t>(d)] = buf;
       }
-      transport.exchange({}, spans, controls, recv);  // warm-up
-      double best = 1e300;
-      for (std::size_t rep = 0; rep < timing_reps; ++rep) {
-        transport.barrier();
-        WallTimer timer;
-        transport.exchange({}, spans, controls, recv);
-        best = std::min(best, timer.seconds());
-      }
-      rank_best[static_cast<std::size_t>(r)][s] = best;
+      exchange();  // warm-up
+      rank_best[static_cast<std::size_t>(r)][s] =
+          best_of(timing_reps, exchange, [&] { transport.barrier(); });
     }
   });
 
@@ -601,114 +345,65 @@ TransportReport measure_transport(const std::string& codec_name,
   // exactly what NetworkModel::alltoall_seconds charges.
   std::array<double, kSizes.size()> worst{};
   for (std::size_t s = 0; s < kSizes.size(); ++s) {
-    for (int r = 0; r < kWorld; ++r) {
-      worst[s] = std::max(worst[s], rank_best[static_cast<std::size_t>(r)][s]);
-    }
+    for (const auto& best : rank_best) worst[s] = std::max(worst[s], best[s]);
   }
   std::vector<CalibrationSample> samples;
   for (std::size_t s = 0; s < kFitSizes; ++s) {
     samples.push_back({kSizes[s] * (kWorld - 1), worst[s]});
   }
   const LinkCalibration fit = fit_link_parameters(samples);
-  report.measured_alltoall_mbps =
-      mbps(kSizes[kFitSizes - 1] * (kWorld - 1), worst[kFitSizes - 1]);
-  report.fitted_latency_us = fit.latency_seconds * 1e6;
-  report.fitted_bandwidth_mbps = fit.bandwidth_bytes_per_second / 1e6;
-  report.fit_max_rel_error_pct = fit.max_rel_error * 100.0;
+  m.set("transport/world", kWorld);
+  m.set("transport/measured_alltoall_MBps",
+        mbps(kSizes[kFitSizes - 1] * (kWorld - 1), worst[kFitSizes - 1]));
+  m.set("transport/fitted_latency_us", fit.latency_seconds * 1e6);
+  m.set("transport/fitted_bandwidth_MBps",
+        fit.bandwidth_bytes_per_second / 1e6);
+  m.set("transport/fit_max_rel_error_pct", fit.max_rel_error * 100.0);
 
-  report.holdout_wire_bytes = kSizes[kFitSizes] * (kWorld - 1);
+  const std::size_t holdout_wire_bytes = kSizes[kFitSizes] * (kWorld - 1);
   const NetworkModel fitted = fit.apply(NetworkModel{});
-  report.holdout_sim_exposed_us =
-      fitted.alltoall_seconds(report.holdout_wire_bytes, kWorld) * 1e6;
-  report.holdout_real_exposed_us = worst[kFitSizes] * 1e6;
-  report.sim_vs_real_delta_pct =
-      report.holdout_real_exposed_us > 0.0
-          ? 100.0 *
-                (report.holdout_sim_exposed_us - report.holdout_real_exposed_us) /
-                report.holdout_real_exposed_us
-          : 0.0;
+  const double holdout_sim_us =
+      fitted.alltoall_seconds(holdout_wire_bytes, kWorld) * 1e6;
+  const double holdout_real_us = worst[kFitSizes] * 1e6;
+  m.set("transport/holdout_wire_bytes", holdout_wire_bytes);
+  m.set("transport/holdout_sim_exposed_us", holdout_sim_us);
+  m.set("transport/holdout_real_exposed_us", holdout_real_us);
+  m.set("transport/sim_vs_real_delta_pct",
+        holdout_real_us > 0.0
+            ? 100.0 * (holdout_sim_us - holdout_real_us) / holdout_real_us
+            : 0.0);
 
   // Pipelined compressed exchange under the fitted model: the SimClock
   // now predicts *this* fabric, so its exposed-comm number lands next to
   // the measured wall of the identical exchange (wall additionally pays
   // real codec time where the sim charges modelled codec time).
-  constexpr std::size_t kChunksPerDest = 4;
-  const std::size_t chunk_elems = input.size() / (kWorld * kChunksPerDest);
   ThreadPool pool(4);
   std::vector<double> rank_exposed(kWorld, 0.0);
   std::vector<double> rank_wall(kWorld, 0.0);
   run_tcp_world(kWorld, fitted, [&](int r, TcpRuntime& runtime) {
     Communicator& comm = runtime.comm();
     CompressedAllToAllConfig config;
-    config.codec = &get_compressor(codec_name);
+    config.codec = &get_compressor(kCodec);
     config.pool = &pool;
     config.pipeline_stages = 4;
     const CompressedAllToAll a2a(config);
-
-    CompressParams params;
-    params.error_bound = 0.01;
-    params.vector_dim = 32;
-    std::vector<std::vector<A2AChunkSpec>> send(kWorld);
-    for (int d = 0; d < kWorld; ++d) {
-      for (std::size_t c = 0; c < kChunksPerDest; ++c) {
-        const std::size_t offset =
-            (static_cast<std::size_t>(d) * kChunksPerDest + c) * chunk_elems;
-        send[static_cast<std::size_t>(d)].push_back(
-            {input.subspan(offset, chunk_elems), params});
-      }
-    }
-    std::vector<std::vector<float>> recv_storage(
-        kWorld * kChunksPerDest, std::vector<float>(chunk_elems));
-    std::vector<std::vector<std::span<float>>> recv(kWorld);
-    for (int s = 0; s < kWorld; ++s) {
-      for (std::size_t c = 0; c < kChunksPerDest; ++c) {
-        recv[static_cast<std::size_t>(s)].push_back(
-            recv_storage[static_cast<std::size_t>(s) * kChunksPerDest + c]);
-      }
-    }
-
-    A2AStats stats = a2a.exchange(comm, send, recv, "bench");  // warm-up
-    double best = 1e300;
-    for (std::size_t rep = 0; rep < timing_reps; ++rep) {
-      runtime.transport().barrier();
-      WallTimer timer;
-      stats = a2a.exchange(comm, send, recv, "bench");
-      best = std::min(best, timer.seconds());
-    }
-    rank_exposed[static_cast<std::size_t>(r)] = stats.exposed_comm_seconds;
-    rank_wall[static_cast<std::size_t>(r)] = best;
+    ExchangeBuffers x = split_exchange(input, kWorld, 4);
+    A2AStats stats = a2a.exchange(comm, x.send, x.recv, "bench");  // warm-up
+    const auto ri = static_cast<std::size_t>(r);
+    rank_wall[ri] = best_of(
+        timing_reps,
+        [&] { stats = a2a.exchange(comm, x.send, x.recv, "bench"); },
+        [&] { runtime.transport().barrier(); });
+    rank_exposed[ri] = stats.exposed_comm_seconds;
     if (r == 0) {
-      report.rank0_wire_bytes = runtime.transport().stats().bytes_sent;
+      m.set("transport/rank0_wire_bytes",
+            static_cast<double>(runtime.transport().stats().bytes_sent));
     }
   });
-  report.pipelined_sim_exposed_us =
-      *std::max_element(rank_exposed.begin(), rank_exposed.end()) * 1e6;
-  report.pipelined_wall_us =
-      *std::max_element(rank_wall.begin(), rank_wall.end()) * 1e6;
-  return report;
+  m.set("transport/pipelined_sim_exposed_us",
+        std::ranges::max(rank_exposed) * 1e6);
+  m.set("transport/pipelined_wall_us", std::ranges::max(rank_wall) * 1e6);
 }
-
-struct ParallelCodecThreadRow {
-  int threads = 0;
-  double compress_mbps = 0.0;
-  double decompress_mbps = 0.0;
-  long long steady_grow_events = -1;
-};
-
-struct ParallelCodecReport {
-  std::string codec = "hybrid";
-  std::size_t payload_bytes = 0;
-  std::size_t block_elems = 0;
-  std::size_t blocks = 0;
-  unsigned host_threads = 0;       ///< hardware_concurrency of this machine
-  std::string simd_isa;            ///< dispatched tier ("scalar"/"avx2"/...)
-  int simd_isa_level = 0;
-  std::uint32_t stream_crc32 = 0;  ///< assembled DLBK container CRC
-  bool crc_identical = true;       ///< ... across every thread count
-  std::vector<ParallelCodecThreadRow> rows;
-};
-
-#if defined(DLCOMP_HAS_PARALLEL_CODEC)
 
 /// Intra-message parallel throughput: one 8 MiB embedding-shaped tensor
 /// through the BlockEngine at 1/2/4/8 pool threads. The assembled DLBK
@@ -716,42 +411,31 @@ struct ParallelCodecReport {
 /// deterministic by construction; this records the proof alongside the
 /// numbers). Scaling beyond host_threads is an honest no-op — the rows
 /// still show where the pool saturates the machine.
-ParallelCodecReport measure_parallel_codec(std::size_t reps) {
-  ParallelCodecReport report;
-  const Compressor& codec = get_compressor(report.codec);
-  CompressParams params;
-  params.error_bound = 0.01;
-  params.vector_dim = 32;
-
+void measure_parallel_codec(std::size_t reps, MetricsSnapshot& m) {
+  const Compressor& codec = get_compressor(kCodec);
+  const CompressParams params = bench_params();
   // 2M floats = 8 blocks at the default 256 Ki block size: enough fan-out
   // for an 8-wide pool, same value distribution as the 1 MiB payload.
-  Rng rng(17);
-  std::vector<float> input;
-  input.reserve(1u << 21);
-  std::vector<float> pool_vec(32);
-  for (std::size_t i = 0; i < (1u << 21); ++i) {
-    if (i % 32 == 0 && rng.bernoulli(0.4)) {
-      for (auto& v : pool_vec) v = static_cast<float>(rng.normal(0.0, 0.2));
-    }
-    input.push_back(pool_vec[i % 32]);
-  }
+  const std::vector<float> input = payload(1u << 21);
+  const std::size_t bytes = input.size() * sizeof(float);
+  constexpr std::size_t kBlock = BlockEngine::kDefaultBlockElems;
 
-  report.payload_bytes = input.size() * sizeof(float);
-  report.block_elems = BlockEngine::kDefaultBlockElems;
-  report.blocks =
-      (input.size() + report.block_elems - 1) / report.block_elems;
-  report.host_threads = std::thread::hardware_concurrency();
-  report.simd_isa = std::string(simd::isa_name(kernels::dispatched_isa()));
-  report.simd_isa_level = static_cast<int>(kernels::dispatched_isa());
+  const std::string key = "parallel_codec/";
+  m.set(key + "payload_bytes", bytes);
+  m.set(key + "block_elems", kBlock);
+  m.set(key + "blocks", (input.size() + kBlock - 1) / kBlock);
+  m.set(key + "host_threads", std::thread::hardware_concurrency());
+  m.set(key + "simd_isa_level", static_cast<int>(kernels::dispatched_isa()));
 
+  std::uint32_t first_crc = 0;
+  bool crc_identical = true;
   for (const int threads : {1, 2, 4, 8}) {
     ThreadPool pool(static_cast<std::size_t>(threads));
     BlockEngine engine(codec, &pool);
     std::vector<std::byte> stream;
-    std::size_t slot = 0;
     const auto compress_once = [&] {
       engine.compress_begin();
-      slot = engine.add_tensor(input, params);
+      const std::size_t slot = engine.add_tensor(input, params);
       engine.compress_run();
       stream.clear();
       engine.append_stream(slot, stream);
@@ -765,71 +449,40 @@ ParallelCodecReport measure_parallel_codec(std::size_t reps) {
 
     compress_once();  // warm-up: lane workspaces + staging hit high water
     const std::uint32_t crc = crc32(stream);
-    if (report.rows.empty()) {
-      report.stream_crc32 = crc;
-    } else if (crc != report.stream_crc32) {
-      report.crc_identical = false;
-    }
+    if (threads == 1) first_crc = crc;
+    crc_identical = crc_identical && crc == first_crc;
 
-    double best_compress = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      WallTimer timer;
-      compress_once();
-      best_compress = std::min(best_compress, timer.seconds());
-    }
+    const double best_compress = best_of(reps, compress_once);
     decompress_once();  // warm-up
-    double best_decompress = 1e300;
-    for (std::size_t r = 0; r < reps; ++r) {
-      WallTimer timer;
-      decompress_once();
-      best_decompress = std::min(best_decompress, timer.seconds());
-    }
+    const double best_decompress = best_of(reps, decompress_once);
 
     const std::uint64_t grow_before = engine.grow_events();
     compress_once();
     decompress_once();
 
-    ParallelCodecThreadRow row;
-    row.threads = threads;
-    row.compress_mbps = mbps(input.size() * sizeof(float), best_compress);
-    row.decompress_mbps =
-        mbps(input.size() * sizeof(float), best_decompress);
-    row.steady_grow_events =
-        static_cast<long long>(engine.grow_events() - grow_before);
-    report.rows.push_back(row);
+    const std::string row = key + "t" + std::to_string(threads) + "_";
+    m.set(row + "compress_MBps", mbps(bytes, best_compress));
+    m.set(row + "decompress_MBps", mbps(bytes, best_decompress));
+    m.set(row + "steady_grow_events",
+          static_cast<double>(engine.grow_events() - grow_before));
   }
-  return report;
+  m.set(key + "stream_crc32", first_crc);
+  m.set(key + "crc_identical_across_threads", crc_identical ? 1.0 : 0.0);
+  // Self-scaling (8 threads vs 1) so the speedup claim is explicit in
+  // the report, not just derivable from the rows.
+  const auto scaling = [&](const std::string& what) {
+    const double t1 = m.value(key + "t1_" + what);
+    return t1 > 0.0 ? m.value(key + "t8_" + what) / t1 : 0.0;
+  };
+  m.set(key + "compress_scaling_8v1", scaling("compress_MBps"));
+  m.set(key + "decompress_scaling_8v1", scaling("decompress_MBps"));
 }
-
-#endif  // DLCOMP_HAS_PARALLEL_CODEC
-
-struct ServingScaleRow {
-  std::size_t budget_mib = 0;
-  double qps = 0.0;
-  double p50_ms = 0.0;
-  double p99_ms = 0.0;
-  double hit_rate = 0.0;
-  std::uint64_t pages_decompressed = 0;
-  std::uint64_t shed = 0;
-};
-
-struct ServingScaleReport {
-  std::size_t shards = 0;
-  std::size_t rows_per_page = 0;
-  double store_ratio = 0.0;       ///< at-rest input/stored bytes
-  double store_max_error = 0.0;   ///< at-rest reconstruction error
-  double cache_hit_rate = 0.0;    ///< best (largest-budget) sweep point
-  std::vector<ServingScaleRow> rows;
-};
-
-#if defined(DLCOMP_HAS_SERVING_SCALE)
 
 /// Sharded serving tier: p99 latency against offered QPS at three hot-
 /// cache budgets (the bench_serving_scale curve, sized for a report run).
 /// Hit/miss/shed counts and the at-rest ratio are deterministic in the
 /// query stream; the latency columns are wall time on this machine.
-ServingScaleReport measure_serving_scale(bool smoke) {
-  ServingScaleReport report;
+void measure_serving_scale(bool smoke, MetricsSnapshot& m) {
   ServingConfig base;
   base.load.num_queries = smoke ? 300 : 1500;
   base.load.mean_query_size = 16;
@@ -843,471 +496,211 @@ ServingScaleReport measure_serving_scale(bool smoke) {
   base.seed = 1234;
   base.store.num_shards = 4;
   base.store.rows_per_page = 256;
-  base.store.codec = "hybrid";
+  base.store.codec = kCodec;
   base.store.error_bound = 0.01;
-  report.shards = base.store.num_shards;
-  report.rows_per_page = base.store.rows_per_page;
 
-  const double qps_points[] = {2000.0, 8000.0};
-  const std::size_t budgets_mib[] = {1, 4, 16};
+  const std::array<double, 2> qps_points = {2000.0, 8000.0};
+  const std::array<std::size_t, 3> budgets_mib = {1, 4, 16};
+  m.set("serving_scale/shards", base.store.num_shards);
+  m.set("serving_scale/rows_per_page", base.store.rows_per_page);
+  m.set("serving_scale/budgets", budgets_mib.size());
+  double best_hit_rate = 0.0;
   for (const std::size_t budget : budgets_mib) {
     for (const double qps : qps_points) {
       ServingConfig config = base;
       config.load.qps = qps;
       config.store.cache_budget_bytes = budget << 20;
       const ServingReport r = ServingSimulator(config).run();
-      ServingScaleRow row;
-      row.budget_mib = budget;
-      row.qps = qps;
-      row.p50_ms = r.latency.p50_s * 1e3;
-      row.p99_ms = r.latency.p99_s * 1e3;
-      row.hit_rate = r.store_stats.hit_rate();
-      row.pages_decompressed = r.store_stats.pages_loaded;
-      row.shed = r.shed_queries;
-      report.rows.push_back(row);
-      report.store_ratio = r.store_stats.ratio();
-      report.store_max_error = r.store_stats.max_abs_error;
-      report.cache_hit_rate = std::max(report.cache_hit_rate, row.hit_rate);
+      const std::string cell = "serving_scale/b" + std::to_string(budget) +
+                               "_q" + std::to_string(static_cast<int>(qps)) +
+                               "_";
+      m.set(cell + "p99_ms", r.latency.p99_s * 1e3);
+      m.set(cell + "hit_rate", r.store_stats.hit_rate());
+      m.set(cell + "pages", static_cast<double>(r.store_stats.pages_loaded));
+      m.set(cell + "shed", static_cast<double>(r.shed_queries));
+      m.set("serving_scale/store_ratio", r.store_stats.ratio());
+      m.set("serving_scale/store_max_err", r.store_stats.max_abs_error);
+      best_hit_rate = std::max(best_hit_rate, r.store_stats.hit_rate());
     }
   }
-  return report;
+  m.set("serving_scale/cache_hit_rate", best_hit_rate);
 }
 
-#endif  // DLCOMP_HAS_SERVING_SCALE
+/// Converter + reader throughput on a deterministic synthetic Criteo-
+/// style TSV (fixed seed and line count, so the shard CRCs are identical
+/// on every machine -- they regress like the codec stream CRCs).
+void measure_dataset_pipeline(std::size_t reps, MetricsSnapshot& m) {
+  namespace fs = std::filesystem;
+  constexpr std::size_t kLines = 8192;
+  constexpr std::size_t kSamplesPerShard = 2048;
+  constexpr std::size_t kNumDense = 13;
+  constexpr std::size_t kNumCat = 26;
+  const fs::path root = fs::temp_directory_path() / "dlcomp_bench_dataset";
+  fs::remove_all(root);
+  fs::create_directories(root);
+  const fs::path tsv = root / "input.tsv";
+  const fs::path shards_dir = root / "shards";
 
-/// Pulls one numeric field for one codec back out of a previously
-/// emitted report (our own stable format — no JSON library needed).
-double baseline_field(const std::string& json, const std::string& codec,
-                      const std::string& field) {
-  const std::size_t at = json.find("\"" + codec + "\":");
-  if (at == std::string::npos) return 0.0;
-  const std::size_t f = json.find("\"" + field + "\":", at);
-  if (f == std::string::npos) return 0.0;
-  return std::atof(json.c_str() + f + field.size() + 3);
-}
-
-void write_json(const std::string& path, const std::string& label,
-                std::size_t payload_bytes, std::size_t reps,
-                const std::vector<CodecReport>& codecs, const A2AReport& a2a,
-                const OverlapReport& overlap,
-                const TransportReport& transport,
-                const ParallelCodecReport* parallel,
-                const ServingScaleReport* serving,
-                const DataPipelineReport& data,
-                const ObservabilityReport& obs,
-                const std::string& baseline_json) {
-  std::ofstream out(path);
-  char buf[256];
-  out << "{\n";
-  out << "  \"label\": \"" << label << "\",\n";
-  out << "  \"payload_bytes\": " << payload_bytes << ",\n";
-  out << "  \"reps\": " << reps << ",\n";
-  out << "  \"codecs\": {\n";
-  for (std::size_t i = 0; i < codecs.size(); ++i) {
-    const auto& c = codecs[i];
-    std::snprintf(buf, sizeof(buf),
-                  "    \"%s\": {\"compress_MBps\": %.1f, "
-                  "\"decompress_MBps\": %.1f, \"roundtrip_MBps\": %.1f, "
-                  "\"ratio\": %.3f, \"stream_crc32\": %u, "
-                  "\"steady_grow_events\": %lld}%s\n",
-                  c.name.c_str(), c.compress_mbps, c.decompress_mbps,
-                  c.roundtrip_mbps, c.ratio, c.stream_crc32,
-                  c.steady_grow_events, i + 1 < codecs.size() ? "," : "");
-    out << buf;
-  }
-  out << "  },\n";
-  std::snprintf(buf, sizeof(buf),
-                "  \"alltoall_hybrid\": {\"exchange_MBps\": %.1f, "
-                "\"ratio\": %.3f, \"steady_grow_events\": %lld},\n",
-                a2a.exchange_mbps, a2a.compression_ratio,
-                a2a.steady_grow_events);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"overlap_alltoall\": {\"world\": %d, "
-                "\"serial_exposed_us\": %.2f, \"pipelined_exposed_us\": %.2f, "
-                "\"pipelined_hidden_us\": %.2f, "
-                "\"exposed_reduction_pct\": %.1f, "
-                "\"sim_exchange_speedup\": %.2f}%s\n",
-                overlap.world,
-                overlap.serial_exposed_us, overlap.pipelined_exposed_us,
-                overlap.pipelined_hidden_us, overlap.exposed_reduction_pct,
-                overlap.sim_exchange_speedup, ",");
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"transport\": {\"backend\": \"tcp\", \"world\": %d, "
-                "\"measured_alltoall_MBps\": %.1f,\n",
-                transport.world, transport.measured_alltoall_mbps);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "    \"fitted_latency_us\": %.2f, "
-                "\"fitted_bandwidth_MBps\": %.1f, "
-                "\"fit_max_rel_error_pct\": %.1f,\n",
-                transport.fitted_latency_us, transport.fitted_bandwidth_mbps,
-                transport.fit_max_rel_error_pct);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "    \"holdout_wire_bytes\": %zu, "
-                "\"holdout_sim_exposed_us\": %.1f, "
-                "\"holdout_real_exposed_us\": %.1f, "
-                "\"sim_vs_real_delta_pct\": %.1f,\n",
-                transport.holdout_wire_bytes, transport.holdout_sim_exposed_us,
-                transport.holdout_real_exposed_us,
-                transport.sim_vs_real_delta_pct);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "    \"pipelined_sim_exposed_us\": %.1f, "
-                "\"pipelined_wall_us\": %.1f, \"rank0_wire_bytes\": %llu},\n",
-                transport.pipelined_sim_exposed_us, transport.pipelined_wall_us,
-                static_cast<unsigned long long>(transport.rank0_wire_bytes));
-  out << buf;
-  if (parallel != nullptr) {
-    const auto& p = *parallel;
-    std::snprintf(buf, sizeof(buf),
-                  "  \"parallel_codec\": {\"codec\": \"%s\", "
-                  "\"payload_bytes\": %zu, \"block_elems\": %zu, "
-                  "\"blocks\": %zu, \"host_threads\": %u,\n",
-                  p.codec.c_str(), p.payload_bytes, p.block_elems, p.blocks,
-                  p.host_threads);
-    out << buf;
-    std::snprintf(buf, sizeof(buf),
-                  "    \"simd_isa\": \"%s\", \"simd_isa_level\": %d, "
-                  "\"stream_crc32\": %u, "
-                  "\"crc_identical_across_threads\": %s,\n",
-                  p.simd_isa.c_str(), p.simd_isa_level, p.stream_crc32,
-                  p.crc_identical ? "true" : "false");
-    out << buf;
-    for (const auto& row : p.rows) {
-      std::snprintf(buf, sizeof(buf),
-                    "    \"t%d_compress_MBps\": %.1f, "
-                    "\"t%d_decompress_MBps\": %.1f, "
-                    "\"t%d_steady_grow_events\": %lld,\n",
-                    row.threads, row.compress_mbps, row.threads,
-                    row.decompress_mbps, row.threads,
-                    row.steady_grow_events);
-      out << buf;
-    }
-    // Self-scaling (8 threads vs 1) so the speedup claim is explicit in
-    // the report, not just derivable from the rows.
-    const auto& t1 = p.rows.front();
-    const auto& t8 = p.rows.back();
-    std::snprintf(buf, sizeof(buf),
-                  "    \"compress_scaling_8v1\": %.2f, "
-                  "\"decompress_scaling_8v1\": %.2f},\n",
-                  t1.compress_mbps > 0 ? t8.compress_mbps / t1.compress_mbps
-                                       : 0.0,
-                  t1.decompress_mbps > 0
-                      ? t8.decompress_mbps / t1.decompress_mbps
-                      : 0.0);
-    out << buf;
-  }
-  if (serving != nullptr) {
-    const auto& s = *serving;
-    std::size_t budgets = 0;
-    std::size_t prev_budget = 0;
-    for (const auto& row : s.rows) {
-      if (row.budget_mib != prev_budget) ++budgets;
-      prev_budget = row.budget_mib;
-    }
-    std::snprintf(buf, sizeof(buf),
-                  "  \"serving_scale\": {\"shards\": %zu, "
-                  "\"rows_per_page\": %zu, \"budgets\": %zu, "
-                  "\"store_ratio\": %.3f, \"store_max_err\": %.6f, "
-                  "\"cache_hit_rate\": %.4f,\n",
-                  s.shards, s.rows_per_page, budgets, s.store_ratio,
-                  s.store_max_error, s.cache_hit_rate);
-    out << buf;
-    for (std::size_t i = 0; i < s.rows.size(); ++i) {
-      const auto& row = s.rows[i];
-      std::snprintf(
-          buf, sizeof(buf),
-          "    \"b%zu_q%d_p99_ms\": %.3f, \"b%zu_q%d_hit_rate\": %.4f, "
-          "\"b%zu_q%d_pages\": %llu, \"b%zu_q%d_shed\": %llu%s\n",
-          row.budget_mib, static_cast<int>(row.qps), row.p99_ms,
-          row.budget_mib, static_cast<int>(row.qps), row.hit_rate,
-          row.budget_mib, static_cast<int>(row.qps),
-          static_cast<unsigned long long>(row.pages_decompressed),
-          row.budget_mib, static_cast<int>(row.qps),
-          static_cast<unsigned long long>(row.shed),
-          i + 1 < s.rows.size() ? "," : "},");
-      out << buf;
-    }
-  }
-  std::snprintf(buf, sizeof(buf),
-                "  \"observability\": {\"span_ns\": %.1f, "
-                "\"disabled_span_ns\": %.2f, \"events_per_s\": %.0f, "
-                "\"steady_grow_events\": %lld},\n",
-                obs.span_ns, obs.disabled_span_ns, obs.events_per_s,
-                obs.steady_grow_events);
-  out << buf;
-  std::snprintf(buf, sizeof(buf),
-                "  \"dataset_pipeline\": {\"samples\": %zu, \"shards\": %zu, "
-                "\"convert_MBps\": %.1f, \"read_MBps\": %.1f, "
-                "\"steady_grow_events\": %lld, \"shard_crc32\": [",
-                data.samples, data.shards, data.convert_mbps, data.read_mbps,
-                data.steady_grow_events);
-  out << buf;
-  for (std::size_t i = 0; i < data.shard_crcs.size(); ++i) {
-    out << data.shard_crcs[i] << (i + 1 < data.shard_crcs.size() ? ", " : "");
-  }
-  out << "]}" << (baseline_json.empty() ? "" : ",") << "\n";
-
-  if (!baseline_json.empty()) {
-    // Speedups + stream-identity against the recorded baseline, so the
-    // trajectory file states the regression verdict explicitly.
-    out << "  \"speedup_vs_baseline\": {\n";
-    for (std::size_t i = 0; i < codecs.size(); ++i) {
-      const auto& c = codecs[i];
-      const double base_c =
-          baseline_field(baseline_json, c.name, "compress_MBps");
-      const double base_d =
-          baseline_field(baseline_json, c.name, "decompress_MBps");
-      const double base_rt =
-          baseline_field(baseline_json, c.name, "roundtrip_MBps");
-      const auto base_crc = static_cast<std::uint32_t>(
-          baseline_field(baseline_json, c.name, "stream_crc32"));
-      std::snprintf(
-          buf, sizeof(buf),
-          "    \"%s\": {\"compress\": %.2f, \"decompress\": %.2f, "
-          "\"roundtrip\": %.2f, \"stream_identical\": %s},\n",
-          c.name.c_str(), base_c > 0 ? c.compress_mbps / base_c : 0.0,
-          base_d > 0 ? c.decompress_mbps / base_d : 0.0,
-          base_rt > 0 ? c.roundtrip_mbps / base_rt : 0.0,
-          base_crc == c.stream_crc32 ? "true" : "false");
-      out << buf;
-    }
-    // Parallel-codec deltas when the baseline recorded them (a pre-
-    // parallel baseline simply has no parallel_codec block -- omit).
-    if (parallel != nullptr) {
-      const double base_c1 =
-          baseline_field(baseline_json, "parallel_codec", "t1_compress_MBps");
-      const double base_c8 =
-          baseline_field(baseline_json, "parallel_codec", "t8_compress_MBps");
-      const double base_d8 = baseline_field(baseline_json, "parallel_codec",
-                                            "t8_decompress_MBps");
-      const auto base_pc_crc = static_cast<std::uint32_t>(
-          baseline_field(baseline_json, "parallel_codec", "stream_crc32"));
-      if (base_c8 > 0) {
-        const auto& t1 = parallel->rows.front();
-        const auto& t8 = parallel->rows.back();
-        std::snprintf(buf, sizeof(buf),
-                      "    \"parallel_codec\": {\"compress_t1\": %.2f, "
-                      "\"compress_t8\": %.2f, \"decompress_t8\": %.2f, "
-                      "\"stream_identical\": %s},\n",
-                      base_c1 > 0 ? t1.compress_mbps / base_c1 : 0.0,
-                      t8.compress_mbps / base_c8,
-                      base_d8 > 0 ? t8.decompress_mbps / base_d8 : 0.0,
-                      base_pc_crc == parallel->stream_crc32 ? "true"
-                                                            : "false");
-        out << buf;
+  {
+    Rng rng(31);
+    std::ofstream os(tsv);
+    char token[16];
+    for (std::size_t i = 0; i < kLines; ++i) {
+      os << (rng.bernoulli(0.23) ? '1' : '0');
+      for (std::size_t d = 0; d < kNumDense; ++d) {
+        os << '\t';
+        if (!rng.bernoulli(0.1)) os << rng.next_below(4000);
       }
-    }
-    // Exposed-time speedup vs the recorded baseline's pipelined exchange.
-    // A pre-overlap baseline has no overlap_alltoall block at all — omit
-    // the delta entirely rather than printing a meaningless 0x.
-    const double base_exposed = baseline_field(
-        baseline_json, "overlap_alltoall", "pipelined_exposed_us");
-    const bool overlap_delta =
-        base_exposed > 0 && overlap.pipelined_exposed_us > 0;
-    const double base_a2a =
-        baseline_field(baseline_json, "alltoall_hybrid", "exchange_MBps");
-    std::snprintf(buf, sizeof(buf),
-                  "    \"alltoall_hybrid\": {\"exchange\": %.2f}%s\n",
-                  base_a2a > 0 ? a2a.exchange_mbps / base_a2a : 0.0,
-                  overlap_delta ? "," : "\n  },");
-    out << buf;
-    if (overlap_delta) {
-      std::snprintf(buf, sizeof(buf),
-                    "    \"overlap_alltoall\": {\"exposed_time\": %.2f}\n  },\n",
-                    base_exposed / overlap.pipelined_exposed_us);
-      out << buf;
-    }
-    out << "  \"baseline\": " << baseline_json << "\n";
-  }
-  out << "}\n";
-}
-
-/// One compact history line: label, optional UTC timestamp, and every
-/// numeric leaf of a bench report flattened to "codecs/hybrid/ratio"-style
-/// keys. The nested baseline echo and derived speedup blocks are dropped
-/// so each line describes exactly one run.
-JsonValue history_line(const std::string& report_json,
-                       const std::string& fallback_label,
-                       const std::string& recorded) {
-  const JsonValue doc = json_parse(report_json);
-  JsonValue line = JsonValue::object();
-  std::string label = fallback_label;
-  if (const JsonValue* l = doc.find("label"); l != nullptr && l->is_string()) {
-    label = l->as_string();
-  }
-  line.set("label", JsonValue(label));
-  if (!recorded.empty()) line.set("recorded", JsonValue(recorded));
-  JsonValue metrics = JsonValue::object();
-  if (doc.is_object()) {
-    for (const auto& [key, value] : doc.members()) {
-      if (key == "baseline" || key == "speedup_vs_baseline") continue;
-      std::vector<std::pair<std::string, double>> flat;
-      json_flatten_numbers(value, key, flat);
-      for (const auto& [name, number] : flat) {
-        metrics.set(name, JsonValue(number));
+      for (std::size_t c = 0; c < kNumCat; ++c) {
+        std::snprintf(token, sizeof(token), "%08llx",
+                      static_cast<unsigned long long>(rng.next_u64() & 0xFFFFFFFFull));
+        os << '\t' << (rng.bernoulli(0.05) ? "" : token);
       }
+      os << '\n';
     }
   }
-  line.set("metrics", std::move(metrics));
-  return line;
+
+  ThreadPool pool;
+  double best_convert = 1e300;
+  ConvertOptions options;
+  options.input_tsv = tsv.string();
+  options.output_dir = shards_dir.string();
+  options.samples_per_shard = kSamplesPerShard;
+  options.pool = &pool;
+  for (std::size_t r = 0; r < reps; ++r) {
+    fs::remove_all(shards_dir);
+    const ConvertReport converted = convert_criteo_tsv(options);
+    m.set("dataset_pipeline/samples", converted.samples);
+    m.set("dataset_pipeline/shards", converted.shards);
+    best_convert = std::min(best_convert, converted.seconds);
+  }
+  m.set("dataset_pipeline/convert_MBps",
+        mbps(static_cast<std::size_t>(fs::file_size(tsv)), best_convert));
+
+  std::vector<std::uint32_t> shard_crcs;
+  for (const auto& entry : fs::directory_iterator(shards_dir)) {
+    std::ifstream is(entry.path(), std::ios::binary);
+    std::vector<char> bytes{std::istreambuf_iterator<char>(is),
+                            std::istreambuf_iterator<char>()};
+    shard_crcs.push_back(
+        crc32({reinterpret_cast<const std::byte*>(bytes.data()), bytes.size()}));
+  }
+  std::sort(shard_crcs.begin(), shard_crcs.end());
+  for (std::size_t i = 0; i < shard_crcs.size(); ++i) {
+    m.set("dataset_pipeline/shard_crc32/" + std::to_string(i), shard_crcs[i]);
+  }
+
+  // Streaming read throughput: double-buffered prefetch, batches of 512,
+  // epoch 0 is warm-up (buffers reach the largest shard), later epochs
+  // must be allocation-free.
+  DatasetSpec spec = DatasetSpec::criteo_kaggle_like(100000);
+  const ShardedDatasetReader reader(spec, shards_dir.string());
+  ShardBatchStream stream(reader, 512);
+  SampleBatch batch;
+  const std::size_t batches_per_epoch =
+      static_cast<std::size_t>(reader.num_samples()) / 512;
+  for (std::size_t b = 0; b < 2 * batches_per_epoch; ++b) stream.next(batch);
+  const std::uint64_t grow_before = stream.grow_events();
+  const std::uint64_t delivered_before = stream.samples_delivered();
+  const double best_read = best_of(reps, [&] {
+    for (std::size_t b = 0; b < batches_per_epoch; ++b) stream.next(batch);
+  });
+  const double bytes_per_sample =
+      static_cast<double>((kNumDense + 1) * sizeof(float) +
+                          kNumCat * sizeof(std::uint32_t));
+  const double epoch_bytes =
+      static_cast<double>(stream.samples_delivered() - delivered_before) /
+      static_cast<double>(reps) * bytes_per_sample;
+  m.set("dataset_pipeline/read_MBps",
+        best_read > 0.0 ? epoch_bytes / best_read / 1e6 : 0.0);
+  m.set("dataset_pipeline/steady_grow_events",
+        static_cast<double>(stream.grow_events() - grow_before));
+
+  fs::remove_all(root);
 }
 
-std::string utc_now_iso8601() {
-  const std::time_t now = std::time(nullptr);
-  std::tm tm{};
-  gmtime_r(&now, &tm);
-  char buf[32];
-  std::strftime(buf, sizeof(buf), "%Y-%m-%dT%H:%M:%SZ", &tm);
-  return buf;
+/// Tracer overhead on this machine: one thread recording begin/end span
+/// pairs into its ring. The first span allocates the thread's ring; after
+/// that warm-up, recording must not grow anything (the `steady_grow_events
+/// == 0` line CI asserts on).
+void measure_observability(std::size_t reps, MetricsSnapshot& m) {
+  constexpr std::size_t kSpans = 200000;
+  const std::size_t timing_reps = std::max<std::size_t>(reps, 3);
+  const auto record_spans = [] {
+    for (std::size_t i = 0; i < kSpans; ++i) {
+      DLCOMP_TRACE_SPAN("bench/span");
+    }
+  };
+  Tracer& tracer = Tracer::instance();
+
+  const double best_disabled = best_of(timing_reps, record_spans);
+  tracer.enable();
+  { DLCOMP_TRACE_SPAN("bench/warmup"); }  // allocates this thread's ring
+  const std::uint64_t grow_before = tracer.buffer_grow_events();
+  const double best = best_of(timing_reps, record_spans);
+  m.set("observability/steady_grow_events",
+        static_cast<double>(tracer.buffer_grow_events() - grow_before));
+  tracer.disable();
+
+  m.set("observability/disabled_span_ns", best_disabled / kSpans * 1e9);
+  m.set("observability/span_ns", best / kSpans * 1e9);
+  m.set("observability/events_per_s",
+        best > 0.0 ? 2.0 * static_cast<double>(kSpans) / best : 0.0);
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  ArgParser args(argc, argv, 1,
-                 {"--out", "--reps", "--label", "--baseline", "--history"},
-                 {"--smoke"});
-  const std::string out_path = args.str("--out", "BENCH_codec.json");
-  const std::size_t reps = args.has("--smoke") ? 1 : args.uint("--reps", 7);
-  const std::string label = args.str("--label", "current");
+  try {
+    const ArgParser args(argc, argv, 1,
+                         {"--out", "--reps", "--label", "--history"},
+                         {"--smoke"});
+    const bool smoke = args.has("--smoke");
+    const std::size_t reps = smoke ? 1 : args.uint("--reps", 7);
+    const std::string out_path = args.str("--out", "BENCH_codec.json");
 
-  std::string baseline_json;
-  const std::string baseline_path = args.str("--baseline", "");
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::cerr << "cannot read baseline " << baseline_path << "\n";
-      return 2;
+    const std::vector<float> input = payload(1u << 18);
+    MetricsSnapshot m;
+    m.set("payload_bytes", input.size() * sizeof(float));
+    m.set("reps", reps);
+    for (const char* name : {"huffman", "cusz-like", "hybrid", "vector-lz",
+                             "fz-gpu-like", "fp16"}) {
+      measure_codec(name, input, reps, m);
     }
-    baseline_json.assign(std::istreambuf_iterator<char>(in),
-                         std::istreambuf_iterator<char>());
-    while (!baseline_json.empty() &&
-           (baseline_json.back() == '\n' || baseline_json.back() == ' ')) {
-      baseline_json.pop_back();
+    measure_alltoall(input, reps, m);
+    const std::vector<float> gradient_like = overlap_payload();
+    measure_overlap(gradient_like, m);
+    measure_transport(gradient_like, reps, m);
+    measure_parallel_codec(reps, m);
+    measure_serving_scale(smoke, m);
+    measure_dataset_pipeline(reps, m);
+    measure_observability(reps, m);
+    std::cout << m.to_text();
+
+    RunManifest manifest;
+    manifest.label = args.str("--label", "current");
+    manifest.mode = "bench";
+    manifest.codec = kCodec;
+    manifest.error_bound = bench_params().error_bound;
+    manifest.created = utc_now_iso8601();
+    manifest.config["transport_backend"] = "tcp";
+    manifest.config["parallel_codec"] = kCodec;
+    manifest.config["simd_isa"] =
+        std::string(simd::isa_name(kernels::dispatched_isa()));
+    manifest.metrics = std::move(m.values);
+    manifest.save(out_path);
+    std::cout << "wrote " << out_path << "\n";
+
+    if (args.has("--history")) {
+      const std::string history_path = args.str("--history");
+      std::ofstream history(history_path, std::ios::app);
+      history << manifest.to_json() << '\n';
+      if (!history) throw Error("cannot append to '" + history_path + "'");
+      std::cout << "appended 1 line to " << history_path << "\n";
     }
-  }
-
-  const auto input = payload();
-  const std::vector<std::string> names = {"huffman",     "cusz-like",
-                                          "hybrid",      "vector-lz",
-                                          "fz-gpu-like", "fp16"};
-
-  std::vector<CodecReport> reports;
-  for (const auto& name : names) {
-    reports.push_back(measure_codec(name, input, reps));
-    const auto& r = reports.back();
-    std::printf("%-12s compress %8.1f MB/s  decompress %8.1f MB/s  "
-                "ratio %6.3f  crc %10u  grow %lld\n",
-                r.name.c_str(), r.compress_mbps, r.decompress_mbps, r.ratio,
-                r.stream_crc32, r.steady_grow_events);
-  }
-
-  const A2AReport a2a = measure_alltoall("hybrid", input, reps);
-  std::printf("alltoall     exchange %8.1f MB/s  ratio %6.3f  grow %lld\n",
-              a2a.exchange_mbps, a2a.compression_ratio,
-              a2a.steady_grow_events);
-
-  const auto gradient_like = overlap_payload();
-  const OverlapReport overlap = measure_overlap("hybrid", gradient_like);
-  std::printf("overlap@8    exposed %8.2f us -> %8.2f us (%.1f%% hidden-able, "
-              "sim speedup %.2fx)\n",
-              overlap.serial_exposed_us, overlap.pipelined_exposed_us,
-              overlap.exposed_reduction_pct, overlap.sim_exchange_speedup);
-
-  const TransportReport transport =
-      measure_transport("hybrid", gradient_like, reps);
-  std::printf("tcp@%d        alltoall %8.1f MB/s  fit alpha %.2f us, "
-              "beta %.1f MB/s (max err %.1f%%)\n",
-              transport.world, transport.measured_alltoall_mbps,
-              transport.fitted_latency_us, transport.fitted_bandwidth_mbps,
-              transport.fit_max_rel_error_pct);
-  std::printf("tcp calib    holdout sim %8.1f us vs real %8.1f us "
-              "(delta %+.1f%%); pipelined sim %.1f us, wall %.1f us\n",
-              transport.holdout_sim_exposed_us,
-              transport.holdout_real_exposed_us,
-              transport.sim_vs_real_delta_pct,
-              transport.pipelined_sim_exposed_us, transport.pipelined_wall_us);
-
-  const ParallelCodecReport* parallel = nullptr;
-#if defined(DLCOMP_HAS_PARALLEL_CODEC)
-  const ParallelCodecReport parallel_report = measure_parallel_codec(reps);
-  parallel = &parallel_report;
-  for (const auto& row : parallel_report.rows) {
-    std::printf("parallel@%d   compress %8.1f MB/s  decompress %8.1f MB/s  "
-                "grow %lld%s\n",
-                row.threads, row.compress_mbps, row.decompress_mbps,
-                row.steady_grow_events,
-                row.threads == parallel_report.rows.front().threads
-                    ? (std::string("  (") + parallel_report.simd_isa + ", " +
-                       std::to_string(parallel_report.blocks) + " blocks, " +
-                       std::to_string(parallel_report.host_threads) +
-                       " host threads)")
-                          .c_str()
-                    : "");
-  }
-  std::printf("parallel     crc %10u  identical across widths: %s\n",
-              parallel_report.stream_crc32,
-              parallel_report.crc_identical ? "yes" : "NO");
-#endif
-
-  const ServingScaleReport* serving = nullptr;
-#if defined(DLCOMP_HAS_SERVING_SCALE)
-  const ServingScaleReport serving_report =
-      measure_serving_scale(args.has("--smoke"));
-  serving = &serving_report;
-  for (const auto& row : serving_report.rows) {
-    std::printf("serving@%zuMiB offered %6.0f qps  p99 %8.3f ms  hit %5.3f  "
-                "pages %llu  shed %llu\n",
-                row.budget_mib, row.qps, row.p99_ms, row.hit_rate,
-                static_cast<unsigned long long>(row.pages_decompressed),
-                static_cast<unsigned long long>(row.shed));
-  }
-#endif
-
-  const DataPipelineReport data_pipeline = measure_dataset_pipeline(reps);
-  std::printf("dataset      convert %8.1f MB/s  read %10.1f MB/s  "
-              "(%zu samples, %zu shards, grow %lld)\n",
-              data_pipeline.convert_mbps, data_pipeline.read_mbps,
-              data_pipeline.samples, data_pipeline.shards,
-              data_pipeline.steady_grow_events);
-
-  const ObservabilityReport obs = measure_observability(reps);
-  std::printf("tracer       span %8.1f ns enabled / %.2f ns disabled  "
-              "(%.1f M events/s, grow %lld)\n",
-              obs.span_ns, obs.disabled_span_ns, obs.events_per_s / 1e6,
-              obs.steady_grow_events);
-
-  write_json(out_path, label, input.size() * sizeof(float), reps, reports,
-             a2a, overlap, transport, parallel, serving, data_pipeline, obs,
-             baseline_json);
-  std::cout << "wrote " << out_path << "\n";
-
-  const std::string history_path = args.str("--history", "");
-  if (!history_path.empty()) {
-    const bool fresh = !std::filesystem::exists(history_path);
-    std::ofstream hist(history_path, std::ios::app);
-    if (!hist) {
-      std::cerr << "cannot open history " << history_path << "\n";
-      return 2;
-    }
-    std::size_t lines = 0;
-    if (fresh && !baseline_json.empty()) {
-      // Seed the trajectory with the recorded baseline (no timestamp: we
-      // only know when it was measured, not when).
-      hist << history_line(baseline_json, "baseline", "").dump() << "\n";
-      ++lines;
-    }
-    std::ifstream report_in(out_path);
-    const std::string report{std::istreambuf_iterator<char>(report_in),
-                             std::istreambuf_iterator<char>()};
-    hist << history_line(report, label, utc_now_iso8601()).dump() << "\n";
-    ++lines;
-    std::cout << "appended " << lines << " line" << (lines == 1 ? "" : "s")
-              << " to " << history_path << "\n";
+  } catch (const std::exception& e) {
+    std::cerr << "error: " << e.what() << "\n";
+    return 1;
   }
   return 0;
 }

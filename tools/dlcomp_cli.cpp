@@ -27,7 +27,6 @@
 #include <cmath>
 #include <cstdio>
 #include <cstring>
-#include <ctime>
 #include <filesystem>
 #include <fstream>
 #include <memory>
@@ -333,14 +332,7 @@ int run_train_rank(const ArgParser& args, const std::string& backend,
     manifest.codec = codec;
     manifest.error_bound = config.compression.global_eb;
     manifest.seed = config.seed;
-    {
-      char stamp[32];
-      const std::time_t now = std::time(nullptr);
-      std::tm utc{};
-      gmtime_r(&now, &utc);
-      std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
-      manifest.created = stamp;
-    }
+    manifest.created = utc_now_iso8601();
     manifest.config["mode"] = "train";
     manifest.config["dataset"] = args.str("--dataset", "small");
     manifest.config["codec"] = codec.empty() ? "none" : codec;
@@ -758,14 +750,7 @@ int cmd_trace(int argc, char** argv) {
   manifest.codec = codec;
   manifest.error_bound = eb;
   manifest.seed = seed;
-  {
-    char stamp[32];
-    const std::time_t now = std::time(nullptr);
-    std::tm utc{};
-    gmtime_r(&now, &utc);
-    std::strftime(stamp, sizeof(stamp), "%Y-%m-%dT%H:%M:%SZ", &utc);
-    manifest.created = stamp;
-  }
+  manifest.created = utc_now_iso8601();
   manifest.config["mode"] = mode;
   manifest.config["dataset"] = args.str("--dataset", "small");
   manifest.config["codec"] = codec.empty() ? "none" : codec;
