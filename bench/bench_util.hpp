@@ -108,9 +108,8 @@ inline std::string with_paper(double measured, const std::string& paper,
 
 /// `--metrics <path>` support shared by the bench binaries. A `.json`
 /// path gets a flat name->value JSON object that `dlcomp obs diff`
-/// consumes directly; anything else gets "name value" lines (the same
-/// format as `dlcomp trace`'s PREFIX.metrics.txt). No-op when `path` is
-/// empty.
+/// consumes directly; anything else gets sorted "name value" lines.
+/// No-op when `path` is empty.
 inline void dump_metrics(const std::string& path,
                          const MetricsSnapshot& snapshot) {
   if (path.empty()) return;

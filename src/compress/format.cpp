@@ -16,6 +16,13 @@ std::uint8_t versioned_flags(std::uint8_t flags) noexcept {
 
 }  // namespace
 
+std::uint16_t header_vector_dim(std::size_t vector_dim) {
+  DLCOMP_CHECK_MSG(vector_dim <= UINT16_MAX,
+                   "vector_dim " << vector_dim << " exceeds the stream "
+                                 << "header's limit of " << UINT16_MAX);
+  return static_cast<std::uint16_t>(vector_dim);
+}
+
 std::size_t append_header(std::vector<std::byte>& out, const StreamHeader& h) {
   append_pod(out, StreamHeader::kMagic);
   append_pod(out, static_cast<std::uint8_t>(h.codec));

@@ -49,6 +49,10 @@ struct StreamHeader {
   std::uint64_t payload_bytes = 0;
 };
 
+/// `vector_dim` narrowed to the u16 header field; throws Error when it
+/// does not fit (a truncated dim would decode with the wrong row shape).
+std::uint16_t header_vector_dim(std::size_t vector_dim);
+
 /// Appends a header to `out`; returns the offset of the payload_bytes
 /// field so it can be patched after the payload is written.
 std::size_t append_header(std::vector<std::byte>& out, const StreamHeader& h);

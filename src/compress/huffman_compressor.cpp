@@ -47,7 +47,7 @@ void HuffmanCompressor::compress_with_symbols(
 
   StreamHeader header;
   header.codec = CodecId::kHuffman;
-  header.vector_dim = static_cast<std::uint16_t>(params.vector_dim);
+  header.vector_dim = header_vector_dim(params.vector_dim);
   header.element_count = element_count;
   header.effective_error_bound = eb;
   const std::size_t patch_at = append_header(out, header);

@@ -40,7 +40,7 @@ CompressionStats HybridCompressor::compress(std::span<const float> input,
 
   StreamHeader header;
   header.codec = CodecId::kHybrid;
-  header.vector_dim = static_cast<std::uint16_t>(params.vector_dim);
+  header.vector_dim = header_vector_dim(params.vector_dim);
   header.element_count = input.size();
   // Mirror the effective bound in the outer header so stream inspection
   // does not need to descend into the inner stream.

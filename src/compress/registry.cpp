@@ -28,9 +28,24 @@ const Fp8Compressor kFp8;
 const HybridCompressor kHybrid;
 const ZfpLikeCompressor kZfp;
 
-constexpr std::array<std::string_view, 10> kAllNames = {
-    "cusz-like", "zfp-like", "fz-gpu-like", "vector-lz",  "huffman",
-    "generic-lz", "deflate-like", "fp16",   "fp8",        "hybrid",
+struct Registered {
+  std::string_view name;
+  CodecId id;
+  const Compressor& codec;
+};
+
+/// Every codec, in the comparison order the paper's Table V / Fig. 11 use.
+const Registered kRegistry[] = {
+    {"cusz-like", CodecId::kCuszLike, kCusz},
+    {"zfp-like", CodecId::kZfpLike, kZfp},
+    {"fz-gpu-like", CodecId::kFzGpuLike, kFzGpu},
+    {"vector-lz", CodecId::kVectorLz, kVectorLz},
+    {"huffman", CodecId::kHuffman, kHuffman},
+    {"generic-lz", CodecId::kGenericLz, kGenericLz},
+    {"deflate-like", CodecId::kDeflateLike, kDeflate},
+    {"fp16", CodecId::kFp16, kFp16},
+    {"fp8", CodecId::kFp8, kFp8},
+    {"hybrid", CodecId::kHybrid, kHybrid},
 };
 
 constexpr std::array<std::string_view, 8> kPipelineNames = {
@@ -41,21 +56,26 @@ constexpr std::array<std::string_view, 8> kPipelineNames = {
 }  // namespace
 
 const Compressor& get_compressor(std::string_view name) {
-  if (name == "zfp-like") return kZfp;
-  if (name == "cusz-like") return kCusz;
-  if (name == "fz-gpu-like") return kFzGpu;
-  if (name == "vector-lz") return kVectorLz;
-  if (name == "huffman") return kHuffman;
-  if (name == "generic-lz") return kGenericLz;
-  if (name == "deflate-like") return kDeflate;
-  if (name == "fp16") return kFp16;
-  if (name == "fp8") return kFp8;
-  if (name == "hybrid") return kHybrid;
+  for (const Registered& entry : kRegistry) {
+    if (entry.name == name) return entry.codec;
+  }
   throw Error("unknown compressor: " + std::string(name));
 }
 
+const Compressor& get_compressor(CodecId id) {
+  for (const Registered& entry : kRegistry) {
+    if (entry.id == id) return entry.codec;
+  }
+  throw FormatError("unknown codec id " + std::to_string(static_cast<int>(id)));
+}
+
 std::span<const std::string_view> all_compressor_names() noexcept {
-  return kAllNames;
+  static const auto names = [] {
+    std::array<std::string_view, std::size(kRegistry)> out;
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = kRegistry[i].name;
+    return out;
+  }();
+  return names;
 }
 
 std::span<const std::string_view> pipeline_compressor_names() noexcept {

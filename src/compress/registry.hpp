@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "compress/compressor.hpp"
+#include "compress/format.hpp"
 
 namespace dlcomp {
 
@@ -18,6 +19,10 @@ namespace dlcomp {
 /// "fp8"). Throws Error for unknown names. Returned references are
 /// static singletons, thread-safe and valid for the program lifetime.
 const Compressor& get_compressor(std::string_view name);
+
+/// Looks up the codec that writes `id` into its stream headers (routes a
+/// stream to its decoder). Throws FormatError for unregistered ids.
+const Compressor& get_compressor(CodecId id);
 
 /// All registered codec names, in the comparison order the paper's
 /// Table V / Fig. 11 use.

@@ -73,7 +73,7 @@ CompressionStats ZfpLikeCompressor::compress(std::span<const float> input,
 
   StreamHeader header;
   header.codec = CodecId::kZfpLike;
-  header.vector_dim = static_cast<std::uint16_t>(params.vector_dim);
+  header.vector_dim = header_vector_dim(params.vector_dim);
   header.element_count = input.size();
   header.effective_error_bound = eb;
   const std::size_t patch_at = append_header(out, header);

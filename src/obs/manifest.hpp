@@ -3,8 +3,8 @@
 /// \file manifest.hpp
 /// Run manifests and cross-run regression diffing.
 ///
-/// A manifest (`<prefix>.run.json`) is the durable record of one traced
-/// or benchmarked run: label, workload mode, codec choices, seed, the
+/// A manifest (`dlcomp train|serve --manifest-out`, `bench_report`) is
+/// the durable record of one run: label, workload mode, codec choices, seed, the
 /// full flag configuration, and the final numeric metric snapshot. Two
 /// manifests -- or, via the loaders, any two numeric JSON reports or
 /// Chrome trace files -- diff into a per-key report with tolerance

@@ -139,8 +139,8 @@ struct MetricsSnapshot {
   [[nodiscard]] bool has(std::string_view name) const;
   [[nodiscard]] double value(std::string_view name,
                              double fallback = 0.0) const;
-  /// One "<name> <value>" line per key, sorted (the `dlcomp trace`
-  /// metrics dump format).
+  /// One "<name> <value>" line per key, sorted (the bench `--metrics`
+  /// text dump format).
   [[nodiscard]] std::string to_text() const;
 };
 

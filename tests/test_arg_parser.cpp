@@ -92,6 +92,29 @@ TEST(ArgParser, NegativeIntegersRejectedNotWrapped) {
   EXPECT_DOUBLE_EQ(parser.num("--n", 0.0), -5.0);  // doubles may be negative
 }
 
+TEST(ArgParser, FlagTableSuppliesDefaultsAndSwitches) {
+  constexpr FlagSpec kFlags[] = {{"--eb", "X", "0.25", "bound"},
+                                 {"--iters", "N", "7", "iterations"},
+                                 {"--out", "FILE", "", "output"},
+                                 {"--fast", "", "", "a switch"}};
+  Argv args({"dlcomp", "cmd", "--iters", "9", "--fast", "pos"});
+  const ArgParser parser(args.argc(), args.argv(), 2, kFlags);
+  EXPECT_DOUBLE_EQ(parser.num("--eb"), 0.25);  // table default
+  EXPECT_EQ(parser.uint("--iters"), 9u);       // given value wins
+  EXPECT_FALSE(parser.has("--eb"));            // defaults are not presence
+  EXPECT_TRUE(parser.has("--fast"));
+  EXPECT_EQ(parser.str("--out"), "");
+  EXPECT_THROW((void)parser.num("--out"), UsageError);  // no value, no default
+  ASSERT_EQ(parser.positionals().size(), 1u);
+  EXPECT_EQ(parser.flags().size(), 4u);
+
+  Argv bad({"dlcomp", "cmd", "--bogus"});
+  EXPECT_THROW(ArgParser(bad.argc(), bad.argv(), 2, kFlags), UsageError);
+  EXPECT_THROW((void)parse_double("<eb>", "0.01x"), UsageError);
+  EXPECT_THROW((void)parse_u64("<dim>", "16x"), UsageError);
+  EXPECT_EQ(parse_u64("<dim>", "65537"), 65537u);
+}
+
 TEST(ArgParser, FirstIndexSkipsLeadingArguments) {
   Argv args({"dlcomp", "--looks-like-flag", "real-positional"});
   const ArgParser parser(args.argc(), args.argv(), 2, {});

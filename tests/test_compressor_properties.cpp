@@ -128,8 +128,14 @@ TEST(Registry, AllNamesResolveAndMatch) {
   for (const auto name : all_compressor_names()) {
     const Compressor& codec = get_compressor(name);
     EXPECT_EQ(codec.name(), name);
+    // The id a codec writes into its headers routes back to it.
+    std::vector<std::byte> stream;
+    codec.compress(std::vector<float>{0.5f}, CompressParams{}, stream);
+    std::span<const std::byte> payload;
+    EXPECT_EQ(&get_compressor(parse_header(stream, payload).codec), &codec) << name;
   }
   EXPECT_THROW(get_compressor("no-such-codec"), Error);
+  EXPECT_THROW(get_compressor(static_cast<CodecId>(0xEE)), FormatError);
 }
 
 TEST(Registry, PipelineSubset) {
@@ -149,6 +155,38 @@ TEST(StreamFormat, SelfDescribingCount) {
     params.vector_dim = 32;
     codec.compress(input, params, stream);
     EXPECT_EQ(decompressed_count(stream), input.size()) << name;
+  }
+}
+
+TEST(StreamFormat, VectorDimBeyondHeaderFieldIsRefused) {
+  // The header's vector_dim is u16. A codec that records the dim must
+  // refuse one that does not fit rather than truncate it (a truncated
+  // dim decodes with the wrong row shape and breaks the bound); a codec
+  // that ignores the dim must be unaffected by it.
+  Rng rng(8);
+  std::vector<float> input(2 * 65535);
+  for (auto& v : input) v = static_cast<float>(rng.normal(0.0, 0.1));
+  for (const auto name : all_compressor_names()) {
+    const Compressor& codec = get_compressor(name);
+    CompressParams params;
+    params.error_bound = 0.01;
+    params.vector_dim = 65535;
+    std::vector<std::byte> widest;
+    codec.compress(input, params, widest);
+    std::span<const std::byte> payload;
+    const bool records_dim = parse_header(widest, payload).vector_dim != 0;
+    if (records_dim) {
+      EXPECT_EQ(parse_header(widest, payload).vector_dim, 65535) << name;
+    }
+
+    params.vector_dim = 65537;
+    std::vector<std::byte> stream;
+    if (records_dim) {
+      EXPECT_THROW(codec.compress(input, params, stream), Error) << name;
+    } else {
+      codec.compress(input, params, stream);
+      EXPECT_EQ(stream, widest) << name;
+    }
   }
 }
 
