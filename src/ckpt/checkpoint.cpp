@@ -40,37 +40,19 @@ void bitmap_set(std::span<std::byte> bitmap, std::size_t row) {
       static_cast<std::uint8_t>(bitmap[row / 8]) | (1u << (row % 8)));
 }
 
-/// A value buffer encoded for storage, plus (when requested) the
+/// A value buffer encoded for storage, plus (for deltas) the
 /// reconstruction a reader will see -- identical to the input for raw
-/// storage. Skipping the reconstruction avoids a decompress round-trip
-/// when no shadow state is needed.
+/// storage.
 struct EncodedValues {
   std::vector<std::byte> bytes;
   std::vector<float> recon;
   std::uint8_t storage = 0;  ///< 0 raw float32, 1 codec stream
 };
 
-EncodedValues encode_values(const Compressor* codec,
-                            std::span<const float> values,
-                            const CompressParams& params, bool want_recon,
-                            CompressionWorkspace& ws) {
-  EncodedValues encoded;
-  if (codec == nullptr || values.empty()) {
-    encoded.storage = 0;
-    if (!values.empty()) {
-      encoded.bytes.resize(values.size_bytes());
-      std::memcpy(encoded.bytes.data(), values.data(), values.size_bytes());
-      if (want_recon) encoded.recon.assign(values.begin(), values.end());
-    }
-    return encoded;
-  }
-  encoded.storage = 1;
-  codec->compress(values, params, encoded.bytes, ws);
-  if (want_recon) {
-    encoded.recon.resize(values.size());
-    codec->decompress(encoded.bytes, encoded.recon, ws);
-  }
-  return encoded;
+/// The raw (storage 0) encoding: the values' float32 bytes.
+void copy_raw(std::span<const float> values, std::vector<std::byte>& bytes) {
+  const auto raw = std::as_bytes(values);
+  bytes.assign(raw.begin(), raw.end());
 }
 
 std::vector<float> decode_values(const std::string& codec_name,
@@ -405,11 +387,7 @@ void CheckpointWriter::save_full(const std::string& path,
     }
   } else {
     for_each_table(options_.pool, num_tables, [&](std::size_t t) {
-      WorkspacePool::Lease ws(workspaces_);
-      const Matrix& weights = *state.tables[t];
-      encoded[t] = encode_values(codec_, weights.flat(),
-                                 table_params(t, weights.cols()),
-                                 /*want_recon=*/false, *ws);
+      copy_raw(state.tables[t]->flat(), encoded[t].bytes);
     });
   }
   for_each_table(options_.pool, num_tables, [&](std::size_t t) {
@@ -618,11 +596,9 @@ void CheckpointWriter::save_delta(const std::string& path,
     }
   } else {
     for_each_table(options_.pool, num_tables, [&](std::size_t t) {
-      WorkspacePool::Lease ws(workspaces_);
       TableDelta& delta = deltas[t];
-      delta.encoded = encode_values(codec_, delta.touched_values,
-                                    table_params(t, state.tables[t]->cols()),
-                                    /*want_recon=*/true, *ws);
+      copy_raw(delta.touched_values, delta.encoded.bytes);
+      delta.encoded.recon = std::move(delta.touched_values);
     });
   }
 

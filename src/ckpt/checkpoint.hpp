@@ -159,10 +159,6 @@ class CheckpointWriter {
   };
   std::vector<PendingShadow> pending_shadow_;
 
-  /// One codec workspace per concurrent per-table task (leased inside
-  /// for_each_table bodies; capacity retained across saves).
-  WorkspacePool workspaces_;
-
   /// Blocked parallel codec batches (see chunked.hpp): every table's
   /// encode — split into blocks when large — runs as one flat task list,
   /// so a snapshot dominated by a single huge table still scales with

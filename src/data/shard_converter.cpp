@@ -3,6 +3,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdio>
+#include <exception>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -26,7 +27,7 @@ std::string shard_filename(std::size_t index) {
 namespace {
 
 /// Shared result accumulators; workers must not throw (ThreadPool
-/// contract), so the first IO failure is captured and rethrown by the
+/// contract), so the first failure is captured and rethrown by the
 /// driver after wait_idle().
 struct ConvertSink {
   std::atomic<std::size_t> samples{0};
@@ -43,10 +44,11 @@ struct ConvertSink {
 };
 
 /// Parses one group of raw lines into a shard and writes it. Runs on the
-/// pool; deterministic per (group content, group index).
+/// pool; deterministic per (group content, group index). Never throws:
+/// any failure is recorded in the sink.
 void convert_group(const CriteoTsvParser& parser,
                    const std::filesystem::path& out_dir, std::size_t index,
-                   const std::vector<std::string>& lines, ConvertSink& sink) {
+                   const std::vector<std::string>& lines, ConvertSink& sink) try {
   ShardContent content;
   content.num_dense = static_cast<std::uint16_t>(parser.num_dense());
   content.num_cat = static_cast<std::uint16_t>(parser.num_cat());
@@ -103,12 +105,21 @@ void convert_group(const CriteoTsvParser& parser,
   sink.samples.fetch_add(n, std::memory_order_relaxed);
   sink.shards.fetch_add(1, std::memory_order_relaxed);
   sink.shard_bytes.fetch_add(bytes.size(), std::memory_order_relaxed);
+} catch (const std::exception& e) {
+  sink.record_error(e.what());
+} catch (...) {
+  sink.record_error("shard " + std::to_string(index) + ": unknown error");
 }
 
 }  // namespace
 
 ConvertReport convert_criteo_tsv(const ConvertOptions& options) {
   DLCOMP_CHECK(options.samples_per_shard > 0);
+  if (options.num_dense > UINT16_MAX || options.num_cat > UINT16_MAX) {
+    throw Error("feature widths " + std::to_string(options.num_dense) + " dense, " +
+                std::to_string(options.num_cat) + " categorical exceed the shard "
+                "header's limit of 65535 each");
+  }
   std::ifstream is(options.input_tsv);
   if (!is.good()) throw Error("cannot open TSV input: " + options.input_tsv);
   std::filesystem::create_directories(options.output_dir);

@@ -43,8 +43,9 @@ struct ConvertReport {
   }
 };
 
-/// Runs the conversion; throws Error when the input cannot be read or a
-/// shard cannot be written. Shards are named `shard_NNNNNN.dlshard`
+/// Runs the conversion; throws Error when a feature width does not fit
+/// the shard header's u16 fields (checked before any line is read), the
+/// input cannot be read or a shard cannot be written. Shards are named `shard_NNNNNN.dlshard`
 /// (zero-padded, so lexical order is input order).
 ConvertReport convert_criteo_tsv(const ConvertOptions& options);
 

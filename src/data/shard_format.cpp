@@ -86,7 +86,7 @@ void encode_shard(const ShardContent& content, std::vector<std::byte>& out) {
                        bytes_of(content.categorical));
 }
 
-ShardView decode_shard(std::span<const std::byte> data, bool verify_crc) {
+ShardView decode_shard(std::span<const std::byte> data) {
   ByteReader reader(data);
   ShardView view;
   view.header = parse_shard_header(reader);
@@ -103,7 +103,7 @@ ShardView decode_shard(std::span<const std::byte> data, bool verify_crc) {
                         std::to_string(reader.remaining()) + " remain");
     }
     const std::span<const std::byte> payload = reader.take(payload_bytes);
-    if (verify_crc && crc32(payload) != stored_crc) {
+    if (crc32(payload) != stored_crc) {
       throw FormatError("shard section " + std::to_string(type) +
                         " CRC mismatch");
     }

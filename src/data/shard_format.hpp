@@ -24,10 +24,11 @@
 ///             folds ids into the table's index space)
 ///
 /// Every offset in the file is 4-byte aligned (header 24, section header
-/// 16, payloads multiples of 4), so a mapped shard can be viewed as
-/// float/u32 spans without copying. `decode_shard` CRC-checks every
-/// payload before returning views; a mismatch throws FormatError, exactly
-/// like the checkpoint reader.
+/// 16, payloads multiples of 4), so the mmap'ed shard the reader
+/// (shard_reader.hpp) loads is viewed as float/u32 spans without
+/// copying. `decode_shard` CRC-checks every payload before returning
+/// views; a mismatch throws FormatError, exactly like the checkpoint
+/// reader. Shards are written by the converter (shard_converter.hpp).
 ///
 /// See DESIGN.md "Dataset shards" for the rationale.
 
@@ -71,7 +72,7 @@ struct ShardContent {
 };
 
 /// Zero-copy view of a decoded shard; spans point into the caller's
-/// buffer (heap or mmap), which must outlive the view.
+/// buffer, which must outlive the view.
 struct ShardView {
   ShardHeader header;
   std::span<const float> labels;
@@ -99,10 +100,9 @@ struct ShardView {
 void encode_shard(const ShardContent& content, std::vector<std::byte>& out);
 
 /// Parses and validates a complete shard image: magic, version, section
-/// inventory, per-section CRC (skipped when verify_crc is false, for
-/// re-reads of already-verified mapped shards). Throws FormatError on any
+/// inventory and every section's CRC. Throws FormatError on any
 /// malformation. Returned spans view into `data`.
-ShardView decode_shard(std::span<const std::byte> data, bool verify_crc = true);
+ShardView decode_shard(std::span<const std::byte> data);
 
 /// Parses only the fixed file header (magic + version checked). Used by
 /// the reader's cheap open-time scan.

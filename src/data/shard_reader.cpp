@@ -1,5 +1,10 @@
 #include "data/shard_reader.hpp"
 
+#include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
 #include <algorithm>
 #include <cstring>
 #include <filesystem>
@@ -8,23 +13,17 @@
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
-#include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/trace.hpp"
-
-#if defined(__unix__) || defined(__APPLE__)
-#define DLCOMP_HAS_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-#endif
 
 namespace dlcomp {
 
 namespace {
 
+constexpr std::uint64_t kShuffleSeed = 0x5EED;
 constexpr std::uint64_t kEpochShuffleTag = 0xE70C5;
+/// The eval holdout is the file-order tail of one shard in ten (at least
+/// one, and never every shard).
+constexpr std::size_t kShardsPerEvalShard = 10;
 /// Epoch orders cached per reader; batches touch at most two epochs, and
 /// concurrent rank threads share the same few epochs.
 constexpr std::size_t kEpochCacheSize = 4;
@@ -43,8 +42,7 @@ std::vector<std::byte> read_file_head(const std::string& path,
 
 /// Copies `run` consecutive samples starting at `local` of `view` into
 /// `out` rows [row, row+run), folding categorical ids into the tables'
-/// index spaces. The shared inner loop of both the random-access reader
-/// and the sequential stream.
+/// index spaces.
 void copy_shard_rows(const ShardView& view, std::size_t local,
                      std::size_t run, std::size_t row, SampleBatch& out,
                      std::span<const std::uint32_t> cardinality) {
@@ -92,11 +90,9 @@ std::uint64_t shape_batch(SampleBatch& out, std::size_t batch_size,
 
 // ---------------------------------------------------------------- loading
 
-/// A decoded shard pinned in memory: either an mmap'ed file or a heap
-/// buffer, plus CRC-verified views into it.
+/// A shard mmap'ed into memory, plus CRC-verified views into it.
 struct ShardedDatasetReader::LoadedShard {
-  std::vector<std::byte> buffer;       ///< kBuffered storage
-  const std::byte* map_base = nullptr; ///< kMmap storage
+  const std::byte* map_base = nullptr;
   std::size_t map_bytes = 0;
   ShardView view;
 
@@ -104,11 +100,9 @@ struct ShardedDatasetReader::LoadedShard {
   LoadedShard(const LoadedShard&) = delete;
   LoadedShard& operator=(const LoadedShard&) = delete;
   ~LoadedShard() {
-#if defined(DLCOMP_HAS_MMAP)
     if (map_base != nullptr) {
       ::munmap(const_cast<std::byte*>(map_base), map_bytes);
     }
-#endif
   }
 };
 
@@ -119,9 +113,8 @@ struct ShardedDatasetReader::Slot {
 };
 
 ShardedDatasetReader::ShardedDatasetReader(DatasetSpec spec,
-                                           const std::string& directory,
-                                           ShardReaderConfig config)
-    : spec_(std::move(spec)), config_(config) {
+                                           const std::string& directory)
+    : spec_(std::move(spec)) {
   namespace fs = std::filesystem;
   if (!fs::is_directory(directory)) {
     throw Error("shard directory does not exist: " + directory);
@@ -182,11 +175,9 @@ ShardedDatasetReader::ShardedDatasetReader(DatasetSpec spec,
   // (auto-tuner, trainer eval) never see training samples. Impossible
   // with a single shard -- then eval falls back to the training set.
   std::size_t eval_shards = 0;
-  if (config_.eval_holdout_fraction > 0.0 && shards_.size() > 1) {
-    eval_shards = std::max<std::size_t>(
-        1, static_cast<std::size_t>(static_cast<double>(shards_.size()) *
-                                    config_.eval_holdout_fraction));
-    eval_shards = std::min(eval_shards, shards_.size() - 1);
+  if (shards_.size() > 1) {
+    eval_shards = std::clamp<std::size_t>(shards_.size() / kShardsPerEvalShard, 1,
+                                          shards_.size() - 1);
   }
   const std::size_t train_shards = shards_.size() - eval_shards;
 
@@ -220,35 +211,23 @@ const ShardedDatasetReader::LoadedShard& ShardedDatasetReader::shard(
 
   auto shard = std::make_unique<LoadedShard>();
   const ShardInfo& info = shards_[index];
-  std::span<const std::byte> bytes;
-#if defined(DLCOMP_HAS_MMAP)
-  if (config_.mode == ShardIoMode::kMmap) {
-    const int fd = ::open(info.path.c_str(), O_RDONLY);
-    if (fd < 0) throw Error("cannot open shard: " + info.path);
-    struct stat st{};
-    if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
-      ::close(fd);
-      throw Error("cannot stat shard: " + info.path);
-    }
-    void* base = ::mmap(nullptr, static_cast<std::size_t>(st.st_size),
-                        PROT_READ, MAP_PRIVATE, fd, 0);
+  const int fd = ::open(info.path.c_str(), O_RDONLY);
+  if (fd < 0) throw Error("cannot open shard: " + info.path);
+  struct stat st{};
+  if (::fstat(fd, &st) != 0 || st.st_size <= 0) {
     ::close(fd);
-    if (base == MAP_FAILED) throw Error("mmap failed: " + info.path);
-    shard->map_base = static_cast<const std::byte*>(base);
-    shard->map_bytes = static_cast<std::size_t>(st.st_size);
-    bytes = {shard->map_base, shard->map_bytes};
+    throw Error("cannot stat shard: " + info.path);
   }
-#endif
-  if (bytes.empty()) {  // kBuffered, or no mmap on this platform
-    shard->buffer = read_file_head(info.path, info.file_bytes);
-    bytes = shard->buffer;
-  }
-  shard->view = decode_shard(bytes, config_.verify_crc);
-  if (config_.verify_crc) {
-    static Counter& crc_verifies =
-        MetricsRegistry::global().counter("data/shard_crc_verifies");
-    crc_verifies.add();
-  }
+  void* base = ::mmap(nullptr, static_cast<std::size_t>(st.st_size), PROT_READ,
+                      MAP_PRIVATE, fd, 0);
+  ::close(fd);
+  if (base == MAP_FAILED) throw Error("mmap failed: " + info.path);
+  shard->map_base = static_cast<const std::byte*>(base);
+  shard->map_bytes = static_cast<std::size_t>(st.st_size);
+  shard->view = decode_shard({shard->map_base, shard->map_bytes});
+  static Counter& crc_verifies =
+      MetricsRegistry::global().counter("data/shard_crc_verifies");
+  crc_verifies.add();
   if (shard->view.header.sample_count != info.samples) {
     throw FormatError(info.path + ": sample count changed since open");
   }
@@ -262,14 +241,12 @@ const ShardedDatasetReader::LoadedShard& ShardedDatasetReader::shard(
 
 std::shared_ptr<const ShardedDatasetReader::EpochOrder>
 ShardedDatasetReader::epoch_order(std::uint64_t epoch) const {
-  if (!config_.shuffle_shards) return file_order_;
-
   const std::lock_guard<std::mutex> lock(epoch_mutex_);
   for (const auto& [cached_epoch, order] : epoch_cache_) {
     if (cached_epoch == epoch) return order;
   }
   auto order = std::make_shared<EpochOrder>(*file_order_);
-  Rng rng = Rng(config_.shuffle_seed).fork({kEpochShuffleTag, epoch});
+  Rng rng = Rng(kShuffleSeed).fork({kEpochShuffleTag, epoch});
   rng.shuffle(std::span<std::uint32_t>(order->shard_order));
   for (std::size_t s = 0; s < order->shard_order.size(); ++s) {
     order->prefix[s + 1] =
@@ -291,9 +268,8 @@ void ShardedDatasetReader::fill_impl(std::size_t batch_size,
   const std::uint64_t grew = shape_batch(out, batch_size, spec_);
   if (grew > 0) grow_events_.fetch_add(grew, std::memory_order_relaxed);
 
-  const std::shared_ptr<const EpochOrder>& base =
-      training ? file_order_ : eval_order_;
-  const std::uint64_t total = base->prefix.back();
+  const std::uint64_t total =
+      (training ? file_order_ : eval_order_)->prefix.back();
   std::shared_ptr<const EpochOrder> order;
   std::uint64_t order_epoch = 0;
   std::uint64_t global = batch_index * batch_size;
@@ -302,7 +278,7 @@ void ShardedDatasetReader::fill_impl(std::size_t batch_size,
     const std::uint64_t epoch = global / total;
     const std::uint64_t offset = global % total;
     if (order == nullptr || epoch != order_epoch) {
-      order = (training && config_.shuffle_shards) ? epoch_order(epoch) : base;
+      order = training ? epoch_order(epoch) : eval_order_;
       order_epoch = epoch;
     }
     // Largest p with prefix[p] <= offset.
@@ -346,181 +322,6 @@ SampleBatch ShardedDatasetReader::make_eval_batch(
   SampleBatch batch;
   fill_impl(batch_size, batch_index, batch, /*training=*/false);
   return batch;
-}
-
-// ---------------------------------------------------------------- streaming
-
-ShardBatchStream::ShardBatchStream(const ShardedDatasetReader& reader,
-                                   std::size_t batch_size, Options options)
-    : reader_(reader), batch_size_(batch_size), options_(options),
-      cardinality_(reader.cardinalities()) {
-  DLCOMP_CHECK(batch_size_ > 0);
-
-  epoch_ = options_.start_epoch;
-  request_epoch_ = options_.start_epoch;
-  request_order_ = options_.shuffle ? reader_.epoch_order(request_epoch_)
-                                    : reader_.file_order();
-
-  // Load the first shard synchronously into the front buffer and put the
-  // second one's request on the books *before* starting the worker: if
-  // anything here throws, no joinable thread exists yet, and the worker
-  // picks the pending request up at its first wait.
-  load_into(generate_next_shard_id(), front_bytes_);
-  front_view_ = decode_shard(front_bytes_);
-  front_local_ = 0;
-  request_load(generate_next_shard_id());
-
-  if (options_.prefetch) {
-    worker_ = std::thread([this] { worker_loop(); });
-  }
-}
-
-ShardBatchStream::~ShardBatchStream() {
-  if (worker_.joinable()) {
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      stopping_ = true;
-    }
-    cv_.notify_all();
-    worker_.join();
-  }
-}
-
-std::uint32_t ShardBatchStream::generate_next_shard_id() {
-  if (request_pos_ == request_order_->shard_order.size()) {
-    ++request_epoch_;
-    request_pos_ = 0;
-    if (options_.shuffle) request_order_ = reader_.epoch_order(request_epoch_);
-  }
-  return request_order_->shard_order[request_pos_++];
-}
-
-void ShardBatchStream::load_into(std::uint32_t shard_id,
-                                 std::vector<std::byte>& buffer) {
-  const ShardInfo& info = reader_.shards()[shard_id];
-  std::ifstream is(info.path, std::ios::binary);
-  if (!is.good()) throw Error("cannot open shard: " + info.path);
-  const auto size = static_cast<std::size_t>(info.file_bytes);
-  if (buffer.capacity() < size) {
-    grow_events_.fetch_add(1, std::memory_order_relaxed);
-  }
-  buffer.resize(size);
-  is.read(reinterpret_cast<char*>(buffer.data()),
-          static_cast<std::streamsize>(size));
-  if (static_cast<std::size_t>(is.gcount()) != size) {
-    throw Error("short read: " + info.path);
-  }
-}
-
-void ShardBatchStream::request_load(std::uint32_t shard_id) {
-  inflight_shard_ = shard_id;
-  if (!options_.prefetch) {
-    requested_shard_ = shard_id;
-    return;
-  }
-  {
-    const std::lock_guard<std::mutex> lock(mutex_);
-    requested_shard_ = shard_id;
-    request_pending_ = true;
-  }
-  cv_.notify_all();
-}
-
-void ShardBatchStream::worker_loop() {
-  for (;;) {
-    std::uint32_t shard_id = 0;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      cv_.wait(lock, [this] { return request_pending_ || stopping_; });
-      if (stopping_) return;
-      shard_id = requested_shard_;
-      request_pending_ = false;
-    }
-    // IO outside the lock; the consumer does not touch back_bytes_ until
-    // back_ready_ goes up (mutex-ordered), so this is race-free.
-    std::string error;
-    try {
-      load_into(shard_id, back_bytes_);
-    } catch (const std::exception& e) {
-      error = e.what();
-    }
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      load_error_ = error;
-      back_ready_ = true;
-    }
-    cv_.notify_all();
-  }
-}
-
-void ShardBatchStream::wait_and_swap() {
-  if (!options_.prefetch) {
-    load_into(requested_shard_, back_bytes_);
-    std::swap(front_bytes_, back_bytes_);
-    return;
-  }
-  std::unique_lock<std::mutex> lock(mutex_);
-  if (!back_ready_) {
-    // The consumer got here before the prefetch worker finished: the
-    // pipeline failed to hide the shard IO and the trainer stalls.
-    static Counter& stalls =
-        MetricsRegistry::global().counter("data/prefetch_stalls");
-    stalls.add();
-    DLCOMP_TRACE_SPAN("data/prefetch_stall");
-    cv_.wait(lock, [this] { return back_ready_; });
-  }
-  back_ready_ = false;
-  if (!load_error_.empty()) {
-    const std::string error = load_error_;
-    load_error_.clear();
-    lock.unlock();
-    // Keep the pipeline primed: re-request the failed shard so a caller
-    // that catches and retries next() waits on a fresh attempt instead
-    // of deadlocking on a consumed back_ready_.
-    request_load(inflight_shard_);
-    DLCOMP_LOG_ERROR("data", "shard prefetch failed, re-requested",
-                     {"error", error});
-    throw Error("shard prefetch failed: " + error);
-  }
-  std::swap(front_bytes_, back_bytes_);
-}
-
-void ShardBatchStream::next(SampleBatch& out) {
-  const std::uint64_t grew = shape_batch(out, batch_size_, reader_.spec());
-  if (grew > 0) grow_events_.fetch_add(grew, std::memory_order_relaxed);
-
-  std::size_t row = 0;
-  while (row < batch_size_) {
-    if (front_local_ == front_view_.sample_count()) {
-      wait_and_swap();
-      try {
-        // First touch of freshly read bytes: always verify CRCs.
-        front_view_ = decode_shard(front_bytes_);
-        static Counter& crc_verifies =
-            MetricsRegistry::global().counter("data/shard_crc_verifies");
-        crc_verifies.add();
-      } catch (...) {
-        // Same retry contract as a failed load: re-request the shard so
-        // a caught-and-retried next() waits on a fresh attempt instead
-        // of deadlocking on the consumed back buffer.
-        request_load(inflight_shard_);
-        throw;
-      }
-      front_local_ = 0;
-      request_load(generate_next_shard_id());
-    }
-    const std::size_t run = std::min(batch_size_ - row,
-                                     front_view_.sample_count() - front_local_);
-    copy_shard_rows(front_view_, front_local_, run, row, out, cardinality_);
-    front_local_ += run;
-    row += run;
-  }
-  // Counted only on success: if a shard load throws above, the staged
-  // batch is discarded (see the header contract) and the counters keep
-  // reflecting delivered samples only.
-  samples_delivered_ += batch_size_;
-  epoch_ = options_.start_epoch +
-           samples_delivered_ / reader_.num_samples();
 }
 
 }  // namespace dlcomp

@@ -7,68 +7,39 @@
 /// (cheap: 24 bytes each), and serves deterministic random-access batches
 /// as a `BatchSource` -- so the hybrid-parallel trainer, the offline
 /// analyzer and the serving stack all accept real data behind the same
-/// interface as the synthetic generator. Shard payloads load lazily, via
-/// mmap (default: the OS pages data in and shares it across rank
-/// threads) or a buffered whole-file read; each shard's CRCs are
-/// verified once, on first touch.
+/// interface as the synthetic generator. It is the only way shards are
+/// read. Shard payloads are mmap'ed lazily on first touch (the OS pages
+/// data in and shares it across rank threads), and each shard's CRCs are
+/// verified once, at that first touch.
 ///
 /// Ordering: the *training* stream shuffles at shard granularity -- epoch
-/// e visits shards in a permutation seeded by (shuffle_seed, e), the
-/// standard trade-off that preserves sequential IO while decorrelating
-/// epochs. The *eval* stream reads a held-out tail of shards in file
-/// order (ShardReaderConfig::eval_holdout_fraction), so held-out
-/// metrics never see training samples. Batches address
-/// samples by a global ordinal (batch_index * batch_size + j), so batch i
-/// is identical across runs, ranks and call orders.
+/// e visits the training shards in a permutation seeded by (a fixed seed,
+/// e), the standard trade-off that preserves sequential IO while
+/// decorrelating epochs. The *eval* stream reads a held-out tail of
+/// shards in file order (one shard in ten, at least one), so held-out
+/// metrics never see training samples; a single-shard directory has no
+/// tail to hold out, and its eval stream is the training shard in file
+/// order. Batches address samples by a global ordinal
+/// (batch_index * batch_size + j), so batch i is identical across runs,
+/// ranks and call orders.
 ///
 /// Index mapping: shards store full-width 32-bit hashed categorical ids;
 /// the reader folds them into each table's index space with the hashing
 /// trick (`id % cardinality` from the DatasetSpec), so one converted
 /// dataset serves any cardinality cap.
-///
-/// `ShardBatchStream` is the sequential high-throughput path: it streams
-/// shards through two reused buffers with async prefetch (the next shard
-/// loads on a background thread while the current one is consumed), and
-/// its steady state is zero-allocation -- `grow_events()` counts reused
-/// buffer growth, and stays flat after warm-up (tested).
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <span>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "data/batch_source.hpp"
 #include "data/shard_format.hpp"
 
 namespace dlcomp {
-
-/// How shard payloads are brought into memory.
-enum class ShardIoMode : std::uint8_t {
-  kMmap,      ///< map the file; the OS pages it in on demand
-  kBuffered,  ///< read the whole file into a heap buffer
-};
-
-struct ShardReaderConfig {
-  ShardIoMode mode = ShardIoMode::kMmap;
-  /// Shuffle shard order per epoch for the training stream (eval always
-  /// reads in file order).
-  bool shuffle_shards = true;
-  std::uint64_t shuffle_seed = 0x5EED;
-  /// Verify section CRCs when a shard is first loaded.
-  bool verify_crc = true;
-  /// Fraction of shards (file-order tail, at least one) held out as the
-  /// evaluation set, so `make_eval_batch` really is held-out data --
-  /// the auto-tuner and the trainer's eval metrics depend on that. 0
-  /// disables the split (eval reads the training set in file order; the
-  /// single-shard fallback does the same, with no way to hold data out).
-  double eval_holdout_fraction = 0.1;
-};
 
 /// Open-time per-shard inventory (header scan only).
 struct ShardInfo {
@@ -85,8 +56,7 @@ class ShardedDatasetReader : public BatchSource {
   /// when the directory holds no usable shards and FormatError when a
   /// header is malformed or does not match `spec` (num_dense and table
   /// count must agree; cardinalities come from the spec).
-  ShardedDatasetReader(DatasetSpec spec, const std::string& directory,
-                       ShardReaderConfig config = {});
+  ShardedDatasetReader(DatasetSpec spec, const std::string& directory);
   ~ShardedDatasetReader() override;
 
   ShardedDatasetReader(const ShardedDatasetReader&) = delete;
@@ -97,8 +67,8 @@ class ShardedDatasetReader : public BatchSource {
   }
   /// Training-stream samples per epoch (excludes the eval holdout).
   [[nodiscard]] std::uint64_t num_samples() const noexcept { return train_samples_; }
-  /// Held-out evaluation samples (equals num_samples() when the holdout
-  /// is disabled or impossible -- see ShardReaderConfig).
+  /// Held-out evaluation samples (equals num_samples() for a
+  /// single-shard directory, which has no tail to hold out).
   [[nodiscard]] std::uint64_t num_eval_samples() const noexcept {
     return eval_order_->prefix.back();
   }
@@ -113,7 +83,6 @@ class ShardedDatasetReader : public BatchSource {
   [[nodiscard]] std::size_t empty_shards_skipped() const noexcept {
     return empty_shards_;
   }
-  [[nodiscard]] ShardIoMode mode() const noexcept { return config_.mode; }
 
   /// Fills `out` with batch `batch_index` of the (shuffled) training
   /// stream, reusing its capacity. Thread-safe; zero-allocation once
@@ -122,7 +91,7 @@ class ShardedDatasetReader : public BatchSource {
   void fill_batch(std::size_t batch_size, std::uint64_t batch_index,
                   SampleBatch& out) const;
   /// Same over the held-out shard tail, in file order (the evaluation
-  /// stream; see ShardReaderConfig::eval_holdout_fraction).
+  /// stream).
   void fill_eval_batch(std::size_t batch_size, std::uint64_t batch_index,
                        SampleBatch& out) const;
 
@@ -137,35 +106,24 @@ class ShardedDatasetReader : public BatchSource {
     return grow_events_.load(std::memory_order_relaxed);
   }
 
-  /// Shard visit order of one epoch: a permutation of shard indices when
-  /// shuffling is on (seeded by (shuffle_seed, epoch)), file order
-  /// otherwise. Shared with ShardBatchStream.
+ private:
+  struct LoadedShard;
+  /// Shard visit order of one pass over a shard set.
   struct EpochOrder {
     std::vector<std::uint32_t> shard_order;
     /// prefix[p] = samples in shard_order[0..p); prefix.back() = total.
     std::vector<std::uint64_t> prefix;
   };
+
+  /// The training shards permuted for `epoch` (cached per reader).
   [[nodiscard]] std::shared_ptr<const EpochOrder> epoch_order(
       std::uint64_t epoch) const;
-  /// The unshuffled (file) order over the *training* shards.
-  [[nodiscard]] std::shared_ptr<const EpochOrder> file_order() const noexcept {
-    return file_order_;
-  }
-  /// Per-table folded index spaces (min(cardinality, u32 max) from the
-  /// spec); shared with ShardBatchStream so the fold lives in one place.
-  [[nodiscard]] std::span<const std::uint32_t> cardinalities() const noexcept {
-    return cardinality_;
-  }
-
- private:
-  struct LoadedShard;
 
   [[nodiscard]] const LoadedShard& shard(std::size_t index) const;
   void fill_impl(std::size_t batch_size, std::uint64_t batch_index,
                  SampleBatch& out, bool training) const;
 
   DatasetSpec spec_;
-  ShardReaderConfig config_;
   std::vector<ShardInfo> shards_;
   std::vector<std::uint32_t> cardinality_;  ///< per table, from the spec
   std::uint64_t train_samples_ = 0;
@@ -181,92 +139,6 @@ class ShardedDatasetReader : public BatchSource {
       epoch_cache_;
 
   mutable std::atomic<std::uint64_t> grow_events_{0};
-};
-
-/// Sequential reading with double-buffered async prefetch: while batches
-/// drain the front buffer's shard, a background thread loads the next
-/// shard (in epoch order) into the back buffer. Batches wrap epochs
-/// indefinitely; `epoch()` reports the epoch of the *next* sample.
-class ShardBatchStream {
- public:
-  struct Options {
-    bool shuffle = true;       ///< epoch-wise shard shuffling
-    bool prefetch = true;      ///< async double-buffering (off = load inline)
-    std::uint64_t start_epoch = 0;
-  };
-
-  ShardBatchStream(const ShardedDatasetReader& reader, std::size_t batch_size,
-                   Options options);
-  /// Default options (shuffled, prefetching). A delegating overload
-  /// because gcc rejects an `= Options()` default argument whose NSDMIs
-  /// live in a nested class of the one being defined.
-  ShardBatchStream(const ShardedDatasetReader& reader, std::size_t batch_size)
-      : ShardBatchStream(reader, batch_size, Options()) {}
-  ~ShardBatchStream();
-
-  ShardBatchStream(const ShardBatchStream&) = delete;
-  ShardBatchStream& operator=(const ShardBatchStream&) = delete;
-
-  /// Fills `out` with the next `batch_size` samples, reusing capacity;
-  /// the stream wraps epochs indefinitely. On a shard load / format
-  /// error it throws, the partially staged batch is discarded (its rows
-  /// are skipped -- at most batch_size-1 samples), and a retried call
-  /// resumes with a fresh attempt at the failed shard;
-  /// `samples_delivered()` counts completed batches only.
-  void next(SampleBatch& out);
-
-  [[nodiscard]] std::uint64_t epoch() const noexcept { return epoch_; }
-  [[nodiscard]] std::uint64_t samples_delivered() const noexcept {
-    return samples_delivered_;
-  }
-  /// Buffer capacity growth (front/back shard buffers + caller batches).
-  /// Flat in steady state once buffers reach the largest shard's size.
-  /// Atomic: the prefetch worker counts back-buffer growth concurrently
-  /// with the consumer's batch-shape accounting (TSan-verified).
-  [[nodiscard]] std::uint64_t grow_events() const noexcept {
-    return grow_events_.load(std::memory_order_relaxed);
-  }
-
- private:
-  std::uint32_t generate_next_shard_id();
-  void request_load(std::uint32_t shard_id);
-  void wait_and_swap();  ///< blocks until the back buffer is ready
-  void load_into(std::uint32_t shard_id, std::vector<std::byte>& buffer);
-  void worker_loop();
-
-  const ShardedDatasetReader& reader_;
-  std::size_t batch_size_;
-  Options options_;
-  std::span<const std::uint32_t> cardinality_;  ///< reader's fold table
-
-  // Consume-side cursor.
-  ShardView front_view_{};
-  std::size_t front_local_ = 0;  ///< next sample within the front shard
-  std::uint64_t epoch_ = 0;
-  std::uint64_t samples_delivered_ = 0;
-  std::atomic<std::uint64_t> grow_events_{0};
-
-  // Request-side cursor (runs ahead of the consumer by one shard).
-  std::shared_ptr<const ShardedDatasetReader::EpochOrder> request_order_;
-  std::uint64_t request_epoch_ = 0;
-  std::size_t request_pos_ = 0;
-
-  std::vector<std::byte> front_bytes_;
-
-  // Prefetch protocol: consumer requests a shard id, the worker fills
-  // back_bytes_ and raises back_ready_. All shared state below is
-  // mutex-guarded; the consumer only touches back_bytes_ while
-  // back_ready_ is up, the worker only while a request is pending.
-  std::thread worker_;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  std::vector<std::byte> back_bytes_;
-  std::uint32_t requested_shard_ = 0;
-  std::uint32_t inflight_shard_ = 0;  ///< consumer-side copy for retries
-  bool request_pending_ = false;
-  bool back_ready_ = false;
-  bool stopping_ = false;
-  std::string load_error_;
 };
 
 }  // namespace dlcomp

@@ -91,7 +91,7 @@ TEST_F(CliTest, HelpExitsZeroAndNamesEveryFlag) {
        {"--samples-per-shard", "--max-samples", "--threads", "--dense",
         "--cat"}},
       {"data inspect", {}},
-      {"data stats", {"--dataset", "--batches", "--batch", "--mode"}},
+      {"data stats", {"--dataset", "--batches", "--batch"}},
   };
   const Outcome top = run("--help");
   EXPECT_EQ(top.code, 0) << top.output;
@@ -167,6 +167,19 @@ TEST_F(CliTest, RoundTripEveryCodecWithinBound) {
   }
   // A dim the u16 header field cannot hold is refused, not truncated.
   EXPECT_EQ(run("compress cusz-like 0.01 65537 in.f32 s.dlcp").code, 1);
+}
+
+TEST_F(CliTest, DataConvertRefusesWidthsBeyondShardHeader) {
+  {
+    std::ofstream os(dir_ / "wide.tsv");
+    os << "1";
+    for (int i = 0; i < 65537; ++i) os << "\t0";
+    os << "\tab\tcd\n";
+  }
+  const Outcome r = run("data convert wide.tsv out --dense 65537 --cat 2");
+  EXPECT_EQ(r.code, 1) << r.output;
+  EXPECT_NE(r.output.find("error: "), std::string::npos) << r.output;
+  EXPECT_FALSE(fs::exists(dir_ / "out" / "shard_000000.dlshard"));
 }
 
 TEST_F(CliTest, ServeCodecNoneWithShardsWritesTraceAndManifest) {

@@ -590,31 +590,34 @@ void measure_dataset_pipeline(std::size_t reps, MetricsSnapshot& m) {
     m.set("dataset_pipeline/shard_crc32/" + std::to_string(i), shard_crcs[i]);
   }
 
-  // Streaming read throughput: double-buffered prefetch, batches of 512,
-  // epoch 0 is warm-up (buffers reach the largest shard), later epochs
-  // must be allocation-free.
+  // Read throughput through fill_batch (the path the trainer's make_batch
+  // runs), batches of 512: epochs 0-1 are warm-up (the batch reaches its
+  // shape, every shard is mapped and CRC-verified), later epochs must be
+  // allocation-free.
   DatasetSpec spec = DatasetSpec::criteo_kaggle_like(100000);
   const ShardedDatasetReader reader(spec, shards_dir.string());
-  ShardBatchStream stream(reader, 512);
   SampleBatch batch;
   const std::size_t batches_per_epoch =
       static_cast<std::size_t>(reader.num_samples()) / 512;
-  for (std::size_t b = 0; b < 2 * batches_per_epoch; ++b) stream.next(batch);
-  const std::uint64_t grow_before = stream.grow_events();
-  const std::uint64_t delivered_before = stream.samples_delivered();
+  std::uint64_t next_batch = 0;
+  for (; next_batch < 2 * batches_per_epoch; ++next_batch) {
+    reader.fill_batch(512, next_batch, batch);
+  }
+  const std::uint64_t grow_before = reader.grow_events();
   const double best_read = best_of(reps, [&] {
-    for (std::size_t b = 0; b < batches_per_epoch; ++b) stream.next(batch);
+    for (std::size_t b = 0; b < batches_per_epoch; ++b) {
+      reader.fill_batch(512, next_batch++, batch);
+    }
   });
   const double bytes_per_sample =
       static_cast<double>((kNumDense + 1) * sizeof(float) +
                           kNumCat * sizeof(std::uint32_t));
   const double epoch_bytes =
-      static_cast<double>(stream.samples_delivered() - delivered_before) /
-      static_cast<double>(reps) * bytes_per_sample;
+      static_cast<double>(batches_per_epoch * 512) * bytes_per_sample;
   m.set("dataset_pipeline/read_MBps",
         best_read > 0.0 ? epoch_bytes / best_read / 1e6 : 0.0);
   m.set("dataset_pipeline/steady_grow_events",
-        static_cast<double>(stream.grow_events() - grow_before));
+        static_cast<double>(reader.grow_events() - grow_before));
 
   fs::remove_all(root);
 }

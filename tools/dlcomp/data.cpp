@@ -25,7 +25,6 @@ constexpr FlagSpec kStatsFlags[] = {
     {"--dataset", "kaggle|terabyte|small", "kaggle", "spec the shards are read as"},
     {"--batches", "N", "64", "batches to read for the throughput probe"},
     {"--batch", "N", "", "samples per batch (default: the dataset's batch)"},
-    {"--mode", "mmap|buffered", "mmap", "shard I/O mode"},
 };
 
 int cmd_data_convert(const ArgParser& args) {
@@ -71,13 +70,7 @@ int cmd_data_inspect(const ArgParser& args) {
 
 int cmd_data_stats(const ArgParser& args) {
   const DatasetSpec spec = spec_by_name(args.str("--dataset"));
-  const std::string mode = args.str("--mode");
-  if (mode != "mmap" && mode != "buffered") {
-    throw Error("unknown mode: " + mode + " (expected mmap|buffered)");
-  }
-  ShardReaderConfig reader_config;
-  if (mode == "buffered") reader_config.mode = ShardIoMode::kBuffered;
-  const ShardedDatasetReader reader(spec, args.positional(0), reader_config);
+  const ShardedDatasetReader reader(spec, args.positional(0));
 
   TablePrinter table({"shard", "samples", "bytes", "first sample"});
   for (const auto& shard : reader.shards()) {
@@ -88,29 +81,29 @@ int cmd_data_stats(const ArgParser& args) {
   std::printf("%s\n", table.to_string().c_str());
   std::printf("train: %" PRIu64 " samples | eval holdout: %" PRIu64 " samples in %zu "
               "shards | %zu shards total (%zu empty skipped), "
-              "%zu tables x %zu dense, mode %s\n",
+              "%zu tables x %zu dense\n",
               reader.num_samples(), reader.num_eval_samples(),
               reader.num_eval_shards(), reader.shards().size(),
-              reader.empty_shards_skipped(), spec.num_tables(),
-              spec.num_dense, mode.c_str());
+              reader.empty_shards_skipped(), spec.num_tables(), spec.num_dense);
 
-  // Streaming read-throughput probe over the requested batch budget.
+  // Read-throughput probe over the requested batch budget, through the
+  // fill_batch path the trainer's make_batch runs.
   const std::size_t batch = args.uint("--batch", spec.default_batch);
   const std::size_t batches = args.uint("--batches");
-  ShardBatchStream stream(reader, batch);
   SampleBatch scratch;
   WallTimer timer;
-  for (std::size_t b = 0; b < batches; ++b) stream.next(scratch);
+  for (std::size_t b = 0; b < batches; ++b) reader.fill_batch(batch, b, scratch);
   const double seconds = timer.seconds();
+  const std::uint64_t samples = static_cast<std::uint64_t>(batches) * batch;
   const double bytes_read =
-      static_cast<double>(stream.samples_delivered()) *
+      static_cast<double>(samples) *
       (static_cast<double>(spec.num_dense + 1) * sizeof(float) +
        static_cast<double>(spec.num_tables()) * sizeof(std::uint32_t));
   std::printf(
       "read %zu batches x %zu samples in %.3f s: %.1f MB/s, "
       "%" PRIu64 " grow events, epoch %" PRIu64 "\n",
       batches, batch, seconds, seconds > 0 ? bytes_read / seconds / 1e6 : 0.0,
-      stream.grow_events(), stream.epoch());
+      reader.grow_events(), samples / reader.num_samples());
   return 0;
 }
 
@@ -124,6 +117,6 @@ extern const Command kDataInspect{
     "verifies one shard and prints its header"};
 extern const Command kDataStats{
     "data stats", "<dir>", kStatsFlags, cmd_data_stats,
-    "validates a shard directory and measures streaming read throughput"};
+    "validates a shard directory and measures batch read throughput"};
 
 }  // namespace dlcomp::cli
