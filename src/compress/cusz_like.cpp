@@ -2,11 +2,11 @@
 
 #include <vector>
 
+#include "common/bitstream.hpp"
 #include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/huffman_coding.hpp"
 #include "compress/kernels.hpp"
-#include "compress/reference_kernels.hpp"
 #include "compress/workspace.hpp"
 
 namespace dlcomp {
@@ -87,9 +87,14 @@ double CuszLikeCompressor::decompress(std::span<const std::byte> stream,
 std::vector<std::int32_t> CuszLikeCompressor::prediction_codes(
     std::span<const float> input, const CompressParams& params) {
   const double eb = resolve_error_bound(input, params);
+  CompressionWorkspace& ws = thread_local_workspace();
+  const auto symbols = ws.symbols(input.size());
+  kernels::lorenzo_encode_fused(input, params.vector_dim, eb,
+                                ws.recon(input.size()), symbols, nullptr);
   std::vector<std::int32_t> codes(input.size());
-  std::vector<float> recon(input.size());
-  reference::lorenzo_encode(input, params.vector_dim, eb, codes, recon);
+  for (std::size_t i = 0; i < codes.size(); ++i) {
+    codes[i] = zigzag_decode32(symbols[i]);
+  }
   return codes;
 }
 

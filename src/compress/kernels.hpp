@@ -19,10 +19,11 @@
 ///  - boundary handling (first row / first column / short tail row) is
 ///    hoisted out of the inner loops instead of being re-tested per
 ///    element;
-///  - per-element arithmetic stays bit-identical to reference_kernels.hpp
-///    (double products, round-half-away-from-zero), so streams are
-///    byte-identical with the pre-overhaul codecs; the differential tests
-///    in test_codec_hotpath.cpp enforce this.
+///  - per-element arithmetic stays bit-identical to the pre-overhaul
+///    kernels (double products, round-half-away-from-zero), so streams are
+///    byte-identical with the pre-overhaul codecs; test_codec_hotpath.cpp
+///    enforces this against those kernels, kept as a test-only oracle in
+///    tests/support/reference_kernels.hpp.
 ///
 /// Rounding note: round-half-away is implemented branch-predication-free
 /// as trunc(x + copysign(0.5, x)), which agrees with std::llround for

@@ -16,7 +16,8 @@
 /// zero via the shared helpers below, float stores as correctly-rounded
 /// double→float narrowing. The differential suite in
 /// test_codec_hotpath.cpp compares every compiled-in variant against
-/// reference_kernels.hpp on edge shapes and random sweeps.
+/// the test-only oracle tests/support/reference_kernels.hpp on edge
+/// shapes and random sweeps.
 
 #include <cstddef>
 #include <cstdint>

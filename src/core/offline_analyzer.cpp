@@ -1,11 +1,13 @@
 #include "core/offline_analyzer.hpp"
 
+#include <exception>
 #include <unordered_map>
 
 #include "common/error.hpp"
 #include "compress/cusz_like.hpp"
 #include "compress/quantizer.hpp"
 #include "compress/vector_lz.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace dlcomp {
 
@@ -55,13 +57,16 @@ AnalysisReport OfflineAnalyzer::analyze(
       config_.batch_size > 0 ? config_.batch_size : spec.default_batch;
   const std::size_t dim = spec.embedding_dim;
 
-  AnalysisReport report;
-  report.config = config_;
-  report.tables.reserve(spec.num_tables());
+  // Every table samples the same batches: make them once.
+  std::vector<SampleBatch> batches;
+  batches.reserve(config_.sample_batches);
+  for (std::size_t s = 0; s < config_.sample_batches; ++s) {
+    batches.push_back(dataset.make_batch(batch_size, s));
+  }
 
   const CompressorSelector selector(config_.selector);
 
-  for (std::size_t t = 0; t < spec.num_tables(); ++t) {
+  const auto analyze_table = [&](std::size_t t) {
     TableAnalysis analysis;
     analysis.table_id = t;
 
@@ -69,8 +74,7 @@ AnalysisReport OfflineAnalyzer::analyze(
     std::vector<float> sample;
     sample.reserve(config_.sample_batches * batch_size * dim);
     Matrix lookup(batch_size, dim);
-    for (std::size_t s = 0; s < config_.sample_batches; ++s) {
-      const SampleBatch batch = dataset.make_batch(batch_size, s);
+    for (const SampleBatch& batch : batches) {
       tables[t].lookup(batch.indices[t], lookup);
       sample.insert(sample.end(), lookup.flat().begin(), lookup.flat().end());
     }
@@ -109,8 +113,33 @@ AnalysisReport OfflineAnalyzer::analyze(
     analysis.selection =
         selector.select(sample, select_params, config_.candidates);
     analysis.lz_matches = VectorLzCompressor::count_matches(sample, select_params);
+    return analysis;
+  };
 
-    report.tables.push_back(std::move(analysis));
+  // Tables are independent: analyse them on a pool local to this call.
+  // Each result lands in its own slot, so the report does not depend on
+  // the thread count. Failures are rethrown in table order once the pool
+  // has drained; the destructor joins the workers before returning, so
+  // callers may fork right after.
+  AnalysisReport report;
+  report.config = config_;
+  report.tables.resize(spec.num_tables());
+  std::vector<std::exception_ptr> errors(spec.num_tables());
+  {
+    ThreadPool pool(0);
+    for (std::size_t t = 0; t < spec.num_tables(); ++t) {
+      pool.submit([&, t] {
+        try {
+          report.tables[t] = analyze_table(t);
+        } catch (...) {
+          errors[t] = std::current_exception();
+        }
+      });
+    }
+    pool.wait_idle();
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
   return report;
 }

@@ -71,7 +71,10 @@ class OfflineAnalyzer {
   explicit OfflineAnalyzer(AnalyzerConfig config) : config_(std::move(config)) {}
 
   /// Analyzes every table: samples lookups, computes metrics, classifies
-  /// and selects codecs. `tables` must match dataset.spec().
+  /// and selects codecs. `tables` must match dataset.spec(). Tables are
+  /// analysed in parallel on a pool that is joined before returning; the
+  /// report does not depend on the thread count, and a failing table's
+  /// error (the lowest-indexed one if several fail) is rethrown here.
   [[nodiscard]] AnalysisReport analyze(
       const BatchSource& dataset,
       std::span<const EmbeddingTable> tables) const;

@@ -1,4 +1,4 @@
-#include "compress/reference_kernels.hpp"
+#include "support/reference_kernels.hpp"
 
 #include <cmath>
 #include <limits>

@@ -8,7 +8,8 @@
 ///
 /// These are reference implementations, not production paths — per-call
 /// allocation and per-element branching are intentional (that is exactly
-/// what the fused kernels removed).
+/// what the fused kernels removed). Test-only: they are compiled into
+/// test_codec_hotpath alone, never into dlcomp_core.
 
 #include <cstdint>
 #include <span>
