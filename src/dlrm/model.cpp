@@ -179,10 +179,9 @@ LossResult DlrmModel::evaluate(const SampleBatch& batch,
 }
 
 void DlrmModel::predict(const SampleBatch& batch,
-                        std::span<float> probabilities,
-                        const TableTransform& lookup_transform) {
+                        std::span<float> probabilities) {
   DLCOMP_CHECK(probabilities.size() == batch.batch_size());
-  const Matrix& logits = forward(batch, lookup_transform);
+  const Matrix& logits = forward(batch, nullptr);
   for (std::size_t i = 0; i < probabilities.size(); ++i) {
     probabilities[i] = static_cast<float>(sigmoid(logits.flat()[i]));
   }

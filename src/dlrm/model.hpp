@@ -85,16 +85,15 @@ class DlrmModel {
                         const TableTransform& grad_transform = nullptr);
 
   /// Forward-only evaluation. `lookup_transform` may round-trip the
-  /// looked-up vectors through a codec, which models serving from
-  /// compressed embedding payloads (exact evaluation passes null).
+  /// looked-up vectors through a codec, which models the accuracy cost of
+  /// compressed forward all-to-alls (exact evaluation passes null).
   LossResult evaluate(const SampleBatch& batch,
                       const TableTransform& lookup_transform = nullptr);
 
   /// Forward-only scoring for the serving path: fills `probabilities`
-  /// (size == batch.batch_size()) with sigmoid(logit) per sample. Same
-  /// transform hook as evaluate().
-  void predict(const SampleBatch& batch, std::span<float> probabilities,
-               const TableTransform& lookup_transform = nullptr);
+  /// (size == batch.batch_size()) with sigmoid(logit) per sample, looked
+  /// up from the model's tables or the installed LookupProvider.
+  void predict(const SampleBatch& batch, std::span<float> probabilities);
 
   /// Mean evaluation over `batches` held-out batches.
   LossResult evaluate_stream(const BatchSource& data,

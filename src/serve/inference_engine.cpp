@@ -1,29 +1,17 @@
 #include "serve/inference_engine.hpp"
 
-#include <algorithm>
-#include <cmath>
-#include <utility>
-
 #include "ckpt/checkpoint.hpp"
-#include "common/error.hpp"
-#include "compress/registry.hpp"
 #include "obs/trace.hpp"
 
 namespace dlcomp {
 
 InferenceEngine::InferenceEngine(const DatasetSpec& spec,
                                  const DlrmConfig& model_config,
-                                 EngineConfig config, std::uint64_t seed)
-    : config_(std::move(config)), model_(spec, model_config, seed) {
-  if (!config_.checkpoint_path.empty()) {
-    load_checkpoint_into(model_, config_.checkpoint_path);
-  }
-  if (!config_.codec.empty()) {
-    codec_ = &get_compressor(config_.codec);
-    params_.error_bound = config_.error_bound;
-    params_.eb_mode = EbMode::kAbsolute;
-    params_.vector_dim = spec.embedding_dim;
-    params_.lz_window_vectors = config_.lz_window_vectors;
+                                 const EngineConfig& config,
+                                 std::uint64_t seed)
+    : model_(spec, model_config, seed) {
+  if (!config.checkpoint_path.empty()) {
+    load_checkpoint_into(model_, config.checkpoint_path);
   }
 }
 
@@ -39,44 +27,11 @@ void InferenceEngine::use_store(ShardedEmbeddingStore* store) {
              Matrix& out) { router_->gather(table, indices, out); });
 }
 
-DlrmModel::TableTransform InferenceEngine::lookup_transform() {
-  // Sharded serving: the store's pages are already codec round-tripped,
-  // so a second in-engine round-trip would double the error.
-  if (router_ != nullptr) return nullptr;
-  if (codec_ == nullptr) return nullptr;
-  return [this](std::size_t /*table*/, Matrix& data) {
-    DLCOMP_TRACE_SPAN("serve/codec_roundtrip");
-    stream_.clear();
-    codec_->compress(data.flat(), params_, stream_, workspace_);
-    recon_.resize(data.size());
-    codec_->decompress(stream_, recon_, workspace_);
-
-    double max_err = max_lookup_error_;
-    const std::span<float> flat = data.flat();
-    for (std::size_t i = 0; i < flat.size(); ++i) {
-      max_err = std::max(max_err,
-                         static_cast<double>(std::fabs(flat[i] - recon_[i])));
-      flat[i] = recon_[i];
-    }
-    max_lookup_error_ = max_err;
-    lookup_input_bytes_ += data.size() * sizeof(float);
-    lookup_compressed_bytes_ += stream_.size();
-  };
-}
-
 std::vector<float> InferenceEngine::run(const SampleBatch& batch) {
   DLCOMP_TRACE_SPAN("serve/forward");
   std::vector<float> probabilities(batch.batch_size());
-  model_.predict(batch, probabilities, lookup_transform());
-  samples_served_ += batch.batch_size();
+  model_.predict(batch, probabilities);
   return probabilities;
-}
-
-double InferenceEngine::lookup_compression_ratio() const noexcept {
-  return lookup_compressed_bytes_ == 0
-             ? 0.0
-             : static_cast<double>(lookup_input_bytes_) /
-                   static_cast<double>(lookup_compressed_bytes_);
 }
 
 }  // namespace dlcomp

@@ -1,25 +1,22 @@
 #pragma once
 
 /// \file inference_engine.hpp
-/// Forward-only DLRM scoring engine for the serving path. Optionally
-/// round-trips every embedding lookup through an error-bounded codec from
-/// the registry (the same TableTransform hook the training accuracy
-/// experiments use), which models serving where embedding shards travel
-/// compressed between parameter servers and inference nodes: reconstructed
-/// vectors differ from exact by at most the configured error bound per
-/// element, and the engine tracks the observed error and the bytes moved
-/// so compressed and exact serving can be compared on both axes.
+/// Forward-only DLRM scoring engine for the serving path. An engine
+/// serves either exactly, from its model's own embedding tables, or from
+/// a ShardedEmbeddingStore (use_store()), whose tables are kept
+/// error-bounded compressed at rest in pages behind a hot-row cache. The
+/// store is the one way compressed embeddings are served: every value it
+/// returns is within the store's error bound of the exact row, and the
+/// store keeps the byte and error accounting (ShardStoreStats).
 ///
 /// An engine is NOT thread-safe (the model keeps forward caches); the
 /// ServingSimulator runs one engine replica per worker.
 
-#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "compress/compressor.hpp"
-#include "compress/workspace.hpp"
 #include "data/synthetic.hpp"
 #include "dlrm/model.hpp"
 #include "serve/router.hpp"
@@ -27,13 +24,6 @@
 namespace dlcomp {
 
 struct EngineConfig {
-  /// Registry codec name for the embedding payload round-trip; empty
-  /// means exact (uncompressed) serving.
-  std::string codec;
-  /// Absolute per-element error bound for the codec.
-  double error_bound = 0.01;
-  /// Vector-LZ window, forwarded to CompressParams.
-  std::size_t lz_window_vectors = 128;
   /// Checkpoint file (`.dlck`, chain tail allowed) to load trained model
   /// weights from; empty serves the seed-initialized model. Shapes must
   /// match the engine's DatasetSpec/DlrmConfig.
@@ -48,72 +38,25 @@ class InferenceEngine {
   /// the checkpoint's (delta chains are replayed), so a fleet serves the
   /// trained model a HybridParallelTrainer persisted.
   InferenceEngine(const DatasetSpec& spec, const DlrmConfig& model_config,
-                  EngineConfig config, std::uint64_t seed);
+                  const EngineConfig& config, std::uint64_t seed);
 
-  /// Scores a batch: per-sample click probabilities, through the codec
-  /// round-trip when one is configured.
+  /// Scores a batch: per-sample click probabilities.
   std::vector<float> run(const SampleBatch& batch);
 
   /// Serves embeddings from a sharded store instead of the model's own
   /// tables: installs a private ShardRouter over `store` as the model's
-  /// LookupProvider. The store already holds codec-reconstructed rows, so
-  /// the engine's own per-lookup codec round-trip is disabled (it would
-  /// double-compress); byte/error accounting moves to the store. Pass
-  /// null to restore table-local serving. The store must outlive the
-  /// engine and may be shared by many engines (it locks per shard).
+  /// LookupProvider. Pass null to restore table-local serving. The store
+  /// must outlive the engine and may be shared by many engines (it locks
+  /// per shard).
   void use_store(ShardedEmbeddingStore* store);
 
   [[nodiscard]] bool sharded() const noexcept { return router_ != nullptr; }
 
-  [[nodiscard]] const EngineConfig& config() const noexcept { return config_; }
-  [[nodiscard]] bool compressed() const noexcept { return codec_ != nullptr; }
   [[nodiscard]] DlrmModel& model() noexcept { return model_; }
 
-  /// The per-table lookup transform run() applies, bound to this engine's
-  /// error/byte accounting; null when serving exact. Exposed so tests can
-  /// apply it to a raw lookup matrix.
-  [[nodiscard]] DlrmModel::TableTransform lookup_transform();
-
-  /// Largest |exact - reconstructed| seen across all embedding elements
-  /// served so far (0 when exact).
-  [[nodiscard]] double max_lookup_error() const noexcept {
-    return max_lookup_error_;
-  }
-
-  /// Compression ratio of the embedding payloads served so far
-  /// (input bytes / compressed bytes; 0 when exact or nothing served).
-  [[nodiscard]] double lookup_compression_ratio() const noexcept;
-
-  [[nodiscard]] std::size_t samples_served() const noexcept {
-    return samples_served_;
-  }
-
-  /// Raw embedding payload byte counters (for fleet-level aggregation).
-  [[nodiscard]] std::size_t lookup_input_bytes() const noexcept {
-    return lookup_input_bytes_;
-  }
-  [[nodiscard]] std::size_t lookup_compressed_bytes() const noexcept {
-    return lookup_compressed_bytes_;
-  }
-
  private:
-  EngineConfig config_;
   DlrmModel model_;
-  const Compressor* codec_ = nullptr;  ///< registry singleton or null
-  CompressParams params_;
   std::unique_ptr<ShardRouter> router_;  ///< set by use_store(); engine-private
-
-  double max_lookup_error_ = 0.0;
-  std::size_t lookup_input_bytes_ = 0;
-  std::size_t lookup_compressed_bytes_ = 0;
-  std::size_t samples_served_ = 0;
-
-  // Scratch reused across run() calls to keep the hot path allocation-free
-  // once warm: the codec workspace plus the stream/reconstruction buffers
-  // (an engine is single-threaded, so one workspace suffices).
-  CompressionWorkspace workspace_;
-  std::vector<std::byte> stream_;
-  std::vector<float> recon_;
 };
 
 }  // namespace dlcomp

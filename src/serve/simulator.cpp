@@ -47,12 +47,10 @@ ServingReport ServingSimulator::run() {
   // forward caches, so the fleet scores concurrently without locking.
   // A checkpoint is read and chain-replayed once here, then applied to
   // every replica, instead of once per engine constructor.
-  EngineConfig engine_config = config_.engine;
-  engine_config.checkpoint_path.clear();
   std::vector<InferenceEngine> engines;
   engines.reserve(replicas);
   for (unsigned r = 0; r < replicas; ++r) {
-    engines.emplace_back(config_.spec, config_.model, engine_config,
+    engines.emplace_back(config_.spec, config_.model, EngineConfig{},
                          config_.seed);
   }
   if (!config_.engine.checkpoint_path.empty()) {
@@ -194,23 +192,7 @@ ServingReport ServingSimulator::run() {
       batches.empty() ? 0.0
                       : service_total / static_cast<double>(batches.size());
 
-  std::size_t in_bytes = 0;
-  std::size_t comp_bytes = 0;
-  for (const InferenceEngine& e : engines) {
-    report.max_lookup_error =
-        std::max(report.max_lookup_error, e.max_lookup_error());
-    in_bytes += e.lookup_input_bytes();
-    comp_bytes += e.lookup_compressed_bytes();
-  }
-  report.lookup_compression_ratio =
-      comp_bytes == 0 ? 0.0
-                      : static_cast<double>(in_bytes) /
-                            static_cast<double>(comp_bytes);
-  if (store != nullptr) {
-    report.store_stats = store->stats();
-    report.lookup_compression_ratio = report.store_stats.ratio();
-    report.max_lookup_error = report.store_stats.max_abs_error;
-  }
+  if (store != nullptr) report.store_stats = store->stats();
 
   // ---- Metrics snapshot: latency recorder -> histogram metric, plus
   // queue depth and the fleet counters.
@@ -231,11 +213,8 @@ ServingReport ServingSimulator::run() {
   snap.set("serve/achieved_qps", report.achieved_qps);
   snap.set("serve/serve_wall_s", report.serve_wall_s);
   snap.set("serve/mean_service_s", report.mean_service_s);
-  snap.set("serve/max_lookup_error", report.max_lookup_error);
-  snap.set("serve/lookup_cr", report.lookup_compression_ratio);
-  snap.set("serve/lookup_input_bytes", static_cast<double>(in_bytes));
-  snap.set("serve/lookup_compressed_bytes",
-           static_cast<double>(comp_bytes));
+  snap.set("serve/max_lookup_error", report.store_stats.max_abs_error);
+  snap.set("serve/lookup_cr", report.store_stats.ratio());
   snap.set("serve/shed_queries", static_cast<double>(report.shed_queries));
   snap.set("serve/shed_rate", report.shed_rate);
   if (store != nullptr) {
@@ -261,13 +240,6 @@ ServingReport ServingSimulator::run() {
   return report;
 }
 
-std::string format_serving_table(const ServingReport& exact,
-                                 const ServingReport& compressed) {
-  const std::pair<std::string, const ServingReport*> rows[] = {
-      {"exact", &exact}, {"compressed", &compressed}};
-  return format_serving_table(rows);
-}
-
 std::string format_serving_table(
     std::span<const std::pair<std::string, const ServingReport*>> rows) {
   TablePrinter table({"path", "p50 ms", "p95 ms", "p99 ms", "p99.9 ms",
@@ -281,11 +253,11 @@ std::string format_serving_table(
                    TablePrinter::num(r.latency.mean_s * 1e3, 3),
                    TablePrinter::num(r.achieved_qps, 0),
                    TablePrinter::num(r.mean_batch_samples, 1),
-                   r.lookup_compression_ratio > 0.0
-                       ? TablePrinter::num(r.lookup_compression_ratio, 2)
+                   r.store_stats.ratio() > 0.0
+                       ? TablePrinter::num(r.store_stats.ratio(), 2)
                        : std::string("-"),
-                   r.lookup_compression_ratio > 0.0
-                       ? TablePrinter::num(r.max_lookup_error, 5)
+                   r.store_stats.ratio() > 0.0
+                       ? TablePrinter::num(r.store_stats.max_abs_error, 5)
                        : std::string("-")});
   };
   for (const auto& [name, report] : rows) row(name, *report);

@@ -36,11 +36,11 @@ struct ServingConfig {
   LoadGenConfig load;
   BatchSchedulerConfig scheduler;
   EngineConfig engine;
-  /// Sharded serving tier: when store.num_shards > 0 one
-  /// ShardedEmbeddingStore is built from replica 0's (checkpoint-loaded)
-  /// tables and shared by the whole fleet — every engine routes lookups
-  /// through it (hot cache over compressed pages) instead of its own
-  /// weights, and the engine-level codec round-trip is disabled. The
+  /// Sharded serving tier, the one compressed serving path: when
+  /// store.num_shards > 0 one ShardedEmbeddingStore is built from replica
+  /// 0's (checkpoint-loaded) tables and shared by the whole fleet — every
+  /// engine routes lookups through it (hot cache over compressed pages)
+  /// instead of its own weights. 0 serves exactly from the weights. The
   /// scheduler's SLO admission (scheduler.slo_s) composes independently.
   ShardStoreConfig store;
   /// Workload shapes (tables, dims) the engines serve.
@@ -74,17 +74,14 @@ struct ServingReport {
   double serve_wall_s = 0.0;
   double sim_span_s = 0.0;       ///< simulated arrival span of the stream
   double mean_service_s = 0.0;   ///< mean per-batch forward wall time
-  /// Compression telemetry (0 when serving exact). When the sharded store
-  /// is on these report the *store's* at-rest ratio and reconstruction
-  /// error (the engine-level round-trip is disabled then).
-  double max_lookup_error = 0.0;
-  double lookup_compression_ratio = 0.0;
 
   /// SLO admission (0 unless scheduler.slo_s > 0).
   std::size_t shed_queries = 0;
   double shed_rate = 0.0;  ///< shed / offered
 
-  /// Sharded-store telemetry (all 0 when store.num_shards == 0).
+  /// Sharded-store telemetry (all 0 when store.num_shards == 0): the
+  /// at-rest ratio (ratio()) and reconstruction error (max_abs_error) of
+  /// the compressed rows served, plus cache and page-decode counters.
   ShardStoreStats store_stats;
 
   /// Machine-readable telemetry under "serve/": the merged latency
@@ -112,12 +109,9 @@ class ServingSimulator {
   ServingConfig config_;
 };
 
-/// Renders a two-row (exact vs compressed) comparison the CLI and bench
-/// print: latency percentiles, achieved QPS, compression ratio, max error.
-std::string format_serving_table(const ServingReport& exact,
-                                 const ServingReport& compressed);
-
-/// Same table with caller-chosen row labels (e.g. "exact" vs "sharded").
+/// Renders a comparison table with caller-chosen row labels (e.g. "exact"
+/// vs "sharded"): latency percentiles, achieved QPS, batch size, and the
+/// store's compression ratio and max error ("-" for exact rows).
 std::string format_serving_table(
     std::span<const std::pair<std::string, const ServingReport*>> rows);
 

@@ -132,6 +132,10 @@ TEST_F(CliTest, UsageErrorsExitTwoRuntimeErrorsExitOne) {
   expect("decompress a b c", 2);         // too many
   expect("compress hybrid 0.01x 16 in.f32 out.dlcp", 2);
   expect("compress hybrid 0.01 16x in.f32 out.dlcp", 2);
+  expect("serve --shards 0", 2);  // compressed serving is the store's
+  expect("serve --cache-mb -1 --shards 2 --queries 200 --qps 4000", 2);
+  expect("serve --cache-mb nan", 2);
+  expect("serve --cache-mb inf", 2);
 
   expect("inspect missing.dlcp", 1);
   expect("train --codec bogus", 1);      // rejected before training
@@ -192,6 +196,14 @@ TEST_F(CliTest, ServeCodecNoneWithShardsWritesTraceAndManifest) {
   EXPECT_EQ(diff.code, 0) << diff.output;
   EXPECT_NE(diff.output.find("raw"), std::string::npos) << diff.output;
   EXPECT_TRUE(fs::exists(dir_ / "s.trace.json"));
+}
+
+TEST_F(CliTest, ServeComparesAgainstTheShardedStoreByDefault) {
+  const Outcome r = run("serve --queries 200 --qps 4000 --replicas 2");
+  ASSERT_EQ(r.code, 0) << r.output;
+  EXPECT_NE(r.output.find("\nstore: 4 shards,"), std::string::npos)
+      << r.output;
+  EXPECT_NE(r.output.find("(hybrid eb=0.01)"), std::string::npos) << r.output;
 }
 
 TEST_F(CliTest, TcpTrainingWritesRankZeroTrace) {

@@ -1,21 +1,22 @@
 // Tests for the online serving subsystem: load-generator arrival
 // statistics, batch-scheduler invariants, latency percentile math, and
-// the compressed-embedding inference path's error bound.
+// an exact end-to-end serving run. Compressed serving goes through the
+// sharded store and is tested in test_serving_scale.cpp.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/latency_recorder.hpp"
 #include "common/stats.hpp"
 #include "serve/batch_scheduler.hpp"
-#include "serve/inference_engine.hpp"
 #include "serve/load_generator.hpp"
 #include "serve/simulator.hpp"
-#include "data/synthetic.hpp"
 
 namespace dlcomp {
 namespace {
@@ -207,54 +208,7 @@ TEST(LatencyRecorder, PercentilesAgainstKnownDistribution) {
   EXPECT_NEAR(recorder.summary().max_s, 2.0, 1e-12);
 }
 
-TEST(InferenceEngine, CompressedLookupsHonorErrorBound) {
-  const DatasetSpec spec = DatasetSpec::small_training_proxy(4, 16);
-  const DlrmConfig model_config;
-  constexpr double kEb = 0.01;
-
-  EngineConfig exact_config;
-  InferenceEngine exact(spec, model_config, exact_config, 99);
-
-  EngineConfig comp_config;
-  comp_config.codec = "hybrid";
-  comp_config.error_bound = kEb;
-  InferenceEngine compressed(spec, model_config, comp_config, 99);
-  ASSERT_TRUE(compressed.compressed());
-
-  const SyntheticClickDataset dataset(spec, 99);
-  const SampleBatch batch = dataset.make_batch(256, 0);
-
-  // Element-wise check on the actual lookup tensors: round-tripping a
-  // table's looked-up vectors moves no element by more than the bound.
-  Matrix lookup(batch.batch_size(), spec.embedding_dim);
-  exact.model().lookup_table(0, batch.indices[0], lookup);
-  Matrix original = lookup;
-  auto transform = compressed.lookup_transform();
-  ASSERT_TRUE(transform);
-  transform(0, lookup);
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < lookup.size(); ++i) {
-    max_err = std::max(max_err, static_cast<double>(std::fabs(
-                                    lookup.flat()[i] - original.flat()[i])));
-  }
-  EXPECT_LE(max_err, kEb * (1.0 + 1e-6));
-  EXPECT_GT(max_err, 0.0);  // the codec is actually lossy here
-
-  // Full forward pass: engine-tracked error stays bounded, outputs are
-  // probabilities, and compression moved fewer bytes than raw.
-  const auto exact_probs = exact.run(batch);
-  const auto comp_probs = compressed.run(batch);
-  ASSERT_EQ(exact_probs.size(), comp_probs.size());
-  for (const float p : comp_probs) {
-    EXPECT_GE(p, 0.0f);
-    EXPECT_LE(p, 1.0f);
-  }
-  EXPECT_LE(compressed.max_lookup_error(), kEb * (1.0 + 1e-6));
-  EXPECT_GT(compressed.lookup_compression_ratio(), 1.0);
-  EXPECT_DOUBLE_EQ(exact.max_lookup_error(), 0.0);
-}
-
-TEST(ServingSimulator, EndToEndExactVsCompressed) {
+TEST(ServingSimulator, EndToEndExact) {
   ServingConfig config;
   config.load = base_load(ArrivalPattern::kPoisson, 300);
   config.load.qps = 2000.0;
@@ -270,22 +224,21 @@ TEST(ServingSimulator, EndToEndExactVsCompressed) {
   EXPECT_GT(exact.batches, 0u);
   EXPECT_GT(exact.achieved_qps, 0.0);
   EXPECT_GT(exact.samples, 0u);
-  EXPECT_DOUBLE_EQ(exact.lookup_compression_ratio, 0.0);
+  // Exact serving has no store: no ratio, no error, no store counters.
+  EXPECT_DOUBLE_EQ(exact.store_stats.ratio(), 0.0);
+  EXPECT_EQ(exact.metrics.value("serve/lookup_cr"), 0.0);
+  EXPECT_EQ(exact.metrics.value("serve/max_lookup_error"), 0.0);
+  EXPECT_FALSE(exact.metrics.has("serve/shards"));
   // Latency is at least the queueing term and every sample is finite.
   EXPECT_GE(exact.latency.p50_s, 0.0);
   EXPECT_GE(exact.latency.p999_s, exact.latency.p50_s);
 
-  config.engine.codec = "hybrid";
-  config.engine.error_bound = 0.01;
-  ServingReport compressed = ServingSimulator(config).run();
-  EXPECT_EQ(compressed.queries, 300u);
-  EXPECT_GT(compressed.lookup_compression_ratio, 1.0);
-  EXPECT_LE(compressed.max_lookup_error, 0.01 * (1.0 + 1e-6));
-
-  // The comparison table renders one line per path plus the header.
-  const std::string table = format_serving_table(exact, compressed);
+  // The table renders the exact row without store columns.
+  const std::pair<std::string, const ServingReport*> rows[] = {
+      {"exact", &exact}};
+  const std::string table = format_serving_table(rows);
   EXPECT_NE(table.find("exact"), std::string::npos);
-  EXPECT_NE(table.find("compressed"), std::string::npos);
+  EXPECT_NE(table.find(" - "), std::string::npos);
 }
 
 }  // namespace

@@ -462,11 +462,19 @@ TEST(ServingSimulator, ShardedEndToEnd) {
   EXPECT_GT(report.store_stats.hits + report.store_stats.misses, 0u);
   EXPECT_GT(report.store_stats.hit_rate(), 0.0);
   EXPECT_GT(report.store_stats.ratio(), 1.0);
-  EXPECT_LE(report.max_lookup_error, 0.01 + 1e-7);
-  EXPECT_GT(report.lookup_compression_ratio, 1.0);
+  EXPECT_LE(report.store_stats.max_abs_error, 0.01 + 1e-7);
 
   // The serving metrics the obs plane exports are present and coherent.
   const MetricsSnapshot& m = report.metrics;
+  // The manifest's lookup error and ratio are the store's, and the only
+  // serve/lookup_* key is the ratio: the input/compressed byte counters
+  // of the removed per-lookup codec path are not written.
+  EXPECT_EQ(m.value("serve/max_lookup_error"),
+            report.store_stats.max_abs_error);
+  EXPECT_EQ(m.value("serve/lookup_cr"), report.store_stats.ratio());
+  for (const auto& [key, value] : m.values) {
+    if (key.rfind("serve/lookup_", 0) == 0) EXPECT_EQ(key, "serve/lookup_cr");
+  }
   EXPECT_EQ(m.value("serve/shards"), 3.0);
   EXPECT_GT(m.value("serve/cache_hit_rate"), 0.0);
   EXPECT_EQ(m.value("serve/cache_hits") + m.value("serve/cache_misses"),

@@ -20,14 +20,14 @@ constexpr FlagSpec kServeFlags[] = {
     {"--query-size", "N", "16", "mean samples per query"},
     {"--max-batch", "N", "256", "samples per batch at most"},
     {"--max-delay-ms", "X", "2", "batching deadline"},
-    {"--codec", "NAME|none", "hybrid", "embedding codec of the comparison run"},
-    {"--eb", "X", "0.01", "error bound"},
+    {"--codec", "NAME|none", "hybrid", "codec of the store's pages (none: raw pages)"},
+    {"--eb", "X", "0.01", "error bound of the store's pages"},
     {"--dataset", "kaggle|terabyte|small", "small", "synthetic dataset shape"},
     {"--model", "dlrm|widedeep|ncf", "dlrm", "interaction architecture"},
     {"--replicas", "N", "0", "engine replicas (0: one per hardware thread)"},
     {"--seed", "N", "2024", "query stream and model seed"},
     {"--checkpoint", "FILE", "", "serve this .dlck model instead of a fresh one"},
-    {"--shards", "N", "0", "N > 0: compare against the sharded compressed store"},
+    {"--shards", "N", "4", "shards of the compressed store (>= 1)"},
     {"--rows-per-page", "N", "256", "sharded store: rows per compressed page"},
     {"--cache-mb", "X", "4", "sharded store: hot-row cache budget (MiB, total)"},
     {"--slo-ms", "X", "0", "shed queries whose modeled latency exceeds this (0: off)"},
@@ -54,13 +54,23 @@ int cmd_serve(const ArgParser& args) {
   config.model.arch = parse_model_arch(args.str("--model"));
   const std::string codec = codec_flag(args);
   const double eb = args.num("--eb");
-  config.engine.error_bound = config.store.error_bound = eb;
+  config.store.error_bound = eb;
   config.store.codec = codec;
   config.store.rows_per_page = args.uint("--rows-per-page");
-  config.store.cache_budget_bytes =
-      static_cast<std::size_t>(args.num("--cache-mb") * 1024.0 * 1024.0);
+  // Checked before the cast: converting a negative, NaN or out-of-range
+  // double to std::size_t is undefined behaviour.
+  const double cache_bytes = args.num("--cache-mb") * 1024.0 * 1024.0;
+  if (!(cache_bytes >= 0.0 && cache_bytes < 0x1p64)) {
+    throw UsageError("--cache-mb must be a finite, non-negative size, got " +
+                     args.str("--cache-mb"));
+  }
+  config.store.cache_budget_bytes = static_cast<std::size_t>(cache_bytes);
   const std::string checkpoint = args.str("--checkpoint");
   const std::size_t shards = args.uint("--shards");
+  if (shards == 0) {
+    throw UsageError("--shards must be at least 1 (the comparison run serves "
+                     "from the sharded store)");
+  }
   const double slo_ms = args.num("--slo-ms");
   if (slo_ms > 0.0) {
     config.scheduler.slo_s = slo_ms * 1e-3;
@@ -114,44 +124,38 @@ int cmd_serve(const ArgParser& args) {
   };
   const ServingReport exact = serve("serving exact");
 
-  // The comparison run: the store when sharded, else the engine's codec.
-  const char* variant = shards > 0 ? "sharded" : "compressed";
+  // The comparison run: the same fleet serving from the sharded store.
   config.store.num_shards = shards;
-  if (shards == 0) config.engine.codec = codec;
-  const ServingReport compressed =
-      serve(shards > 0 ? "serving sharded" : "serving compressed");
+  const ServingReport sharded = serve("serving sharded");
   board.set_state("done");
+  const ShardStoreStats& s = sharded.store_stats;
 
-  std::printf("exact:      %s\n", format_latency(exact.latency).c_str());
-  std::printf("%s: %s  (%s eb=%g)\n\n", variant,
-              format_latency(compressed.latency).c_str(),
+  std::printf("exact:   %s\n", format_latency(exact.latency).c_str());
+  std::printf("sharded: %s  (%s eb=%g)\n\n",
+              format_latency(sharded.latency).c_str(),
               codec.empty() ? "none" : codec.c_str(), eb);
   const std::pair<std::string, const ServingReport*> rows[] = {
-      {"exact", &exact}, {variant, &compressed}};
+      {"exact", &exact}, {"sharded", &sharded}};
   std::printf("%s\n", format_serving_table(rows).c_str());
   std::printf(
-      "achieved qps: exact %.0f, %s %.0f (offered %.0f); "
-      "%s max lookup error %.6g (bound %g)\n",
-      exact.achieved_qps, variant, compressed.achieved_qps, exact.offered_qps,
-      variant, compressed.max_lookup_error, eb);
-  if (shards > 0) {
-    const ShardStoreStats& s = compressed.store_stats;
-    std::printf(
-        "store: %zu shards, %zu rows/page, cache %zu/%zu rows resident, "
-        "hit rate %.3f (%llu hits, %llu misses, %llu evictions), "
-        "%llu pages decompressed, at-rest ratio %.2f\n",
-        shards, config.store.rows_per_page, s.resident_rows, s.capacity_rows,
-        s.hit_rate(), static_cast<unsigned long long>(s.hits),
-        static_cast<unsigned long long>(s.misses),
-        static_cast<unsigned long long>(s.evictions),
-        static_cast<unsigned long long>(s.pages_loaded), s.ratio());
-  }
+      "achieved qps: exact %.0f, sharded %.0f (offered %.0f); "
+      "sharded max lookup error %.6g (bound %g)\n",
+      exact.achieved_qps, sharded.achieved_qps, exact.offered_qps,
+      s.max_abs_error, eb);
+  std::printf(
+      "store: %zu shards, %zu rows/page, cache %zu/%zu rows resident, "
+      "hit rate %.3f (%llu hits, %llu misses, %llu evictions), "
+      "%llu pages decompressed, at-rest ratio %.2f\n",
+      shards, config.store.rows_per_page, s.resident_rows, s.capacity_rows,
+      s.hit_rate(), static_cast<unsigned long long>(s.hits),
+      static_cast<unsigned long long>(s.misses),
+      static_cast<unsigned long long>(s.evictions),
+      static_cast<unsigned long long>(s.pages_loaded), s.ratio());
   if (config.scheduler.slo_s > 0.0) {
     std::printf("slo: %.2f ms, shed %zu/%zu queries (%.3f)\n", slo_ms,
-                compressed.shed_queries, compressed.queries,
-                compressed.shed_rate);
+                sharded.shed_queries, sharded.queries, sharded.shed_rate);
   }
-  finish_run(args, "serve", compressed.metrics);
+  finish_run(args, "serve", sharded.metrics);
 
   if (obs != nullptr) {
     const auto linger_ms = args.uint("--linger-ms");
@@ -169,7 +173,7 @@ int cmd_serve(const ArgParser& args) {
 
 extern const Command kServe{
     "serve", "", kServeFlags, cmd_serve,
-    "serves an exact baseline run, then a codec round-trip run or, with\n"
-    "--shards, a run from compressed pages behind a hot-row cache"};
+    "serves an exact baseline run, then the same queries from a sharded\n"
+    "store of compressed pages behind a hot-row cache"};
 
 }  // namespace dlcomp::cli
