@@ -132,10 +132,11 @@ LossResult evaluate_full(Mlp& bottom, Mlp& top,
 
 /// Owner-broadcast of every embedding table's weights over the *raw*
 /// transport. A no-op on shared-memory backends (rank 0 reads owner
-/// copies directly); under TCP each process holds stale replicas of the
-/// tables it does not own, so rank 0's held-out eval needs the owners'
-/// current rows first. Raw transport exchanges charge no simulated
-/// time, so eval cadence does not perturb the simulated numbers.
+/// copies directly); under TCP each process holds zero-initialised (or,
+/// after an earlier sync, stale) copies of the tables it does not own,
+/// so rank 0's held-out eval needs the owners' current rows first. Raw
+/// transport exchanges charge no simulated time, so eval cadence does
+/// not perturb the simulated numbers.
 void sync_tables_for_eval(Communicator& comm,
                           std::span<EmbeddingTable> tables) {
   Transport& transport = comm.transport();
@@ -335,10 +336,16 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
   // Embedding tables (owner-rank writes only) and one optimizer per table
   // (touched only by the owning rank, hoisted out of the rank body so
   // checkpoints can cover every table's state). Under the sim backend
-  // these are shared by all rank threads; under TCP every process builds
-  // the same deterministic initial state and its non-owned copies simply
-  // go stale between eval syncs.
-  std::vector<EmbeddingTable> tables = make_embedding_set(spec, config_.seed);
+  // these are shared by all rank threads, so every table is drawn. Under
+  // TCP each process draws only the tables it owns; its copies of the
+  // others stay zero until sync_tables_for_eval overwrites them, which
+  // happens before anything reads them (mid-run and final evals; resume
+  // overwrites every table).
+  const bool tcp = config_.transport.backend == "tcp";
+  std::vector<EmbeddingTable> tables = make_embedding_set(
+      spec, config_.seed,
+      tcp ? static_cast<std::size_t>(config_.transport.rank) : 0,
+      tcp ? world : 1);
   std::vector<EmbeddingOptimizer> optimizers;
   optimizers.reserve(num_tables);
   for (std::size_t t = 0; t < num_tables; ++t) {
@@ -845,7 +852,7 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
     }
   };
 
-  if (config_.transport.backend == "tcp") {
+  if (tcp) {
     TcpTransportConfig tcfg;
     tcfg.world = config_.world;
     tcfg.rank = config_.transport.rank;

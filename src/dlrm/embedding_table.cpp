@@ -1,8 +1,10 @@
 #include "dlrm/embedding_table.hpp"
 
 #include <cstring>
+#include <exception>
 
 #include "common/error.hpp"
+#include "parallel/thread_pool.hpp"
 
 namespace dlcomp {
 
@@ -53,14 +55,35 @@ void EmbeddingTable::lookup(std::span<const std::uint32_t> indices,
 }
 
 std::vector<EmbeddingTable> make_embedding_set(const DatasetSpec& spec,
-                                               std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<EmbeddingTable> tables;
-  tables.reserve(spec.num_tables());
-  for (std::size_t t = 0; t < spec.num_tables(); ++t) {
-    auto rng_t = rng.fork({0xE0, t});
-    tables.push_back(
-        EmbeddingTable::init_from_spec(spec.tables[t], spec.embedding_dim, rng_t));
+                                               std::uint64_t seed,
+                                               std::size_t rank,
+                                               std::size_t world) {
+  DLCOMP_CHECK_MSG(world >= 1 && rank < world,
+                   "rank " << rank << " outside world " << world);
+  const Rng rng(seed);
+  const std::size_t dim = spec.embedding_dim;
+  std::vector<EmbeddingTable> tables(spec.num_tables(), EmbeddingTable(0, dim));
+  std::vector<std::exception_ptr> errors(spec.num_tables());
+  {
+    ThreadPool pool(0);
+    for (std::size_t t = 0; t < spec.num_tables(); ++t) {
+      pool.submit([&, t] {
+        try {
+          if (t % world == rank) {
+            auto rng_t = rng.fork({0xE0, t});
+            tables[t] = EmbeddingTable::init_from_spec(spec.tables[t], dim, rng_t);
+          } else {
+            tables[t] = EmbeddingTable(spec.tables[t].cardinality, dim);
+          }
+        } catch (...) {
+          errors[t] = std::current_exception();
+        }
+      });
+    }
+    pool.wait_idle();
+  }
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
   }
   return tables;
 }

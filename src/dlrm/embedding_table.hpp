@@ -43,10 +43,21 @@ class EmbeddingTable {
   Matrix weights_;
 };
 
-/// Builds the full table set for a dataset spec with deterministic
-/// per-table initialization (the same seed the DlrmModel constructor
-/// uses, so analyses over a standalone set match the model's tables).
+/// Builds the table set for a dataset spec; table t is drawn by
+/// init_from_spec from `Rng(seed).fork({0xE0, t})`. DlrmModel builds its
+/// tables here too, so analyses over a standalone set match the model's.
+///
+/// Tables are allocated and drawn in parallel, one task per table, on a
+/// pool that is joined before the call returns (callers may fork right
+/// after); the bytes do not depend on the thread count. A failure is
+/// rethrown in table order.
+///
+/// With `world` > 1 only the tables this rank owns (t % world == rank)
+/// are drawn. The others keep their shapes but stay zero, for callers
+/// that overwrite peer-owned tables before reading them.
 std::vector<EmbeddingTable> make_embedding_set(const DatasetSpec& spec,
-                                               std::uint64_t seed);
+                                               std::uint64_t seed,
+                                               std::size_t rank = 0,
+                                               std::size_t world = 1);
 
 }  // namespace dlcomp

@@ -76,13 +76,9 @@ DlrmModel::DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
   DLCOMP_CHECK_MSG(
       config_.arch != ModelArch::kNcf || spec_.num_tables() >= 2,
       "NCF arch needs >= 2 embedding tables, got " << spec_.num_tables());
-  Rng rng(seed);
-  tables_.reserve(spec_.num_tables());
+  tables_ = make_embedding_set(spec_, seed);
   optimizers_.reserve(spec_.num_tables());
   for (std::size_t t = 0; t < spec_.num_tables(); ++t) {
-    auto rng_t = rng.fork({0xE0, t});
-    tables_.push_back(
-        EmbeddingTable::init_from_spec(spec_.tables[t], spec_.embedding_dim, rng_t));
     optimizers_.emplace_back(config_.embedding_optimizer,
                              config_.learning_rate);
   }

@@ -7,6 +7,7 @@
 /// follows the rule of zero.
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <vector>
 
@@ -20,7 +21,7 @@ class Matrix {
   Matrix() = default;
 
   Matrix(std::size_t rows, std::size_t cols, float fill = 0.0f)
-      : rows_(rows), cols_(cols), data_(rows * cols, fill) {}
+      : rows_(rows), cols_(cols), data_(checked_size(rows, cols), fill) {}
 
   /// Gaussian-initialized matrix (used for weight init and synthetic
   /// embedding tables with "Gaussian" value distribution).
@@ -70,12 +71,26 @@ class Matrix {
 
   /// Resizes, discarding contents (all elements zeroed).
   void resize(std::size_t rows, std::size_t cols) {
+    const std::size_t size = checked_size(rows, cols);
     rows_ = rows;
     cols_ = cols;
-    data_.assign(rows * cols, 0.0f);
+    data_.assign(size, 0.0f);
   }
 
  private:
+  /// rows * cols, or an Error when the shape cannot be addressed: a
+  /// wrapped product would allocate too few elements while row() still
+  /// admits every r < rows.
+  static std::size_t checked_size(std::size_t rows, std::size_t cols) {
+    constexpr std::size_t kMaxElements =
+        static_cast<std::size_t>(std::numeric_limits<std::ptrdiff_t>::max()) /
+        sizeof(float);
+    DLCOMP_CHECK_MSG(cols == 0 || rows <= kMaxElements / cols,
+                     "matrix shape " << rows << " x " << cols
+                                     << " exceeds the addressable size");
+    return rows * cols;
+  }
+
   std::size_t rows_ = 0;
   std::size_t cols_ = 0;
   std::vector<float> data_;

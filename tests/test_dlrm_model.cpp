@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "common/error.hpp"
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -269,6 +271,80 @@ TEST(EmbeddingTableTest, InitFollowsSpecDistribution) {
   for (const float v : ut.weights().flat()) umax = std::max(umax, std::fabs(v));
   EXPECT_GT(gmax, 0.25f);
   EXPECT_LE(umax, 0.25f);
+}
+
+bool same_bytes(const EmbeddingTable& a, const EmbeddingTable& b) {
+  return a.rows() == b.rows() && a.dim() == b.dim() &&
+         std::memcmp(a.weights().data(), b.weights().data(),
+                     a.weights().size() * sizeof(float)) == 0;
+}
+
+bool all_zero(const EmbeddingTable& table) {
+  return std::ranges::all_of(table.weights().flat(),
+                             [](float v) { return v == 0.0f; });
+}
+
+TEST(EmbeddingSetTest, ParallelBuildMatchesSerialReference) {
+  // The pool may run tables in any order on any thread; the bytes must
+  // still be those of drawing table t from fork({0xE0, t}) one by one.
+  // The reference is drawn one table at a time to keep memory flat.
+  constexpr std::uint64_t kSeed = 42;
+  for (const DatasetSpec& spec : {DatasetSpec::criteo_terabyte_like(20000),
+                                  DatasetSpec::criteo_kaggle_like(20000)}) {
+    SCOPED_TRACE(spec.name);
+    const std::vector<EmbeddingTable> tables = make_embedding_set(spec, kSeed);
+    ASSERT_EQ(tables.size(), spec.num_tables());
+    const Rng rng(kSeed);
+    for (std::size_t t = 0; t < spec.num_tables(); ++t) {
+      Rng rng_t = rng.fork({0xE0, t});
+      const EmbeddingTable reference = EmbeddingTable::init_from_spec(
+          spec.tables[t], spec.embedding_dim, rng_t);
+      EXPECT_TRUE(same_bytes(tables[t], reference)) << "table " << t;
+    }
+  }
+}
+
+TEST(EmbeddingSetTest, RankDrawsOnlyOwnedTables) {
+  const DatasetSpec spec = DatasetSpec::criteo_kaggle_like(2000);
+  const std::vector<EmbeddingTable> full = make_embedding_set(spec, 7);
+  for (const std::size_t world : {std::size_t{3}, std::size_t{4}}) {
+    for (std::size_t rank = 0; rank < world; ++rank) {
+      SCOPED_TRACE("rank " + std::to_string(rank) + " of " +
+                   std::to_string(world));
+      const std::vector<EmbeddingTable> mine =
+          make_embedding_set(spec, 7, rank, world);
+      ASSERT_EQ(mine.size(), full.size());
+      for (std::size_t t = 0; t < full.size(); ++t) {
+        ASSERT_EQ(mine[t].rows(), spec.tables[t].cardinality) << "table " << t;
+        ASSERT_EQ(mine[t].dim(), spec.embedding_dim) << "table " << t;
+        if (t % world == rank) {
+          EXPECT_TRUE(same_bytes(mine[t], full[t])) << "owned table " << t;
+        } else {
+          EXPECT_TRUE(all_zero(mine[t])) << "peer table " << t;
+        }
+      }
+    }
+  }
+  EXPECT_THROW(make_embedding_set(spec, 7, 4, 4), Error);
+  EXPECT_THROW(make_embedding_set(spec, 7, 0, 0), Error);
+}
+
+TEST(EmbeddingSetTest, ModelTablesAreTheEmbeddingSet) {
+  const DatasetSpec spec = DatasetSpec::criteo_kaggle_like(2000);
+  const DlrmModel model(spec, {}, 31);
+  const std::vector<EmbeddingTable> tables = make_embedding_set(spec, 31);
+  ASSERT_EQ(model.tables().size(), tables.size());
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    EXPECT_TRUE(same_bytes(model.tables()[t], tables[t])) << "table " << t;
+  }
+}
+
+TEST(EmbeddingSetTest, UnaddressableTableThrowsInsteadOfTerminating) {
+  // A failing task must surface as the caller's exception, not escape a
+  // pool worker (std::terminate) or hand back a wrapped, undersized table.
+  DatasetSpec spec = DatasetSpec::small_training_proxy(2, 16);
+  spec.tables[1].cardinality = std::size_t{1} << 62;
+  EXPECT_THROW(make_embedding_set(spec, 3), Error);
 }
 
 TEST(DlrmModelTest, TrainingReducesLossAndLearns) {

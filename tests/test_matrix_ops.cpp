@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "tensor/matrix.hpp"
 #include "tensor/ops.hpp"
@@ -28,6 +29,22 @@ TEST(Matrix, RowViewWritesThrough) {
   auto row = m.row(1);
   row[0] = 5.0f;
   EXPECT_EQ(m(1, 0), 5.0f);
+}
+
+TEST(Matrix, UnaddressableShapeThrows) {
+  // 2^62 x 16 wraps to 0 elements in size_t: a wrapped buffer would let
+  // row(r) reach far past the allocation. 2^62 x 1 does not wrap but is
+  // still larger than any float buffer can be.
+  constexpr std::size_t kRows = std::size_t{1} << 62;
+  EXPECT_THROW(Matrix(kRows, 16), Error);
+  EXPECT_THROW(Matrix(kRows, 1), Error);
+  EXPECT_NO_THROW(Matrix(kRows, 0));
+
+  Matrix m(2, 3, 1.0f);
+  EXPECT_THROW(m.resize(kRows, 16), Error);
+  EXPECT_EQ(m.rows(), 2u);  // a failed resize leaves the matrix as it was
+  EXPECT_EQ(m.cols(), 3u);
+  EXPECT_EQ(m.size(), 6u);
 }
 
 TEST(Matrix, RandnMoments) {

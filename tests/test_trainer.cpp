@@ -6,7 +6,11 @@
 
 #include "common/error.hpp"
 #include <cmath>
+#include <exception>
+#include <thread>
+#include <vector>
 
+#include "common/net.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 
@@ -231,6 +235,70 @@ TEST(Trainer, UncompressedBackwardOption) {
   // Backward stayed raw: CR ~ 1.
   EXPECT_NEAR(result.backward_cr(), 1.0, 0.05);
   EXPECT_GT(result.forward_cr(), 1.2);
+}
+
+TEST(Trainer, TcpBackendMatchesSimBitwise) {
+  // World 4 as rank threads over a localhost TCP mesh, rank 0 inheriting
+  // a pre-bound ephemeral listener like the multi-process launcher's
+  // children do. Each TCP rank draws only the tables it owns; the others
+  // start at zero, so the eval every 2 iterations reads peer tables that
+  // only the eval sync has filled in.
+  const DatasetSpec spec = proxy_spec();
+  const SyntheticClickDataset data(spec, 15);
+  TrainerConfig config = base_config();
+  config.world = 4;
+  config.iterations = 6;
+  config.eval_every = 2;
+  config.compression.codec = "hybrid";
+  config.compression.global_eb = 0.01;
+  config.overlap.pipeline_stages = 2;
+  const TrainingResult sim = HybridParallelTrainer(config).train(data);
+
+  config.transport.backend = "tcp";
+  const int listen_fd = net::tcp_listen("127.0.0.1", 0, config.world);
+  config.transport.port = net::bound_port(listen_fd);
+  std::vector<TrainingResult> results(static_cast<std::size_t>(config.world));
+  std::vector<std::exception_ptr> errors(results.size());
+  std::vector<std::thread> ranks;
+  for (int r = 0; r < config.world; ++r) {
+    ranks.emplace_back([&, r] {
+      TrainerConfig mine = config;
+      mine.transport.rank = r;
+      mine.transport.inherited_listen_fd = r == 0 ? listen_fd : -1;
+      try {
+        results[static_cast<std::size_t>(r)] =
+            HybridParallelTrainer(mine).train(data);
+      } catch (...) {
+        errors[static_cast<std::size_t>(r)] = std::current_exception();
+      }
+    });
+  }
+  for (std::thread& t : ranks) t.join();
+  for (const std::exception_ptr& error : errors) {
+    if (error) std::rethrow_exception(error);
+  }
+
+  const TrainingResult& tcp = results[0];
+  ASSERT_EQ(tcp.history.size(), sim.history.size());
+  std::size_t evals = 0;
+  for (std::size_t i = 0; i < sim.history.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const IterationRecord& a = sim.history[i];
+    const IterationRecord& b = tcp.history[i];
+    EXPECT_EQ(b.iter, a.iter);
+    EXPECT_EQ(b.train_loss, a.train_loss);
+    EXPECT_EQ(b.train_accuracy, a.train_accuracy);
+    EXPECT_EQ(b.eval_accuracy, a.eval_accuracy);
+    EXPECT_EQ(b.forward_cr, a.forward_cr);
+    EXPECT_EQ(b.eb_scale, a.eb_scale);
+    if (a.eval_accuracy >= 0.0) ++evals;
+  }
+  EXPECT_EQ(evals, 3u);  // after iterations 1, 3 and 5
+  EXPECT_EQ(tcp.final_eval.loss, sim.final_eval.loss);
+  EXPECT_EQ(tcp.final_eval.accuracy, sim.final_eval.accuracy);
+  EXPECT_EQ(tcp.wire_crc32, sim.wire_crc32);
+  EXPECT_NE(sim.wire_crc32, 0u);
+  EXPECT_EQ(tcp.makespan_seconds, sim.makespan_seconds);
 }
 
 }  // namespace
