@@ -44,7 +44,6 @@ struct AccuracyRunConfig {
   std::vector<double> table_eb;
   double global_eb = 0.02;
   SchedulerConfig scheduler{.func = DecayFunc::kNone};
-  bool compress_backward = true;
   double backward_relative_eb = 0.01;
 
   std::size_t iterations = 400;
@@ -94,18 +93,16 @@ inline AccuracyRun run_accuracy_experiment(const DatasetSpec& spec,
       raw_bytes += stats.input_bytes;
       wire_bytes += stats.output_bytes;
     };
-    if (config.compress_backward) {
-      grad_hook = [&](std::size_t t, Matrix& grads) {
-        (void)t;
-        CompressParams params;
-        params.error_bound = config.backward_relative_eb;
-        params.eb_mode = EbMode::kRangeRelative;
-        params.vector_dim = spec.embedding_dim;
-        std::vector<std::byte> stream;
-        codec->compress(grads.flat(), params, stream);
-        codec->decompress(stream, grads.flat());
-      };
-    }
+    grad_hook = [&](std::size_t t, Matrix& grads) {
+      (void)t;
+      CompressParams params;
+      params.error_bound = config.backward_relative_eb;
+      params.eb_mode = EbMode::kRangeRelative;
+      params.vector_dim = spec.embedding_dim;
+      std::vector<std::byte> stream;
+      codec->compress(grads.flat(), params, stream);
+      codec->decompress(stream, grads.flat());
+    };
   }
 
   for (std::size_t i = 0; i < config.iterations; ++i) {

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <exception>
 #include <filesystem>
 #include <limits>
 #include <utility>
@@ -141,27 +140,17 @@ void apply_mlp(const std::vector<std::vector<float>>& stored, Mlp& mlp,
 }
 
 /// Runs `body(t)` for every table, on the pool when one is available.
-/// Exceptions from the body are captured and rethrown on the caller
-/// thread (pool tasks themselves must not throw).
+/// An exception from the body reaches the caller; on the pool it is the
+/// lowest-indexed failing table's (ThreadPool::parallel_for's rule).
 void for_each_table(ThreadPool* pool, std::size_t count,
                     const std::function<void(std::size_t)>& body) {
   if (pool == nullptr || count <= 1) {
     for (std::size_t t = 0; t < count; ++t) body(t);
     return;
   }
-  std::vector<std::exception_ptr> errors(count);
   pool->parallel_for(0, count, 1, [&](std::size_t begin, std::size_t end) {
-    for (std::size_t t = begin; t < end; ++t) {
-      try {
-        body(t);
-      } catch (...) {
-        errors[t] = std::current_exception();
-      }
-    }
+    for (std::size_t t = begin; t < end; ++t) body(t);
   });
-  for (const auto& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
 }
 
 /// Emits the file header plus the meta and MLP sections shared by full

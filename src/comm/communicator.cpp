@@ -17,10 +17,6 @@ CommStats& CommStats::operator+=(const CommStats& other) noexcept {
   alltoall_wire_bytes += other.alltoall_wire_bytes;
   allreduce_count += other.allreduce_count;
   allreduce_wire_bytes += other.allreduce_wire_bytes;
-  allgather_count += other.allgather_count;
-  allgather_wire_bytes += other.allgather_wire_bytes;
-  broadcast_count += other.broadcast_count;
-  broadcast_wire_bytes += other.broadcast_wire_bytes;
   barrier_count += other.barrier_count;
   return *this;
 }
@@ -33,12 +29,6 @@ void publish_comm_metrics(MetricsRegistry& registry, const CommStats& stats,
   registry.counter("dlcomp_comm_allreduce_total").add(stats.allreduce_count);
   registry.counter("dlcomp_comm_allreduce_wire_bytes_total")
       .add(stats.allreduce_wire_bytes);
-  registry.counter("dlcomp_comm_allgather_total").add(stats.allgather_count);
-  registry.counter("dlcomp_comm_allgather_wire_bytes_total")
-      .add(stats.allgather_wire_bytes);
-  registry.counter("dlcomp_comm_broadcast_total").add(stats.broadcast_count);
-  registry.counter("dlcomp_comm_broadcast_wire_bytes_total")
-      .add(stats.broadcast_wire_bytes);
   registry.counter("dlcomp_comm_barrier_total").add(stats.barrier_count);
   registry.counter("dlcomp_comm_wire_bytes_sent_total").add(wire_bytes_sent);
 }
@@ -172,43 +162,6 @@ double Communicator::exchange_with_clock(
     }
   }
   return latest;
-}
-
-void Communicator::all_to_all(std::span<const float> send, std::span<float> recv,
-                              std::size_t count_per_rank, std::string_view phase) {
-  const auto world = static_cast<std::size_t>(transport_.world());
-  DLCOMP_CHECK_MSG(send.size() == world * count_per_rank,
-                   "all_to_all send size " << send.size() << " != world*count "
-                                           << world * count_per_rank);
-  DLCOMP_CHECK(recv.size() == send.size());
-
-  const PhaseNames& names = interned_phase(phase);
-  const std::size_t block_bytes = count_per_rank * sizeof(float);
-
-  const auto send_bytes = std::as_bytes(send);
-  std::vector<std::span<const std::byte>> spans(world);
-  for (std::size_t d = 0; d < world; ++d) {
-    spans[d] = send_bytes.subspan(d * block_bytes, block_bytes);
-  }
-
-  std::vector<std::uint64_t> meta_out;
-  std::vector<std::vector<std::byte>> recv_out;
-  const double latest = exchange_with_clock({}, spans, meta_out, recv_out);
-  for (std::size_t src = 0; src < world; ++src) {
-    DLCOMP_CHECK_MSG(recv_out[src].size() == block_bytes,
-                     "all_to_all block size mismatch across ranks");
-    std::memcpy(recv.data() + src * count_per_rank, recv_out[src].data(),
-                block_bytes);
-  }
-
-  const std::size_t wire_bytes = (world - 1) * block_bytes;
-  wire_bytes_ += wire_bytes;
-  ++stats_.alltoall_count;
-  stats_.alltoall_wire_bytes += wire_bytes;
-
-  clock_.sync_to(names.wait, latest);
-  clock_.advance(names.base,
-                 net_.alltoall_seconds(wire_bytes, transport_.world()));
 }
 
 std::vector<std::vector<std::byte>> Communicator::all_to_all_v(
@@ -345,92 +298,6 @@ PendingCollective Communicator::all_reduce_sum_async(std::span<float> data,
   pending.segment_count_ = 1;
   pending.waited_ = false;
   return pending;
-}
-
-std::vector<std::uint64_t> Communicator::all_gather_u64(std::uint64_t value,
-                                                        std::string_view phase) {
-  const auto world = static_cast<std::size_t>(transport_.world());
-  const PhaseNames& names = interned_phase(phase);
-
-  std::vector<std::span<const std::byte>> spans(world);  // no payload
-  std::vector<std::uint64_t> out;
-  std::vector<std::vector<std::byte>> recv_out;
-  const double latest =
-      exchange_with_clock(std::span(&value, 1), spans, out, recv_out);
-
-  wire_bytes_ += sizeof(std::uint64_t) * (world - 1);
-  ++stats_.allgather_count;
-  stats_.allgather_wire_bytes += sizeof(std::uint64_t) * (world - 1);
-
-  clock_.sync_to(names.wait, latest);
-  clock_.advance(names.base, net_.allgather_seconds(sizeof(std::uint64_t),
-                                                    transport_.world()));
-  return out;
-}
-
-void Communicator::all_gather(std::span<const float> send, std::span<float> recv,
-                              std::string_view phase) {
-  const auto world = static_cast<std::size_t>(transport_.world());
-  DLCOMP_CHECK(recv.size() == send.size() * world);
-  const PhaseNames& names = interned_phase(phase);
-
-  const std::uint64_t count = send.size();
-  std::vector<std::span<const std::byte>> spans(world, std::as_bytes(send));
-
-  std::vector<std::uint64_t> meta_out;
-  std::vector<std::vector<std::byte>> recv_out;
-  const double latest =
-      exchange_with_clock(std::span(&count, 1), spans, meta_out, recv_out);
-
-  const std::size_t bytes = send.size() * sizeof(float);
-  for (std::size_t src = 0; src < world; ++src) {
-    DLCOMP_CHECK(meta_out[src] == count);
-    std::memcpy(recv.data() + src * send.size(), recv_out[src].data(), bytes);
-  }
-
-  wire_bytes_ += bytes * (world - 1);
-  ++stats_.allgather_count;
-  stats_.allgather_wire_bytes += bytes * (world - 1);
-
-  clock_.sync_to(names.wait, latest);
-  clock_.advance(names.base,
-                 net_.allgather_seconds(bytes, transport_.world()));
-}
-
-void Communicator::broadcast(std::span<float> data, int root, std::string_view phase) {
-  const auto world = static_cast<std::size_t>(transport_.world());
-  DLCOMP_CHECK(root >= 0 && root < transport_.world());
-  const PhaseNames& names = interned_phase(phase);
-
-  const std::uint64_t count = data.size();
-  const std::size_t bytes = data.size() * sizeof(float);
-  std::vector<std::span<const std::byte>> spans(world);
-  if (rank() == root) {
-    const auto payload = std::as_bytes(std::span<const float>(data));
-    std::fill(spans.begin(), spans.end(), payload);
-  }
-
-  std::vector<std::uint64_t> meta_out;
-  std::vector<std::vector<std::byte>> recv_out;
-  const double latest =
-      exchange_with_clock(std::span(&count, 1), spans, meta_out, recv_out);
-
-  for (std::size_t r = 0; r < world; ++r) {
-    DLCOMP_CHECK(meta_out[r] == count);
-  }
-  if (rank() != root) {
-    const auto& payload = recv_out[static_cast<std::size_t>(root)];
-    DLCOMP_CHECK(payload.size() == bytes);
-    std::memcpy(data.data(), payload.data(), bytes);
-  }
-
-  if (rank() == root) wire_bytes_ += bytes;
-  ++stats_.broadcast_count;
-  if (rank() == root) stats_.broadcast_wire_bytes += bytes;
-
-  clock_.sync_to(names.wait, latest);
-  clock_.advance(names.base,
-                 net_.broadcast_seconds(bytes, transport_.world()));
 }
 
 Cluster::Cluster(int world_size, NetworkModel model)

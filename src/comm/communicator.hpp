@@ -7,8 +7,13 @@
 /// while the *mechanics* of moving bytes live behind the Transport
 /// interface: SimTransport (ranks are threads, payload is a memcpy
 /// through shared slots) or TcpTransport (ranks are processes, payload
-/// is framed messages over localhost sockets). Every collective reduces
-/// to one Transport::exchange carrying a control block of
+/// is framed messages over localhost sockets).
+///
+/// It offers what a hybrid-parallel DLRM iteration needs and nothing
+/// more: all_to_all_v for the embedding lookups and their gradients,
+/// all_reduce_sum for the MLP gradients, and barrier around eval and
+/// checkpoints. The two data collectives each reduce to one
+/// Transport::exchange carrying a control block of
 /// {clock snapshot, payload sizes}; because ranks are quiescent between
 /// a collective's rendezvous points, reconstructing the slowest-arrival
 /// time and the bottleneck wire volume from those snapshots is bitwise
@@ -52,10 +57,6 @@ struct CommStats {
   std::uint64_t alltoall_wire_bytes = 0;
   std::uint64_t allreduce_count = 0;
   std::uint64_t allreduce_wire_bytes = 0;
-  std::uint64_t allgather_count = 0;
-  std::uint64_t allgather_wire_bytes = 0;
-  std::uint64_t broadcast_count = 0;
-  std::uint64_t broadcast_wire_bytes = 0;
   std::uint64_t barrier_count = 0;
 
   CommStats& operator+=(const CommStats& other) noexcept;
@@ -184,7 +185,6 @@ class Communicator {
 
   [[nodiscard]] int rank() const noexcept { return transport_.rank(); }
   [[nodiscard]] int world() const noexcept { return transport_.world(); }
-  [[nodiscard]] const NetworkModel& network() const noexcept { return net_; }
 
   /// The transport endpoint underneath (for backend-specific queries:
   /// shared_memory(), real traffic stats).
@@ -209,12 +209,6 @@ class Communicator {
 
   /// Barrier across all ranks (no simulated time charged).
   void barrier();
-
-  /// Fixed-size all-to-all: `send` holds world() blocks of
-  /// `count_per_rank` floats (block d goes to rank d); `recv` receives
-  /// world() blocks (block s came from rank s). Sizes must match exactly.
-  void all_to_all(std::span<const float> send, std::span<float> recv,
-                  std::size_t count_per_rank, std::string_view phase);
 
   /// Variable-size all-to-all over byte chunks: send[d] goes to rank d;
   /// result[s] is the chunk rank s sent here. This models the paper's
@@ -242,18 +236,6 @@ class Communicator {
   /// before waiting.
   [[nodiscard]] PendingCollective all_reduce_sum_async(std::span<float> data,
                                                        std::string_view phase);
-
-  /// Gathers one u64 from every rank (index = source rank).
-  [[nodiscard]] std::vector<std::uint64_t> all_gather_u64(std::uint64_t value,
-                                                          std::string_view phase);
-
-  /// Gathers a fixed-size float block from every rank into recv
-  /// (world() * count floats, ordered by source rank).
-  void all_gather(std::span<const float> send, std::span<float> recv,
-                  std::string_view phase);
-
-  /// Broadcast from `root` into `data` (all ranks pass same-sized spans).
-  void broadcast(std::span<float> data, int root, std::string_view phase);
 
  private:
   /// One Transport::exchange with the standard control block

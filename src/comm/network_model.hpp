@@ -30,12 +30,6 @@ struct NetworkModel {
   /// the node), far faster than the cross-node all-to-all path.
   double allreduce_bandwidth_bytes_per_second = 100e9;
 
-  /// Point-to-point message time.
-  [[nodiscard]] double p2p_seconds(std::size_t bytes) const noexcept {
-    return latency_seconds +
-           static_cast<double>(bytes) / bandwidth_bytes_per_second;
-  }
-
   /// All-to-all completion time given the largest per-rank wire volume
   /// (max over ranks of max(bytes sent to peers, bytes received from
   /// peers); the self-chunk never crosses the wire).
@@ -55,25 +49,6 @@ struct NetworkModel {
     return 2.0 * latency_seconds +
            chunk_factor * static_cast<double>(bytes) /
                allreduce_bandwidth_bytes_per_second;
-  }
-
-  /// Ring all-gather completion time where each rank contributes
-  /// `bytes_per_rank`.
-  [[nodiscard]] double allgather_seconds(std::size_t bytes_per_rank,
-                                         int world) const noexcept {
-    if (world <= 1) return 0.0;
-    return static_cast<double>(world - 1) *
-           (latency_seconds +
-            static_cast<double>(bytes_per_rank) / bandwidth_bytes_per_second);
-  }
-
-  /// Broadcast (binomial tree) completion time.
-  [[nodiscard]] double broadcast_seconds(std::size_t bytes,
-                                         int world) const noexcept {
-    if (world <= 1) return 0.0;
-    int hops = 0;
-    for (int span = 1; span < world; span *= 2) ++hops;
-    return static_cast<double>(hops) * p2p_seconds(bytes);
   }
 };
 

@@ -3,13 +3,13 @@
 /// \file transport.hpp
 /// Pluggable transport backend under the Communicator's collectives.
 ///
-/// Every collective the Communicator offers (all_to_all_v, all_reduce,
-/// all_gather, broadcast, barrier) reduces to one primitive: each rank
-/// contributes a small fixed-size *control block* plus one payload span
-/// per destination rank, and receives every rank's control block plus
-/// the payloads addressed to it. The Communicator packs its per-rank
-/// clock snapshot and payload-size vector into the control block, so it
-/// can reconstruct the full size matrix and the slowest-arrival time on
+/// The Communicator offers all_to_all_v, all_reduce_sum and barrier.
+/// Barrier is the transport's barrier(); the two data collectives reduce
+/// to one primitive: each rank contributes a small fixed-size *control
+/// block* plus one payload span per destination rank, and receives every
+/// rank's control block plus the payloads addressed to it. The
+/// Communicator packs its per-rank clock snapshot and payload-size
+/// vector into the control block, so it can reconstruct the full size matrix and the slowest-arrival time on
 /// every rank identically -- which is what makes SimClock charging (and
 /// therefore every simulated number) bitwise identical across backends.
 ///

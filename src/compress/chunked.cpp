@@ -120,21 +120,15 @@ BlockEngine::BlockEngine(const Compressor& codec, ThreadPool* pool,
     lanes_.push_back(std::make_unique<CompressionWorkspace>());
     ++grow_events_;
   }
-  lane_errors_.resize(lane_count);
 }
 
 template <typename Body>
 void BlockEngine::run_lanes(std::size_t count, const Body& body) {
   const std::size_t lane_count = lanes_.size();
-  std::fill(lane_errors_.begin(), lane_errors_.end(), std::exception_ptr());
   auto run_lane = [&](std::size_t l) {
     const std::size_t begin = count * l / lane_count;
     const std::size_t end = count * (l + 1) / lane_count;
-    try {
-      for (std::size_t i = begin; i < end; ++i) body(i, *lanes_[l]);
-    } catch (...) {
-      lane_errors_[l] = std::current_exception();
-    }
+    for (std::size_t i = begin; i < end; ++i) body(i, *lanes_[l]);
   };
   if (pool_ != nullptr && count > 1 && lane_count > 1) {
     pool_->parallel_for(0, lane_count, 1,
@@ -143,9 +137,6 @@ void BlockEngine::run_lanes(std::size_t count, const Body& body) {
                         });
   } else {
     for (std::size_t l = 0; l < lane_count; ++l) run_lane(l);
-  }
-  for (const auto& error : lane_errors_) {
-    if (error) std::rethrow_exception(error);
   }
 }
 

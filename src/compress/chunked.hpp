@@ -17,7 +17,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <exception>
 #include <memory>
 #include <span>
 #include <vector>
@@ -154,7 +153,8 @@ class BlockEngine {
 
   /// Runs body(task_index) for every index in [0, count) partitioned
   /// contiguously across the fixed lanes; body receives the lane's
-  /// workspace. Captures exceptions per lane, rethrows the lowest.
+  /// workspace. A throwing lane ends the call with the lowest failing
+  /// lane's exception (one lane per pool block).
   template <typename Body>
   void run_lanes(std::size_t count, const Body& body);
 
@@ -177,7 +177,6 @@ class BlockEngine {
   std::vector<std::span<float>> pending_recon_;
   std::vector<std::byte> staging_;
   std::size_t staging_cursor_ = 0;
-  std::vector<std::exception_ptr> lane_errors_;
 
   std::uint64_t grow_events_ = 0;
   std::uint64_t blocks_compressed_ = 0;

@@ -263,7 +263,9 @@ void CompressedAllToAll::land_group(
             dir.payload.subspan(dir.offsets[i - lo], dir.sizes[i - lo]);
         auto out = recv[s][i];
         DLCOMP_CHECK_MSG(stream.size() == out.size() * sizeof(float),
-                         "raw chunk size mismatch");
+                         "raw chunk " << i << " from rank " << s << ": received "
+                                      << stream.size() << " bytes, expected "
+                                      << out.size() * sizeof(float));
         std::memcpy(out.data(), stream.data(), stream.size());
       }
     };

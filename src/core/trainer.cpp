@@ -480,25 +480,6 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
         std::max<std::size_t>(1, config_.overlap.pipeline_stages);
     const CompressedAllToAll a2a(a2a_config);
 
-    // Raw-gradient exchange for compress_backward=false, hoisted next to
-    // the forward instance: constructing it inside the iteration loop
-    // reallocated its send buffers and per-peer workspaces every
-    // iteration, defeating the zero-allocation steady state.
-    std::unique_ptr<const CompressedAllToAll> raw_a2a;
-    if (codec != nullptr && !config_.compression.compress_backward) {
-      CompressedAllToAllConfig raw_config = a2a_config;
-      raw_config.codec = nullptr;
-      raw_config.throughput.reset();
-      // A raw exchange charges no codec time, so pipelining it has
-      // nothing to hide and would only add per-group metadata/alpha cost.
-      raw_config.pipeline_stages = 1;
-      raw_a2a = std::make_unique<const CompressedAllToAll>(raw_config);
-    }
-    const CompressedAllToAll& bwd_a2a = raw_a2a ? *raw_a2a : a2a;
-    const auto grow_events_total = [&] {
-      return a2a.workspace_grow_events() +
-             (raw_a2a ? raw_a2a->workspace_grow_events() : 0);
-    };
     std::uint64_t grow_baseline = 0;
 
     // This rank's contributions to the run-level result (folded on rank 0
@@ -666,7 +647,7 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
       // identical inputs either way.
       const auto run_bwd_exchange = [&] {
         const A2AStats bwd_stats =
-            bwd_a2a.exchange(comm, send_bwd, recv_bwd, phases::kAllToAllBwd);
+            a2a.exchange(comm, send_bwd, recv_bwd, phases::kAllToAllBwd);
         bwd_raw += bwd_stats.send_raw_bytes;
         bwd_wire += bwd_stats.send_wire_bytes;
         crc_fold(bwd_stats.wire_crc32);
@@ -713,7 +694,7 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
       // Steady-state allocation accounting: the first two iterations are
       // warm-up (buffers and workspaces reach their high-water marks);
       // growth after that is a regression the tests assert against.
-      if (iter < start_iter + 2) grow_baseline = grow_events_total();
+      if (iter < start_iter + 2) grow_baseline = a2a.workspace_grow_events();
 
       if (rank == 0) iter_wall_hist.observe(iter_timer.seconds());
 
@@ -800,13 +781,13 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
     mine.fwd_wire = fwd_wire;
     mine.bwd_raw = bwd_raw;
     mine.bwd_wire = bwd_wire;
-    mine.steady_grow = grow_events_total() - grow_baseline;
+    mine.steady_grow = a2a.workspace_grow_events() - grow_baseline;
     mine.wire_crc = crc32_final(rank_crc);
     mine.wire_bytes_sent = comm.wire_bytes_sent();
     mine.comm = comm.comm_stats();
     mine.clock_now = comm.clock().now();
     merge_tags(mine.fwd_tags, a2a.per_tag_bytes(), 0);
-    merge_tags(mine.bwd_tags, bwd_a2a.per_tag_bytes(), num_tables);
+    merge_tags(mine.bwd_tags, a2a.per_tag_bytes(), num_tables);
     mine.breakdown = comm.clock().breakdown();
     mine.hidden = comm.clock().hidden_breakdown();
 
@@ -917,14 +898,6 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
            static_cast<double>(result.comm_stats.allreduce_count));
   snap.set("comm/allreduce_wire_bytes_total",
            static_cast<double>(result.comm_stats.allreduce_wire_bytes));
-  snap.set("comm/allgather_total",
-           static_cast<double>(result.comm_stats.allgather_count));
-  snap.set("comm/allgather_wire_bytes_total",
-           static_cast<double>(result.comm_stats.allgather_wire_bytes));
-  snap.set("comm/broadcast_total",
-           static_cast<double>(result.comm_stats.broadcast_count));
-  snap.set("comm/broadcast_wire_bytes_total",
-           static_cast<double>(result.comm_stats.broadcast_wire_bytes));
   snap.set("comm/barrier_total",
            static_cast<double>(result.comm_stats.barrier_count));
   snap.set("comm/wire_bytes_sent_total",

@@ -52,9 +52,9 @@ struct CompressionPolicy {
   /// Iteration-wise decay of the forward error bounds.
   SchedulerConfig scheduler{.func = DecayFunc::kNone};
 
-  /// Compress the backward (gradient) all-to-all too. Gradient bounds are
-  /// range-relative (see DESIGN.md): eb = backward_relative_eb * range.
-  bool compress_backward = true;
+  /// Bound of the backward (gradient) all-to-all, which the codec always
+  /// compresses too. Gradient bounds are range-relative (see DESIGN.md):
+  /// eb = backward_relative_eb * range.
   double backward_relative_eb = 0.01;
 };
 
@@ -189,8 +189,7 @@ struct TrainingResult {
 
   /// Workspace/send-buffer (re)allocations in the all-to-all exchanges
   /// after the warm-up iterations, summed over ranks. Zero when
-  /// steady-state exchanges are allocation-free (asserted in tests for
-  /// both the compressed and the compress_backward=false paths).
+  /// steady-state exchanges are allocation-free (asserted in tests).
   std::uint64_t steady_state_grow_events = 0;
 
   std::uint64_t forward_raw_bytes = 0;

@@ -9,6 +9,7 @@
 #include <ostream>
 
 #include "common/error.hpp"
+#include "common/json.hpp"
 
 namespace dlcomp {
 
@@ -40,23 +41,6 @@ std::atomic<std::uint64_t> g_async_id{0};
   ev.name = name;
   ev.wall_ns = wall_now_ns();
   return ev;
-}
-
-void json_escape(std::ostream& out, std::string_view s) {
-  for (const char c : s) {
-    switch (c) {
-      case '"': out << "\\\""; break;
-      case '\\': out << "\\\\"; break;
-      case '\n': out << "\\n"; break;
-      case '\t': out << "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          out << ' ';
-        } else {
-          out << c;
-        }
-    }
-  }
 }
 
 }  // namespace
@@ -226,9 +210,7 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     emit([&] {
       out << "{\"name\":\"" << what << "\",\"ph\":\"M\",\"pid\":" << pid;
       if (thread_meta) out << ",\"tid\":" << tid;
-      out << ",\"args\":{\"name\":\"";
-      json_escape(out, value);
-      out << "\"}}";
+      out << ",\"args\":{\"name\":" << json_quote(value) << "}}";
     });
   };
 
@@ -273,9 +255,7 @@ void Tracer::write_chrome_trace(std::ostream& out) const {
     const int tid = static_cast<int>(t.thread_index);
     for (const TraceEvent& ev : t.events) {
       const auto name_field = [&] {
-        out << "{\"name\":\"";
-        json_escape(out, ev.name != nullptr ? ev.name : "?");
-        out << "\"";
+        out << "{\"name\":" << json_quote(ev.name != nullptr ? ev.name : "?");
       };
       switch (ev.kind) {
         case TraceEvent::Kind::kBegin:

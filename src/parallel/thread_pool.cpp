@@ -1,6 +1,7 @@
 #include "parallel/thread_pool.hpp"
 
 #include <algorithm>
+#include <exception>
 
 #include "common/error.hpp"
 
@@ -54,6 +55,9 @@ void ThreadPool::parallel_for(
   std::mutex done_mutex;
   std::condition_variable done_cv;
   std::size_t outstanding = 0;
+  // The failing block with the lowest start; blocks start in index order.
+  std::exception_ptr error;
+  std::size_t error_lo = end;
 
   for (std::size_t lo = begin; lo < end; lo += block) {
     const std::size_t hi = std::min(end, lo + block);
@@ -62,14 +66,24 @@ void ThreadPool::parallel_for(
       ++outstanding;
     }
     submit([&, lo, hi] {
-      body(lo, hi);
+      std::exception_ptr failure;
+      try {
+        body(lo, hi);
+      } catch (...) {
+        failure = std::current_exception();
+      }
       std::lock_guard lock(done_mutex);
+      if (failure && lo < error_lo) {
+        error = std::move(failure);
+        error_lo = lo;
+      }
       if (--outstanding == 0) done_cv.notify_all();
     });
   }
 
   std::unique_lock lock(done_mutex);
   done_cv.wait(lock, [&] { return outstanding == 0; });
+  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::worker_loop() {

@@ -41,6 +41,9 @@ class ThreadPool {
   /// Runs body(begin, end) over [begin, end) split into roughly
   /// thread_count()*4 blocks (but at least `grain` items each), blocking
   /// until all blocks complete. Safe to call concurrently with submit().
+  /// `body` may throw: the other blocks still run, and once all have
+  /// finished the exception of the lowest-indexed failing block is
+  /// rethrown on the calling thread (later ones are dropped).
   void parallel_for(std::size_t begin, std::size_t end, std::size_t grain,
                     const std::function<void(std::size_t, std::size_t)>& body);
 

@@ -18,7 +18,6 @@ TEST(NetworkModelTest, TimesScaleWithVolume) {
   EXPECT_EQ(net.alltoall_seconds(1 << 20, 1), 0.0);
   EXPECT_GT(net.allreduce_seconds(1 << 20, 8), 0.0);
   EXPECT_EQ(net.allreduce_seconds(1 << 20, 1), 0.0);
-  EXPECT_GT(net.broadcast_seconds(100, 8), net.broadcast_seconds(100, 2));
 }
 
 TEST(Cluster, BarrierCompletes) {
@@ -28,30 +27,6 @@ TEST(Cluster, BarrierCompletes) {
     arrived.fetch_add(1);
     comm.barrier();
     EXPECT_EQ(arrived.load(), 8);
-  });
-}
-
-TEST(Cluster, FixedAllToAllRoutesBlocks) {
-  const int world = 4;
-  const std::size_t count = 8;
-  Cluster cluster(world);
-  cluster.run([&](Communicator& comm) {
-    const int r = comm.rank();
-    std::vector<float> send(world * count);
-    // Block d carries value 100*r + d.
-    for (int d = 0; d < world; ++d) {
-      for (std::size_t i = 0; i < count; ++i) {
-        send[d * count + i] = static_cast<float>(100 * r + d);
-      }
-    }
-    std::vector<float> recv(world * count);
-    comm.all_to_all(send, recv, count, "test");
-    for (int s = 0; s < world; ++s) {
-      for (std::size_t i = 0; i < count; ++i) {
-        ASSERT_FLOAT_EQ(recv[s * count + i],
-                        static_cast<float>(100 * s + r));
-      }
-    }
   });
 }
 
@@ -93,43 +68,6 @@ TEST(Cluster, AllReduceSumsIdenticallyEverywhere) {
   });
 }
 
-TEST(Cluster, AllGatherU64) {
-  Cluster cluster(4);
-  cluster.run([&](Communicator& comm) {
-    const auto got = comm.all_gather_u64(
-        static_cast<std::uint64_t>(comm.rank() * comm.rank()), "test");
-    ASSERT_EQ(got.size(), 4u);
-    for (int s = 0; s < 4; ++s) {
-      ASSERT_EQ(got[static_cast<std::size_t>(s)],
-                static_cast<std::uint64_t>(s * s));
-    }
-  });
-}
-
-TEST(Cluster, AllGatherFloats) {
-  Cluster cluster(3);
-  cluster.run([&](Communicator& comm) {
-    std::vector<float> mine = {static_cast<float>(comm.rank()), 2.0f};
-    std::vector<float> all(6);
-    comm.all_gather(mine, all, "test");
-    for (int s = 0; s < 3; ++s) {
-      ASSERT_FLOAT_EQ(all[2 * s], static_cast<float>(s));
-      ASSERT_FLOAT_EQ(all[2 * s + 1], 2.0f);
-    }
-  });
-}
-
-TEST(Cluster, BroadcastFromNonzeroRoot) {
-  Cluster cluster(4);
-  cluster.run([&](Communicator& comm) {
-    std::vector<float> data(8, comm.rank() == 2 ? 3.25f : 0.0f);
-    comm.broadcast(data, 2, "test");
-    for (const float v : data) {
-      ASSERT_FLOAT_EQ(v, 3.25f);
-    }
-  });
-}
-
 TEST(Cluster, ExceptionInOneRankPropagatesWithoutDeadlock) {
   Cluster cluster(4);
   EXPECT_THROW(cluster.run([&](Communicator& comm) {
@@ -156,16 +94,17 @@ TEST(Cluster, ClocksAdvanceWithCollectives) {
 }
 
 TEST(Cluster, WireBytesAccounting) {
-  const std::size_t count = 100;
+  const std::size_t payload = 100 * sizeof(float);
   Cluster cluster(4);
   cluster.run([&](Communicator& comm) {
-    std::vector<float> send(4 * count, 1.0f);
-    std::vector<float> recv(4 * count);
-    comm.all_to_all(send, recv, count, "test");
+    const std::vector<std::vector<std::byte>> send(
+        4, std::vector<std::byte>(payload, std::byte{1}));
+    (void)comm.all_to_all_v(send, "test");
   });
   for (const auto bytes : cluster.wire_bytes_sent()) {
-    // 3 peers x count floats (self block does not cross the wire).
-    EXPECT_EQ(bytes, 3 * count * sizeof(float));
+    // 3 peers x payload plus 3 x 8 bytes of size metadata (the self
+    // chunk does not cross the wire).
+    EXPECT_EQ(bytes, 3 * payload + 3 * sizeof(std::uint64_t));
   }
 }
 

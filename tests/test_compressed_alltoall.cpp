@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -190,6 +191,39 @@ TEST(CompressedA2A, MismatchedChunkCountThrows) {
         (void)a2a.exchange(comm, send, recv, "bad");
       }),
       Error);
+}
+
+TEST(CompressedA2A, RawChunkSizeMismatchOnThePoolIsAnError) {
+  // Rank 0 sends 3-float chunks while both ranks expect 4. The size check
+  // runs inside a pool task; it must reach the caller as an Error naming
+  // the source rank, not terminate the process.
+  ThreadPool pool(2);
+  std::string message;
+  try {
+    Cluster cluster(2);
+    cluster.run([&](Communicator& comm) {
+      std::vector<float> data(comm.rank() == 0 ? 3 : 4, 0.5f);
+      std::vector<std::vector<A2AChunkSpec>> send(2);
+      for (auto& chunks : send) {
+        A2AChunkSpec spec;
+        spec.data = data;
+        chunks.push_back(spec);
+      }
+      std::vector<std::vector<float>> out(2, std::vector<float>(4));
+      std::vector<std::vector<std::span<float>>> recv(2);
+      for (int s = 0; s < 2; ++s) recv[s].emplace_back(out[s]);
+
+      CompressedAllToAllConfig config;  // raw
+      config.pool = &pool;
+      const CompressedAllToAll a2a(config);
+      (void)a2a.exchange(comm, send, recv, "mismatch");
+    });
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("from rank 0"), std::string::npos) << message;
+  EXPECT_NE(message.find("received 12 bytes, expected 16"), std::string::npos)
+      << message;
 }
 
 TEST(CompressedA2A, EmptyChunkListsSupported) {

@@ -103,19 +103,5 @@ TEST(NetworkModelDetail, AllReduceUsesFastFabric) {
   EXPECT_LT(ar, a2a);
 }
 
-TEST(NetworkModelDetail, BroadcastGrowsLogarithmically) {
-  NetworkModel net;
-  const double w2 = net.broadcast_seconds(1 << 20, 2);
-  const double w4 = net.broadcast_seconds(1 << 20, 4);
-  const double w8 = net.broadcast_seconds(1 << 20, 8);
-  EXPECT_NEAR(w4 / w2, 2.0, 1e-9);
-  EXPECT_NEAR(w8 / w2, 3.0, 1e-9);
-}
-
-TEST(NetworkModelDetail, P2PIncludesLatencyFloor) {
-  NetworkModel net;
-  EXPECT_GE(net.p2p_seconds(0), net.latency_seconds);
-}
-
 }  // namespace
 }  // namespace dlcomp

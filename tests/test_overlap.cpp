@@ -495,20 +495,5 @@ TEST(TrainerSteadyState, NoGrowEventsWithCompressedBackward) {
   EXPECT_EQ(result.steady_state_grow_events, 0u);
 }
 
-TEST(TrainerSteadyState, NoGrowEventsWithRawBackward) {
-  // Regression: the raw backward exchange used to be constructed inside
-  // the iteration loop, reallocating send buffers and workspaces every
-  // iteration.
-  const DatasetSpec spec = proxy_spec();
-  const SyntheticClickDataset data(spec, 20);
-  TrainerConfig config = base_config();
-  config.compression.codec = "huffman";
-  config.compression.compress_backward = false;
-  const TrainingResult result = HybridParallelTrainer(config).train(data);
-  EXPECT_EQ(result.steady_state_grow_events, 0u);
-  EXPECT_NEAR(result.backward_cr(), 1.0, 0.05);
-  EXPECT_GT(result.forward_cr(), 1.0);
-}
-
 }  // namespace
 }  // namespace dlcomp

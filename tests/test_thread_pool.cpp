@@ -3,9 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
+#include "common/error.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace dlcomp {
@@ -73,6 +77,39 @@ TEST(ThreadPool, ParallelSumMatchesSerial) {
       static_cast<long long>(values.size()) *
       static_cast<long long>(values.size() - 1) / 2;
   EXPECT_EQ(parallel_sum.load(), expect);
+}
+
+TEST(ThreadPool, ParallelForRethrowsTheLowestFailingBlock) {
+  ThreadPool pool(4);
+  // 16 items over 4 threads: one item per block. Block 11 fails at once,
+  // block 5 only after a pause, so the rethrow follows block order, not
+  // the order in which failures happened.
+  std::vector<std::atomic<int>> ran(16);
+  std::string message;
+  try {
+    pool.parallel_for(0, ran.size(), 1, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        ran[i].fetch_add(1);
+        if (i == 5) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+          throw Error("block 5 failed");
+        }
+        if (i == 11) throw Error("block 11 failed");
+      }
+    });
+  } catch (const Error& e) {
+    message = e.what();
+  }
+  EXPECT_NE(message.find("block 5 failed"), std::string::npos) << message;
+  for (const auto& r : ran) {
+    EXPECT_EQ(r.load(), 1);
+  }
+  // The pool stays usable after a failed call.
+  std::atomic<int> after{0};
+  pool.parallel_for(0, 8, 1, [&](std::size_t lo, std::size_t hi) {
+    after.fetch_add(static_cast<int>(hi - lo));
+  });
+  EXPECT_EQ(after.load(), 8);
 }
 
 TEST(ThreadPool, DefaultThreadCountPositive) {

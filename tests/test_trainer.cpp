@@ -224,19 +224,6 @@ TEST(Trainer, InvalidBatchSplitThrows) {
   EXPECT_THROW((void)trainer.train(data), Error);
 }
 
-TEST(Trainer, UncompressedBackwardOption) {
-  const DatasetSpec spec = proxy_spec();
-  const SyntheticClickDataset data(spec, 14);
-  TrainerConfig config = base_config();
-  config.iterations = 10;
-  config.compression.codec = "huffman";
-  config.compression.compress_backward = false;
-  const TrainingResult result = HybridParallelTrainer(config).train(data);
-  // Backward stayed raw: CR ~ 1.
-  EXPECT_NEAR(result.backward_cr(), 1.0, 0.05);
-  EXPECT_GT(result.forward_cr(), 1.2);
-}
-
 TEST(Trainer, TcpBackendMatchesSimBitwise) {
   // World 4 as rank threads over a localhost TCP mesh, rank 0 inheriting
   // a pre-bound ephemeral listener like the multi-process launcher's
