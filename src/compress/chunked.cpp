@@ -1,7 +1,9 @@
 #include "compress/chunked.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstring>
+#include <limits>
 
 #include "common/byte_io.hpp"
 #include "common/error.hpp"
@@ -98,6 +100,20 @@ void for_each_block(std::span<const std::byte> stream, std::span<float> out,
     cursor += bytes;
     elem += count;
   }
+}
+
+/// Largest |data[i] - recon[i]|, with a non-finite difference counted as
+/// infinite: std::max would skip a NaN and let a NaN-decoding codec pass.
+double max_abs_difference(std::span<const float> data,
+                          std::span<const float> recon) {
+  float worst = 0.0f;
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    const float diff = std::fabs(data[i] - recon[i]);
+    if (!(diff <= worst)) {
+      worst = std::isnan(diff) ? std::numeric_limits<float>::infinity() : diff;
+    }
+  }
+  return static_cast<double>(worst);
 }
 
 }  // namespace
@@ -216,9 +232,10 @@ void BlockEngine::compress_run() {
     task.bytes = scratch.size();
     const std::span<float> recon = pending_recon_[task.slot];
     if (!recon.empty()) {
-      codec_.decompress(scratch, recon.subspan(task.elem_begin,
-                                               task.elem_count),
-                        ws);
+      const std::span<float> block =
+          recon.subspan(task.elem_begin, task.elem_count);
+      codec_.decompress(scratch, block, ws);
+      task.max_abs_error = max_abs_difference(data, block);
     }
   });
   blocks_compressed_ += tasks_.size();
@@ -238,6 +255,15 @@ std::size_t BlockEngine::stream_bytes(std::size_t slot_index) const {
   }
   if (!slot.blocked) return payload;
   return kBlockHeaderBytes + slot.task_count * sizeof(std::uint64_t) + payload;
+}
+
+double BlockEngine::max_abs_error(std::size_t slot_index) const {
+  const Slot& slot = slots_.at(slot_index);
+  double worst = 0.0;
+  for (std::size_t b = 0; b < slot.task_count; ++b) {
+    worst = std::max(worst, tasks_[slot.first_task + b].max_abs_error);
+  }
+  return worst;
 }
 
 void BlockEngine::append_stream(std::size_t slot_index,

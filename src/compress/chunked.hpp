@@ -79,7 +79,7 @@ class BlockEngine {
   /// Registers one tensor; returns its slot for append_stream(). When
   /// `recon` is non-empty (same length as `data`) each block is
   /// decompressed right after compressing, yielding the reader-visible
-  /// reconstruction without a second serial pass.
+  /// reconstruction and its max_abs_error() without a second serial pass.
   std::size_t add_tensor(std::span<const float> data,
                          const CompressParams& params,
                          std::span<float> recon = {});
@@ -95,6 +95,12 @@ class BlockEngine {
 
   /// Assembled size of slot's stream, directory included.
   [[nodiscard]] std::size_t stream_bytes(std::size_t slot) const;
+
+  /// Largest |data - recon| over slot's elements, measured in the lanes
+  /// when add_tensor() got a recon span (0 otherwise). A non-finite
+  /// difference counts as infinite, so a stream that decodes NaN never
+  /// passes an error-bound check.
+  [[nodiscard]] double max_abs_error(std::size_t slot) const;
 
   // ---- decompression batch ----------------------------------------
   void decompress_begin();
@@ -145,6 +151,7 @@ class BlockEngine {
     std::size_t elem_begin = 0;
     std::size_t elem_count = 0;
     std::size_t bytes = 0;  ///< actual stream size, filled by the lane
+    double max_abs_error = 0.0;  ///< filled by the lane when recon is set
   };
   struct DecompressTask {
     std::span<const std::byte> stream;

@@ -2,6 +2,7 @@
 
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/huffman_compressor.hpp"
@@ -53,13 +54,12 @@ CompressionStats HybridCompressor::compress(std::span<const float> input,
   if (choice == HybridChoice::kAuto && !input.empty()) {
     // No offline decision available: pick the smaller stream (the online
     // fallback), sharing one quantization pass between both candidates.
-    // The vector-LZ candidate is emitted for real (into the workspace's
-    // stream scratch -- the inner codecs only use its code/symbol/writer
-    // members, so handing them the same workspace is safe); the Huffman
-    // candidate's size is computed exactly from the histogram (payload
-    // bits = sum length x frequency, plus the canonical table), so it is
-    // only encoded when it actually wins. Stream bytes are identical to
-    // encoding both and comparing.
+    // Both sizes are exact without encoding either: vector-LZ's from one
+    // match scan (whose tokens the workspace keeps), Huffman's from the
+    // histogram (payload bits = sum length x frequency, plus the
+    // canonical table). Only the winner is written, so stream bytes are
+    // identical to encoding both and keeping the smaller (ties go to
+    // vector-LZ).
     const double eb = header.effective_error_bound;
     const auto codes = ws.codes(input.size());
     const std::uint64_t max_symbol =
@@ -67,10 +67,8 @@ CompressionStats HybridCompressor::compress(std::span<const float> input,
     const auto symbols = ws.symbols(input.size());
     kernels::codes_to_symbols(codes, symbols, &ws.histogram());
 
-    std::vector<std::byte>& lz_stream = ws.stream_a();
-    lz_stream.clear();
-    vector_lz_codec().compress_with_codes(input.size(), eb, params, codes,
-                                          max_symbol, lz_stream, ws);
+    const std::size_t lz_size =
+        vector_lz_codec().plan(codes, max_symbol, params, ws);
 
     HuffmanCodec& codec = ws.huffman();
     codec.build_from_histogram_in_place(ws.histogram());
@@ -78,11 +76,13 @@ CompressionStats HybridCompressor::compress(std::span<const float> input,
         StreamHeader::kBytes + codec.serialized_table_bytes() +
         (codec.build_payload_bits() + 7) / 8;
 
-    choice = lz_stream.size() <= huff_size ? HybridChoice::kVectorLz
-                                           : HybridChoice::kHuffman;
+    choice = lz_size <= huff_size ? HybridChoice::kVectorLz
+                                  : HybridChoice::kHuffman;
     out.push_back(static_cast<std::byte>(choice));
     if (choice == HybridChoice::kVectorLz) {
-      out.insert(out.end(), lz_stream.begin(), lz_stream.end());
+      const std::size_t lz_start = out.size();
+      vector_lz_codec().write_planned(codes, eb, max_symbol, params, out, ws);
+      DLCOMP_CHECK(out.size() - lz_start == lz_size);
     } else {
       huffman_codec().compress_with_symbols(input.size(), eb, params,
                                             symbols, ws.histogram(), out, ws,

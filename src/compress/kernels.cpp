@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstring>
 #include <limits>
 
 #include "common/bitstream.hpp"
@@ -17,15 +18,14 @@ namespace {
 using detail::round_code;
 using detail::round_code_checked;
 
-/// One up-front range check replacing the reference's per-element branch:
-/// scaled values are monotone in the input, so checking the input extrema
-/// covers every element (the exact products the loop will compute). NaNs
-/// hide from min/max, so a summing probe flags them separately (finite
-/// floats cannot overflow the double accumulator into inf/NaN; inputs
-/// containing inf fail the extrema check regardless) — the reference
-/// rejected NaN per element, and the checked cast in the main loop
-/// depends on that rejection.
-void check_code_range(std::span<const float> input, double inv, double eb) {
+/// Throws the overflow error for an input `codes_in_range` rejected. The
+/// message's extrema come from a serial pass (NaNs hide from std::min and
+/// std::max unless they lead the input), so it reads the same under every
+/// ISA tier; the summing probe re-derives the NaN condition (finite floats
+/// cannot overflow the double sum). Off the hot path: it only runs on the
+/// way to an exception.
+[[noreturn]] [[gnu::cold]] void throw_code_overflow(
+    std::span<const float> input, double inv, double eb) {
   float lo = input[0];
   float hi = input[0];
   double nan_probe = 0.0;
@@ -34,15 +34,23 @@ void check_code_range(std::span<const float> input, double inv, double eb) {
     hi = std::max(hi, v);
     nan_probe += static_cast<double>(v);
   }
-  constexpr double kMin =
-      static_cast<double>(std::numeric_limits<std::int32_t>::min());
-  constexpr double kMax =
-      static_cast<double>(std::numeric_limits<std::int32_t>::max());
-  DLCOMP_CHECK_MSG(!std::isnan(nan_probe) &&
-                       static_cast<double>(lo) * inv >= kMin &&
-                       static_cast<double>(hi) * inv <= kMax,
-                   "quantization code overflow: range [" << lo << ", " << hi
-                                                         << "] eb " << eb);
+  DLCOMP_CHECK_MSG(
+      !std::isnan(nan_probe) && detail::extrema_fit_codes(lo, hi, inv),
+      "quantization code overflow: range [" << lo << ", " << hi << "] eb "
+                                            << eb);
+  // codes_in_range and the condition above agree on every input; reaching
+  // here would mean they drifted apart.
+  throw Error("quantization range check disagrees with its error report");
+}
+
+/// The quantize loops' up-front range check: one per-ISA sweep (min/max
+/// plus an unordered-compare NaN mask) instead of the reference's
+/// per-element branch, so the loops themselves stay branch-free.
+void check_code_range(const detail::KernelOps& ops,
+                      std::span<const float> input, double inv, double eb) {
+  if (!ops.codes_in_range(input.data(), input.size(), inv)) [[unlikely]] {
+    throw_code_overflow(input, inv, eb);
+  }
 }
 
 void accumulate(std::span<const std::uint32_t> symbols,
@@ -55,6 +63,38 @@ void accumulate(std::span<const std::uint32_t> symbols,
 // Scalar inner loops (the dispatch baseline). These are the loops the CI
 // vectorization report check compiles standalone: keep them branch-free
 // so gcc's "loop vectorized" remark stays greppable.
+
+/// Maps float bits to an int32 whose signed order is the float order
+/// (negatives flip their magnitude bits); its own inverse. Integer
+/// min/max vectorizes where float compares that must honor NaN do not.
+inline std::int32_t float_order_key(std::int32_t bits) noexcept {
+  return bits ^ ((bits >> 31) & 0x7FFFFFFF);
+}
+
+inline float float_from_order_key(std::int32_t key) noexcept {
+  const std::int32_t bits = float_order_key(key);
+  float v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+/// codes_in_range over sign-ordered integer keys; NaNs are the bit
+/// patterns above +inf once the sign is cleared.
+bool scalar_codes_in_range(const float* in, std::size_t n, double inv) {
+  std::int32_t lo = std::numeric_limits<std::int32_t>::max();
+  std::int32_t hi = std::numeric_limits<std::int32_t>::min();
+  std::int32_t nan = 0;
+  for (std::size_t i = 0; i < n; ++i) {
+    std::int32_t bits;
+    std::memcpy(&bits, in + i, sizeof(bits));
+    const std::int32_t key = float_order_key(bits);
+    lo = std::min(lo, key);
+    hi = std::max(hi, key);
+    nan |= static_cast<std::int32_t>((bits & 0x7FFFFFFF) > 0x7F800000);
+  }
+  return nan == 0 && detail::extrema_fit_codes(float_from_order_key(lo),
+                                               float_from_order_key(hi), inv);
+}
 
 void scalar_quantize_symbols(const float* in, std::size_t n, double inv,
                              std::uint32_t* sym) {
@@ -242,6 +282,7 @@ namespace detail {
 
 const KernelOps& scalar_ops() noexcept {
   static constexpr KernelOps table = {
+      &scalar_codes_in_range,
       &scalar_quantize_symbols, &scalar_quantize_codes,
       &scalar_max_zigzag,       &scalar_zigzag,
       &scalar_dequantize_codes, &scalar_dequantize_symbols,
@@ -289,9 +330,9 @@ void quantize_to_symbols(std::span<const float> input, double eb,
     return;
   }
   const double inv = 1.0 / (2.0 * eb);
-  check_code_range(input, inv, eb);
-  active_ops().quantize_symbols(input.data(), input.size(), inv,
-                                symbols.data());
+  const detail::KernelOps& ops = active_ops();
+  check_code_range(ops, input, inv, eb);
+  ops.quantize_symbols(input.data(), input.size(), inv, symbols.data());
   if (hist != nullptr) accumulate(symbols, *hist);
 }
 
@@ -301,8 +342,8 @@ std::uint64_t quantize_to_codes(std::span<const float> input, double eb,
   DLCOMP_CHECK_MSG(eb > 0.0, "quantizer error bound must be positive");
   if (input.empty()) return 0;
   const double inv = 1.0 / (2.0 * eb);
-  check_code_range(input, inv, eb);
   const detail::KernelOps& ops = active_ops();
+  check_code_range(ops, input, inv, eb);
   ops.quantize_codes(input.data(), input.size(), inv, codes.data());
   return ops.max_zigzag(codes.data(), codes.size());
 }

@@ -12,8 +12,9 @@
 ///   dequantize_*          = straight-line reconstruction loops
 ///
 /// Design rules (see DESIGN.md "Codec hot path"):
-///  - the int32-range check is hoisted to one up-front min/max sweep, so
-///    the per-element loops are branch-free and auto-vectorizable at -O3
+///  - the int32-range check is hoisted to one up-front sweep per call, a
+///    per-ISA kernel (min/max plus an unordered-compare NaN mask), so the
+///    per-element loops are branch-free and auto-vectorizable at -O3
 ///    (build with -DDLCOMP_VEC_REPORT=ON to get the compiler's
 ///    vectorization report for these files);
 ///  - boundary handling (first row / first column / short tail row) is

@@ -13,8 +13,9 @@
 ///    t == -0.0, where both sides still produce code 0;
 ///  - `_mm256_cvttpd_epi32` truncates toward zero exactly like the
 ///    scalar double→int32 cast, valid because the quantize loops run
-///    after check_code_range and the Lorenzo path falls back to the
-///    shared clamped round_code whenever any lane leaves |t| < 2^31;
+///    only on input codes_in_range accepted and the Lorenzo path falls
+///    back to the shared clamped round_code whenever any lane leaves
+///    |t| < 2^31;
 ///  - float stores go through `_mm256_cvtpd_ps`, the same correctly-
 ///    rounded double→float narrowing as the scalar casts.
 
@@ -48,6 +49,46 @@ inline __m256d bias_half_away(__m256d t) noexcept {
   const __m256d sign = _mm256_set1_pd(-0.0);
   const __m256d half = _mm256_set1_pd(0.5);
   return _mm256_add_pd(t, _mm256_or_pd(_mm256_and_pd(t, sign), half));
+}
+
+/// min/max sweep plus an unordered-compare NaN mask, 8 lanes at a time.
+/// Lane minima of NaN-free data equal the serial minimum in value (only
+/// the sign of a zero may differ, which no product can tell apart), so
+/// the decision matches the scalar tier.
+bool avx2_codes_in_range(const float* in, std::size_t n, double inv) {
+  float lo = in[0];
+  float hi = in[0];
+  std::size_t i = 0;
+  int nan_mask = 0;
+  if (n >= 8) {
+    __m256 vlo = _mm256_loadu_ps(in);
+    __m256 vhi = vlo;
+    __m256 unordered = _mm256_cmp_ps(vlo, vlo, _CMP_UNORD_Q);
+    for (i = 8; i + 8 <= n; i += 8) {
+      const __m256 v = _mm256_loadu_ps(in + i);
+      vlo = _mm256_min_ps(vlo, v);
+      vhi = _mm256_max_ps(vhi, v);
+      unordered = _mm256_or_ps(unordered, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
+    }
+    nan_mask = _mm256_movemask_ps(unordered);
+    alignas(32) float lanes_lo[8];
+    alignas(32) float lanes_hi[8];
+    _mm256_store_ps(lanes_lo, vlo);
+    _mm256_store_ps(lanes_hi, vhi);
+    lo = lanes_lo[0];
+    hi = lanes_hi[0];
+    for (int l = 1; l < 8; ++l) {
+      lo = std::min(lo, lanes_lo[l]);
+      hi = std::max(hi, lanes_hi[l]);
+    }
+  }
+  for (; i < n; ++i) {
+    const float v = in[i];
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+    nan_mask |= static_cast<int>(v != v);
+  }
+  return nan_mask == 0 && extrema_fit_codes(lo, hi, inv);
 }
 
 void avx2_quantize_symbols(const float* in, std::size_t n, double inv,
@@ -396,6 +437,7 @@ void avx2_lorenzo_decode(const std::uint32_t* sym, std::size_t n,
 
 const KernelOps* avx2_ops() noexcept {
   static constexpr KernelOps table = {
+      &avx2_codes_in_range,
       &avx2_quantize_symbols, &avx2_quantize_codes,
       &avx2_max_zigzag,       &avx2_zigzag,
       &avx2_dequantize_codes, &avx2_dequantize_symbols,

@@ -58,6 +58,45 @@ inline __m512 dequantize16(__m512i c, __m512d vstep) noexcept {
   return _mm512_insertf32x8(_mm512_castps256_ps512(lo), hi, 1);
 }
 
+/// min/max sweep plus an unordered-compare NaN mask, 16 lanes at a time;
+/// see avx2_codes_in_range for why the lane order cannot change the
+/// decision.
+bool avx512_codes_in_range(const float* in, std::size_t n, double inv) {
+  float lo = in[0];
+  float hi = in[0];
+  std::size_t i = 0;
+  __mmask16 unordered = 0;
+  if (n >= 16) {
+    __m512 vlo = _mm512_loadu_ps(in);
+    __m512 vhi = vlo;
+    unordered = _mm512_cmp_ps_mask(vlo, vlo, _CMP_UNORD_Q);
+    for (i = 16; i + 16 <= n; i += 16) {
+      const __m512 v = _mm512_loadu_ps(in + i);
+      vlo = _mm512_min_ps(vlo, v);
+      vhi = _mm512_max_ps(vhi, v);
+      unordered |= _mm512_cmp_ps_mask(v, v, _CMP_UNORD_Q);
+    }
+    alignas(64) float lanes_lo[16];
+    alignas(64) float lanes_hi[16];
+    _mm512_store_ps(lanes_lo, vlo);
+    _mm512_store_ps(lanes_hi, vhi);
+    lo = lanes_lo[0];
+    hi = lanes_hi[0];
+    for (int l = 1; l < 16; ++l) {
+      lo = std::min(lo, lanes_lo[l]);
+      hi = std::max(hi, lanes_hi[l]);
+    }
+  }
+  bool nan = unordered != 0;
+  for (; i < n; ++i) {
+    const float v = in[i];
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+    nan |= v != v;
+  }
+  return !nan && extrema_fit_codes(lo, hi, inv);
+}
+
 void avx512_quantize_symbols(const float* in, std::size_t n, double inv,
                              std::uint32_t* sym) {
   const __m512d vinv = _mm512_set1_pd(inv);
@@ -157,6 +196,7 @@ void avx512_lorenzo_decode(const std::uint32_t* sym, std::size_t n,
 
 const KernelOps* avx512_ops() noexcept {
   static constexpr KernelOps table = {
+      &avx512_codes_in_range,
       &avx512_quantize_symbols, &avx512_quantize_codes,
       &avx512_max_zigzag,       &avx512_zigzag,
       &avx512_dequantize_codes, &avx512_dequantize_symbols,

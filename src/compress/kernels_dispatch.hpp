@@ -1,14 +1,15 @@
 #pragma once
 
 /// \file kernels_dispatch.hpp
-/// Internal contract between kernels.cpp (argument validation, range
-/// checks, histogram accumulation, dispatch) and the per-ISA loop
+/// Internal contract between kernels.cpp (argument validation, error
+/// reporting, histogram accumulation, dispatch) and the per-ISA loop
 /// implementations (kernels.cpp scalar, kernels_avx2.cpp,
 /// kernels_avx512.cpp). Each entry is a branch-free inner loop over
 /// pre-validated data: the public wrappers have already rejected empty /
 /// mismatched spans, checked eb > 0, and (for the quantize loops) proven
-/// every scaled value fits an int32 code, so implementations may use
-/// packed truncating conversions without per-element guards.
+/// through the tier's own `codes_in_range` that every scaled value fits
+/// an int32 code, so implementations may use packed truncating
+/// conversions without per-element guards.
 ///
 /// Byte-identity contract: every implementation must reproduce the
 /// scalar loops' per-element arithmetic exactly — double products and
@@ -21,6 +22,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 
 #include "compress/simd.hpp"
 
@@ -45,9 +47,25 @@ inline std::int32_t round_code_checked(double t) noexcept {
   return static_cast<std::int32_t>(t + (t >= 0.0 ? 0.5 : -0.5));
 }
 
+/// The quantize loops' precondition over the input extrema: scaled values
+/// are monotone in the input, so when lo * inv and hi * inv fit an int32
+/// code every element's product does. Shared by every `codes_in_range`
+/// so the tiers decide on the same double products.
+inline bool extrema_fit_codes(float lo, float hi, double inv) noexcept {
+  constexpr double kMin =
+      static_cast<double>(std::numeric_limits<std::int32_t>::min());
+  constexpr double kMax =
+      static_cast<double>(std::numeric_limits<std::int32_t>::max());
+  return static_cast<double>(lo) * inv >= kMin &&
+         static_cast<double>(hi) * inv <= kMax;
+}
+
 /// One ISA tier's inner loops. All pointers are non-null and n > 0
 /// unless stated; `inv` is 1/(2*eb), `step` is 2*eb.
 struct KernelOps {
+  /// True when no in[i] is NaN and the extrema pass extrema_fit_codes:
+  /// exactly the inputs the quantize loops below accept.
+  bool (*codes_in_range)(const float* in, std::size_t n, double inv);
   /// sym[i] = zigzag(round(in[i] * inv)); range pre-checked.
   void (*quantize_symbols)(const float* in, std::size_t n, double inv,
                            std::uint32_t* sym);

@@ -1,7 +1,6 @@
 #include "compress/paged.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstring>
 
 #include "common/error.hpp"
@@ -38,8 +37,8 @@ PagedRowStore::PagedRowStore(const Matrix& rows, const PagedStoreConfig& config)
   // Compressed paging: one BlockEngine batch over all pages (each page is
   // below the engine's block size, so streams are plain codec streams,
   // byte-identical to a serial Compressor::compress per page). The recon
-  // span makes the engine hand back the reader-visible reconstruction of
-  // each page during the same parallel pass, which is how the store knows
+  // span makes the engine decode each page and measure its error against
+  // the input during the same parallel pass, which is how the store knows
   // the at-rest error it will serve.
   BlockEngine engine(*codec_, config.pool);
   std::vector<float> recon(rows_ * dim_);
@@ -59,15 +58,8 @@ PagedRowStore::PagedRowStore(const Matrix& rows, const PagedStoreConfig& config)
     offsets_.push_back(buffer_.size());
     engine.append_stream(p, buffer_);
     sizes_.push_back(buffer_.size() - offsets_.back());
+    max_abs_error_ = std::max(max_abs_error_, engine.max_abs_error(p));
   }
-
-  const std::span<const float> flat = rows.flat();
-  double max_err = 0.0;
-  for (std::size_t i = 0; i < flat.size(); ++i) {
-    max_err = std::max(
-        max_err, static_cast<double>(std::fabs(flat[i] - recon[i])));
-  }
-  max_abs_error_ = max_err;
 }
 
 std::size_t PagedRowStore::page_rows(std::size_t p) const noexcept {

@@ -92,7 +92,8 @@ class PagedRowStore {
                                  static_cast<double>(buffer_.size());
   }
   /// Largest |original - reconstructed| across every stored element
-  /// (0 for raw stores).
+  /// (0 for raw stores; infinite when any difference is non-finite, e.g.
+  /// a page that decodes to NaN).
   [[nodiscard]] double max_abs_error() const noexcept {
     return max_abs_error_;
   }

@@ -1,7 +1,8 @@
 #include "compress/quantizer.hpp"
 
 #include <cstring>
-#include <unordered_map>
+#include <limits>
+#include <vector>
 
 #include "common/error.hpp"
 #include "compress/kernels.hpp"
@@ -38,25 +39,35 @@ namespace detail {
 std::size_t count_unique_rows_bytes(const void* data, std::size_t row_bytes,
                                     std::size_t rows, RowHashFn hash) {
   const auto* base = static_cast<const unsigned char*>(data);
-  // Hash -> indices of distinct rows that hashed there. A hash hit alone
-  // is not equality: verify bytes, otherwise colliding uniques would be
-  // silently undercounted and skew the homogeneity analysis.
-  std::unordered_map<std::uint64_t, std::vector<std::size_t>> buckets;
-  buckets.reserve(rows * 2);
+  // One flat open-addressing table (linear probing, load <= 0.5) holding
+  // the hash and index of each distinct row seen. A hash hit alone is not
+  // equality: verify bytes, otherwise colliding uniques would be silently
+  // undercounted and skew the homogeneity analysis.
+  constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
+  struct Slot {
+    std::uint64_t hash = 0;
+    std::size_t row = kEmpty;
+  };
+  std::size_t capacity = 16;
+  while (capacity < rows * 2) capacity *= 2;
+  const std::size_t mask = capacity - 1;
+  std::vector<Slot> slots(capacity);
   std::size_t unique = 0;
   for (std::size_t r = 0; r < rows; ++r) {
     const unsigned char* row = base + r * row_bytes;
-    auto& bucket = buckets[hash(row, row_bytes)];
-    bool duplicate = false;
-    for (const std::size_t prior : bucket) {
-      if (std::memcmp(row, base + prior * row_bytes, row_bytes) == 0) {
-        duplicate = true;
+    const std::uint64_t h = hash(row, row_bytes);
+    std::size_t at = static_cast<std::size_t>(h) & mask;
+    for (;; at = (at + 1) & mask) {
+      Slot& slot = slots[at];
+      if (slot.row == kEmpty) {
+        slot = {h, r};
+        ++unique;
         break;
       }
-    }
-    if (!duplicate) {
-      bucket.push_back(r);
-      ++unique;
+      if (slot.hash == h &&
+          std::memcmp(row, base + slot.row * row_bytes, row_bytes) == 0) {
+        break;  // duplicate of a row already counted
+      }
     }
   }
   return unique;

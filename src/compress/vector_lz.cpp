@@ -27,11 +27,12 @@ bool codes_equal(const std::int32_t* a, const std::int32_t* b,
   return std::memcmp(a, b, dim * sizeof(std::int32_t)) == 0;
 }
 
-/// Walks the vector sequence finding matches; calls on_match(distance) or
-/// on_literal(vector_index) per vector. Shared by the encoder and the
-/// match-statistics helper. The match table replaces the old per-call
-/// unordered_map (hash -> most recent position) with identical lookup
-/// semantics, so emitted token sequences are unchanged.
+/// Walks the vector sequence finding matches; calls
+/// on_match(vector_index, distance) or on_literal(vector_index) per
+/// vector. Shared by the encoder and the match-statistics helper. The
+/// match table replaces the old per-call unordered_map (hash -> most
+/// recent position) with identical lookup semantics, so emitted token
+/// sequences are unchanged.
 template <typename OnMatch, typename OnLiteral>
 void scan_vectors(std::span<const std::int32_t> codes, std::size_t dim,
                   std::size_t window_vectors, CompressionWorkspace& ws,
@@ -49,13 +50,37 @@ void scan_vectors(std::span<const std::int32_t> codes, std::size_t dim,
       const std::size_t distance = v - *candidate;
       if (distance <= window_vectors &&
           codes_equal(cur, codes.data() + *candidate * dim, dim)) {
-        on_match(distance);
+        on_match(v, distance);
         matched = true;
       }
     }
     if (!matched) on_literal(v);
     last_pos.put(h, v);  // most recent occurrence wins (shortest distances)
   }
+}
+
+/// Scan token of a vector left as a literal; a match records its
+/// distance, which is at least 1.
+constexpr std::size_t kLiteralToken = 0;
+
+/// Literal width covering the largest zigzag code, rounded up to whole
+/// bytes. Byte alignment mirrors GPULZ's multi-byte token format (the
+/// paper's substrate): unmatched vectors cost ~1 byte per element, so the
+/// ratio on match-free tables lands near 4x -- the entropy coder's
+/// territory, exactly the per-table contrast Table V reports.
+unsigned literal_bits_for(std::uint64_t max_symbol) noexcept {
+  return ((bit_width_for(max_symbol) + 7) / 8) * 8;
+}
+
+std::size_t varint_bytes(std::uint64_t value) noexcept {
+  std::size_t bytes = 1;
+  for (; value >= 0x80; value >>= 7) ++bytes;
+  return bytes;
+}
+
+void check_params(const CompressParams& params) {
+  DLCOMP_CHECK_MSG(params.vector_dim > 0, "vector_dim must be positive");
+  DLCOMP_CHECK_MSG(params.lz_window_vectors > 0, "window must be positive");
 }
 
 }  // namespace
@@ -81,7 +106,8 @@ CompressionStats VectorLzCompressor::compress(std::span<const float> input,
     max_symbol = kernels::quantize_to_codes(input, eb, scratch);
     codes = scratch;
   }
-  compress_with_codes(input.size(), eb, params, codes, max_symbol, out, ws);
+  (void)plan(codes, max_symbol, params, ws);
+  write_planned(codes, eb, max_symbol, params, out, ws);
 
   CompressionStats stats;
   stats.input_bytes = input.size_bytes();
@@ -90,56 +116,80 @@ CompressionStats VectorLzCompressor::compress(std::span<const float> input,
   return stats;
 }
 
-void VectorLzCompressor::compress_with_codes(
-    std::size_t element_count, double eb, const CompressParams& params,
-    std::span<const std::int32_t> codes, std::uint64_t max_symbol,
-    std::vector<std::byte>& out, CompressionWorkspace& ws) const {
-  DLCOMP_CHECK_MSG(params.vector_dim > 0, "vector_dim must be positive");
-  DLCOMP_CHECK_MSG(params.lz_window_vectors > 0, "window must be positive");
-  DLCOMP_CHECK(codes.size() == element_count);
+std::size_t VectorLzCompressor::plan(std::span<const std::int32_t> codes,
+                                     std::uint64_t max_symbol,
+                                     const CompressParams& params,
+                                     CompressionWorkspace& ws) const {
+  check_params(params);
+  if (codes.empty()) return StreamHeader::kBytes;
+
+  const std::size_t dim = params.vector_dim;
+  const std::size_t vectors = codes.size() / dim;
+  const auto tokens = ws.lz_tokens(vectors);
+  std::size_t matches = 0;
+  scan_vectors(
+      codes, dim, params.lz_window_vectors, ws,
+      [&](std::size_t v, std::size_t distance) {
+        tokens[v] = distance;
+        ++matches;
+      },
+      [&](std::size_t v) { tokens[v] = kLiteralToken; });
+
+  // Payload bits exactly as write_planned emits them: a flag bit per
+  // vector, then a distance or dim literals; tail elements are literals.
+  const std::size_t literal_bits = literal_bits_for(max_symbol);
+  const std::size_t distance_bits =
+      bit_width_for(params.lz_window_vectors - 1);
+  const std::size_t bits = matches * (1 + distance_bits) +
+                           (vectors - matches) * (1 + dim * literal_bits) +
+                           (codes.size() - vectors * dim) * literal_bits;
+  return StreamHeader::kBytes + 1 + varint_bytes(params.lz_window_vectors) +
+         (bits + 7) / 8;
+}
+
+void VectorLzCompressor::write_planned(std::span<const std::int32_t> codes,
+                                       double eb, std::uint64_t max_symbol,
+                                       const CompressParams& params,
+                                       std::vector<std::byte>& out,
+                                       CompressionWorkspace& ws) const {
+  check_params(params);
 
   StreamHeader header;
   header.codec = CodecId::kVectorLz;
   header.vector_dim = header_vector_dim(params.vector_dim);
-  header.element_count = element_count;
+  header.element_count = codes.size();
   header.effective_error_bound = eb;
   const std::size_t patch_at = append_header(out, header);
   const std::size_t payload_start = out.size();
 
-  if (element_count > 0) {
-    // Fixed-width literal packing: width covers the largest zigzag code,
-    // rounded up to whole bytes. Byte alignment mirrors GPULZ's
-    // multi-byte token format (the paper's substrate): unmatched vectors
-    // cost ~1 byte per element, so the ratio on match-free tables lands
-    // near 4x -- the entropy coder's territory, exactly the per-table
-    // contrast Table V reports.
-    const unsigned literal_bits = ((bit_width_for(max_symbol) + 7) / 8) * 8;
+  if (!codes.empty()) {
+    const unsigned literal_bits = literal_bits_for(max_symbol);
     const unsigned distance_bits = bit_width_for(params.lz_window_vectors - 1);
 
     out.push_back(static_cast<std::byte>(literal_bits));
     append_varint(out, params.lz_window_vectors);
 
     const std::size_t dim = params.vector_dim;
+    const std::size_t vectors = codes.size() / dim;
+    const auto tokens = ws.lz_tokens(vectors);
     BitWriter& writer = ws.writer();
     writer.reset();
-    writer.reserve_bits(element_count * (literal_bits + 1) / 2);
-    scan_vectors(
-        codes, dim, params.lz_window_vectors, ws,
-        [&](std::size_t distance) {
-          writer.write_bit(true);
-          writer.write(distance - 1, distance_bits);
-        },
-        [&](std::size_t v) {
-          writer.write_bit(false);
-          const std::int32_t* vec = codes.data() + v * dim;
-          for (std::size_t i = 0; i < dim; ++i) {
-            writer.write(zigzag_encode32(vec[i]), literal_bits);
-          }
-        });
+    writer.reserve_bits(codes.size() * (literal_bits + 1) / 2);
+    for (std::size_t v = 0; v < vectors; ++v) {
+      if (tokens[v] != kLiteralToken) {
+        writer.write_bit(true);
+        writer.write(tokens[v] - 1, distance_bits);
+        continue;
+      }
+      writer.write_bit(false);
+      const std::int32_t* vec = codes.data() + v * dim;
+      for (std::size_t i = 0; i < dim; ++i) {
+        writer.write(zigzag_encode32(vec[i]), literal_bits);
+      }
+    }
 
     // Tail elements that do not fill a whole vector are raw literals.
-    const std::size_t tail_start = (codes.size() / dim) * dim;
-    for (std::size_t i = tail_start; i < codes.size(); ++i) {
+    for (std::size_t i = vectors * dim; i < codes.size(); ++i) {
       writer.write(zigzag_encode32(codes[i]), literal_bits);
     }
     writer.finish_into(out);
@@ -208,7 +258,7 @@ std::size_t VectorLzCompressor::count_matches(std::span<const float> input,
   std::size_t matches = 0;
   scan_vectors(
       codes, params.vector_dim, params.lz_window_vectors, ws,
-      [&](std::size_t) { ++matches; }, [](std::size_t) {});
+      [&](std::size_t, std::size_t) { ++matches; }, [](std::size_t) {});
   return matches;
 }
 

@@ -42,16 +42,22 @@ class VectorLzCompressor final : public Compressor {
   double decompress(std::span<const std::byte> stream, std::span<float> out,
                     CompressionWorkspace& ws) const override;
 
-  /// Hybrid fast path: writes the complete vector-LZ stream for an input
-  /// whose quantization codes (under `eb`) and largest zigzag symbol are
-  /// already known, skipping the redundant quantization pass. Produces
-  /// byte-identical streams to compress().
-  void compress_with_codes(std::size_t element_count, double eb,
-                           const CompressParams& params,
-                           std::span<const std::int32_t> codes,
-                           std::uint64_t max_symbol,
-                           std::vector<std::byte>& out,
-                           CompressionWorkspace& ws) const;
+  /// Hybrid fast path, step 1: for an input whose quantization codes and
+  /// largest zigzag symbol are already known, runs the match scan once,
+  /// records its tokens in `ws` and returns the exact size of the stream
+  /// write_planned() would write, so a caller can compare candidates
+  /// without encoding this one.
+  std::size_t plan(std::span<const std::int32_t> codes,
+                   std::uint64_t max_symbol, const CompressParams& params,
+                   CompressionWorkspace& ws) const;
+
+  /// Step 2: writes the complete vector-LZ stream for the codes the last
+  /// plan() on `ws` scanned (quantized under `eb`), from its recorded
+  /// tokens. Byte-identical to compress().
+  void write_planned(std::span<const std::int32_t> codes, double eb,
+                     std::uint64_t max_symbol, const CompressParams& params,
+                     std::vector<std::byte>& out,
+                     CompressionWorkspace& ws) const;
 
   /// Number of vector matches found in the last-compressed layout for a
   /// given buffer (re-derived; helper for the Fig. 13 pattern analysis).

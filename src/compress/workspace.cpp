@@ -57,8 +57,9 @@ std::size_t CompressionWorkspace::capacity_bytes() const noexcept {
          recon_.capacity() * sizeof(float) +
          histogram_.dense.capacity() * sizeof(std::uint64_t) +
          huffman_.capacity_bytes() + writer_.capacity_bytes() +
-         match_table_.capacity_bytes() + stream_a_.capacity() +
-         stream_b_.capacity() + caller_stream_.capacity();
+         match_table_.capacity_bytes() +
+         lz_tokens_.capacity() * sizeof(std::size_t) +
+         caller_stream_.capacity();
 }
 
 // --------------------------------------------------------- WorkspacePool

@@ -101,16 +101,17 @@ class CompressionWorkspace {
   /// Vector-LZ match table.
   MatchPositionTable& match_table() noexcept { return match_table_; }
 
-  /// Byte scratch streams for codecs that compare candidate encodings
-  /// (hybrid holds its two candidates here while its inner codecs use the
-  /// buffers above — the members are disjoint by construction).
-  std::vector<std::byte>& stream_a() noexcept { return stream_a_; }
-  std::vector<std::byte>& stream_b() noexcept { return stream_b_; }
+  /// Vector-LZ scan tokens, one per whole vector (match distance, or 0
+  /// for a literal): VectorLzCompressor::plan records them and
+  /// write_planned emits the stream from them, so hybrid sizes its LZ
+  /// candidate without writing it.
+  std::span<std::size_t> lz_tokens(std::size_t n) {
+    return ensure(lz_tokens_, n);
+  }
 
   /// Byte scratch for *callers* of compress() that need a reusable output
   /// stream (e.g. the chunked compressor's per-task staging buffer) —
-  /// never touched by the codecs themselves, so it cannot alias the
-  /// candidate streams above.
+  /// never touched by the codecs themselves.
   std::vector<std::byte>& caller_stream() noexcept { return caller_stream_; }
 
   /// Number of times any tracked scratch buffer had to (re)allocate.
@@ -140,8 +141,7 @@ class CompressionWorkspace {
   HuffmanCodec huffman_;
   BitWriter writer_;
   MatchPositionTable match_table_;
-  std::vector<std::byte> stream_a_;
-  std::vector<std::byte> stream_b_;
+  std::vector<std::size_t> lz_tokens_;
   std::vector<std::byte> caller_stream_;
   std::uint64_t grow_events_ = 0;
 

@@ -61,6 +61,7 @@ DlrmModel::DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
                      std::uint64_t seed)
     : spec_(spec),
       config_(config),
+      seed_(seed),
       bottom_([&] {
         Rng rng(seed);
         auto rng_b = rng.fork({0xB0});
@@ -76,7 +77,6 @@ DlrmModel::DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
   DLCOMP_CHECK_MSG(
       config_.arch != ModelArch::kNcf || spec_.num_tables() >= 2,
       "NCF arch needs >= 2 embedding tables, got " << spec_.num_tables());
-  tables_ = make_embedding_set(spec_, seed);
   optimizers_.reserve(spec_.num_tables());
   for (std::size_t t = 0; t < spec_.num_tables(); ++t) {
     optimizers_.emplace_back(config_.embedding_optimizer,
@@ -85,25 +85,36 @@ DlrmModel::DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
   lookups_.resize(spec_.num_tables());
 }
 
+std::vector<EmbeddingTable>& DlrmModel::drawn_tables() const {
+  std::call_once(*draw_once_,
+                 [this] { tables_ = make_embedding_set(spec_, seed_); });
+  return tables_;
+}
+
 const Matrix& DlrmModel::forward(const SampleBatch& batch,
                                  const TableTransform& lookup_transform) {
   const std::size_t B = batch.batch_size();
-  DLCOMP_CHECK(batch.indices.size() == tables_.size());
+  const std::size_t num_tables = spec_.num_tables();
+  DLCOMP_CHECK(batch.indices.size() == num_tables);
 
   z0_ = bottom_.forward(batch.dense);
 
-  for (std::size_t t = 0; t < tables_.size(); ++t) {
+  // A provider replaces the model's tables, so serving through one never
+  // draws them.
+  const std::vector<EmbeddingTable>* own =
+      lookup_provider_ ? nullptr : &drawn_tables();
+  for (std::size_t t = 0; t < num_tables; ++t) {
     lookups_[t].resize(B, spec_.embedding_dim);
-    if (lookup_provider_) {
+    if (own == nullptr) {
       lookup_provider_(t, batch.indices[t], lookups_[t]);
     } else {
-      tables_[t].lookup(batch.indices[t], lookups_[t]);
+      (*own)[t].lookup(batch.indices[t], lookups_[t]);
     }
     if (lookup_transform) lookup_transform(t, lookups_[t]);
   }
 
   interaction_out_.resize(
-      B, interaction_output_dim(config_.arch, tables_.size(),
+      B, interaction_output_dim(config_.arch, num_tables,
                                 spec_.embedding_dim));
   switch (config_.arch) {
     case ModelArch::kWideDeep:
@@ -134,8 +145,9 @@ LossResult DlrmModel::train_step(const SampleBatch& batch,
 
   const Matrix dfeat = top_.backward(dlogits);
 
+  const std::size_t num_tables = spec_.num_tables();
   Matrix dz0(B, spec_.embedding_dim);
-  std::vector<Matrix> demb(tables_.size());
+  std::vector<Matrix> demb(num_tables);
   for (auto& d : demb) d.resize(B, spec_.embedding_dim);
   switch (config_.arch) {
     case ModelArch::kWideDeep:
@@ -153,15 +165,16 @@ LossResult DlrmModel::train_step(const SampleBatch& batch,
   }
 
   if (grad_transform) {
-    for (std::size_t t = 0; t < tables_.size(); ++t) {
+    for (std::size_t t = 0; t < num_tables; ++t) {
       grad_transform(t, demb[t]);
     }
   }
 
   (void)bottom_.backward(dz0);
 
-  for (std::size_t t = 0; t < tables_.size(); ++t) {
-    optimizers_[t].apply(tables_[t], batch.indices[t], demb[t]);
+  std::vector<EmbeddingTable>& tables = drawn_tables();
+  for (std::size_t t = 0; t < num_tables; ++t) {
+    optimizers_[t].apply(tables[t], batch.indices[t], demb[t]);
   }
   bottom_.sgd_step(config_.learning_rate);
   top_.sgd_step(config_.learning_rate);

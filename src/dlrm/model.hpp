@@ -13,6 +13,8 @@
 /// dlcomp::core reuses the same components for the timing experiments.
 
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <span>
 #include <string_view>
 #include <vector>
@@ -75,6 +77,10 @@ class DlrmModel {
   using LookupProvider = std::function<void(
       std::size_t table, std::span<const std::uint32_t> indices, Matrix& out)>;
 
+  /// Builds the MLPs now; the embedding tables are drawn on first access
+  /// to table storage (table(), tables(), lookup_table(), or a forward
+  /// pass without a LookupProvider) as make_embedding_set(spec, seed), so
+  /// a replica that only ever serves through a provider never draws them.
   DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
             std::uint64_t seed);
 
@@ -99,12 +105,16 @@ class DlrmModel {
   LossResult evaluate_stream(const BatchSource& data,
                              std::size_t batch_size, std::size_t batches);
 
-  [[nodiscard]] std::size_t num_tables() const noexcept { return tables_.size(); }
-  [[nodiscard]] EmbeddingTable& table(std::size_t t) { return tables_.at(t); }
+  [[nodiscard]] std::size_t num_tables() const noexcept {
+    return spec_.num_tables();
+  }
+  [[nodiscard]] EmbeddingTable& table(std::size_t t) {
+    return drawn_tables().at(t);
+  }
   /// All embedding tables (e.g. to build a serving store from the
   /// checkpoint-loaded weights).
-  [[nodiscard]] std::span<const EmbeddingTable> tables() const noexcept {
-    return tables_;
+  [[nodiscard]] std::span<const EmbeddingTable> tables() const {
+    return drawn_tables();
   }
   [[nodiscard]] EmbeddingOptimizer& optimizer(std::size_t t) {
     return optimizers_.at(t);
@@ -125,7 +135,7 @@ class DlrmModel {
   /// raw lookup tensors, e.g. Homo-Index sampling).
   void lookup_table(std::size_t t, std::span<const std::uint32_t> indices,
                     Matrix& out) const {
-    tables_[t].lookup(indices, out);
+    drawn_tables().at(t).lookup(indices, out);
   }
 
  private:
@@ -134,11 +144,20 @@ class DlrmModel {
   const Matrix& forward(const SampleBatch& batch,
                         const TableTransform& lookup_transform);
 
+  /// The embedding tables, drawn on the first call (thread-safe; the
+  /// draw runs once per model).
+  std::vector<EmbeddingTable>& drawn_tables() const;
+
   DatasetSpec spec_;
   DlrmConfig config_;
+  std::uint64_t seed_;
   Mlp bottom_;
   Mlp top_;
-  std::vector<EmbeddingTable> tables_;
+  mutable std::vector<EmbeddingTable> tables_;  ///< empty until drawn
+  /// Heap-held so the model stays movable (engine replicas live in a
+  /// vector).
+  std::unique_ptr<std::once_flag> draw_once_ =
+      std::make_unique<std::once_flag>();
   std::vector<EmbeddingOptimizer> optimizers_;  // one per table
   LookupProvider lookup_provider_;  // null = serve from tables_
 

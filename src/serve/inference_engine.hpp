@@ -33,7 +33,9 @@ struct EngineConfig {
 class InferenceEngine {
  public:
   /// Builds the model (weights deterministic in `seed`, so every replica
-  /// constructed with the same arguments scores identically). When
+  /// constructed with the same arguments scores identically; the
+  /// embedding tables are drawn on first read, so a replica serving
+  /// through use_store() never draws its own). When
   /// `config.checkpoint_path` is set the initial weights are replaced by
   /// the checkpoint's (delta chains are replayed), so a fleet serves the
   /// trained model a HybridParallelTrainer persisted.

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "ckpt/checkpoint.hpp"
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/table_printer.hpp"
 #include "common/timer.hpp"
@@ -66,6 +67,9 @@ ServingReport ServingSimulator::run() {
   // tables, shared by every engine. Built after weight loading so the
   // fleet serves the trained embeddings, and with a temporary pool so the
   // page compression runs parallel (stored bytes are pool-invariant).
+  // Only replica 0's tables are ever read then, so only they are drawn.
+  // Table-local serving reads every replica's tables: they are drawn
+  // here, so no draw lands inside the timed run.
   std::unique_ptr<ShardedEmbeddingStore> store;
   if (config_.store.num_shards > 0) {
     ThreadPool build_pool;
@@ -73,10 +77,13 @@ ServingReport ServingSimulator::run() {
         config_.spec, engines.front().model().tables(), config_.store,
         &build_pool);
     for (InferenceEngine& engine : engines) engine.use_store(store.get());
+  } else {
+    for (InferenceEngine& engine : engines) (void)engine.model().tables();
   }
 
   std::vector<LatencyRecorder> recorders(replicas);
   std::vector<double> service_seconds(replicas, 0.0);
+  std::vector<std::uint32_t> batch_crcs(batches.size(), 0);
 
   // Live-scrape instruments, resolved once before the hot loop (lookup
   // takes the registry mutex; updates are lock-free).
@@ -119,8 +126,9 @@ ServingReport ServingSimulator::run() {
         const SampleBatch samples =
             dataset.make_batch(batch.total_samples(), b);
         WallTimer t;
-        (void)engine.run(samples);
+        const std::vector<float> probabilities = engine.run(samples);
         const double service_s = t.seconds();
+        batch_crcs[b] = crc32(std::as_bytes(std::span(probabilities)));
         service_seconds[r] += service_s;
         for (const Query& q : batch.queries) {
           const double latency_s =
@@ -175,6 +183,7 @@ ServingReport ServingSimulator::run() {
                          : static_cast<double>(report.shed_queries) /
                                static_cast<double>(queries.size());
   report.batches = batches.size();
+  report.scores_crc32 = crc32(std::as_bytes(std::span(batch_crcs)));
   report.serve_wall_s = serve_wall_s;
   report.sim_span_s = queries.empty() ? 0.0 : queries.back().arrival_s;
 

@@ -79,6 +79,11 @@ struct ServingReport {
   std::size_t shed_queries = 0;
   double shed_rate = 0.0;  ///< shed / offered
 
+  /// CRC-32 over every batch's CRC-32 of its served probabilities, in
+  /// batch order: independent of replica count and scheduling, so two
+  /// fleets serving the same scores report the same value.
+  std::uint32_t scores_crc32 = 0;
+
   /// Sharded-store telemetry (all 0 when store.num_shards == 0): the
   /// at-rest ratio (ratio()) and reconstruction error (max_abs_error) of
   /// the compressed rows served, plus cache and page-decode counters.

@@ -6,8 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <limits>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "comm/communicator.hpp"
@@ -506,6 +510,129 @@ TEST(SimdDifferential, NaNStillThrowsUnderEveryIsa) {
     EXPECT_THROW(kernels::quantize_to_symbols(input, 0.01, symbols, nullptr),
                  Error)
         << simd::isa_name(isa);
+  });
+}
+
+/// The overflow message a serial range check reports: extrema from
+/// std::min/std::max in input order (NaNs hide from both unless one leads
+/// the input), then the bound.
+std::string serial_overflow_message(const std::vector<float>& input,
+                                    double eb) {
+  float lo = input[0];
+  float hi = input[0];
+  for (const float v : input) {
+    lo = std::min(lo, v);
+    hi = std::max(hi, v);
+  }
+  std::ostringstream os;
+  os << " -- quantization code overflow: range [" << lo << ", " << hi
+     << "] eb " << eb;
+  return os.str();
+}
+
+/// Both quantize entry points must reject `input` with an Error carrying
+/// the serial check's message.
+void expect_range_rejected(const std::vector<float>& input, double eb,
+                           const std::string& where) {
+  const std::string want = serial_overflow_message(input, eb);
+  auto ends_with_want = [&](const std::string& what) {
+    return what.size() >= want.size() &&
+           what.compare(what.size() - want.size(), want.size(), want) == 0;
+  };
+  std::vector<std::int32_t> codes(input.size());
+  try {
+    (void)kernels::quantize_to_codes(input, eb, codes);
+    ADD_FAILURE() << where << ": quantize_to_codes accepted the input";
+  } catch (const Error& e) {
+    EXPECT_TRUE(ends_with_want(e.what())) << where << ": " << e.what();
+  }
+  std::vector<std::uint32_t> symbols(input.size());
+  try {
+    kernels::quantize_to_symbols(input, eb, symbols, nullptr);
+    ADD_FAILURE() << where << ": quantize_to_symbols accepted the input";
+  } catch (const Error& e) {
+    EXPECT_TRUE(ends_with_want(e.what())) << where << ": " << e.what();
+  }
+}
+
+TEST(RangeCheck, BadValueAtEveryLaneAndTailThrowsUnderEveryIsa) {
+  // Each tier's range kernel splits the input into vector blocks and a
+  // scalar tail; a bad value must be caught wherever it lands. With eb
+  // 0.01 (inv 50), +-1e9 overflows int32 while +-0.3-scale noise fits.
+  const double eb = 0.01;
+  const float bad[] = {std::nanf(""), std::numeric_limits<float>::infinity(),
+                       -std::numeric_limits<float>::infinity(), 1e9f, -1e9f};
+  for_each_available_isa([&](simd::Isa isa) {
+    for (const float v : bad) {
+      // Every lane of three 16-wide blocks (the first one seeds the
+      // accumulators), then every position of inputs 1..33 long, which
+      // are all or part scalar tail under every tier.
+      const auto block = random_input(48, 91, 0.3f);
+      for (std::size_t at = 0; at < block.size(); ++at) {
+        std::vector<float> input = block;
+        input[at] = v;
+        expect_range_rejected(input, eb,
+                              std::string(simd::isa_name(isa)) + " block " +
+                                  std::to_string(v) + " at " +
+                                  std::to_string(at));
+      }
+      for (std::size_t n = 1; n <= 33; ++n) {
+        const auto base = random_input(n, 92 + n, 0.3f);
+        for (std::size_t at = 0; at < n; ++at) {
+          std::vector<float> input = base;
+          input[at] = v;
+          expect_range_rejected(input, eb,
+                                std::string(simd::isa_name(isa)) + " n=" +
+                                    std::to_string(n) + " " +
+                                    std::to_string(v) + " at " +
+                                    std::to_string(at));
+        }
+      }
+    }
+  });
+}
+
+TEST(RangeCheck, BoundaryInputsDecideAlikeUnderEveryIsa) {
+  // eb 0.5 makes inv 1.0, so the int32 limits are the inputs themselves:
+  // -2^31 is the last accepted value, 2^31 the first rejected one, and
+  // 2147483520 the largest float below it.
+  const double eb = 0.5;
+  const float accepted[] = {-2147483648.0f, 2147483520.0f, -0.0f, 0.0f};
+  for (std::size_t n : {1u, 7u, 8u, 15u, 16u, 17u, 40u}) {
+    for (std::size_t at = 0; at < n; ++at) {
+      std::vector<float> input = random_input(n, 500 + n, 1000.0f);
+      input[at] = accepted[at % 4];
+      input[n - 1 - at] = accepted[(at + 1) % 4];
+      std::vector<std::int32_t> ref_codes(n);
+      reference::quantize(input, eb, ref_codes);
+      for_each_available_isa([&](simd::Isa isa) {
+        std::vector<std::int32_t> codes(n);
+        (void)kernels::quantize_to_codes(input, eb, codes);
+        ASSERT_EQ(codes, ref_codes)
+            << simd::isa_name(isa) << " n=" << n << " at=" << at;
+        std::vector<std::uint32_t> symbols(n);
+        kernels::quantize_to_symbols(input, eb, symbols, nullptr);
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(symbols[i],
+                    static_cast<std::uint32_t>(zigzag_encode(ref_codes[i])))
+              << simd::isa_name(isa) << " n=" << n << " i=" << i;
+        }
+      });
+
+      input[at] = 2147483648.0f;
+      for_each_available_isa([&](simd::Isa isa) {
+        expect_range_rejected(input, eb,
+                              std::string(simd::isa_name(isa)) + " 2^31 n=" +
+                                  std::to_string(n) + " at " +
+                                  std::to_string(at));
+      });
+    }
+  }
+  // A bound so small that inv overflows to infinity: 0 * inf is NaN, so
+  // even an all-zero input is rejected, by every tier alike.
+  for_each_available_isa([&](simd::Isa isa) {
+    expect_range_rejected(std::vector<float>(20, 0.0f), 1e-320,
+                          std::string(simd::isa_name(isa)) + " inv=inf");
   });
 }
 

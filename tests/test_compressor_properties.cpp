@@ -5,7 +5,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -268,6 +270,88 @@ TEST(Hybrid, AutoPicksSmallerStream) {
   std::vector<std::byte> stream;
   hybrid.compress(input, params, stream);
   EXPECT_EQ(HybridCompressor::stream_choice(stream), HybridChoice::kVectorLz);
+}
+
+/// The auto choice's definition: both candidates encoded in full, the
+/// smaller stream kept, vector-LZ on a tie.
+struct BothCandidates {
+  std::vector<std::byte> lz;
+  std::vector<std::byte> huffman;
+  [[nodiscard]] const std::vector<std::byte>& smaller() const {
+    return lz.size() <= huffman.size() ? lz : huffman;
+  }
+};
+
+BothCandidates encode_both(std::span<const float> input,
+                           CompressParams params) {
+  const HybridCompressor hybrid;
+  BothCandidates both;
+  params.hybrid_choice = HybridChoice::kVectorLz;
+  hybrid.compress(input, params, both.lz);
+  params.hybrid_choice = HybridChoice::kHuffman;
+  hybrid.compress(input, params, both.huffman);
+  return both;
+}
+
+std::vector<std::byte> encode_auto(std::span<const float> input,
+                                   CompressParams params) {
+  params.hybrid_choice = HybridChoice::kAuto;
+  std::vector<std::byte> stream;
+  HybridCompressor().compress(input, params, stream);
+  return stream;
+}
+
+TEST(Hybrid, AutoStreamEqualsEncodeBothKeepSmaller) {
+  // Auto sizes both candidates without writing the loser; its stream must
+  // still be byte for byte the smaller of the two full encodings.
+  CompressParams params;
+  params.error_bound = 0.01;
+  params.vector_dim = 32;
+  Rng rng(12);
+
+  // Vector-LZ wins: 8 distinct vectors repeated, plus a partial tail.
+  std::vector<float> repeated;
+  std::vector<float> bases(8 * 32);
+  for (auto& v : bases) v = static_cast<float>(rng.normal(0.0, 0.3));
+  for (int i = 0; i < 96; ++i) {
+    repeated.insert(repeated.end(), bases.begin() + (i % 8) * 32,
+                    bases.begin() + (i % 8 + 1) * 32);
+  }
+  repeated.insert(repeated.end(), bases.begin(), bases.begin() + 5);
+  // Huffman wins: unrepeated narrow noise.
+  std::vector<float> noise(64 * 32 + 7);
+  for (auto& v : noise) v = static_cast<float>(rng.normal(0.0, 0.05));
+
+  for (const auto& [input, winner] :
+       {std::pair{repeated, HybridChoice::kVectorLz},
+        std::pair{noise, HybridChoice::kHuffman}}) {
+    const BothCandidates both = encode_both(input, params);
+    const std::vector<std::byte> stream = encode_auto(input, params);
+    EXPECT_EQ(HybridCompressor::stream_choice(stream), winner);
+    EXPECT_EQ(stream, both.smaller());
+  }
+
+  // A tie: constant vectors make both sizes step through small counts, so
+  // some vector count gives equal streams; vector-LZ must take it.
+  bool tied = false;
+  for (const std::size_t window : {std::size_t{1}, std::size_t{128}}) {
+    for (std::size_t vectors = 1; vectors <= 256; ++vectors) {
+      CompressParams tie_params = params;
+      tie_params.vector_dim = 4;
+      tie_params.lz_window_vectors = window;
+      const std::vector<float> input(vectors * 4, 0.25f);
+      const BothCandidates both = encode_both(input, tie_params);
+      const std::vector<std::byte> stream = encode_auto(input, tie_params);
+      ASSERT_EQ(stream, both.smaller())
+          << "window " << window << " vectors " << vectors;
+      if (both.lz.size() == both.huffman.size()) {
+        tied = true;
+        EXPECT_EQ(HybridCompressor::stream_choice(stream),
+                  HybridChoice::kVectorLz);
+      }
+    }
+  }
+  EXPECT_TRUE(tied) << "no input in the sweep tied; widen it";
 }
 
 TEST(CompressAppends, StreamsConcatenateCleanly) {

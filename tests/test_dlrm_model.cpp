@@ -339,6 +339,45 @@ TEST(EmbeddingSetTest, ModelTablesAreTheEmbeddingSet) {
   }
 }
 
+TEST(EmbeddingSetTest, TablesReadAfterProviderServingAreTheEmbeddingSet) {
+  // A model serving through a provider never reads its own tables; the
+  // first read afterwards draws them, and they must be exactly the set an
+  // eagerly built model would hold.
+  const DatasetSpec spec = DatasetSpec::criteo_kaggle_like(2000);
+  DlrmModel model(spec, {}, 31);
+  std::size_t provided = 0;
+  model.set_lookup_provider([&](std::size_t, std::span<const std::uint32_t>,
+                                Matrix& out) {
+    std::ranges::fill(out.flat(), 0.125f);
+    ++provided;
+  });
+  const SyntheticClickDataset data(spec, 5);
+  const SampleBatch batch = data.make_batch(32, 0);
+  std::vector<float> probabilities(batch.batch_size());
+  model.predict(batch, probabilities);
+  EXPECT_EQ(provided, spec.num_tables());
+  EXPECT_EQ(model.num_tables(), spec.num_tables());
+
+  const std::vector<EmbeddingTable> tables = make_embedding_set(spec, 31);
+  ASSERT_EQ(model.tables().size(), tables.size());
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    EXPECT_TRUE(same_bytes(model.tables()[t], tables[t])) << "table " << t;
+  }
+
+  // Without the provider, lookups read those same rows.
+  model.set_lookup_provider(nullptr);
+  Matrix got(batch.batch_size(), spec.embedding_dim);
+  Matrix want(batch.batch_size(), spec.embedding_dim);
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    model.lookup_table(t, batch.indices[t], got);
+    tables[t].lookup(batch.indices[t], want);
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          got.size() * sizeof(float)),
+              0)
+        << "table " << t;
+  }
+}
+
 TEST(EmbeddingSetTest, UnaddressableTableThrowsInsteadOfTerminating) {
   // A failing task must surface as the caller's exception, not escape a
   // pool worker (std::terminate) or hand back a wrapped, undersized table.

@@ -7,15 +7,22 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/latency_recorder.hpp"
 #include "common/stats.hpp"
+#include "data/synthetic.hpp"
+#include "dlrm/embedding_table.hpp"
 #include "serve/batch_scheduler.hpp"
+#include "serve/inference_engine.hpp"
 #include "serve/load_generator.hpp"
+#include "serve/shard_store.hpp"
 #include "serve/simulator.hpp"
 
 namespace dlcomp {
@@ -239,6 +246,77 @@ TEST(ServingSimulator, EndToEndExact) {
   const std::string table = format_serving_table(rows);
   EXPECT_NE(table.find("exact"), std::string::npos);
   EXPECT_NE(table.find(" - "), std::string::npos);
+}
+
+/// What a fleet built from `config` must serve: every planned batch
+/// scored in batch order by one engine whose embedding tables are
+/// make_embedding_set(spec, seed), copied in, or (when config.store has
+/// shards) by that engine over a store built straight from that set.
+/// Returns the ServingReport::scores_crc32 such a fleet reports and fills
+/// `stats` with the reference store's.
+std::uint32_t reference_scores_crc32(const ServingConfig& config,
+                                     ShardStoreStats& stats) {
+  const std::vector<Query> queries = LoadGenerator(config.load).generate();
+  const SchedulePlan plan = BatchScheduler(config.scheduler).plan(queries);
+  const SyntheticClickDataset dataset(config.spec, config.seed);
+  const std::vector<EmbeddingTable> tables =
+      make_embedding_set(config.spec, config.seed);
+
+  InferenceEngine engine(config.spec, config.model, EngineConfig{},
+                         config.seed);
+  for (std::size_t t = 0; t < tables.size(); ++t) {
+    engine.model().table(t).weights() = tables[t].weights();
+  }
+  std::unique_ptr<ShardedEmbeddingStore> store;
+  if (config.store.num_shards > 0) {
+    store = std::make_unique<ShardedEmbeddingStore>(config.spec, tables,
+                                                    config.store);
+    engine.use_store(store.get());
+  }
+  std::vector<std::uint32_t> batch_crcs;
+  for (std::size_t b = 0; b < plan.batches.size(); ++b) {
+    const std::vector<float> probabilities = engine.run(
+        dataset.make_batch(plan.batches[b].total_samples(), b));
+    batch_crcs.push_back(crc32(std::as_bytes(std::span(probabilities))));
+  }
+  stats = store != nullptr ? store->stats() : ShardStoreStats{};
+  return crc32(std::as_bytes(std::span(batch_crcs)));
+}
+
+TEST(ServingSimulator, FleetServesTheEmbeddingSetWithAndWithoutStore) {
+  // Replicas draw their tables on first read: with a store only replica
+  // 0's are read (to build it), without one every replica's are. Either
+  // way the fleet must serve exactly the scores of the seed's embedding
+  // set, and the store must hold exactly what a store over that set does.
+  ServingConfig config;
+  config.spec = DatasetSpec::small_training_proxy(6, 16);
+  config.load = base_load(ArrivalPattern::kPoisson, 150);
+  config.load.qps = 4000.0;
+  config.load.mean_query_size = 8;
+  config.load.max_query_size = 64;
+  config.scheduler.max_batch_samples = 128;
+  config.scheduler.max_delay_s = 0.002;
+  config.replicas = 3;
+  config.seed = 9;
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
+    SCOPED_TRACE("shards " + std::to_string(shards));
+    config.store.num_shards = shards;
+    config.store.rows_per_page = 64;
+    config.store.codec = "hybrid";
+    config.store.error_bound = 0.01;
+    config.store.cache_budget_bytes = 64 << 10;
+
+    ShardStoreStats want_stats;
+    const std::uint32_t want = reference_scores_crc32(config, want_stats);
+    const ServingReport report = ServingSimulator(config).run();
+    EXPECT_EQ(report.scores_crc32, want);
+    EXPECT_EQ(report.store_stats.input_bytes, want_stats.input_bytes);
+    EXPECT_EQ(report.store_stats.stored_bytes, want_stats.stored_bytes);
+    EXPECT_EQ(report.store_stats.max_abs_error, want_stats.max_abs_error);
+    if (shards > 0) {
+      EXPECT_GT(report.store_stats.stored_bytes, 0u);
+    }
+  }
 }
 
 }  // namespace

@@ -9,6 +9,7 @@
 
 #include <cmath>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -167,6 +168,44 @@ TEST(PagedRowStore, CodecPagesReloadIdenticallyWithinBound) {
       EXPECT_LE(std::abs(a[i] - exact[i]), 0.01 + 1e-7);
     }
   }
+}
+
+/// Hybrid streams whose decode leaves a NaN in the middle of every page:
+/// what a corrupt or buggy codec would serve.
+class NanDecodingCodec final : public Compressor {
+ public:
+  [[nodiscard]] std::string_view name() const noexcept override {
+    return "nan-decoding";
+  }
+  [[nodiscard]] bool lossy() const noexcept override { return true; }
+  CompressionStats compress(std::span<const float> input,
+                            const CompressParams& params,
+                            std::vector<std::byte>& out) const override {
+    return get_compressor("hybrid").compress(input, params, out);
+  }
+  double decompress(std::span<const std::byte> stream,
+                    std::span<float> out) const override {
+    const double seconds = get_compressor("hybrid").decompress(stream, out);
+    out[out.size() / 2] = std::nanf("");
+    return seconds;
+  }
+};
+
+TEST(PagedRowStore, NaNDecodeCountsAsUnboundedError) {
+  // std::max(err, NaN) keeps err, so a NaN-decoding codec would pass an
+  // "error <= eb" check unless the store counts it as infinite error.
+  Rng rng(8);
+  Matrix rows(600, 16);
+  for (auto& v : rows.flat()) v = static_cast<float>(rng.normal(0.0, 0.5));
+  const NanDecodingCodec codec;
+  PagedStoreConfig config;
+  config.codec = &codec;
+  config.params.error_bound = 0.01;
+  config.params.eb_mode = EbMode::kAbsolute;
+  config.rows_per_page = 128;
+  const PagedRowStore store(rows, config);
+  EXPECT_EQ(store.max_abs_error(), std::numeric_limits<double>::infinity());
+  EXPECT_FALSE(store.max_abs_error() <= 0.01);
 }
 
 // --------------------------------------------------- scatter/gather merge
