@@ -38,8 +38,8 @@ int main() {
   auto base = [&](const std::string& label) {
     AccuracyRunConfig config;
     config.label = label;
-    config.codec = "hybrid";
-    config.global_eb = 0.03;
+    config.compression.codec = "hybrid";
+    config.compression.global_eb = 0.03;
     config.iterations = iters;
     config.eval_every = iters / 8;
     return config;
@@ -48,25 +48,25 @@ int main() {
   std::vector<AccuracyRun> runs;
   {
     AccuracyRunConfig config = base("fp32-baseline");
-    config.codec.clear();
-    runs.push_back(run_accuracy_experiment(spec, data, config));
+    config.compression.codec.clear();
+    runs.push_back(run_accuracy_experiment(data, config));
   }
-  runs.push_back(run_accuracy_experiment(spec, data, base("fixed-global")));
+  runs.push_back(run_accuracy_experiment(data, base("fixed-global")));
   {
     AccuracyRunConfig config = base("table-wise-only");
-    config.table_eb = table_eb;
-    runs.push_back(run_accuracy_experiment(spec, data, config));
+    config.compression.table_eb = table_eb;
+    runs.push_back(run_accuracy_experiment(data, config));
   }
   {
     AccuracyRunConfig config = base("iter-wise-only");
-    config.scheduler = decay;
-    runs.push_back(run_accuracy_experiment(spec, data, config));
+    config.compression.scheduler = decay;
+    runs.push_back(run_accuracy_experiment(data, config));
   }
   {
     AccuracyRunConfig config = base("dual-level");
-    config.table_eb = table_eb;
-    config.scheduler = decay;
-    runs.push_back(run_accuracy_experiment(spec, data, config));
+    config.compression.table_eb = table_eb;
+    config.compression.scheduler = decay;
+    runs.push_back(run_accuracy_experiment(data, config));
   }
   print_runs(runs);
 

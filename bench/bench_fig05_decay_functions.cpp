@@ -23,31 +23,31 @@ int main() {
   auto make = [&](const std::string& label, DecayFunc func) {
     AccuracyRunConfig config;
     config.label = label;
-    config.codec = func == DecayFunc::kNone ? "" : "hybrid";
-    config.global_eb = 0.02;
-    config.scheduler = {.func = func,
-                        .initial_scale = 2.0,
-                        .decay_end_iter = decay_end,
-                        .num_steps = 4};
+    config.compression.codec = func == DecayFunc::kNone ? "" : "hybrid";
+    config.compression.global_eb = 0.02;
+    config.compression.scheduler = {.func = func,
+                                    .initial_scale = 2.0,
+                                    .decay_end_iter = decay_end,
+                                    .num_steps = 4};
     config.iterations = iters;
     config.eval_every = iters / 8;
     return config;
   };
 
   std::vector<AccuracyRun> runs;
-  runs.push_back(run_accuracy_experiment(spec, data, make("fp32-baseline", DecayFunc::kNone)));
+  runs.push_back(run_accuracy_experiment(data, make("fp32-baseline", DecayFunc::kNone)));
   {
     AccuracyRunConfig fixed = make("fixed-eb", DecayFunc::kNone);
-    fixed.codec = "hybrid";
-    runs.push_back(run_accuracy_experiment(spec, data, fixed));
+    fixed.compression.codec = "hybrid";
+    runs.push_back(run_accuracy_experiment(data, fixed));
   }
   runs.push_back(
-      run_accuracy_experiment(spec, data, make("stepwise", DecayFunc::kStepwise)));
-  runs.push_back(run_accuracy_experiment(spec, data,
+      run_accuracy_experiment(data, make("stepwise", DecayFunc::kStepwise)));
+  runs.push_back(run_accuracy_experiment(data,
                                          make("logarithmic", DecayFunc::kLogarithmic)));
   runs.push_back(
-      run_accuracy_experiment(spec, data, make("linear", DecayFunc::kLinear)));
-  runs.push_back(run_accuracy_experiment(spec, data,
+      run_accuracy_experiment(data, make("linear", DecayFunc::kLinear)));
+  runs.push_back(run_accuracy_experiment(data,
                                          make("exponential", DecayFunc::kExponential)));
 
   print_runs(runs);

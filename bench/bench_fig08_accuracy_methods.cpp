@@ -20,20 +20,19 @@ int main() {
   auto make = [&](const std::string& label, const std::string& codec) {
     AccuracyRunConfig config;
     config.label = label;
-    config.codec = codec;
-    config.global_eb = 0.02;
+    config.compression.codec = codec;
+    config.compression.global_eb = 0.02;
     config.iterations = iters;
     config.eval_every = iters / 8;
-    // Low-precision baselines quantize the payload; no backward scaling
-    // subtleties -- they are fixed-ratio.
+    // Low-precision baselines ignore the bounds: they are fixed-ratio.
     return config;
   };
 
   std::vector<AccuracyRun> runs;
-  runs.push_back(run_accuracy_experiment(spec, data, make("fp32", "")));
-  runs.push_back(run_accuracy_experiment(spec, data, make("fp16", "fp16")));
-  runs.push_back(run_accuracy_experiment(spec, data, make("fp8", "fp8")));
-  runs.push_back(run_accuracy_experiment(spec, data, make("ours-eb0.02", "hybrid")));
+  runs.push_back(run_accuracy_experiment(data, make("fp32", "")));
+  runs.push_back(run_accuracy_experiment(data, make("fp16", "fp16")));
+  runs.push_back(run_accuracy_experiment(data, make("fp8", "fp8")));
+  runs.push_back(run_accuracy_experiment(data, make("ours-eb0.02", "hybrid")));
 
   print_runs(runs);
 

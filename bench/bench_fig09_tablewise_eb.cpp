@@ -39,25 +39,25 @@ int main() {
     config.label = "fp32-baseline";
     config.iterations = iters;
     config.eval_every = iters / 8;
-    runs.push_back(run_accuracy_experiment(spec, data, config));
+    runs.push_back(run_accuracy_experiment(data, config));
   }
   {
     AccuracyRunConfig config;
     config.label = "fixed-global-0.03";
-    config.codec = "hybrid";
-    config.global_eb = 0.03;
+    config.compression.codec = "hybrid";
+    config.compression.global_eb = 0.03;
     config.iterations = iters;
     config.eval_every = iters / 8;
-    runs.push_back(run_accuracy_experiment(spec, data, config));
+    runs.push_back(run_accuracy_experiment(data, config));
   }
   {
     AccuracyRunConfig config;
     config.label = "table-wise-LMS";
-    config.codec = "hybrid";
-    config.table_eb = table_eb;
+    config.compression.codec = "hybrid";
+    config.compression.table_eb = table_eb;
     config.iterations = iters;
     config.eval_every = iters / 8;
-    runs.push_back(run_accuracy_experiment(spec, data, config));
+    runs.push_back(run_accuracy_experiment(data, config));
   }
   print_runs(runs);
 

@@ -22,12 +22,12 @@ int main() {
   auto make = [&](const std::string& label, DecayFunc func, double scale) {
     AccuracyRunConfig config;
     config.label = label;
-    config.codec = "hybrid";
-    config.global_eb = 0.02;
-    config.scheduler = {.func = func,
-                        .initial_scale = scale,
-                        .decay_end_iter = decay_end,
-                        .num_steps = 4};
+    config.compression.codec = "hybrid";
+    config.compression.global_eb = 0.02;
+    config.compression.scheduler = {.func = func,
+                                    .initial_scale = scale,
+                                    .decay_end_iter = decay_end,
+                                    .num_steps = 4};
     config.iterations = iters;
     config.eval_every = iters / 8;
     return config;
@@ -37,20 +37,20 @@ int main() {
   {
     AccuracyRunConfig baseline;
     baseline.label = "fixed-eb";
-    baseline.codec = "hybrid";
-    baseline.global_eb = 0.02;
+    baseline.compression.codec = "hybrid";
+    baseline.compression.global_eb = 0.02;
     baseline.iterations = iters;
     baseline.eval_every = iters / 8;
-    runs.push_back(run_accuracy_experiment(spec, data, baseline));
+    runs.push_back(run_accuracy_experiment(data, baseline));
   }
-  runs.push_back(run_accuracy_experiment(spec, data,
+  runs.push_back(run_accuracy_experiment(data,
                                          make("decay_2x", DecayFunc::kStepwise, 2.0)));
   runs.push_back(
-      run_accuracy_experiment(spec, data, make("drop_2x", DecayFunc::kDrop, 2.0)));
-  runs.push_back(run_accuracy_experiment(spec, data,
+      run_accuracy_experiment(data, make("drop_2x", DecayFunc::kDrop, 2.0)));
+  runs.push_back(run_accuracy_experiment(data,
                                          make("decay_3x", DecayFunc::kStepwise, 3.0)));
   runs.push_back(
-      run_accuracy_experiment(spec, data, make("drop_3x", DecayFunc::kDrop, 3.0)));
+      run_accuracy_experiment(data, make("drop_3x", DecayFunc::kDrop, 3.0)));
   print_runs(runs);
 
   std::cout << "\nCR ratios: decay_2x/fixed = "

@@ -1,10 +1,9 @@
 // Automated error-bound selection (the paper's future-work item): probe
-// candidate global bounds with short training runs, select the most
-// generous one whose held-out accuracy stays within tolerance, save the
-// resulting plan, and show the online feedback controller reacting to a
-// loss spike.
+// candidate global bounds with short hybrid-parallel training runs,
+// select the most generous one whose held-out accuracy stays within
+// tolerance, and save the resulting plan.
 //
-//   ./build/examples/auto_tuning
+//   ./build/example_auto_tuning
 
 #include <cstdio>
 
@@ -50,18 +49,5 @@ int main() {
   save_plan("/tmp/dlcomp_plan.txt", plan);
   std::printf("plan written to /tmp/dlcomp_plan.txt:\n%s\n",
               plan_to_string(plan).c_str());
-
-  // --- Online: the feedback controller in action ----------------------
-  OnlineEbController controller({.warmup_iters = 10});
-  std::printf("online controller: feeding a loss spike at iteration 60\n");
-  for (int i = 0; i < 120; ++i) {
-    const double loss = i < 60 ? 0.55 : 0.75;  // divergence begins
-    const double scale = controller.observe(loss);
-    if (i % 20 == 19) {
-      std::printf("  iter %3d loss %.2f -> EB scale %.2f\n", i, loss, scale);
-    }
-  }
-  std::printf("controller triggered %zu time(s)\n",
-              controller.trigger_count());
   return 0;
 }

@@ -3,50 +3,32 @@
 #include <algorithm>
 
 #include "common/error.hpp"
-#include "compress/registry.hpp"
+#include "core/trainer.hpp"
 
 namespace dlcomp {
 
 namespace {
 
-/// One probe training run; returns held-out accuracy and the forward CR.
+/// One probe training run; `error_bound` 0 is the uncompressed baseline.
 AutoTunerResult::Probe probe_run(const BatchSource& dataset,
                                  const AutoTunerConfig& config,
                                  double error_bound) {
-  const DatasetSpec& spec = dataset.spec();
-  DlrmModel model(spec, config.model, config.seed);
-
-  const Compressor* codec =
-      error_bound > 0.0 ? &get_compressor(config.codec) : nullptr;
-
-  std::uint64_t raw = 0;
-  std::uint64_t wire = 0;
-  DlrmModel::TableTransform hook;
-  if (codec != nullptr) {
-    hook = [&](std::size_t, Matrix& lookups) {
-      CompressParams params;
-      params.error_bound = error_bound;
-      params.vector_dim = spec.embedding_dim;
-      std::vector<std::byte> stream;
-      const auto stats = codec->compress(lookups.flat(), params, stream);
-      codec->decompress(stream, lookups.flat());
-      raw += stats.input_bytes;
-      wire += stats.output_bytes;
-    };
+  TrainerConfig trainer;
+  trainer.global_batch = config.probe_batch;
+  trainer.iterations = config.probe_iterations;
+  trainer.model = config.model;
+  trainer.seed = config.seed;
+  trainer.eval_batches = config.eval_batches;
+  if (error_bound > 0.0) {
+    trainer.compression.codec = config.codec;
+    trainer.compression.global_eb = error_bound;
   }
-
-  for (std::size_t i = 0; i < config.probe_iterations; ++i) {
-    const SampleBatch batch = dataset.make_batch(config.probe_batch, i);
-    (void)model.train_step(batch, hook);
-  }
+  const TrainingResult result = HybridParallelTrainer(trainer).train(dataset);
 
   AutoTunerResult::Probe probe;
   probe.error_bound = error_bound;
-  probe.accuracy =
-      model.evaluate_stream(dataset, config.probe_batch, config.eval_batches)
-          .accuracy;
-  probe.compression_ratio =
-      wire > 0 ? static_cast<double>(raw) / static_cast<double>(wire) : 1.0;
+  probe.accuracy = result.final_eval.accuracy;
+  probe.compression_ratio = result.forward_cr();
   return probe;
 }
 
@@ -80,30 +62,6 @@ AutoTunerResult auto_select_global_eb(const BatchSource& dataset,
     result.selected_eb = config.candidates.back();
   }
   return result;
-}
-
-double OnlineEbController::observe(double train_loss) {
-  ++iter_;
-  if (!initialized_) {
-    fast_ema_ = train_loss;
-    slow_ema_ = train_loss;
-    initialized_ = true;
-    return scale_;
-  }
-  fast_ema_ += config_.ema_alpha * (train_loss - fast_ema_);
-  slow_ema_ += 0.2 * config_.ema_alpha * (train_loss - slow_ema_);
-
-  if (iter_ > config_.warmup_iters &&
-      fast_ema_ > slow_ema_ * config_.trigger_ratio) {
-    // Compressed training is drifting above its own trend: halve the
-    // bound multiplier and restart the comparison window.
-    scale_ = std::max(config_.min_scale, scale_ * 0.5);
-    slow_ema_ = fast_ema_;
-    ++triggers_;
-  } else {
-    scale_ = std::min(1.0, scale_ * config_.recovery_per_step);
-  }
-  return scale_;
 }
 
 }  // namespace dlcomp

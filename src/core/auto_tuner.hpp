@@ -4,15 +4,10 @@
 /// Automated global error-bound selection -- the paper's stated future
 /// work ("a more advanced and automated approach for offline selection of
 /// a fixed global error-bound", Sec. VI), implemented here as a
-/// probe-training search: candidate bounds are evaluated by short
-/// training runs with the compression hooks active, and the largest bound
-/// whose held-out accuracy stays within tolerance of the uncompressed
-/// probe is selected.
-///
-/// Also provides the online companion: a feedback controller that watches
-/// the training-loss trend and tightens the bound multiplier when
-/// compressed training diverges from its own recent trend, recovering
-/// gradually afterwards.
+/// probe-training search: each candidate bound is evaluated by a short
+/// HybridParallelTrainer run (the real compressed-training path), and
+/// the largest bound whose held-out accuracy stays within tolerance of
+/// the uncompressed probe is selected.
 
 #include <cstddef>
 #include <cstdint>
@@ -31,7 +26,8 @@ struct AutoTunerConfig {
   /// Acceptable held-out accuracy drop versus the uncompressed probe
   /// (absolute, e.g. 0.01 = one percentage point).
   double accuracy_tolerance = 0.01;
-  /// Probe run length and batch size.
+  /// Probe run length and global batch size (must divide by the probe
+  /// world of 4).
   std::size_t probe_iterations = 150;
   std::size_t probe_batch = 128;
   std::size_t eval_batches = 4;
@@ -54,41 +50,15 @@ struct AutoTunerResult {
   std::vector<Probe> probes;
 };
 
-/// Runs the search. Deterministic in (config.seed, dataset seed).
+/// Runs the search. Each probe is HybridParallelTrainer on the sim
+/// backend at the TrainerConfig defaults (world 4, overlap off) with
+/// global_batch = probe_batch, iterations = probe_iterations, model,
+/// seed and eval_batches taken from `config`; a candidate probe sets
+/// compression.codec = codec and compression.global_eb = the candidate,
+/// the baseline probe leaves the codec empty. A probe's accuracy is the
+/// trainer's final_eval.accuracy and its ratio is forward_cr().
+/// Deterministic in (config.seed, dataset).
 AutoTunerResult auto_select_global_eb(const BatchSource& dataset,
                                       const AutoTunerConfig& config);
-
-/// Online error-bound controller (future-work companion): multiply the
-/// scheduler's scale by `scale()`; feed the training loss every
-/// iteration. When the smoothed loss rises above its recent trend by more
-/// than `trigger_ratio`, the controller halves its scale (bounded below
-/// by `min_scale`) and then relaxes back toward 1 at `recovery_per_step`.
-class OnlineEbController {
- public:
-  struct Config {
-    double ema_alpha = 0.05;        ///< smoothing for the loss signal
-    double trigger_ratio = 1.05;    ///< smoothed/trend ratio that trips it
-    double min_scale = 0.25;
-    double recovery_per_step = 1.01;
-    std::size_t warmup_iters = 20;  ///< no triggering while the EMA settles
-  };
-
-  explicit OnlineEbController(const Config& config) : config_(config) {}
-
-  /// Feeds one iteration's training loss; returns the updated scale.
-  double observe(double train_loss);
-
-  [[nodiscard]] double scale() const noexcept { return scale_; }
-  [[nodiscard]] std::size_t trigger_count() const noexcept { return triggers_; }
-
- private:
-  Config config_;
-  double fast_ema_ = 0.0;
-  double slow_ema_ = 0.0;
-  bool initialized_ = false;
-  std::size_t iter_ = 0;
-  double scale_ = 1.0;
-  std::size_t triggers_ = 0;
-};
 
 }  // namespace dlcomp

@@ -303,6 +303,10 @@ HybridParallelTrainer::HybridParallelTrainer(TrainerConfig config)
       config_.transport.backend == "sim" || config_.transport.backend == "tcp",
       "unknown transport backend '" << config_.transport.backend
                                     << "' (expected \"sim\" or \"tcp\")");
+  // The rank body hard-codes the dot interaction.
+  DLCOMP_CHECK_MSG(config_.model.arch == ModelArch::kDlrm,
+                   "the trainer supports only the dlrm arch, got '"
+                       << model_arch_name(config_.model.arch) << "'");
 }
 
 TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {

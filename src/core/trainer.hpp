@@ -239,6 +239,9 @@ struct TrainingResult {
 
 class HybridParallelTrainer {
  public:
+  /// Throws Error for an invalid config, including any model arch other
+  /// than ModelArch::kDlrm (the trainer implements the dot interaction
+  /// only).
   explicit HybridParallelTrainer(TrainerConfig config);
 
   /// Runs the full training loop on a fresh simulated cluster and model

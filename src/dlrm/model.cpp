@@ -91,8 +91,7 @@ std::vector<EmbeddingTable>& DlrmModel::drawn_tables() const {
   return tables_;
 }
 
-const Matrix& DlrmModel::forward(const SampleBatch& batch,
-                                 const TableTransform& lookup_transform) {
+const Matrix& DlrmModel::forward(const SampleBatch& batch) {
   const std::size_t B = batch.batch_size();
   const std::size_t num_tables = spec_.num_tables();
   DLCOMP_CHECK(batch.indices.size() == num_tables);
@@ -110,7 +109,6 @@ const Matrix& DlrmModel::forward(const SampleBatch& batch,
     } else {
       (*own)[t].lookup(batch.indices[t], lookups_[t]);
     }
-    if (lookup_transform) lookup_transform(t, lookups_[t]);
   }
 
   interaction_out_.resize(
@@ -130,14 +128,12 @@ const Matrix& DlrmModel::forward(const SampleBatch& batch,
   return top_.forward(interaction_out_);
 }
 
-LossResult DlrmModel::train_step(const SampleBatch& batch,
-                                 const TableTransform& lookup_transform,
-                                 const TableTransform& grad_transform) {
+LossResult DlrmModel::train_step(const SampleBatch& batch) {
   DLCOMP_CHECK_MSG(!lookup_provider_,
                    "train_step is not supported while a lookup provider is "
                    "installed (updates would never reach the served store)");
   const std::size_t B = batch.batch_size();
-  const Matrix& logits = forward(batch, lookup_transform);
+  const Matrix& logits = forward(batch);
 
   Matrix dlogits(B, 1);
   const LossResult result =
@@ -164,12 +160,6 @@ LossResult DlrmModel::train_step(const SampleBatch& batch,
       break;
   }
 
-  if (grad_transform) {
-    for (std::size_t t = 0; t < num_tables; ++t) {
-      grad_transform(t, demb[t]);
-    }
-  }
-
   (void)bottom_.backward(dz0);
 
   std::vector<EmbeddingTable>& tables = drawn_tables();
@@ -181,16 +171,15 @@ LossResult DlrmModel::train_step(const SampleBatch& batch,
   return result;
 }
 
-LossResult DlrmModel::evaluate(const SampleBatch& batch,
-                               const TableTransform& lookup_transform) {
-  const Matrix& logits = forward(batch, lookup_transform);
+LossResult DlrmModel::evaluate(const SampleBatch& batch) {
+  const Matrix& logits = forward(batch);
   return bce_with_logits(logits.flat(), batch.labels);
 }
 
 void DlrmModel::predict(const SampleBatch& batch,
                         std::span<float> probabilities) {
   DLCOMP_CHECK(probabilities.size() == batch.batch_size());
-  const Matrix& logits = forward(batch, nullptr);
+  const Matrix& logits = forward(batch);
   for (std::size_t i = 0; i < probabilities.size(); ++i) {
     probabilities[i] = static_cast<float>(sigmoid(logits.flat()[i]));
   }

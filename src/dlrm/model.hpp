@@ -4,13 +4,11 @@
 /// Single-process DLRM reference model: bottom MLP + embedding lookups +
 /// dot interaction + top MLP + BCE loss, trained with SGD.
 ///
-/// The lookup/gradient transform hooks are the compression injection
-/// points: round-tripping lookups (and optionally gradients) through an
-/// error-bounded codec here is mathematically identical to compressing
-/// the all-to-all payloads in the distributed pipeline, because the
-/// all-to-all itself only moves data. The accuracy experiments (Figs. 5,
-/// 8, 9, 10) run through these hooks; the distributed trainer in
-/// dlcomp::core reuses the same components for the timing experiments.
+/// The model has no codec: compressed training runs only through the
+/// distributed trainer in dlcomp::core (HybridParallelTrainer), which
+/// reuses these components. This model is the exact single-process
+/// reference the trainer is tested against, and the serving tier's
+/// scorer (through a LookupProvider).
 
 #include <functional>
 #include <memory>
@@ -30,9 +28,9 @@ namespace dlcomp {
 
 /// Model-zoo architecture: which interaction layer sits between the
 /// embedding lookups and the top MLP (see interaction.hpp). Everything
-/// else — bottom/top MLPs, tables, optimizer, the lookup/gradient
-/// transform hooks — is shared, so every codec experiment and the
-/// serving tier run unchanged across the zoo.
+/// else — bottom/top MLPs, tables, optimizer, the lookup provider — is
+/// shared, so the serving tier runs unchanged across the zoo. The
+/// distributed trainer supports kDlrm only.
 enum class ModelArch : std::uint8_t {
   kDlrm,      ///< pairwise dot interaction (the paper's model)
   kWideDeep,  ///< Wide&Deep-shaped concatenation
@@ -64,16 +62,10 @@ struct DlrmConfig {
 
 class DlrmModel {
  public:
-  /// Called per table to mutate the looked-up vectors (forward) or the
-  /// embedding gradients (backward) in place -- e.g. a compression
-  /// round-trip.
-  using TableTransform = std::function<void(std::size_t table, Matrix& data)>;
-
-  /// Replaces the lookup *source* (where TableTransform mutates the
-  /// result of the model's own tables): fills `out` (indices.size() x
-  /// dim) with the served rows for `table`. This is the sharded serving
-  /// tier's injection point -- a ShardRouter scatter/gathers the rows
-  /// from the fleet-shared store instead of the model's weights.
+  /// Replaces the lookup source: fills `out` (indices.size() x dim) with
+  /// the served rows for `table`. This is the sharded serving tier's
+  /// injection point -- a ShardRouter scatter/gathers the rows from the
+  /// fleet-shared store instead of the model's weights.
   using LookupProvider = std::function<void(
       std::size_t table, std::span<const std::uint32_t> indices, Matrix& out)>;
 
@@ -84,17 +76,11 @@ class DlrmModel {
   DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
             std::uint64_t seed);
 
-  /// One SGD step on a batch. `lookup_transform` / `grad_transform` may
-  /// be null for exact (uncompressed) training.
-  LossResult train_step(const SampleBatch& batch,
-                        const TableTransform& lookup_transform = nullptr,
-                        const TableTransform& grad_transform = nullptr);
+  /// One exact SGD step on a batch.
+  LossResult train_step(const SampleBatch& batch);
 
-  /// Forward-only evaluation. `lookup_transform` may round-trip the
-  /// looked-up vectors through a codec, which models the accuracy cost of
-  /// compressed forward all-to-alls (exact evaluation passes null).
-  LossResult evaluate(const SampleBatch& batch,
-                      const TableTransform& lookup_transform = nullptr);
+  /// Forward-only evaluation of one batch.
+  LossResult evaluate(const SampleBatch& batch);
 
   /// Forward-only scoring for the serving path: fills `probabilities`
   /// (size == batch.batch_size()) with sigmoid(logit) per sample, looked
@@ -139,10 +125,9 @@ class DlrmModel {
   }
 
  private:
-  /// Shared forward machinery; returns logits and fills caches needed for
-  /// backward when `training` is true.
-  const Matrix& forward(const SampleBatch& batch,
-                        const TableTransform& lookup_transform);
+  /// Shared forward machinery; returns logits and fills the caches
+  /// train_step's backward pass reads.
+  const Matrix& forward(const SampleBatch& batch);
 
   /// The embedding tables, drawn on the first call (thread-safe; the
   /// draw runs once per model).

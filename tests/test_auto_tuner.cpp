@@ -1,9 +1,10 @@
 // Tests for the automated error-bound selection (the paper's future-work
-// extension) and the online feedback controller.
+// extension).
 
 #include <gtest/gtest.h>
 
 #include "core/auto_tuner.hpp"
+#include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 
 namespace dlcomp {
@@ -74,60 +75,40 @@ TEST(AutoTuner, DeterministicSelection) {
   EXPECT_DOUBLE_EQ(a.baseline_accuracy, b.baseline_accuracy);
 }
 
-TEST(OnlineController, StableLossKeepsScaleAtOne) {
-  OnlineEbController controller({});
-  for (int i = 0; i < 200; ++i) {
-    controller.observe(0.5);
-  }
-  EXPECT_DOUBLE_EQ(controller.scale(), 1.0);
-  EXPECT_EQ(controller.trigger_count(), 0u);
-}
+TEST(AutoTuner, ProbesAreHybridParallelTrainerRuns) {
+  // Each probe is a trainer run on the real compressed-training path, so
+  // its ratio and accuracy are exactly what the trainer reports for the
+  // same config (the mapping documented in auto_tuner.hpp).
+  const DatasetSpec spec = DatasetSpec::small_training_proxy(6, 8);
+  const SyntheticClickDataset data(spec, 94);
+  AutoTunerConfig config;
+  config.candidates = {0.04, 0.01};
+  config.accuracy_tolerance = -1.0;  // probe every candidate
+  config.probe_iterations = 20;
+  config.probe_batch = 64;
+  config.eval_batches = 2;
+  config.model.bottom_hidden = {8};
+  config.model.top_hidden = {8};
+  config.seed = 5;
+  const AutoTunerResult tuned = auto_select_global_eb(data, config);
 
-TEST(OnlineController, DecreasingLossKeepsScaleAtOne) {
-  OnlineEbController controller({});
-  double loss = 0.7;
-  for (int i = 0; i < 300; ++i) {
-    controller.observe(loss);
-    loss *= 0.999;
-  }
-  EXPECT_DOUBLE_EQ(controller.scale(), 1.0);
-}
+  TrainerConfig trainer;
+  trainer.global_batch = config.probe_batch;
+  trainer.iterations = config.probe_iterations;
+  trainer.model = config.model;
+  trainer.seed = config.seed;
+  trainer.eval_batches = config.eval_batches;
+  EXPECT_EQ(tuned.baseline_accuracy,
+            HybridParallelTrainer(trainer).train(data).final_eval.accuracy);
 
-TEST(OnlineController, LossSpikeTightensThenRecovers) {
-  OnlineEbController::Config config;
-  config.warmup_iters = 10;
-  OnlineEbController controller(config);
-
-  for (int i = 0; i < 50; ++i) controller.observe(0.5);
-  // Sustained divergence.
-  double after_spike = 1.0;
-  for (int i = 0; i < 100; ++i) {
-    after_spike = controller.observe(0.8);
+  ASSERT_EQ(tuned.probes.size(), config.candidates.size());
+  trainer.compression.codec = config.codec;
+  for (const AutoTunerResult::Probe& probe : tuned.probes) {
+    trainer.compression.global_eb = probe.error_bound;
+    const TrainingResult run = HybridParallelTrainer(trainer).train(data);
+    EXPECT_EQ(probe.compression_ratio, run.forward_cr()) << probe.error_bound;
+    EXPECT_EQ(probe.accuracy, run.final_eval.accuracy) << probe.error_bound;
   }
-  EXPECT_GE(controller.trigger_count(), 1u);
-  EXPECT_LT(after_spike, 1.0);
-
-  // Loss settles again: the scale relaxes back toward 1.
-  double recovered = after_spike;
-  for (int i = 0; i < 500; ++i) {
-    recovered = controller.observe(0.5);
-  }
-  EXPECT_GT(recovered, after_spike);
-  EXPECT_DOUBLE_EQ(recovered, 1.0);
-}
-
-TEST(OnlineController, ScaleNeverBelowFloor) {
-  OnlineEbController::Config config;
-  config.warmup_iters = 5;
-  config.min_scale = 0.25;
-  OnlineEbController controller(config);
-  double loss = 0.3;
-  for (int i = 0; i < 500; ++i) {
-    loss *= 1.02;  // runaway divergence
-    const double scale = controller.observe(loss);
-    ASSERT_GE(scale, 0.25);
-  }
-  EXPECT_GE(controller.trigger_count(), 2u);
 }
 
 }  // namespace

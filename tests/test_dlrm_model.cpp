@@ -425,23 +425,5 @@ TEST(DlrmModelTest, DeterministicTraining) {
   }
 }
 
-TEST(DlrmModelTest, LookupTransformInjectsNoise) {
-  const DatasetSpec spec = DatasetSpec::small_training_proxy(4, 8);
-  const SyntheticClickDataset data(spec, 5);
-  DlrmConfig config;
-  config.bottom_hidden = {8};
-  config.top_hidden = {8};
-
-  DlrmModel clean(spec, config, 1);
-  DlrmModel noisy(spec, config, 1);
-  const SampleBatch batch = data.make_batch(64, 0);
-  const LossResult rc = clean.train_step(batch);
-  const LossResult rn = noisy.train_step(
-      batch, [](std::size_t, Matrix& lookups) {
-        for (auto& v : lookups.flat()) v += 0.05f;
-      });
-  EXPECT_NE(rc.loss, rn.loss);
-}
-
 }  // namespace
 }  // namespace dlcomp

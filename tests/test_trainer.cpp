@@ -224,6 +224,18 @@ TEST(Trainer, InvalidBatchSplitThrows) {
   EXPECT_THROW((void)trainer.train(data), Error);
 }
 
+TEST(Trainer, NonDlrmArchRejected) {
+  // The rank body implements the dot interaction only, so another arch
+  // must fail loudly rather than silently train a DLRM.
+  TrainerConfig config = base_config();
+  for (const ModelArch arch : {ModelArch::kNcf, ModelArch::kWideDeep}) {
+    config.model.arch = arch;
+    EXPECT_THROW(HybridParallelTrainer{config}, Error) << model_arch_name(arch);
+  }
+  config.model.arch = ModelArch::kDlrm;
+  EXPECT_NO_THROW(HybridParallelTrainer{config});
+}
+
 TEST(Trainer, TcpBackendMatchesSimBitwise) {
   // World 4 as rank threads over a localhost TCP mesh, rank 0 inheriting
   // a pre-bound ephemeral listener like the multi-process launcher's
