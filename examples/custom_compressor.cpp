@@ -1,17 +1,19 @@
 // Extending the library with a custom codec: implement the Compressor
-// interface, then race it against the built-in stack on a lookup batch
-// and through the Eq. (2) speedup model. Shows everything a downstream
-// codec author needs: the stream-format helpers, the stats contract and
-// the round-trip harness.
+// contract, then race it against the built-in stack on a lookup batch
+// and through the Eq. (2) speedup model. A codec author writes two
+// functions: do_compress appends a self-describing stream (header via
+// the format.hpp helpers, then the payload), and do_decompress decodes
+// one payload. The Compressor front does the rest: it times each call,
+// fills CompressionStats, lends a scratch workspace, parses the header
+// and rejects streams of another codec or of the wrong element count
+// before do_decompress runs.
 //
-//   ./build/examples/custom_compressor
+//   ./build/example_custom_compressor
 
 #include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/quantizer.hpp"
 #include "compress/registry.hpp"
@@ -30,17 +32,20 @@ class ByteQuantCompressor final : public Compressor {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "byte-quant";
   }
+  /// Reuses an id slot for the demo; a real codec adds its own CodecId.
+  [[nodiscard]] CodecId id() const noexcept override {
+    return CodecId::kHybrid;
+  }
   [[nodiscard]] bool lossy() const noexcept override { return true; }
 
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out) const override {
-    WallTimer timer;
-    const std::size_t start = out.size();
+ private:
+  void do_compress(std::span<const float> input, const CompressParams& params,
+                   std::vector<std::byte>& out,
+                   CompressionWorkspace& /*ws*/) const override {
     const double eb = resolve_error_bound(input, params);
 
     StreamHeader header;
-    header.codec = CodecId::kHybrid;  // reuse an id slot for the demo
+    header.codec = id();
     header.element_count = input.size();
     header.effective_error_bound = eb;
     const std::size_t patch_at = append_header(out, header);
@@ -56,35 +61,19 @@ class ByteQuantCompressor final : public Compressor {
         append_pod(out, code);
       }
     }
-
     patch_payload_bytes(out, patch_at, out.size() - payload_start);
-    CompressionStats stats;
-    stats.input_bytes = input.size_bytes();
-    stats.output_bytes = out.size() - start;
-    stats.seconds = timer.seconds();
-    return stats;
   }
 
-  double decompress(std::span<const std::byte> stream,
-                    std::span<float> out) const override {
-    WallTimer timer;
-    std::span<const std::byte> payload;
-    const StreamHeader header = parse_header(stream, payload);
-    DLCOMP_CHECK(out.size() == header.element_count);
-
+  void do_decompress(const StreamHeader& header,
+                     std::span<const std::byte> payload, std::span<float> out,
+                     CompressionWorkspace& /*ws*/) const override {
     std::vector<std::int32_t> codes(out.size());
-    std::size_t pos = 0;
+    ByteReader reader(payload);
     for (auto& code : codes) {
-      const auto byte = static_cast<std::int8_t>(payload[pos++]);
-      if (byte == -128) {
-        std::memcpy(&code, payload.data() + pos, sizeof(code));
-        pos += sizeof(code);
-      } else {
-        code = byte;
-      }
+      const auto byte = reader.read<std::int8_t>();
+      code = byte == -128 ? reader.read<std::int32_t>() : byte;
     }
     dequantize(codes, header.effective_error_bound, out);
-    return timer.seconds();
   }
 };
 

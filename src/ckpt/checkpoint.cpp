@@ -9,6 +9,7 @@
 
 #include "common/error.hpp"
 #include "compress/registry.hpp"
+#include "compress/workspace.hpp"
 
 namespace dlcomp {
 
@@ -57,8 +58,7 @@ void copy_raw(std::span<const float> values, std::vector<std::byte>& bytes) {
 std::vector<float> decode_values(const std::string& codec_name,
                                  std::uint8_t storage,
                                  std::span<const std::byte> bytes,
-                                 std::size_t expected_count,
-                                 CompressionWorkspace& ws) {
+                                 std::size_t expected_count) {
   // Validate sizes before allocating so a crafted count fails cleanly
   // instead of attempting a huge allocation.
   if (expected_count > std::numeric_limits<std::size_t>::max() / sizeof(float)) {
@@ -85,7 +85,10 @@ std::vector<float> decode_values(const std::string& codec_name,
   }
   // The payload may be a blocked ("DLBK") container when the writer split
   // a large table across its pool; blocked_decompress handles both forms.
-  blocked_decompress(get_compressor(codec_name), bytes, values, ws);
+  // A thread runs one per-table task at a time, so the task borrows
+  // that thread's workspace.
+  blocked_decompress(get_compressor(codec_name), bytes, values,
+                     thread_local_workspace());
   return values;
 }
 
@@ -713,7 +716,6 @@ LoadedCheckpoint CheckpointReader::load_one(const std::string& path,
 
   const bool is_delta = raw.header.kind == CkptKind::kDelta;
   for_each_table(pool_, raw.num_tables, [&](std::size_t t) {
-    WorkspacePool::Lease ws(workspaces_);
     LoadedTable& table = loaded.tables[t];
     ByteReader reader(raw.table_sections[t].payload);
     const auto rows = reader.read<std::uint64_t>();
@@ -728,7 +730,7 @@ LoadedCheckpoint CheckpointReader::load_one(const std::string& path,
       const auto byte_count = reader.read<std::uint64_t>();
       table.values = decode_values(raw.codec, storage,
                                    reader.take(byte_count),
-                                   checked_element_count(rows, dim), *ws);
+                                   checked_element_count(rows, dim));
     } else {
       if (table.rows != rows || table.dim != dim) {
         throw FormatError("delta table shape differs from parent");
@@ -741,7 +743,7 @@ LoadedCheckpoint CheckpointReader::load_one(const std::string& path,
       const auto byte_count = reader.read<std::uint64_t>();
       const std::vector<float> rows_data =
           decode_values(raw.codec, storage, reader.take(byte_count),
-                        static_cast<std::size_t>(touched) * dim, *ws);
+                        static_cast<std::size_t>(touched) * dim);
       std::size_t k = 0;
       for (std::size_t r = 0; r < rows; ++r) {
         if (!bitmap_get(bitmap, r)) continue;

@@ -28,7 +28,6 @@
 #include "ckpt/container.hpp"
 #include "compress/chunked.hpp"
 #include "compress/compressor.hpp"
-#include "compress/workspace.hpp"
 #include "core/report_io.hpp"
 #include "core/trainer.hpp"
 #include "dlrm/model.hpp"
@@ -180,8 +179,6 @@ class CheckpointReader {
   [[nodiscard]] LoadedCheckpoint load_one(const std::string& path,
                                           std::size_t depth) const;
   ThreadPool* pool_;
-  /// Per-table decode workspaces (mutable: load() is logically const).
-  mutable WorkspacePool workspaces_;
 };
 
 /// Copies loaded state into live model objects; throws Error on any

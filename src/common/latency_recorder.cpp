@@ -10,6 +10,7 @@ namespace dlcomp {
 void LatencyRecorder::record(double seconds) {
   samples_.push_back(static_cast<float>(seconds));
   sum_ += seconds;
+  min_ = std::min(min_, seconds);
   max_ = std::max(max_, seconds);
 }
 
@@ -17,6 +18,7 @@ void LatencyRecorder::merge(const LatencyRecorder& other) {
   samples_.insert(samples_.end(), other.samples_.begin(),
                   other.samples_.end());
   sum_ += other.sum_;
+  min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
 }
 
@@ -28,6 +30,7 @@ LatencySummary LatencyRecorder::summary() const {
   std::vector<float> sorted(samples_.begin(), samples_.end());
   std::sort(sorted.begin(), sorted.end());
   s.mean_s = sum_ / static_cast<double>(samples_.size());
+  s.min_s = min_;
   s.max_s = max_;
   s.p50_s = percentile_sorted(sorted, 50.0);
   s.p95_s = percentile_sorted(sorted, 95.0);
@@ -36,13 +39,23 @@ LatencySummary LatencyRecorder::summary() const {
   return s;
 }
 
-void LatencyRecorder::fill_histogram(HistogramMetric& hist) const {
-  for (const float s : samples_) hist.observe(s);
+void LatencyRecorder::snapshot_to(MetricsSnapshot& snap,
+                                  const std::string& name) const {
+  const LatencySummary s = summary();
+  snap.set(name + "/count", static_cast<double>(s.count));
+  snap.set(name + "/mean", s.mean_s);
+  snap.set(name + "/min", s.min_s);
+  snap.set(name + "/max", s.max_s);
+  snap.set(name + "/p50", s.p50_s);
+  snap.set(name + "/p95", s.p95_s);
+  snap.set(name + "/p99", s.p99_s);
+  snap.set(name + "/p999", s.p999_s);
 }
 
 void LatencyRecorder::reset() {
   samples_.clear();
   sum_ = 0.0;
+  min_ = std::numeric_limits<double>::infinity();
   max_ = 0.0;
 }
 

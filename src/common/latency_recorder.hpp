@@ -10,6 +10,7 @@
 /// keeps the record() hot path allocation- and lock-free (amortized).
 
 #include <cstddef>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -22,6 +23,7 @@ namespace dlcomp {
 struct LatencySummary {
   std::size_t count = 0;
   double mean_s = 0.0;
+  double min_s = 0.0;
   double max_s = 0.0;
   double p50_s = 0.0;
   double p95_s = 0.0;
@@ -42,15 +44,16 @@ class LatencyRecorder {
     return samples_;
   }
 
-  /// Computes mean/max and nearest-rank p50/p95/p99/p99.9 (sorts a copy).
-  /// The rank rule is the shared `nearest_rank()` estimator, so these
-  /// agree with HistogramMetric quantiles up to bucket resolution.
+  /// Computes mean/min/max and nearest-rank p50/p95/p99/p99.9 (sorts a
+  /// copy). The rank rule is the shared `nearest_rank()` estimator, so
+  /// these agree with HistogramMetric quantiles up to bucket resolution.
   [[nodiscard]] LatencySummary summary() const;
 
-  /// Replays every sample into a histogram metric — how a recorder
-  /// enters a MetricsSnapshot (the serving report publishes its merged
-  /// recorder this way).
-  void fill_histogram(HistogramMetric& hist) const;
+  /// Writes summary() under `name` with the keys snapshot_histogram()
+  /// uses (<name>/count, mean, min, max, p50, p95, p99, p999), but with
+  /// exact sample percentiles instead of bucket bounds — how end-of-run
+  /// manifests record latencies.
+  void snapshot_to(MetricsSnapshot& snap, const std::string& name) const;
 
   /// Bucket layout used for latency histograms: 1 us .. ~67 s,
   /// x2 exponential.
@@ -63,6 +66,7 @@ class LatencyRecorder {
  private:
   std::vector<float> samples_;
   double sum_ = 0.0;
+  double min_ = std::numeric_limits<double>::infinity();
   double max_ = 0.0;
 };
 

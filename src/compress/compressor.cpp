@@ -7,20 +7,49 @@
 #include "common/timer.hpp"
 #include "compress/chunked.hpp"
 #include "compress/format.hpp"
+#include "compress/workspace.hpp"
 
 namespace dlcomp {
 
 CompressionStats Compressor::compress(std::span<const float> input,
                                       const CompressParams& params,
                                       std::vector<std::byte>& out,
-                                      CompressionWorkspace& /*ws*/) const {
-  return compress(input, params, out);
+                                      CompressionWorkspace& ws) const {
+  WallTimer timer;
+  const std::size_t start = out.size();
+  do_compress(input, params, out, ws);
+  CompressionStats stats;
+  stats.input_bytes = input.size_bytes();
+  stats.output_bytes = out.size() - start;
+  stats.seconds = timer.seconds();
+  return stats;
+}
+
+CompressionStats Compressor::compress(std::span<const float> input,
+                                      const CompressParams& params,
+                                      std::vector<std::byte>& out) const {
+  return compress(input, params, out, thread_local_workspace());
 }
 
 double Compressor::decompress(std::span<const std::byte> stream,
                               std::span<float> out,
-                              CompressionWorkspace& /*ws*/) const {
-  return decompress(stream, out);
+                              CompressionWorkspace& ws) const {
+  WallTimer timer;
+  std::span<const std::byte> payload;
+  const StreamHeader header = parse_header(stream, payload);
+  DLCOMP_CHECK_MSG(header.codec == id(),
+                   name() << " cannot decode a stream of codec id "
+                          << static_cast<int>(header.codec));
+  DLCOMP_CHECK_MSG(out.size() == header.element_count,
+                   "output span size " << out.size() << " != stream count "
+                                       << header.element_count);
+  if (!out.empty()) do_decompress(header, payload, out, ws);
+  return timer.seconds();
+}
+
+double Compressor::decompress(std::span<const std::byte> stream,
+                              std::span<float> out) const {
+  return decompress(stream, out, thread_local_workspace());
 }
 
 std::size_t decompressed_count(std::span<const std::byte> stream) {

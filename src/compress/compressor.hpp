@@ -9,8 +9,16 @@
 /// Streams are self-describing (see format.hpp): compress() appends a
 /// header + payload to `out`, decompress() recovers the element count and
 /// effective error bound from the stream. Compressors are stateless and
-/// const-thread-safe so the chunked compressor can fan work across a
-/// thread pool.
+/// const-thread-safe so the block engine can fan work across a thread
+/// pool.
+///
+/// The codec contract is two private virtuals behind a non-virtual
+/// front. A codec implements do_compress() (append its stream) and
+/// do_decompress() (decode one payload whose header the front has
+/// already parsed and checked). The front times every call, fills
+/// CompressionStats, lends the calling thread's workspace to calls that
+/// bring none, and rejects streams written by another codec or sized
+/// for a different output span before the codec sees them.
 
 #include <cstddef>
 #include <cstdint>
@@ -18,6 +26,8 @@
 #include <span>
 #include <string_view>
 #include <vector>
+
+#include "compress/format.hpp"
 
 namespace dlcomp {
 
@@ -76,8 +86,9 @@ struct CompressionStats {
   }
 };
 
-/// Abstract codec. Implementations must be stateless w.r.t. compress /
-/// decompress calls (const and thread-safe).
+/// Abstract codec: a non-virtual front over do_compress/do_decompress.
+/// Implementations must be stateless w.r.t. calls (const and
+/// thread-safe).
 class Compressor {
  public:
   virtual ~Compressor() = default;
@@ -86,33 +97,49 @@ class Compressor {
   /// offline analyzer's reports, and the calibrated throughput table.
   [[nodiscard]] virtual std::string_view name() const noexcept = 0;
 
+  /// The id this codec writes into its stream headers; decompress()
+  /// accepts only streams carrying it.
+  [[nodiscard]] virtual CodecId id() const noexcept = 0;
+
   /// True if reconstruction may differ from the input.
   [[nodiscard]] virtual bool lossy() const noexcept = 0;
 
   /// Compresses `input`, appending a self-describing stream to `out`.
-  /// Returns stats for this call (timing measured internally).
-  virtual CompressionStats compress(std::span<const float> input,
-                                    const CompressParams& params,
-                                    std::vector<std::byte>& out) const = 0;
+  /// Returns stats for this call (timing measured internally). All
+  /// scratch comes from `ws`, so steady-state callers allocate nothing
+  /// (see workspace.hpp for ownership and threading rules); the overload
+  /// without one borrows thread_local_workspace().
+  CompressionStats compress(std::span<const float> input,
+                            const CompressParams& params,
+                            std::vector<std::byte>& out,
+                            CompressionWorkspace& ws) const;
+  CompressionStats compress(std::span<const float> input,
+                            const CompressParams& params,
+                            std::vector<std::byte>& out) const;
 
   /// Decompresses one stream produced by compress(). `out.size()` must
   /// equal the stream's element count (query via decompressed_count()).
-  /// Returns wall seconds spent.
-  virtual double decompress(std::span<const std::byte> stream,
-                            std::span<float> out) const = 0;
+  /// Throws FormatError for a malformed header and Error for another
+  /// codec's stream or a mis-sized `out`. Returns wall seconds spent.
+  double decompress(std::span<const std::byte> stream, std::span<float> out,
+                    CompressionWorkspace& ws) const;
+  double decompress(std::span<const std::byte> stream,
+                    std::span<float> out) const;
 
-  /// Workspace variants: identical streams/results, but all scratch comes
-  /// from `ws` so steady-state callers allocate nothing (see
-  /// workspace.hpp for ownership and threading rules). Codecs that have
-  /// no scratch to reuse fall back to the plain overloads.
-  virtual CompressionStats compress(std::span<const float> input,
-                                    const CompressParams& params,
-                                    std::vector<std::byte>& out,
-                                    CompressionWorkspace& ws) const;
+ private:
+  /// Appends one complete stream (header included) for `input` to `out`.
+  virtual void do_compress(std::span<const float> input,
+                           const CompressParams& params,
+                           std::vector<std::byte>& out,
+                           CompressionWorkspace& ws) const = 0;
 
-  virtual double decompress(std::span<const std::byte> stream,
-                            std::span<float> out,
-                            CompressionWorkspace& ws) const;
+  /// Decodes `payload` into `out`. The front has parsed `header`,
+  /// checked that it carries id() and that `out` holds exactly its
+  /// element count, which is non-zero.
+  virtual void do_decompress(const StreamHeader& header,
+                             std::span<const std::byte> payload,
+                             std::span<float> out,
+                             CompressionWorkspace& ws) const = 0;
 };
 
 /// Reads the element count from a stream header without decompressing.

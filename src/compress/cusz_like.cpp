@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/bitstream.hpp"
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/huffman_coding.hpp"
 #include "compress/kernels.hpp"
@@ -11,23 +10,15 @@
 
 namespace dlcomp {
 
-CompressionStats CuszLikeCompressor::compress(std::span<const float> input,
-                                              const CompressParams& params,
-                                              std::vector<std::byte>& out) const {
-  return compress(input, params, out, thread_local_workspace());
-}
-
-CompressionStats CuszLikeCompressor::compress(std::span<const float> input,
-                                              const CompressParams& params,
-                                              std::vector<std::byte>& out,
-                                              CompressionWorkspace& ws) const {
+void CuszLikeCompressor::do_compress(std::span<const float> input,
+                                     const CompressParams& params,
+                                     std::vector<std::byte>& out,
+                                     CompressionWorkspace& ws) const {
   DLCOMP_CHECK(params.vector_dim > 0);
-  WallTimer timer;
-  const std::size_t start = out.size();
   const double eb = resolve_error_bound(input, params);
 
   StreamHeader header;
-  header.codec = CodecId::kCuszLike;
+  header.codec = id();
   header.vector_dim = header_vector_dim(params.vector_dim);
   header.element_count = input.size();
   header.effective_error_bound = eb;
@@ -50,28 +41,12 @@ CompressionStats CuszLikeCompressor::compress(std::span<const float> input,
   }
 
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
-double CuszLikeCompressor::decompress(std::span<const std::byte> stream,
-                                      std::span<float> out) const {
-  return decompress(stream, out, thread_local_workspace());
-}
-
-double CuszLikeCompressor::decompress(std::span<const std::byte> stream,
-                                      std::span<float> out,
-                                      CompressionWorkspace& ws) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kCuszLike);
-  DLCOMP_CHECK(out.size() == header.element_count);
-  if (out.empty()) return timer.seconds();
-
+void CuszLikeCompressor::do_decompress(const StreamHeader& header,
+                                       std::span<const std::byte> payload,
+                                       std::span<float> out,
+                                       CompressionWorkspace& ws) const {
   ByteReader reader(payload);
   HuffmanCodec& codec = ws.huffman();
   codec.deserialize_table_in_place(reader);
@@ -81,7 +56,6 @@ double CuszLikeCompressor::decompress(std::span<const std::byte> stream,
 
   kernels::lorenzo_decode_fused(symbols, header.vector_dim,
                                 header.effective_error_bound, out);
-  return timer.seconds();
 }
 
 std::vector<std::int32_t> CuszLikeCompressor::prediction_codes(

@@ -24,27 +24,23 @@ class CuszLikeCompressor final : public Compressor {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "cusz-like";
   }
+  [[nodiscard]] CodecId id() const noexcept override {
+    return CodecId::kCuszLike;
+  }
   [[nodiscard]] bool lossy() const noexcept override { return true; }
-
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out) const override;
-
-  double decompress(std::span<const std::byte> stream,
-                    std::span<float> out) const override;
-
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out,
-                            CompressionWorkspace& ws) const override;
-
-  double decompress(std::span<const std::byte> stream, std::span<float> out,
-                    CompressionWorkspace& ws) const override;
 
   /// Residual quantization codes for a buffer (diagnostic used by tests
   /// and the Table I "false prediction" characterization).
   static std::vector<std::int32_t> prediction_codes(
       std::span<const float> input, const CompressParams& params);
+
+ private:
+  void do_compress(std::span<const float> input, const CompressParams& params,
+                   std::vector<std::byte>& out,
+                   CompressionWorkspace& ws) const override;
+  void do_decompress(const StreamHeader& header,
+                     std::span<const std::byte> payload, std::span<float> out,
+                     CompressionWorkspace& ws) const override;
 };
 
 }  // namespace dlcomp

@@ -3,22 +3,18 @@
 #include <cstring>
 #include <vector>
 
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/huffman_coding.hpp"
 #include "compress/lzss.hpp"
 
 namespace dlcomp {
 
-CompressionStats DeflateLikeCompressor::compress(std::span<const float> input,
-                                                 const CompressParams& params,
-                                                 std::vector<std::byte>& out) const {
-  (void)params;
-  WallTimer timer;
-  const std::size_t start = out.size();
-
+void DeflateLikeCompressor::do_compress(std::span<const float> input,
+                                        const CompressParams& /*params*/,
+                                        std::vector<std::byte>& out,
+                                        CompressionWorkspace& /*ws*/) const {
   StreamHeader header;
-  header.codec = CodecId::kDeflateLike;
+  header.codec = id();
   header.element_count = input.size();
   const std::size_t patch_at = append_header(out, header);
   const std::size_t payload_start = out.size();
@@ -52,26 +48,16 @@ CompressionStats DeflateLikeCompressor::compress(std::span<const float> input,
   }
 
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
-double DeflateLikeCompressor::decompress(std::span<const std::byte> stream,
-                                         std::span<float> out) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kDeflateLike);
-  DLCOMP_CHECK(out.size() == header.element_count);
-  if (out.empty()) return timer.seconds();
-
+void DeflateLikeCompressor::do_decompress(const StreamHeader& header,
+                                          std::span<const std::byte> payload,
+                                          std::span<float> out,
+                                          CompressionWorkspace& /*ws*/) const {
   if (header.flags & kFlagStoredRaw) {
     DLCOMP_CHECK(payload.size() == out.size_bytes());
     std::memcpy(out.data(), payload.data(), payload.size());
-    return timer.seconds();
+    return;
   }
 
   std::size_t pos = 0;
@@ -91,7 +77,6 @@ double DeflateLikeCompressor::decompress(std::span<const std::byte> stream,
   const std::span<std::byte> raw{reinterpret_cast<std::byte*>(out.data()),
                                  out.size_bytes()};
   lzss::decompress_bytes(lz_bytes, raw);
-  return timer.seconds();
 }
 
 }  // namespace dlcomp

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/bitstream.hpp"
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/kernels.hpp"
 #include "compress/workspace.hpp"
@@ -47,22 +46,14 @@ void unshuffle_block(
 
 }  // namespace
 
-CompressionStats FzGpuLikeCompressor::compress(std::span<const float> input,
-                                               const CompressParams& params,
-                                               std::vector<std::byte>& out) const {
-  return compress(input, params, out, thread_local_workspace());
-}
-
-CompressionStats FzGpuLikeCompressor::compress(std::span<const float> input,
-                                               const CompressParams& params,
-                                               std::vector<std::byte>& out,
-                                               CompressionWorkspace& ws) const {
-  WallTimer timer;
-  const std::size_t start = out.size();
+void FzGpuLikeCompressor::do_compress(std::span<const float> input,
+                                      const CompressParams& params,
+                                      std::vector<std::byte>& out,
+                                      CompressionWorkspace& ws) const {
   const double eb = resolve_error_bound(input, params);
 
   StreamHeader header;
-  header.codec = CodecId::kFzGpuLike;
+  header.codec = id();
   header.vector_dim = header_vector_dim(params.vector_dim);
   header.element_count = input.size();
   header.effective_error_bound = eb;
@@ -97,28 +88,12 @@ CompressionStats FzGpuLikeCompressor::compress(std::span<const float> input,
   }
 
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
-double FzGpuLikeCompressor::decompress(std::span<const std::byte> stream,
-                                       std::span<float> out) const {
-  return decompress(stream, out, thread_local_workspace());
-}
-
-double FzGpuLikeCompressor::decompress(std::span<const std::byte> stream,
-                                       std::span<float> out,
-                                       CompressionWorkspace& ws) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kFzGpuLike);
-  DLCOMP_CHECK(out.size() == header.element_count);
-  if (out.empty()) return timer.seconds();
-
+void FzGpuLikeCompressor::do_decompress(const StreamHeader& header,
+                                        std::span<const std::byte> payload,
+                                        std::span<float> out,
+                                        CompressionWorkspace& ws) const {
   ByteReader reader(payload);
   const auto symbols = ws.symbols(out.size());
   std::array<std::array<std::uint8_t, kPlaneBytes>, kPlanes> planes;
@@ -136,7 +111,6 @@ double FzGpuLikeCompressor::decompress(std::span<const std::byte> stream,
   }
 
   kernels::dequantize_symbols(symbols, header.effective_error_bound, out);
-  return timer.seconds();
 }
 
 }  // namespace dlcomp

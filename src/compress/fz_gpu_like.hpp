@@ -20,22 +20,19 @@ class FzGpuLikeCompressor final : public Compressor {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "fz-gpu-like";
   }
+  [[nodiscard]] CodecId id() const noexcept override {
+    return CodecId::kFzGpuLike;
+  }
   [[nodiscard]] bool lossy() const noexcept override { return true; }
 
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out) const override;
 
-  double decompress(std::span<const std::byte> stream,
-                    std::span<float> out) const override;
-
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out,
-                            CompressionWorkspace& ws) const override;
-
-  double decompress(std::span<const std::byte> stream, std::span<float> out,
-                    CompressionWorkspace& ws) const override;
+ private:
+  void do_compress(std::span<const float> input, const CompressParams& params,
+                   std::vector<std::byte>& out,
+                   CompressionWorkspace& ws) const override;
+  void do_decompress(const StreamHeader& header,
+                     std::span<const std::byte> payload, std::span<float> out,
+                     CompressionWorkspace& ws) const override;
 };
 
 }  // namespace dlcomp

@@ -2,21 +2,18 @@
 
 #include <cstring>
 
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/lzss.hpp"
 
 namespace dlcomp {
 
-CompressionStats GenericLzCompressor::compress(std::span<const float> input,
-                                               const CompressParams& params,
-                                               std::vector<std::byte>& out) const {
-  (void)params;  // lossless: error bound and vector shape are irrelevant
-  WallTimer timer;
-  const std::size_t start = out.size();
-
+void GenericLzCompressor::do_compress(std::span<const float> input,
+                                      const CompressParams& /*params*/,
+                                      std::vector<std::byte>& out,
+                                      CompressionWorkspace& /*ws*/) const {
+  // Lossless: error bound and vector shape are irrelevant.
   StreamHeader header;
-  header.codec = CodecId::kGenericLz;
+  header.codec = id();
   header.element_count = input.size();
   const std::size_t patch_at = append_header(out, header);
   const std::size_t payload_start = out.size();
@@ -34,21 +31,12 @@ CompressionStats GenericLzCompressor::compress(std::span<const float> input,
   }
 
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
-double GenericLzCompressor::decompress(std::span<const std::byte> stream,
-                                       std::span<float> out) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kGenericLz);
-  DLCOMP_CHECK(out.size() == header.element_count);
-
+void GenericLzCompressor::do_decompress(const StreamHeader& header,
+                                        std::span<const std::byte> payload,
+                                        std::span<float> out,
+                                        CompressionWorkspace& /*ws*/) const {
   const std::span<std::byte> raw{reinterpret_cast<std::byte*>(out.data()),
                                  out.size_bytes()};
   if (header.flags & kFlagStoredRaw) {
@@ -57,7 +45,6 @@ double GenericLzCompressor::decompress(std::span<const std::byte> stream,
   } else {
     lzss::decompress_bytes(payload, raw);
   }
-  return timer.seconds();
 }
 
 }  // namespace dlcomp

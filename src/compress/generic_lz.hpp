@@ -15,14 +15,18 @@ class GenericLzCompressor final : public Compressor {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "generic-lz";
   }
+  [[nodiscard]] CodecId id() const noexcept override {
+    return CodecId::kGenericLz;
+  }
   [[nodiscard]] bool lossy() const noexcept override { return false; }
 
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out) const override;
-
-  double decompress(std::span<const std::byte> stream,
-                    std::span<float> out) const override;
+ private:
+  void do_compress(std::span<const float> input, const CompressParams& params,
+                   std::vector<std::byte>& out,
+                   CompressionWorkspace& ws) const override;
+  void do_decompress(const StreamHeader& header,
+                     std::span<const std::byte> payload, std::span<float> out,
+                     CompressionWorkspace& ws) const override;
 };
 
 }  // namespace dlcomp

@@ -1,6 +1,5 @@
 #include "compress/huffman_compressor.hpp"
 
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/huffman_coding.hpp"
 #include "compress/kernels.hpp"
@@ -8,18 +7,10 @@
 
 namespace dlcomp {
 
-CompressionStats HuffmanCompressor::compress(std::span<const float> input,
-                                             const CompressParams& params,
-                                             std::vector<std::byte>& out) const {
-  return compress(input, params, out, thread_local_workspace());
-}
-
-CompressionStats HuffmanCompressor::compress(std::span<const float> input,
-                                             const CompressParams& params,
-                                             std::vector<std::byte>& out,
-                                             CompressionWorkspace& ws) const {
-  WallTimer timer;
-  const std::size_t start = out.size();
+void HuffmanCompressor::do_compress(std::span<const float> input,
+                                    const CompressParams& params,
+                                    std::vector<std::byte>& out,
+                                    CompressionWorkspace& ws) const {
   const double eb = resolve_error_bound(input, params);
 
   std::span<const std::uint32_t> symbols;
@@ -30,12 +21,6 @@ CompressionStats HuffmanCompressor::compress(std::span<const float> input,
   }
   compress_with_symbols(input.size(), eb, params, symbols, ws.histogram(),
                         out, ws);
-
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
 void HuffmanCompressor::compress_with_symbols(
@@ -66,23 +51,10 @@ void HuffmanCompressor::compress_with_symbols(
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
 }
 
-double HuffmanCompressor::decompress(std::span<const std::byte> stream,
-                                     std::span<float> out) const {
-  return decompress(stream, out, thread_local_workspace());
-}
-
-double HuffmanCompressor::decompress(std::span<const std::byte> stream,
-                                     std::span<float> out,
-                                     CompressionWorkspace& ws) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kHuffman);
-  DLCOMP_CHECK_MSG(out.size() == header.element_count,
-                   "output span size " << out.size() << " != stream count "
-                                       << header.element_count);
-  if (out.empty()) return timer.seconds();
-
+void HuffmanCompressor::do_decompress(const StreamHeader& header,
+                                      std::span<const std::byte> payload,
+                                      std::span<float> out,
+                                      CompressionWorkspace& ws) const {
   ByteReader reader(payload);
   HuffmanCodec& codec = ws.huffman();
   codec.deserialize_table_in_place(reader);
@@ -92,7 +64,6 @@ double HuffmanCompressor::decompress(std::span<const std::byte> stream,
   codec.decode(bits, symbols);
 
   kernels::dequantize_symbols(symbols, header.effective_error_bound, out);
-  return timer.seconds();
 }
 
 }  // namespace dlcomp

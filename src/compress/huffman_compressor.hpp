@@ -21,22 +21,10 @@ class HuffmanCompressor final : public Compressor {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "huffman";
   }
+  [[nodiscard]] CodecId id() const noexcept override {
+    return CodecId::kHuffman;
+  }
   [[nodiscard]] bool lossy() const noexcept override { return true; }
-
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out) const override;
-
-  double decompress(std::span<const std::byte> stream,
-                    std::span<float> out) const override;
-
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out,
-                            CompressionWorkspace& ws) const override;
-
-  double decompress(std::span<const std::byte> stream, std::span<float> out,
-                    CompressionWorkspace& ws) const override;
 
   /// Hybrid fast path: writes the complete Huffman stream for an input
   /// whose zigzag symbols and histogram (under `eb`) are already known,
@@ -51,6 +39,14 @@ class HuffmanCompressor final : public Compressor {
                              std::vector<std::byte>& out,
                              CompressionWorkspace& ws,
                              bool rebuild_codec = true) const;
+
+ private:
+  void do_compress(std::span<const float> input, const CompressParams& params,
+                   std::vector<std::byte>& out,
+                   CompressionWorkspace& ws) const override;
+  void do_decompress(const StreamHeader& header,
+                     std::span<const std::byte> payload, std::span<float> out,
+                     CompressionWorkspace& ws) const override;
 };
 
 }  // namespace dlcomp

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/huffman_compressor.hpp"
 #include "compress/kernels.hpp"
@@ -26,21 +25,12 @@ const HuffmanCompressor& huffman_codec() {
 
 }  // namespace
 
-CompressionStats HybridCompressor::compress(std::span<const float> input,
-                                            const CompressParams& params,
-                                            std::vector<std::byte>& out) const {
-  return compress(input, params, out, thread_local_workspace());
-}
-
-CompressionStats HybridCompressor::compress(std::span<const float> input,
-                                            const CompressParams& params,
-                                            std::vector<std::byte>& out,
-                                            CompressionWorkspace& ws) const {
-  WallTimer timer;
-  const std::size_t start = out.size();
-
+void HybridCompressor::do_compress(std::span<const float> input,
+                                   const CompressParams& params,
+                                   std::vector<std::byte>& out,
+                                   CompressionWorkspace& ws) const {
   StreamHeader header;
-  header.codec = CodecId::kHybrid;
+  header.codec = id();
   header.vector_dim = header_vector_dim(params.vector_dim);
   header.element_count = input.size();
   // Mirror the effective bound in the outer header so stream inspection
@@ -104,26 +94,12 @@ CompressionStats HybridCompressor::compress(std::span<const float> input,
   }
 
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
-double HybridCompressor::decompress(std::span<const std::byte> stream,
-                                    std::span<float> out) const {
-  return decompress(stream, out, thread_local_workspace());
-}
-
-double HybridCompressor::decompress(std::span<const std::byte> stream,
-                                    std::span<float> out,
-                                    CompressionWorkspace& ws) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kHybrid);
-  DLCOMP_CHECK(out.size() == header.element_count);
+void HybridCompressor::do_decompress(const StreamHeader& /*header*/,
+                                     std::span<const std::byte> payload,
+                                     std::span<float> out,
+                                     CompressionWorkspace& ws) const {
   if (payload.empty()) throw FormatError("hybrid stream missing selector");
 
   const auto choice = static_cast<HybridChoice>(payload[0]);
@@ -138,7 +114,6 @@ double HybridCompressor::decompress(std::span<const std::byte> stream,
     default:
       throw FormatError("unknown hybrid selector");
   }
-  return timer.seconds();
 }
 
 HybridChoice HybridCompressor::stream_choice(std::span<const std::byte> stream) {

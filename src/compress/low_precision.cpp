@@ -3,20 +3,17 @@
 #include <vector>
 
 #include "common/float_codec.hpp"
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 
 namespace dlcomp {
 
-CompressionStats Fp16Compressor::compress(std::span<const float> input,
-                                          const CompressParams& params,
-                                          std::vector<std::byte>& out) const {
-  (void)params;  // fixed-ratio: no error bound to honor
-  WallTimer timer;
-  const std::size_t start = out.size();
-
+void Fp16Compressor::do_compress(std::span<const float> input,
+                                 const CompressParams& /*params*/,
+                                 std::vector<std::byte>& out,
+                                 CompressionWorkspace& /*ws*/) const {
+  // Fixed-ratio: no error bound to honor.
   StreamHeader header;
-  header.codec = CodecId::kFp16;
+  header.codec = id();
   header.element_count = input.size();
   const std::size_t patch_at = append_header(out, header);
   const std::size_t payload_start = out.size();
@@ -26,37 +23,24 @@ CompressionStats Fp16Compressor::compress(std::span<const float> input,
   append_pod_span<std::uint16_t>(out, half);
 
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
-double Fp16Compressor::decompress(std::span<const std::byte> stream,
-                                  std::span<float> out) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kFp16);
-  DLCOMP_CHECK(out.size() == header.element_count);
-
+void Fp16Compressor::do_decompress(const StreamHeader& /*header*/,
+                                   std::span<const std::byte> payload,
+                                   std::span<float> out,
+                                   CompressionWorkspace& /*ws*/) const {
   std::vector<std::uint16_t> half(out.size());
   ByteReader reader(payload);
   reader.read_span(std::span<std::uint16_t>(half));
   decode_fp16(half, out);
-  return timer.seconds();
 }
 
-CompressionStats Fp8Compressor::compress(std::span<const float> input,
-                                         const CompressParams& params,
-                                         std::vector<std::byte>& out) const {
-  (void)params;
-  WallTimer timer;
-  const std::size_t start = out.size();
-
+void Fp8Compressor::do_compress(std::span<const float> input,
+                                const CompressParams& /*params*/,
+                                std::vector<std::byte>& out,
+                                CompressionWorkspace& /*ws*/) const {
   StreamHeader header;
-  header.codec = CodecId::kFp8;
+  header.codec = id();
   header.element_count = input.size();
   const std::size_t patch_at = append_header(out, header);
   const std::size_t payload_start = out.size();
@@ -66,26 +50,16 @@ CompressionStats Fp8Compressor::compress(std::span<const float> input,
   append_pod_span<std::uint8_t>(out, bytes);
 
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
-double Fp8Compressor::decompress(std::span<const std::byte> stream,
-                                 std::span<float> out) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kFp8);
-  DLCOMP_CHECK(out.size() == header.element_count);
-
+void Fp8Compressor::do_decompress(const StreamHeader& /*header*/,
+                                  std::span<const std::byte> payload,
+                                  std::span<float> out,
+                                  CompressionWorkspace& /*ws*/) const {
   std::vector<std::uint8_t> bytes(out.size());
   ByteReader reader(payload);
   reader.read_span(std::span<std::uint8_t>(bytes));
   decode_fp8(bytes, out);
-  return timer.seconds();
 }
 
 }  // namespace dlcomp

@@ -14,27 +14,35 @@ namespace dlcomp {
 class Fp16Compressor final : public Compressor {
  public:
   [[nodiscard]] std::string_view name() const noexcept override { return "fp16"; }
+  [[nodiscard]] CodecId id() const noexcept override {
+    return CodecId::kFp16;
+  }
   [[nodiscard]] bool lossy() const noexcept override { return true; }
 
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out) const override;
-
-  double decompress(std::span<const std::byte> stream,
-                    std::span<float> out) const override;
+ private:
+  void do_compress(std::span<const float> input, const CompressParams& params,
+                   std::vector<std::byte>& out,
+                   CompressionWorkspace& ws) const override;
+  void do_decompress(const StreamHeader& header,
+                     std::span<const std::byte> payload, std::span<float> out,
+                     CompressionWorkspace& ws) const override;
 };
 
 class Fp8Compressor final : public Compressor {
  public:
   [[nodiscard]] std::string_view name() const noexcept override { return "fp8"; }
+  [[nodiscard]] CodecId id() const noexcept override {
+    return CodecId::kFp8;
+  }
   [[nodiscard]] bool lossy() const noexcept override { return true; }
 
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out) const override;
-
-  double decompress(std::span<const std::byte> stream,
-                    std::span<float> out) const override;
+ private:
+  void do_compress(std::span<const float> input, const CompressParams& params,
+                   std::vector<std::byte>& out,
+                   CompressionWorkspace& ws) const override;
+  void do_decompress(const StreamHeader& header,
+                     std::span<const std::byte> payload, std::span<float> out,
+                     CompressionWorkspace& ws) const override;
 };
 
 }  // namespace dlcomp

@@ -28,24 +28,10 @@ const Fp8Compressor kFp8;
 const HybridCompressor kHybrid;
 const ZfpLikeCompressor kZfp;
 
-struct Registered {
-  std::string_view name;
-  CodecId id;
-  const Compressor& codec;
-};
-
 /// Every codec, in the comparison order the paper's Table V / Fig. 11 use.
-const Registered kRegistry[] = {
-    {"cusz-like", CodecId::kCuszLike, kCusz},
-    {"zfp-like", CodecId::kZfpLike, kZfp},
-    {"fz-gpu-like", CodecId::kFzGpuLike, kFzGpu},
-    {"vector-lz", CodecId::kVectorLz, kVectorLz},
-    {"huffman", CodecId::kHuffman, kHuffman},
-    {"generic-lz", CodecId::kGenericLz, kGenericLz},
-    {"deflate-like", CodecId::kDeflateLike, kDeflate},
-    {"fp16", CodecId::kFp16, kFp16},
-    {"fp8", CodecId::kFp8, kFp8},
-    {"hybrid", CodecId::kHybrid, kHybrid},
+const Compressor* const kRegistry[] = {
+    &kCusz,      &kZfp,     &kFzGpu, &kVectorLz, &kHuffman,
+    &kGenericLz, &kDeflate, &kFp16,  &kFp8,      &kHybrid,
 };
 
 constexpr std::array<std::string_view, 8> kPipelineNames = {
@@ -56,15 +42,15 @@ constexpr std::array<std::string_view, 8> kPipelineNames = {
 }  // namespace
 
 const Compressor& get_compressor(std::string_view name) {
-  for (const Registered& entry : kRegistry) {
-    if (entry.name == name) return entry.codec;
+  for (const Compressor* codec : kRegistry) {
+    if (codec->name() == name) return *codec;
   }
   throw Error("unknown compressor: " + std::string(name));
 }
 
 const Compressor& get_compressor(CodecId id) {
-  for (const Registered& entry : kRegistry) {
-    if (entry.id == id) return entry.codec;
+  for (const Compressor* codec : kRegistry) {
+    if (codec->id() == id) return *codec;
   }
   throw FormatError("unknown codec id " + std::to_string(static_cast<int>(id)));
 }
@@ -72,7 +58,7 @@ const Compressor& get_compressor(CodecId id) {
 std::span<const std::string_view> all_compressor_names() noexcept {
   static const auto names = [] {
     std::array<std::string_view, std::size(kRegistry)> out;
-    for (std::size_t i = 0; i < out.size(); ++i) out[i] = kRegistry[i].name;
+    for (std::size_t i = 0; i < out.size(); ++i) out[i] = kRegistry[i]->name();
     return out;
   }();
   return names;

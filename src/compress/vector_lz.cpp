@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "common/bitstream.hpp"
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 #include "compress/kernels.hpp"
 #include "compress/workspace.hpp"
@@ -85,18 +84,10 @@ void check_params(const CompressParams& params) {
 
 }  // namespace
 
-CompressionStats VectorLzCompressor::compress(std::span<const float> input,
-                                              const CompressParams& params,
-                                              std::vector<std::byte>& out) const {
-  return compress(input, params, out, thread_local_workspace());
-}
-
-CompressionStats VectorLzCompressor::compress(std::span<const float> input,
-                                              const CompressParams& params,
-                                              std::vector<std::byte>& out,
-                                              CompressionWorkspace& ws) const {
-  WallTimer timer;
-  const std::size_t start = out.size();
+void VectorLzCompressor::do_compress(std::span<const float> input,
+                                     const CompressParams& params,
+                                     std::vector<std::byte>& out,
+                                     CompressionWorkspace& ws) const {
   const double eb = resolve_error_bound(input, params);
 
   std::uint64_t max_symbol = 0;
@@ -108,12 +99,6 @@ CompressionStats VectorLzCompressor::compress(std::span<const float> input,
   }
   (void)plan(codes, max_symbol, params, ws);
   write_planned(codes, eb, max_symbol, params, out, ws);
-
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
 std::size_t VectorLzCompressor::plan(std::span<const std::int32_t> codes,
@@ -198,21 +183,10 @@ void VectorLzCompressor::write_planned(std::span<const std::int32_t> codes,
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
 }
 
-double VectorLzCompressor::decompress(std::span<const std::byte> stream,
-                                      std::span<float> out) const {
-  return decompress(stream, out, thread_local_workspace());
-}
-
-double VectorLzCompressor::decompress(std::span<const std::byte> stream,
-                                      std::span<float> out,
-                                      CompressionWorkspace& ws) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kVectorLz);
-  DLCOMP_CHECK(out.size() == header.element_count);
-  if (out.empty()) return timer.seconds();
-
+void VectorLzCompressor::do_decompress(const StreamHeader& header,
+                                       std::span<const std::byte> payload,
+                                       std::span<float> out,
+                                       CompressionWorkspace& ws) const {
   std::size_t pos = 0;
   DLCOMP_CHECK(!payload.empty());
   const unsigned literal_bits = std::to_integer<unsigned>(payload[pos++]);
@@ -245,7 +219,6 @@ double VectorLzCompressor::decompress(std::span<const std::byte> stream,
   }
 
   kernels::dequantize_codes(codes, header.effective_error_bound, out);
-  return timer.seconds();
 }
 
 std::size_t VectorLzCompressor::count_matches(std::span<const float> input,

@@ -25,22 +25,10 @@ class VectorLzCompressor final : public Compressor {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "vector-lz";
   }
+  [[nodiscard]] CodecId id() const noexcept override {
+    return CodecId::kVectorLz;
+  }
   [[nodiscard]] bool lossy() const noexcept override { return true; }
-
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out) const override;
-
-  double decompress(std::span<const std::byte> stream,
-                    std::span<float> out) const override;
-
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out,
-                            CompressionWorkspace& ws) const override;
-
-  double decompress(std::span<const std::byte> stream, std::span<float> out,
-                    CompressionWorkspace& ws) const override;
 
   /// Hybrid fast path, step 1: for an input whose quantization codes and
   /// largest zigzag symbol are already known, runs the match scan once,
@@ -63,6 +51,14 @@ class VectorLzCompressor final : public Compressor {
   /// given buffer (re-derived; helper for the Fig. 13 pattern analysis).
   static std::size_t count_matches(std::span<const float> input,
                                    const CompressParams& params);
+
+ private:
+  void do_compress(std::span<const float> input, const CompressParams& params,
+                   std::vector<std::byte>& out,
+                   CompressionWorkspace& ws) const override;
+  void do_decompress(const StreamHeader& header,
+                     std::span<const std::byte> payload, std::span<float> out,
+                     CompressionWorkspace& ws) const override;
 };
 
 }  // namespace dlcomp

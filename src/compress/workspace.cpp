@@ -62,44 +62,6 @@ std::size_t CompressionWorkspace::capacity_bytes() const noexcept {
          caller_stream_.capacity();
 }
 
-// --------------------------------------------------------- WorkspacePool
-
-CompressionWorkspace* WorkspacePool::acquire() {
-  std::lock_guard lock(mutex_);
-  if (!free_.empty()) {
-    CompressionWorkspace* ws = free_.back();
-    free_.pop_back();
-    return ws;
-  }
-  all_.push_back(std::make_unique<CompressionWorkspace>());
-  free_.reserve(all_.capacity());
-  return all_.back().get();
-}
-
-void WorkspacePool::release(CompressionWorkspace* ws) {
-  std::lock_guard lock(mutex_);
-  free_.push_back(ws);
-}
-
-std::uint64_t WorkspacePool::grow_events() const {
-  std::lock_guard lock(mutex_);
-  std::uint64_t total = 0;
-  for (const auto& ws : all_) total += ws->grow_events();
-  return total;
-}
-
-std::size_t WorkspacePool::capacity_bytes() const {
-  std::lock_guard lock(mutex_);
-  std::size_t total = 0;
-  for (const auto& ws : all_) total += ws->capacity_bytes();
-  return total;
-}
-
-std::size_t WorkspacePool::size() const {
-  std::lock_guard lock(mutex_);
-  return all_.size();
-}
-
 CompressionWorkspace& thread_local_workspace() {
   static thread_local CompressionWorkspace workspace;
   return workspace;

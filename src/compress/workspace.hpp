@@ -14,12 +14,11 @@
 ///    time (calls may nest deliberately, e.g. hybrid hands its workspace
 ///    to its inner codecs — disjoint scratch members are documented
 ///    per accessor);
-///  - subsystems that fan codec work across a ThreadPool hold a
-///    WorkspacePool and take one lease per task: leases hand out distinct
-///    workspaces, so pool threads never share scratch;
-///  - the no-workspace Compressor entry points fall back to a per-thread
-///    workspace (thread_local_workspace()), so legacy callers get the
-///    allocation-free path automatically.
+///  - BlockEngine, which fans codec work across a ThreadPool, owns one
+///    workspace per lane, so pool threads never share scratch;
+///  - a Compressor call that brings no workspace borrows the calling
+///    thread's (thread_local_workspace()); so do tasks that run one per
+///    pool thread, e.g. the checkpoint reader's per-table decodes.
 ///
 /// Accounting: grow_events() counts scratch (re)allocations and
 /// capacity_bytes() reports the arena high-water mark, so tests and the
@@ -27,8 +26,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <span>
 #include <vector>
 
@@ -144,55 +141,10 @@ class CompressionWorkspace {
   std::vector<std::size_t> lz_tokens_;
   std::vector<std::byte> caller_stream_;
   std::uint64_t grow_events_ = 0;
-
-  friend class WorkspacePool;  // for grow-event attribution of match_table
 };
 
-/// Hands out one workspace per concurrent task. Pool-owned workspaces are
-/// recycled through a free list, so after warm-up acquire/release is a
-/// mutex hop plus pointer swap — no allocation, no sharing across pool
-/// threads.
-class WorkspacePool {
- public:
-  WorkspacePool() = default;
-  WorkspacePool(const WorkspacePool&) = delete;
-  WorkspacePool& operator=(const WorkspacePool&) = delete;
-
-  class Lease {
-   public:
-    explicit Lease(WorkspacePool& pool) : pool_(pool), ws_(pool.acquire()) {}
-    ~Lease() { pool_.release(ws_); }
-    Lease(const Lease&) = delete;
-    Lease& operator=(const Lease&) = delete;
-
-    CompressionWorkspace& operator*() const noexcept { return *ws_; }
-    CompressionWorkspace* operator->() const noexcept { return ws_; }
-
-   private:
-    WorkspacePool& pool_;
-    CompressionWorkspace* ws_;
-  };
-
-  /// Total grow events across every workspace ever handed out.
-  [[nodiscard]] std::uint64_t grow_events() const;
-
-  /// Total arena capacity across every workspace.
-  [[nodiscard]] std::size_t capacity_bytes() const;
-
-  /// Number of workspaces created so far (== peak concurrency seen).
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  CompressionWorkspace* acquire();
-  void release(CompressionWorkspace* ws);
-
-  mutable std::mutex mutex_;
-  std::vector<std::unique_ptr<CompressionWorkspace>> all_;
-  std::vector<CompressionWorkspace*> free_;
-};
-
-/// Per-thread fallback workspace behind the no-workspace Compressor entry
-/// points. Never shared across threads; do not hold a reference across a
+/// The calling thread's workspace, lent to Compressor calls that bring
+/// none. Never shared across threads; do not hold a reference across a
 /// call that might also use it (codecs only pass workspaces downward).
 CompressionWorkspace& thread_local_workspace();
 

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "common/bitstream.hpp"
-#include "common/timer.hpp"
 #include "compress/format.hpp"
 
 namespace dlcomp {
@@ -64,15 +63,14 @@ unsigned group_width(std::span<const std::int64_t> values) noexcept {
 
 }  // namespace
 
-CompressionStats ZfpLikeCompressor::compress(std::span<const float> input,
-                                             const CompressParams& params,
-                                             std::vector<std::byte>& out) const {
-  WallTimer timer;
-  const std::size_t start = out.size();
+void ZfpLikeCompressor::do_compress(std::span<const float> input,
+                                    const CompressParams& params,
+                                    std::vector<std::byte>& out,
+                                    CompressionWorkspace& /*ws*/) const {
   const double eb = resolve_error_bound(input, params);
 
   StreamHeader header;
-  header.codec = CodecId::kZfpLike;
+  header.codec = id();
   header.vector_dim = header_vector_dim(params.vector_dim);
   header.element_count = input.size();
   header.effective_error_bound = eb;
@@ -115,22 +113,12 @@ CompressionStats ZfpLikeCompressor::compress(std::span<const float> input,
   }
 
   patch_payload_bytes(out, patch_at, out.size() - payload_start);
-  CompressionStats stats;
-  stats.input_bytes = input.size_bytes();
-  stats.output_bytes = out.size() - start;
-  stats.seconds = timer.seconds();
-  return stats;
 }
 
-double ZfpLikeCompressor::decompress(std::span<const std::byte> stream,
-                                     std::span<float> out) const {
-  WallTimer timer;
-  std::span<const std::byte> payload;
-  const StreamHeader header = parse_header(stream, payload);
-  DLCOMP_CHECK(header.codec == CodecId::kZfpLike);
-  DLCOMP_CHECK(out.size() == header.element_count);
-  if (out.empty()) return timer.seconds();
-
+void ZfpLikeCompressor::do_decompress(const StreamHeader& header,
+                                      std::span<const std::byte> payload,
+                                      std::span<float> out,
+                                      CompressionWorkspace& /*ws*/) const {
   BitReader reader(payload);
   const double step = 2.0 * header.effective_error_bound;
 
@@ -152,7 +140,6 @@ double ZfpLikeCompressor::decompress(std::span<const std::byte> stream,
       out[base + i] = static_cast<float>(static_cast<double>(q[i]) * step);
     }
   }
-  return timer.seconds();
 }
 
 }  // namespace dlcomp

@@ -10,9 +10,8 @@ namespace dlcomp {
 
 CompressedAllReduce::CompressedAllReduce(CompressedAllReduceConfig config)
     : config_(std::move(config)) {
-  if (config_.codec != nullptr && !config_.throughput.has_value()) {
-    config_.throughput =
-        calibrated_throughput(config_.codec->name());
+  if (config_.codec != nullptr) {
+    throughput_ = calibrated_throughput(config_.codec->name());
   }
 }
 
@@ -49,7 +48,7 @@ AllReduceStats CompressedAllReduce::reduce(Communicator& comm,
   if (config_.charge_modeled_time) {
     comm.advance_compute(names.compress,
                          config_.device.codec_seconds(
-                             1, stats.raw_bytes, config_.throughput->compress_bps));
+                             1, stats.raw_bytes, throughput_.compress_bps));
   }
 
   std::vector<std::vector<std::byte>> send(world, stream);
@@ -77,7 +76,7 @@ AllReduceStats CompressedAllReduce::reduce(Communicator& comm,
     comm.advance_compute(
         names.decompress,
         config_.device.codec_seconds(1, stats.raw_bytes * world,
-                                     config_.throughput->decompress_bps));
+                                     throughput_.decompress_bps));
   }
   return stats;
 }

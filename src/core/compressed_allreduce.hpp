@@ -19,7 +19,6 @@
 /// P * eb per element. Determinism: every rank decompresses the same P
 /// streams and reduces in rank order, so replicas stay bitwise identical.
 
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -37,7 +36,6 @@ struct CompressedAllReduceConfig {
   /// Range-relative bound applied to each rank's buffer.
   double relative_eb = 0.01;
   DeviceModel device;
-  std::optional<CodecThroughput> throughput;
   bool charge_modeled_time = true;
 };
 
@@ -62,6 +60,9 @@ class CompressedAllReduce {
 
  private:
   CompressedAllReduceConfig config_;
+  /// Modelled codec throughputs: the calibrated table entry for the
+  /// codec (unused when the codec is null).
+  CodecThroughput throughput_;
   /// Reused across reduce() calls (logically const, never observable).
   struct Scratch {
     CompressionWorkspace workspace;

@@ -14,12 +14,10 @@ namespace dlcomp {
 
 CompressedAllToAll::CompressedAllToAll(CompressedAllToAllConfig config)
     : config_(std::move(config)) {
-  if (config_.codec != nullptr && !config_.throughput.has_value()) {
-    config_.throughput = calibrated_throughput(config_.codec->name());
-  }
   DLCOMP_CHECK_MSG(config_.pipeline_stages >= 1,
                    "pipeline_stages must be at least 1");
   if (config_.codec != nullptr) {
+    throughput_ = calibrated_throughput(config_.codec->name());
     scratch_.engine =
         std::make_unique<BlockEngine>(*config_.codec, config_.pool);
   }
@@ -284,7 +282,7 @@ void CompressedAllToAll::land_group(
 
   if (config_.charge_modeled_time && config_.codec != nullptr) {
     const double modeled = config_.device.codec_seconds(
-        1, group_recv_raw, config_.throughput->decompress_bps);
+        1, group_recv_raw, throughput_.decompress_bps);
     stats.modeled_decompress_seconds += modeled;
     comm.advance_compute(names.decompress, modeled);
   }
@@ -360,7 +358,7 @@ CompressedAllToAll::PendingExchange CompressedAllToAll::exchange_begin(
     // wire time.
     if (config_.charge_modeled_time && config_.codec != nullptr) {
       const double modeled = config_.device.codec_seconds(
-          1, group_raw, config_.throughput->compress_bps);
+          1, group_raw, throughput_.compress_bps);
       ex.stats_.modeled_compress_seconds += modeled;
       comm.advance_compute(names.compress, modeled);
     }

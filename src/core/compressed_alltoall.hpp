@@ -44,7 +44,6 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <string_view>
 #include <vector>
 
@@ -108,9 +107,6 @@ struct CompressedAllToAllConfig {
   /// null.
   ThreadPool* pool = nullptr;
   DeviceModel device;
-  /// Throughputs used for the modelled codec time (ignored when codec is
-  /// null). Defaults to the calibrated table entry for the codec.
-  std::optional<CodecThroughput> throughput;
   /// Whether to advance the rank's SimClock by modelled codec time.
   bool charge_modeled_time = true;
   /// Chunk groups per destination for the stage-pipelined exchange; 1 =
@@ -293,6 +289,9 @@ class CompressedAllToAll {
                                  bool first_group) const;
 
   CompressedAllToAllConfig config_;
+  /// Modelled codec throughputs: the calibrated table entry for the
+  /// codec (unused when the codec is null).
+  CodecThroughput throughput_;
   mutable Scratch scratch_;
 };
 

@@ -12,6 +12,7 @@
 #include "common/byte_io.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/latency_recorder.hpp"
 #include "common/timer.hpp"
 #include "compress/registry.hpp"
 #include "dlrm/interaction.hpp"
@@ -438,8 +439,8 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
     }
   };
 
-  // Rank 0's per-iteration wall times (1 us .. ~2 s exponential buckets).
-  HistogramMetric iter_wall_hist(HistogramBuckets::exponential(1e-6, 2.0, 22));
+  // Rank 0's per-iteration wall times.
+  LatencyRecorder iter_wall;
 
   if (config_.status != nullptr) {
     config_.status->set_total_iterations(config_.iterations);
@@ -700,7 +701,7 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
       // growth after that is a regression the tests assert against.
       if (iter < start_iter + 2) grow_baseline = a2a.workspace_grow_events();
 
-      if (rank == 0) iter_wall_hist.observe(iter_timer.seconds());
+      if (rank == 0) iter_wall.record(iter_timer.seconds());
 
       // ---- Bookkeeping (rank 0 records/saves; all ranks barrier so the
       // snapshot is a consistent cut of tables and optimizer state).
@@ -882,7 +883,7 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
   }
   snap.set("train/eval_loss", result.final_eval.loss);
   snap.set("train/eval_accuracy", result.final_eval.accuracy);
-  snapshot_histogram(snap, "train/iter_wall_s", iter_wall_hist);
+  iter_wall.snapshot_to(snap, "train/iter_wall_s");
   // The slowest rank's SimClock ledgers, same keys SimClock::export_to
   // would emit (the maps arrived through the result aggregation).
   for (const auto& [phase, seconds] : result.phase_seconds) {

@@ -203,12 +203,11 @@ ServingReport ServingSimulator::run() {
 
   if (store != nullptr) report.store_stats = store->stats();
 
-  // ---- Metrics snapshot: latency recorder -> histogram metric, plus
+  // ---- Metrics snapshot: exact latency percentiles from the merged
+  // recorder (live /metrics scrapes read the registry histogram), plus
   // queue depth and the fleet counters.
   MetricsSnapshot& snap = report.metrics;
-  HistogramMetric latency_hist(LatencyRecorder::default_buckets());
-  merged.fill_histogram(latency_hist);
-  snapshot_histogram(snap, "serve/latency_s", latency_hist);
+  merged.snapshot_to(snap, "serve/latency_s");
   HistogramMetric depth_hist(HistogramBuckets::exponential(1.0, 2.0, 16));
   for (const InferenceBatch& b : batches) {
     depth_hist.observe(static_cast<double>(b.queries.size()));

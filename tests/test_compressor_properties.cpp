@@ -7,6 +7,7 @@
 #include <cmath>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -207,15 +208,6 @@ TEST(StreamFormat, RejectsTruncatedPayload) {
   EXPECT_THROW(codec.decompress(stream, out), FormatError);
 }
 
-TEST(StreamFormat, WrongOutputSizeRejected) {
-  std::vector<float> input(64, 0.5f);
-  const Compressor& codec = get_compressor("huffman");
-  std::vector<std::byte> stream;
-  codec.compress(input, CompressParams{}, stream);
-  std::vector<float> wrong(63);
-  EXPECT_THROW(codec.decompress(stream, wrong), Error);
-}
-
 TEST(LowPrecision, FixedRatios) {
   std::vector<float> input(4096, 1.5f);
   const Compressor& fp16 = get_compressor("fp16");
@@ -354,17 +346,39 @@ TEST(Hybrid, AutoStreamEqualsEncodeBothKeepSmaller) {
   EXPECT_TRUE(tied) << "no input in the sweep tied; widen it";
 }
 
-TEST(CompressAppends, StreamsConcatenateCleanly) {
-  // compress() must append, so multiple streams can share one buffer.
+// ---------------------------------------------------- the codec contract
+// The Compressor front owns stats bookkeeping and the decode-side header
+// checks for every codec, so each registry codec is held to them.
+
+class CodecContract : public ::testing::TestWithParam<std::string_view> {};
+
+TEST_P(CodecContract, WrongOutputSizeRejected) {
+  const Compressor& codec = get_compressor(GetParam());
+  std::vector<float> input(64);
+  for (std::size_t i = 0; i < input.size(); ++i) input[i] = 0.01f * i;
+  std::vector<std::byte> stream;
+  codec.compress(input, CompressParams{}, stream);
+  std::vector<float> shorter(63);
+  std::vector<float> longer(65);
+  EXPECT_THROW(codec.decompress(stream, shorter), Error);
+  EXPECT_THROW(codec.decompress(stream, longer), Error);
+}
+
+TEST_P(CodecContract, StreamsConcatenateCleanly) {
+  // compress() must append, so multiple streams can share one buffer,
+  // and its stats must describe exactly the bytes this call added.
+  const Compressor& codec = get_compressor(GetParam());
   std::vector<float> a(128, 0.25f);
   std::vector<float> b(64, -0.5f);
-  const Compressor& codec = get_compressor("huffman");
   std::vector<std::byte> buffer;
   CompressParams params;
   const auto stats_a = codec.compress(a, params, buffer);
   const std::size_t first_size = buffer.size();
+  EXPECT_EQ(stats_a.input_bytes, a.size() * sizeof(float));
   EXPECT_EQ(stats_a.output_bytes, first_size);
-  codec.compress(b, params, buffer);
+  const auto stats_b = codec.compress(b, params, buffer);
+  EXPECT_EQ(stats_b.input_bytes, b.size() * sizeof(float));
+  EXPECT_EQ(stats_b.output_bytes, buffer.size() - first_size);
 
   std::vector<float> out_a(a.size());
   std::vector<float> out_b(b.size());
@@ -373,6 +387,17 @@ TEST(CompressAppends, StreamsConcatenateCleanly) {
   EXPECT_NEAR(out_a[0], 0.25f, 0.011);
   EXPECT_NEAR(out_b[0], -0.5f, 0.011);
 }
+
+INSTANTIATE_TEST_SUITE_P(Registry, CodecContract,
+                         ::testing::ValuesIn(all_compressor_names().begin(),
+                                             all_compressor_names().end()),
+                         [](const auto& info) {
+                           std::string tag(info.param);
+                           for (auto& c : tag) {
+                             if (c == '-') c = '_';
+                           }
+                           return tag;
+                         });
 
 }  // namespace
 }  // namespace dlcomp

@@ -176,14 +176,14 @@ TEST(SimClock, ExportToPublishesBothLedgers) {
   EXPECT_DOUBLE_EQ(snap.value("sim/makespan"), 2.5);
 }
 
-TEST(LatencyRecorder, FillHistogramMatchesRecorder) {
+TEST(LatencyRecorder, HistogramMatchesRecorder) {
   LatencyRecorder recorder;
   Rng rng(3);
   for (int i = 0; i < 500; ++i) {
     recorder.record(std::exp(rng.normal(-7.0, 1.0)));  // ~0.1..10 ms
   }
   HistogramMetric hist(LatencyRecorder::default_buckets());
-  recorder.fill_histogram(hist);
+  for (const float s : recorder.samples()) hist.observe(s);
 
   const LatencySummary summary = recorder.summary();
   EXPECT_EQ(hist.count(), recorder.count());
@@ -197,6 +197,28 @@ TEST(LatencyRecorder, FillHistogramMatchesRecorder) {
   EXPECT_LE(hist.quantile(50.0), summary.p50_s * 2.0);
   EXPECT_GE(hist.quantile(99.0), summary.p99_s);
   EXPECT_LE(hist.quantile(99.0), summary.p99_s * 2.0);
+}
+
+TEST(LatencyRecorder, SnapshotWritesExactPercentiles) {
+  // 1..100 ms: nearest-rank p50 is the 50th sample, p95 the 95th. Every
+  // x2 histogram bucket spanning them is wider than one sample, so a
+  // bucket bound would miss both.
+  LatencyRecorder recorder;
+  for (int i = 100; i >= 1; --i) recorder.record(i * 1e-3);
+  MetricsSnapshot snap;
+  recorder.snapshot_to(snap, "run/lat_s");
+  EXPECT_DOUBLE_EQ(snap.value("run/lat_s/count"), 100.0);
+  EXPECT_FLOAT_EQ(static_cast<float>(snap.value("run/lat_s/p50")), 50e-3f);
+  EXPECT_FLOAT_EQ(static_cast<float>(snap.value("run/lat_s/p95")), 95e-3f);
+  EXPECT_FLOAT_EQ(static_cast<float>(snap.value("run/lat_s/p99")), 99e-3f);
+  EXPECT_DOUBLE_EQ(snap.value("run/lat_s/min"), 1e-3);
+  EXPECT_DOUBLE_EQ(snap.value("run/lat_s/max"), 100e-3);
+  EXPECT_NEAR(snap.value("run/lat_s/mean"), 50.5e-3, 1e-12);
+
+  HistogramMetric hist(LatencyRecorder::default_buckets());
+  for (const float s : recorder.samples()) hist.observe(s);
+  EXPECT_NE(hist.quantile(50.0), snap.value("run/lat_s/p50"));
+  EXPECT_NE(hist.quantile(95.0), snap.value("run/lat_s/p95"));
 }
 
 // ------------------------------------------------- minimal JSON parser

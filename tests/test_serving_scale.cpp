@@ -177,17 +177,26 @@ class NanDecodingCodec final : public Compressor {
   [[nodiscard]] std::string_view name() const noexcept override {
     return "nan-decoding";
   }
-  [[nodiscard]] bool lossy() const noexcept override { return true; }
-  CompressionStats compress(std::span<const float> input,
-                            const CompressParams& params,
-                            std::vector<std::byte>& out) const override {
-    return get_compressor("hybrid").compress(input, params, out);
+  [[nodiscard]] CodecId id() const noexcept override {
+    return CodecId::kHybrid;
   }
-  double decompress(std::span<const std::byte> stream,
-                    std::span<float> out) const override {
-    const double seconds = get_compressor("hybrid").decompress(stream, out);
+  [[nodiscard]] bool lossy() const noexcept override { return true; }
+
+ private:
+  void do_compress(std::span<const float> input, const CompressParams& params,
+                   std::vector<std::byte>& out,
+                   CompressionWorkspace& ws) const override {
+    get_compressor("hybrid").compress(input, params, out, ws);
+  }
+  void do_decompress(const StreamHeader& /*header*/,
+                     std::span<const std::byte> payload, std::span<float> out,
+                     CompressionWorkspace& ws) const override {
+    // A hybrid payload is a selector byte, then a complete inner stream.
+    const auto inner = payload.subspan(1);
+    std::span<const std::byte> inner_payload;
+    get_compressor(parse_header(inner, inner_payload).codec)
+        .decompress(inner, out, ws);
     out[out.size() / 2] = std::nanf("");
-    return seconds;
   }
 };
 

@@ -109,6 +109,21 @@ TEST_P(StreamRobustness, HeaderCountTamperingRejected) {
   EXPECT_THROW(codec.decompress(tampered, out), Error);
 }
 
+TEST_P(StreamRobustness, OtherCodecsRejectTheStream) {
+  // A stream routed to the wrong decoder must fail its codec-id check
+  // before any payload is read.
+  const Compressor& codec = get_compressor(GetParam());
+  const auto input = sample_payload();
+  CompressParams params;
+  params.vector_dim = 32;
+  std::vector<std::byte> stream;
+  codec.compress(input, params, stream);
+  for (const auto name : all_compressor_names()) {
+    if (name == codec.name()) continue;
+    EXPECT_TRUE(survives(get_compressor(name), stream, input.size())) << name;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllCodecs, StreamRobustness,
                          ::testing::Values("huffman", "vector-lz", "hybrid",
                                            "cusz-like", "zfp-like",
