@@ -327,7 +327,6 @@ CompressParams CheckpointWriter::table_params(std::size_t t,
   params.error_bound = table_eb(t);
   params.eb_mode = EbMode::kAbsolute;
   params.vector_dim = dim;
-  params.lz_window_vectors = options_.lz_window_vectors;
   params.hybrid_choice = t < options_.table_choice.size()
                              ? options_.table_choice[t]
                              : HybridChoice::kAuto;

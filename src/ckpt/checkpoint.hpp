@@ -49,9 +49,6 @@ struct CheckpointOptions {
   /// Per-table hybrid codec choices (meaningful for codec="hybrid").
   std::vector<HybridChoice> table_choice;
 
-  /// Vector-LZ window, forwarded to CompressParams.
-  std::size_t lz_window_vectors = 128;
-
   /// Worker pool for parallel per-table (de)compression; null = serial.
   ThreadPool* pool = nullptr;
 };

@@ -7,31 +7,9 @@
 #include <thread>
 
 #include "common/error.hpp"
-#include "obs/metrics.hpp"
 #include "obs/trace.hpp"
 
 namespace dlcomp {
-
-CommStats& CommStats::operator+=(const CommStats& other) noexcept {
-  alltoall_count += other.alltoall_count;
-  alltoall_wire_bytes += other.alltoall_wire_bytes;
-  allreduce_count += other.allreduce_count;
-  allreduce_wire_bytes += other.allreduce_wire_bytes;
-  barrier_count += other.barrier_count;
-  return *this;
-}
-
-void publish_comm_metrics(MetricsRegistry& registry, const CommStats& stats,
-                          std::uint64_t wire_bytes_sent) {
-  registry.counter("dlcomp_comm_alltoall_total").add(stats.alltoall_count);
-  registry.counter("dlcomp_comm_alltoall_wire_bytes_total")
-      .add(stats.alltoall_wire_bytes);
-  registry.counter("dlcomp_comm_allreduce_total").add(stats.allreduce_count);
-  registry.counter("dlcomp_comm_allreduce_wire_bytes_total")
-      .add(stats.allreduce_wire_bytes);
-  registry.counter("dlcomp_comm_barrier_total").add(stats.barrier_count);
-  registry.counter("dlcomp_comm_wire_bytes_sent_total").add(wire_bytes_sent);
-}
 
 namespace detail {
 

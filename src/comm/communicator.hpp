@@ -46,27 +46,19 @@
 namespace dlcomp {
 
 class Communicator;
-class MetricsRegistry;
 
 /// Per-collective traffic accounting for one rank: how many of each
 /// collective ran and how many *modelled* wire bytes each family pushed
 /// (the same modelled totals wire_bytes_sent sums, so the numbers are
-/// backend-independent). Published as dlcomp_comm_* metrics.
+/// backend-independent). Published as the comm/* keys of a trainer run's
+/// TrainingResult::metrics.
 struct CommStats {
   std::uint64_t alltoall_count = 0;
   std::uint64_t alltoall_wire_bytes = 0;
   std::uint64_t allreduce_count = 0;
   std::uint64_t allreduce_wire_bytes = 0;
   std::uint64_t barrier_count = 0;
-
-  CommStats& operator+=(const CommStats& other) noexcept;
 };
-
-/// Registers one rank's comm accounting as dlcomp_comm_* counters (plus
-/// the modelled wire total) in `registry`. Counters accumulate, so
-/// summing ranks is just calling this once per rank.
-void publish_comm_metrics(MetricsRegistry& registry, const CommStats& stats,
-                          std::uint64_t wire_bytes_sent);
 
 namespace detail {
 

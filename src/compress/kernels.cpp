@@ -247,7 +247,7 @@ std::atomic<const detail::KernelOps*> g_active_ops{nullptr};
 std::atomic<int> g_active_isa{-1};
 
 /// Publishes the dispatched tier (0 scalar, 1 AVX2, 2 AVX-512) to the
-/// metrics plane so /metrics and run manifests record which code path a
+/// process-global registry so run manifests record which code path a
 /// run actually exercised.
 void publish_isa_gauge(simd::Isa isa) {
   MetricsRegistry::global()

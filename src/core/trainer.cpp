@@ -9,9 +9,9 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "comm/tcp_runtime.hpp"
-#include "common/byte_io.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
+#include "common/json.hpp"
 #include "common/latency_recorder.hpp"
 #include "common/timer.hpp"
 #include "compress/registry.hpp"
@@ -166,119 +166,155 @@ void sync_tables_for_eval(Communicator& comm,
   }
 }
 
-/// Everything one rank contributes to the run-level result, shipped to
-/// rank 0 over one raw transport exchange at the end of the rank body.
-/// Raw (clock-free) exchanges keep the aggregation identical across
-/// backends: under SimTransport this replaces the former shared-memory
-/// atomics; under TcpTransport it is the only way the numbers can reach
-/// rank 0 at all.
-struct RankTotals {
-  std::uint64_t fwd_raw = 0;
-  std::uint64_t fwd_wire = 0;
-  std::uint64_t bwd_raw = 0;
-  std::uint64_t bwd_wire = 0;
-  std::uint64_t steady_grow = 0;
-  std::uint32_t wire_crc = 0;
-  std::uint64_t wire_bytes_sent = 0;
-  CommStats comm;
-  double clock_now = 0.0;
-  std::vector<CompressedAllToAll::TagBytes> fwd_tags;
-  std::vector<CompressedAllToAll::TagBytes> bwd_tags;
-  std::map<std::string, double> breakdown;
-  std::map<std::string, double> hidden;
+// ---- End-of-run result aggregation: each rank's additive totals reach
+// rank 0 as one MetricsSnapshot, sent as a flat JSON object under the
+// manifest's key names. Under TCP the documents come from other
+// processes, so rank 0 validates each one before folding it.
+
+/// Rank totals that land in a TrainingResult field after the merge.
+constexpr std::pair<const char*, std::uint64_t TrainingResult::*>
+    kResultTotals[] = {
+        {"train/forward_raw_bytes", &TrainingResult::forward_raw_bytes},
+        {"train/forward_wire_bytes", &TrainingResult::forward_wire_bytes},
+        {"train/backward_raw_bytes", &TrainingResult::backward_raw_bytes},
+        {"train/backward_wire_bytes", &TrainingResult::backward_wire_bytes},
+        {"train/steady_grow_events",
+         &TrainingResult::steady_state_grow_events},
+        {"comm/wire_bytes_sent_total", &TrainingResult::wire_bytes_sent},
 };
+constexpr std::pair<const char*, std::uint64_t CommStats::*> kCommTotals[] = {
+    {"comm/alltoall_total", &CommStats::alltoall_count},
+    {"comm/alltoall_wire_bytes_total", &CommStats::alltoall_wire_bytes},
+    {"comm/allreduce_total", &CommStats::allreduce_count},
+    {"comm/allreduce_wire_bytes_total", &CommStats::allreduce_wire_bytes},
+    {"comm/barrier_total", &CommStats::barrier_count},
+};
+constexpr const char* kWireCrcKey = "train/wire_crc32";
+constexpr std::string_view kSimPrefix = "sim/";
 
-void append_ledger(std::vector<std::byte>& out,
-                   const std::map<std::string, double>& ledger) {
-  append_pod(out, static_cast<std::uint64_t>(ledger.size()));
-  for (const auto& [phase, seconds] : ledger) {
-    append_pod(out, static_cast<std::uint64_t>(phase.size()));
-    const auto* p = reinterpret_cast<const std::byte*>(phase.data());
-    out.insert(out.end(), p, p + phase.size());
-    append_pod(out, seconds);
+constexpr double kMaxExactCount = 9007199254740992.0;  // 2^53
+
+/// `value` as an unsigned integer no larger than `max`; throws for what
+/// no rank's accounting can produce (negative, fractional, too large).
+std::uint64_t to_count(double value, double max, std::string_view key) {
+  DLCOMP_CHECK_MSG(value >= 0.0 && value <= max && value == std::floor(value),
+                   "result aggregation: " << key << " = " << value
+                                          << " is not a count");
+  return static_cast<std::uint64_t>(value);
+}
+
+/// Writes one rank's additive totals: the kResultTotals and kCommTotals
+/// fields and its final wire CRC.
+void write_totals(const TrainingResult& totals, MetricsSnapshot& snap) {
+  for (const auto& [key, field] : kResultTotals) {
+    snap.set(key, static_cast<double>(totals.*field));
+  }
+  for (const auto& [key, field] : kCommTotals) {
+    snap.set(key, static_cast<double>(totals.comm_stats.*field));
+  }
+  snap.set(kWireCrcKey, totals.wire_crc32);
+}
+
+/// Reads the same fields back from the merged snapshot, plus the phase
+/// maps, which are the slowest rank's sim/ ledgers as
+/// SimClock::export_to wrote them.
+void read_totals(const MetricsSnapshot& merged, TrainingResult& result) {
+  for (const auto& [key, field] : kResultTotals) {
+    result.*field = to_count(merged.value(key), kMaxExactCount, key);
+  }
+  for (const auto& [key, field] : kCommTotals) {
+    result.comm_stats.*field = to_count(merged.value(key), kMaxExactCount, key);
+  }
+  result.wire_crc32 = static_cast<std::uint32_t>(merged.value(kWireCrcKey));
+  constexpr std::string_view kHidden = "hidden/";
+  for (const auto& [key, seconds] : merged.values) {
+    if (!key.starts_with(kSimPrefix)) continue;
+    std::string phase = key.substr(kSimPrefix.size());
+    if (phase == "makespan") {
+      result.makespan_seconds = seconds;
+    } else if (phase.starts_with(kHidden)) {
+      result.hidden_phase_seconds.emplace(phase.substr(kHidden.size()),
+                                          seconds);
+    } else {
+      result.phase_seconds.emplace(std::move(phase), seconds);
+    }
   }
 }
 
-std::map<std::string, double> read_ledger(ByteReader& reader) {
-  std::map<std::string, double> ledger;
-  const auto count = reader.read<std::uint64_t>();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const auto len = reader.read<std::uint64_t>();
-    const auto view = reader.take(static_cast<std::size_t>(len));
-    std::string phase(reinterpret_cast<const char*>(view.data()), view.size());
-    const double seconds = reader.read<double>();
-    ledger.emplace(std::move(phase), seconds);
+/// Sets "<x>_cr" = raw / wire (1 when nothing went on the wire) for every
+/// "<x>_raw_bytes" / "<x>_wire_bytes" pair: the run's forward and
+/// backward ratios and every table's.
+void set_compression_ratios(MetricsSnapshot& snap) {
+  constexpr std::string_view kRaw = "_raw_bytes";
+  std::vector<std::pair<std::string, double>> ratios;
+  for (const auto& [key, raw] : snap.values) {
+    if (!key.ends_with(kRaw)) continue;
+    const std::string base = key.substr(0, key.size() - kRaw.size());
+    const double wire = snap.value(base + "_wire_bytes");
+    ratios.emplace_back(base + "_cr", wire == 0.0 ? 1.0 : raw / wire);
   }
-  return ledger;
-}
-
-void append_tags(std::vector<std::byte>& out,
-                 const std::vector<CompressedAllToAll::TagBytes>& tags) {
-  append_pod(out, static_cast<std::uint64_t>(tags.size()));
-  for (const auto& t : tags) {
-    append_pod(out, t.raw);
-    append_pod(out, t.wire);
-  }
-}
-
-std::vector<CompressedAllToAll::TagBytes> read_tags(ByteReader& reader) {
-  std::vector<CompressedAllToAll::TagBytes> tags(
-      static_cast<std::size_t>(reader.read<std::uint64_t>()));
-  for (auto& t : tags) {
-    t.raw = reader.read<std::uint64_t>();
-    t.wire = reader.read<std::uint64_t>();
-  }
-  return tags;
-}
-
-std::vector<std::byte> serialize_rank_totals(const RankTotals& t) {
-  std::vector<std::byte> out;
-  append_pod(out, t.fwd_raw);
-  append_pod(out, t.fwd_wire);
-  append_pod(out, t.bwd_raw);
-  append_pod(out, t.bwd_wire);
-  append_pod(out, t.steady_grow);
-  append_pod(out, t.wire_crc);
-  append_pod(out, t.wire_bytes_sent);
-  append_pod(out, t.comm);
-  append_pod(out, t.clock_now);
-  append_tags(out, t.fwd_tags);
-  append_tags(out, t.bwd_tags);
-  append_ledger(out, t.breakdown);
-  append_ledger(out, t.hidden);
-  return out;
-}
-
-RankTotals parse_rank_totals(std::span<const std::byte> blob) {
-  ByteReader reader(blob);
-  RankTotals t;
-  t.fwd_raw = reader.read<std::uint64_t>();
-  t.fwd_wire = reader.read<std::uint64_t>();
-  t.bwd_raw = reader.read<std::uint64_t>();
-  t.bwd_wire = reader.read<std::uint64_t>();
-  t.steady_grow = reader.read<std::uint64_t>();
-  t.wire_crc = reader.read<std::uint32_t>();
-  t.wire_bytes_sent = reader.read<std::uint64_t>();
-  t.comm = reader.read<CommStats>();
-  t.clock_now = reader.read<double>();
-  t.fwd_tags = read_tags(reader);
-  t.bwd_tags = read_tags(reader);
-  t.breakdown = read_ledger(reader);
-  t.hidden = read_ledger(reader);
-  return t;
-}
-
-/// Element-wise sum of per-table byte totals (rank 0's fold).
-void add_tags(std::vector<CompressedAllToAll::TagBytes>& into,
-              const std::vector<CompressedAllToAll::TagBytes>& from) {
-  if (into.size() < from.size()) into.resize(from.size());
-  for (std::size_t i = 0; i < from.size(); ++i) {
-    into[i].raw += from[i].raw;
-    into[i].wire += from[i].wire;
-  }
+  for (auto& [key, ratio] : ratios) snap.set(std::move(key), ratio);
 }
 
 }  // namespace
+
+namespace detail {
+
+MetricsSnapshot parse_rank_totals(std::span<const std::byte> bytes,
+                                  std::size_t rank) {
+  const auto fail = [rank](const std::string& why) {
+    return Error("result aggregation: rank " + std::to_string(rank) +
+                 " sent bad totals: " + why);
+  };
+  JsonValue doc;
+  try {
+    doc = json_parse(std::string_view(
+        reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+  } catch (const Error& e) {
+    throw fail(e.what());
+  }
+  if (!doc.is_object()) throw fail("not a JSON object");
+  MetricsSnapshot snap;
+  for (const auto& [key, value] : doc.members()) {
+    if (!value.is_number() || !std::isfinite(value.as_number())) {
+      throw fail("'" + key + "' is not a finite number");
+    }
+    if (!snap.values.emplace(key, value.as_number()).second) {
+      throw fail("'" + key + "' appears twice");
+    }
+  }
+  return snap;
+}
+
+MetricsSnapshot merge_rank_totals(const std::vector<MetricsSnapshot>& ranks) {
+  DLCOMP_CHECK(!ranks.empty());
+  MetricsSnapshot merged;
+  std::uint32_t crc = crc32_init();
+  std::size_t slowest = 0;
+  for (std::size_t r = 0; r < ranks.size(); ++r) {
+    for (const auto& [key, value] : ranks[r].values) {
+      if (key.starts_with(kSimPrefix)) continue;
+      if (key == kWireCrcKey) {
+        const auto word =
+            static_cast<std::uint32_t>(to_count(value, 0xFFFFFFFFu, key));
+        crc = crc32_update(
+            crc, std::as_bytes(std::span<const std::uint32_t>(&word, 1)));
+      } else {
+        merged.values[key] += value;
+      }
+    }
+    if (ranks[r].value("sim/makespan") > ranks[slowest].value("sim/makespan")) {
+      slowest = r;
+    }
+  }
+  merged.set(kWireCrcKey, crc32_final(crc));
+  for (const auto& [key, value] : ranks[slowest].values) {
+    if (key.starts_with(kSimPrefix)) merged.set(key, value);
+  }
+  return merged;
+}
+
+}  // namespace detail
 
 double TrainingResult::exposed_comm_seconds() const {
   double total = 0.0;
@@ -421,24 +457,6 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
   TrainingResult result;
   result.start_iteration = start_iter;
 
-  // Rank 0's per-table byte totals, folded from every rank's tagged
-  // all-to-all accounting at the end of the run.
-  std::vector<CompressedAllToAll::TagBytes> fwd_tag_bytes;
-  std::vector<CompressedAllToAll::TagBytes> bwd_tag_bytes;
-  // `lo` selects the direction's tag range: forward chunks are tagged
-  // [0, num_tables), backward ones [num_tables, 2*num_tables).
-  const auto merge_tags = [num_tables](
-                              std::vector<CompressedAllToAll::TagBytes>& into,
-                              std::vector<CompressedAllToAll::TagBytes> from,
-                              std::size_t lo) {
-    const std::size_t hi = std::min(from.size(), lo + num_tables);
-    for (std::size_t t = lo; t < hi; ++t) {
-      if (into.size() <= t - lo) into.resize(t - lo + 1);
-      into[t - lo].raw += from[t].raw;
-      into[t - lo].wire += from[t].wire;
-    }
-  };
-
   // Rank 0's per-iteration wall times.
   LatencyRecorder iter_wall;
 
@@ -487,13 +505,10 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
 
     std::uint64_t grow_baseline = 0;
 
-    // This rank's contributions to the run-level result (folded on rank 0
-    // at the end), including the running CRC over every wire stream this
-    // rank produced: per-exchange CRC words in issue order.
-    std::uint64_t fwd_raw = 0;
-    std::uint64_t fwd_wire = 0;
-    std::uint64_t bwd_raw = 0;
-    std::uint64_t bwd_wire = 0;
+    // This rank's additive totals (folded on rank 0 at the end) and the
+    // running CRC over every wire stream this rank produced: per-exchange
+    // CRC words in issue order.
+    TrainingResult totals;
     std::uint32_t rank_crc = crc32_init();
     const auto crc_fold = [&rank_crc](std::uint32_t word) {
       rank_crc = crc32_update(
@@ -580,8 +595,8 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
       } else {
         fwd_stats = a2a.exchange(comm, send_fwd, recv_fwd, phases::kAllToAllFwd);
       }
-      fwd_raw += fwd_stats.send_raw_bytes;
-      fwd_wire += fwd_stats.send_wire_bytes;
+      totals.forward_raw_bytes += fwd_stats.send_raw_bytes;
+      totals.forward_wire_bytes += fwd_stats.send_wire_bytes;
       crc_fold(fwd_stats.wire_crc32);
 
       // ---- Forward: interaction + top MLP + loss on the local slice.
@@ -653,8 +668,8 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
       const auto run_bwd_exchange = [&] {
         const A2AStats bwd_stats =
             a2a.exchange(comm, send_bwd, recv_bwd, phases::kAllToAllBwd);
-        bwd_raw += bwd_stats.send_raw_bytes;
-        bwd_wire += bwd_stats.send_wire_bytes;
+        totals.backward_raw_bytes += bwd_stats.send_raw_bytes;
+        totals.backward_wire_bytes += bwd_stats.send_wire_bytes;
         crc_fold(bwd_stats.wire_crc32);
       };
       const auto run_bottom_backward = [&] {
@@ -781,60 +796,43 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
     // exchanges charge no simulated time, so shipping the totals leaves
     // every simulated number untouched -- and running the same code under
     // both backends keeps the aggregation path itself backend-identical.
-    RankTotals mine;
-    mine.fwd_raw = fwd_raw;
-    mine.fwd_wire = fwd_wire;
-    mine.bwd_raw = bwd_raw;
-    mine.bwd_wire = bwd_wire;
-    mine.steady_grow = a2a.workspace_grow_events() - grow_baseline;
-    mine.wire_crc = crc32_final(rank_crc);
-    mine.wire_bytes_sent = comm.wire_bytes_sent();
-    mine.comm = comm.comm_stats();
-    mine.clock_now = comm.clock().now();
-    merge_tags(mine.fwd_tags, a2a.per_tag_bytes(), 0);
-    merge_tags(mine.bwd_tags, a2a.per_tag_bytes(), num_tables);
-    mine.breakdown = comm.clock().breakdown();
-    mine.hidden = comm.clock().hidden_breakdown();
+    totals.steady_state_grow_events =
+        a2a.workspace_grow_events() - grow_baseline;
+    totals.wire_bytes_sent = comm.wire_bytes_sent();
+    totals.comm_stats = comm.comm_stats();
+    totals.wire_crc32 = crc32_final(rank_crc);
+    MetricsSnapshot mine;
+    write_totals(totals, mine);
+    // Forward chunks are tagged [0, num_tables), backward ones
+    // [num_tables, 2*num_tables).
+    const std::vector<CompressedAllToAll::TagBytes> tags = a2a.per_tag_bytes();
+    for (std::size_t t = 0; t < num_tables; ++t) {
+      const std::string base = "train/table/" + std::to_string(t) + "/";
+      for (const auto& [dir, tag] :
+           {std::pair{"fwd", t}, std::pair{"bwd", num_tables + t}}) {
+        const CompressedAllToAll::TagBytes bytes =
+            tag < tags.size() ? tags[tag] : CompressedAllToAll::TagBytes{};
+        mine.set(base + dir + "_raw_bytes", static_cast<double>(bytes.raw));
+        mine.set(base + dir + "_wire_bytes", static_cast<double>(bytes.wire));
+      }
+    }
+    comm.clock().export_to(mine, kSimPrefix);
 
-    const std::vector<std::byte> blob = serialize_rank_totals(mine);
+    JsonValue doc = JsonValue::object();
+    for (const auto& [key, value] : mine.values) doc.set(key, JsonValue(value));
+    const std::string text = doc.dump();
     std::vector<std::span<const std::byte>> to_all(
-        world, std::span<const std::byte>(blob));
+        world, std::as_bytes(std::span<const char>(text)));
     std::vector<std::vector<std::byte>> agg_controls;
     std::vector<std::vector<std::byte>> agg_recv;
     comm.transport().exchange({}, to_all, agg_controls, agg_recv);
     if (rank == 0) {
-      std::vector<RankTotals> totals;
-      totals.reserve(world);
+      std::vector<MetricsSnapshot> ranks;
+      ranks.reserve(world);
       for (std::size_t r = 0; r < world; ++r) {
-        totals.push_back(parse_rank_totals(agg_recv[r]));
+        ranks.push_back(detail::parse_rank_totals(agg_recv[r], r));
       }
-      std::uint32_t combined_crc = crc32_init();
-      const RankTotals* slowest = nullptr;
-      double latest = -1.0;
-      for (const RankTotals& t : totals) {
-        result.forward_raw_bytes += t.fwd_raw;
-        result.forward_wire_bytes += t.fwd_wire;
-        result.backward_raw_bytes += t.bwd_raw;
-        result.backward_wire_bytes += t.bwd_wire;
-        result.steady_state_grow_events += t.steady_grow;
-        result.comm_stats += t.comm;
-        result.wire_bytes_sent += t.wire_bytes_sent;
-        combined_crc = crc32_update(
-            combined_crc,
-            std::as_bytes(std::span<const std::uint32_t>(&t.wire_crc, 1)));
-        add_tags(fwd_tag_bytes, t.fwd_tags);
-        add_tags(bwd_tag_bytes, t.bwd_tags);
-        if (t.clock_now > latest) {
-          latest = t.clock_now;
-          slowest = &t;
-        }
-      }
-      result.wire_crc32 = crc32_final(combined_crc);
-      result.makespan_seconds = latest;
-      if (slowest != nullptr) {
-        result.phase_seconds = slowest->breakdown;
-        result.hidden_phase_seconds = slowest->hidden;
-      }
+      result.metrics = detail::merge_rank_totals(ranks);
     }
   };
 
@@ -856,27 +854,18 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
 
   result.wall_seconds = wall.seconds();
 
-  // ---- Metrics snapshot: the machine-readable face of this result.
+  // ---- Metrics snapshot: the merged rank totals plus the run-level keys,
+  // and every aggregated result field read back from it.
   MetricsSnapshot& snap = result.metrics;
+  read_totals(snap, result);
   snap.set("train/iterations",
            static_cast<double>(config_.iterations - start_iter));
   snap.set("train/world", static_cast<double>(config_.world));
-  snap.set("train/forward_raw_bytes",
-           static_cast<double>(result.forward_raw_bytes));
-  snap.set("train/forward_wire_bytes",
-           static_cast<double>(result.forward_wire_bytes));
-  snap.set("train/forward_cr", result.forward_cr());
-  snap.set("train/backward_raw_bytes",
-           static_cast<double>(result.backward_raw_bytes));
-  snap.set("train/backward_wire_bytes",
-           static_cast<double>(result.backward_wire_bytes));
-  snap.set("train/backward_cr", result.backward_cr());
-  snap.set("train/steady_grow_events",
-           static_cast<double>(result.steady_state_grow_events));
-  snap.set("train/wire_crc32", static_cast<double>(result.wire_crc32));
+  set_compression_ratios(snap);
   snap.set("train/wall_seconds", result.wall_seconds);
-  snap.set("train/exposed_comm_seconds", result.exposed_comm_seconds());
-  snap.set("train/hidden_comm_seconds", result.hidden_comm_seconds());
+  // Set after read_totals so they are never taken for phases.
+  snap.set("sim/exposed_comm_seconds", result.exposed_comm_seconds());
+  snap.set("sim/hidden_comm_seconds", result.hidden_comm_seconds());
   if (!result.history.empty()) {
     snap.set("train/final_loss", result.history.back().train_loss);
     snap.set("train/final_accuracy", result.history.back().train_accuracy);
@@ -884,45 +873,6 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
   snap.set("train/eval_loss", result.final_eval.loss);
   snap.set("train/eval_accuracy", result.final_eval.accuracy);
   iter_wall.snapshot_to(snap, "train/iter_wall_s");
-  // The slowest rank's SimClock ledgers, same keys SimClock::export_to
-  // would emit (the maps arrived through the result aggregation).
-  for (const auto& [phase, seconds] : result.phase_seconds) {
-    snap.set("sim/" + phase, seconds);
-  }
-  for (const auto& [phase, seconds] : result.hidden_phase_seconds) {
-    snap.set("sim/hidden/" + phase, seconds);
-  }
-  snap.set("sim/makespan", result.makespan_seconds);
-  // Per-collective accounting summed over ranks (same numbers
-  // publish_comm_metrics exposes as dlcomp_comm_* in a live registry).
-  snap.set("comm/alltoall_total",
-           static_cast<double>(result.comm_stats.alltoall_count));
-  snap.set("comm/alltoall_wire_bytes_total",
-           static_cast<double>(result.comm_stats.alltoall_wire_bytes));
-  snap.set("comm/allreduce_total",
-           static_cast<double>(result.comm_stats.allreduce_count));
-  snap.set("comm/allreduce_wire_bytes_total",
-           static_cast<double>(result.comm_stats.allreduce_wire_bytes));
-  snap.set("comm/barrier_total",
-           static_cast<double>(result.comm_stats.barrier_count));
-  snap.set("comm/wire_bytes_sent_total",
-           static_cast<double>(result.wire_bytes_sent));
-  const auto table_keys = [&snap](const char* dir,
-                                  const std::vector<CompressedAllToAll::TagBytes>&
-                                      tags) {
-    for (std::size_t t = 0; t < tags.size(); ++t) {
-      const std::string base =
-          std::string("train/table/") + std::to_string(t) + "/" + dir;
-      snap.set(base + "_raw_bytes", static_cast<double>(tags[t].raw));
-      snap.set(base + "_wire_bytes", static_cast<double>(tags[t].wire));
-      snap.set(base + "_cr",
-               tags[t].wire == 0 ? 1.0
-                                 : static_cast<double>(tags[t].raw) /
-                                       static_cast<double>(tags[t].wire));
-    }
-  };
-  table_keys("fwd", fwd_tag_bytes);
-  table_keys("bwd", bwd_tag_bytes);
   return result;
 }
 

@@ -17,7 +17,9 @@
 /// batch -- gradients are rescaled by 1/world so both MLP and embedding
 /// updates are global-batch means. The integration tests verify this.
 
+#include <cstddef>
 #include <map>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -206,15 +208,17 @@ struct TrainingResult {
   std::uint32_t wire_crc32 = 0;
 
   /// Per-collective counts and modelled wire bytes, summed over ranks
-  /// (see publish_comm_metrics); backend-independent by construction.
+  /// (the comm/* metrics keys); backend-independent by construction.
   CommStats comm_stats;
   std::uint64_t wire_bytes_sent = 0;  ///< modelled wire total over ranks
 
   /// Machine-readable run telemetry: byte totals and compression ratios
   /// (overall and per table, via the tagged all-to-all chunks), loss,
-  /// iteration wall-time histogram, grow events, and the slowest rank's
-  /// SimClock ledgers under "sim/" (SimClock::export_to). Everything the
-  /// fields above carry is also here, in one flat sorted namespace.
+  /// iteration wall-time histogram, grow events, comm/* counts, and the
+  /// slowest rank's SimClock ledgers under "sim/" (SimClock::export_to).
+  /// The aggregated fields above are read back from it: each rank ships
+  /// its totals as a snapshot, and rank 0 sums them key by key, takes
+  /// sim/ whole from the slowest rank and CRC-folds train/wire_crc32.
   MetricsSnapshot metrics;
 
   [[nodiscard]] double forward_cr() const noexcept {
@@ -264,5 +268,23 @@ inline constexpr const char* kAllToAllBwd = "alltoall_bwd";
 inline constexpr const char* kAllReduce = "allreduce_mlp";
 inline constexpr const char* kEmbUpdate = "emb_update";
 }  // namespace phases
+
+namespace detail {
+
+/// Rank 0's side of the end-of-run aggregation, exposed for tests.
+/// Parses rank `rank`'s totals document; throws Error naming the rank
+/// unless it is a flat JSON object of finite numbers with no repeated key.
+[[nodiscard]] MetricsSnapshot parse_rank_totals(
+    std::span<const std::byte> document, std::size_t rank);
+
+/// Folds the ranks' (at least one) totals in rank order: every key is
+/// summed, except
+/// the sim/ keys, which come whole from the first rank with the largest
+/// sim/makespan, and train/wire_crc32, which CRC-folds the per-rank
+/// words (each must be a u32; throws Error otherwise).
+[[nodiscard]] MetricsSnapshot merge_rank_totals(
+    const std::vector<MetricsSnapshot>& ranks);
+
+}  // namespace detail
 
 }  // namespace dlcomp

@@ -33,7 +33,6 @@ ShardedEmbeddingStore::ShardedEmbeddingStore(
     page_config.codec = &get_compressor(config_.codec);
     page_config.params.error_bound = config_.error_bound;
     page_config.params.eb_mode = EbMode::kAbsolute;
-    page_config.params.lz_window_vectors = config_.lz_window_vectors;
   }
 
   tables_.reserve(tables.size());

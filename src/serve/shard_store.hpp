@@ -58,8 +58,6 @@ struct ShardStoreConfig {
   std::string codec = "hybrid";
   /// Absolute per-element error bound for the cold tier.
   double error_bound = 0.01;
-  /// Vector-LZ window, forwarded to CompressParams.
-  std::size_t lz_window_vectors = 128;
 };
 
 /// Aggregated serving counters across shards (see stats()).

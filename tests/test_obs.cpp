@@ -644,9 +644,9 @@ TEST(Trainer, OverlapRunPublishesTraceAndMetrics) {
   EXPECT_DOUBLE_EQ(m.value("train/steady_grow_events"),
                    static_cast<double>(result.steady_state_grow_events));
   EXPECT_DOUBLE_EQ(m.value("sim/makespan"), result.makespan_seconds);
-  EXPECT_DOUBLE_EQ(m.value("train/exposed_comm_seconds"),
+  EXPECT_DOUBLE_EQ(m.value("sim/exposed_comm_seconds"),
                    result.exposed_comm_seconds());
-  EXPECT_DOUBLE_EQ(m.value("train/hidden_comm_seconds"),
+  EXPECT_DOUBLE_EQ(m.value("sim/hidden_comm_seconds"),
                    result.hidden_comm_seconds());
   EXPECT_GT(result.hidden_comm_seconds(), 0.0);
   EXPECT_GT(m.value("train/table/0/fwd_raw_bytes"), 0.0);

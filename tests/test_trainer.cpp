@@ -7,9 +7,14 @@
 #include "common/error.hpp"
 #include <cmath>
 #include <exception>
+#include <map>
+#include <span>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
+#include "common/crc32.hpp"
 #include "common/net.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
@@ -298,6 +303,99 @@ TEST(Trainer, TcpBackendMatchesSimBitwise) {
   EXPECT_EQ(tcp.wire_crc32, sim.wire_crc32);
   EXPECT_NE(sim.wire_crc32, 0u);
   EXPECT_EQ(tcp.makespan_seconds, sim.makespan_seconds);
+
+  // Every aggregated field and every metrics key agrees bit for bit;
+  // only the wall-clock keys are machine time.
+  EXPECT_EQ(tcp.forward_raw_bytes, sim.forward_raw_bytes);
+  EXPECT_EQ(tcp.forward_wire_bytes, sim.forward_wire_bytes);
+  EXPECT_EQ(tcp.backward_raw_bytes, sim.backward_raw_bytes);
+  EXPECT_EQ(tcp.backward_wire_bytes, sim.backward_wire_bytes);
+  EXPECT_GT(sim.forward_raw_bytes, sim.forward_wire_bytes);
+  EXPECT_EQ(tcp.steady_state_grow_events, sim.steady_state_grow_events);
+  EXPECT_EQ(tcp.comm_stats.alltoall_count, sim.comm_stats.alltoall_count);
+  EXPECT_EQ(tcp.comm_stats.alltoall_wire_bytes,
+            sim.comm_stats.alltoall_wire_bytes);
+  EXPECT_EQ(tcp.comm_stats.allreduce_count, sim.comm_stats.allreduce_count);
+  EXPECT_EQ(tcp.comm_stats.allreduce_wire_bytes,
+            sim.comm_stats.allreduce_wire_bytes);
+  EXPECT_EQ(tcp.comm_stats.barrier_count, sim.comm_stats.barrier_count);
+  EXPECT_GT(sim.comm_stats.alltoall_count, 0u);
+  EXPECT_EQ(tcp.wire_bytes_sent, sim.wire_bytes_sent);
+  EXPECT_EQ(tcp.phase_seconds, sim.phase_seconds);
+  EXPECT_FALSE(sim.phase_seconds.empty());
+  EXPECT_EQ(tcp.hidden_phase_seconds, sim.hidden_phase_seconds);
+
+  const auto machine_time = [](const std::string& key) {
+    return key == "train/wall_seconds" || key.starts_with("train/iter_wall_s/");
+  };
+  std::map<std::string, double> sim_keys;
+  std::map<std::string, double> tcp_keys;
+  for (const auto& [key, value] : sim.metrics.values) {
+    if (!machine_time(key)) sim_keys.emplace(key, value);
+  }
+  for (const auto& [key, value] : tcp.metrics.values) {
+    if (!machine_time(key)) tcp_keys.emplace(key, value);
+  }
+  EXPECT_EQ(tcp_keys, sim_keys);
+  EXPECT_TRUE(sim_keys.contains("train/table/0/bwd_wire_bytes"));
+  EXPECT_TRUE(sim_keys.contains("comm/barrier_total"));
+}
+
+MetricsSnapshot parse_totals(std::string_view text, std::size_t rank = 0) {
+  return detail::parse_rank_totals(
+      std::as_bytes(std::span<const char>(text.data(), text.size())), rank);
+}
+
+TEST(TrainerAggregation, RejectsMalformedRankDocuments) {
+  // Under TCP these bytes come from another process.
+  for (const std::string_view bad :
+       {"", "not json", "[1,2]", "{\"a\":1} trailing", "{\"a\":\"x\"}",
+        "{\"a\":{\"b\":1}}", "{\"a\":null}", "{\"a\":1e999}",
+        "{\"a\":1,\"a\":2}", "{\"a\":1"}) {
+    SCOPED_TRACE(std::string(bad));
+    try {
+      (void)parse_totals(bad, 3);
+      ADD_FAILURE() << "accepted";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("rank 3"), std::string::npos)
+          << e.what();
+    }
+  }
+  const MetricsSnapshot ok = parse_totals("{\"a/b\":0.25,\"c\":7}");
+  EXPECT_EQ(ok.values, (std::map<std::string, double>{{"a/b", 0.25}, {"c", 7}}));
+
+  // A wire CRC word must be a u32.
+  for (const std::string_view bad_crc :
+       {"{\"train/wire_crc32\":-1}", "{\"train/wire_crc32\":4294967296}",
+        "{\"train/wire_crc32\":1.5}"}) {
+    SCOPED_TRACE(std::string(bad_crc));
+    EXPECT_THROW((void)detail::merge_rank_totals({parse_totals(bad_crc)}),
+                 Error);
+  }
+}
+
+TEST(TrainerAggregation, MergeSumsKeysTakesSimFromFirstSlowestRankFoldsCrc) {
+  const std::vector<MetricsSnapshot> ranks = {
+      parse_totals("{\"x\":1,\"train/wire_crc32\":11,"
+                   "\"sim/makespan\":2,\"sim/a\":2}"),
+      parse_totals("{\"x\":2,\"y\":5,\"train/wire_crc32\":22,"
+                   "\"sim/makespan\":3,\"sim/b\":3,\"sim/hidden/b\":1}"),
+      parse_totals("{\"x\":4,\"train/wire_crc32\":33,"
+                   "\"sim/makespan\":3,\"sim/c\":3}"),
+  };
+  std::uint32_t crc = crc32_init();
+  for (const std::uint32_t word : {11u, 22u, 33u}) {
+    crc = crc32_update(crc, std::as_bytes(std::span<const std::uint32_t>(&word, 1)));
+  }
+  const std::map<std::string, double> expected = {
+      {"x", 7},
+      {"y", 5},
+      {"train/wire_crc32", crc32_final(crc)},
+      {"sim/makespan", 3},
+      {"sim/b", 3},
+      {"sim/hidden/b", 1},
+  };
+  EXPECT_EQ(detail::merge_rank_totals(ranks).values, expected);
 }
 
 }  // namespace

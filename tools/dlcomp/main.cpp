@@ -60,7 +60,7 @@ void begin_run(const ArgParser& args, bool tracing) {
 }
 
 void finish_run(const ArgParser& args, const char* mode, MetricsSnapshot metrics) {
-  // Process-global metrics (SIMD tier, codec block and comm counters)
+  // Process-global metrics (SIMD tier, codec block counters)
   // live in MetricsRegistry::global(), not in the run's own snapshot.
   const MetricsSnapshot global = MetricsRegistry::global().snapshot();
   for (const auto& [name, value] : global.values) metrics.set(name, value);

@@ -91,9 +91,6 @@ int run_train_rank(const ArgParser& args, const TrainerConfig& config) {
       result.forward_cr(), result.backward_cr(), result.wire_crc32,
       result.wall_seconds);
 
-  // The run's comm accounting as dlcomp_comm_* (manifest metrics).
-  publish_comm_metrics(MetricsRegistry::global(), result.comm_stats,
-                       result.wire_bytes_sent);
   if (args.has("--history-out")) {
     write_history_json(args.str("--history-out"), config, result);
   }
