@@ -10,6 +10,7 @@
 /// sharing mutable state across threads.
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <span>
 
@@ -36,15 +37,28 @@ class Rng {
   static constexpr result_type min() noexcept { return 0; }
   static constexpr result_type max() noexcept { return ~result_type{0}; }
 
-  /// Raw 64 random bits.
-  std::uint64_t next_u64() noexcept;
+  /// Raw 64 random bits. Inline, like next_double: the serial uniform
+  /// draw is the floor of every bulk distribution below.
+  std::uint64_t next_u64() noexcept {
+    const std::uint64_t result = std::rotl(state_[1] * 5, 7) * 9;
+    const std::uint64_t t = state_[1] << 17;
+    state_[2] ^= state_[0];
+    state_[3] ^= state_[1];
+    state_[1] ^= state_[2];
+    state_[0] ^= state_[3];
+    state_[2] ^= t;
+    state_[3] = std::rotl(state_[3], 45);
+    return result;
+  }
   result_type operator()() noexcept { return next_u64(); }
 
   /// Uniform integer in [0, n). Requires n > 0.
   std::uint64_t next_below(std::uint64_t n) noexcept;
 
-  /// Uniform double in [0, 1).
-  double next_double() noexcept;
+  /// Uniform double in [0, 1): 53 random mantissa bits.
+  double next_double() noexcept {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform double in [lo, hi).
   double uniform(double lo, double hi) noexcept;
@@ -57,6 +71,16 @@ class Rng {
 
   /// Normal with given mean / stddev.
   double normal(double mean, double stddev) noexcept;
+
+  /// Bulk draw: the same floats, and the same generator state afterwards
+  /// (cached second value included), as
+  /// `for (auto& v : out) v = static_cast<float>(normal(mean, stddev));`
+  /// but about 4x faster with the AVX2 or AVX-512 kernels (2.6x on the
+  /// scalar tier). Uniform pairs are drawn serially, transformed
+  /// by the dispatched SIMD kernel with an error bound, and any value
+  /// that bound cannot pin to one float is recomputed with libm
+  /// (DESIGN.md "Exact fast path").
+  void fill_normal(std::span<float> out, double mean, double stddev) noexcept;
 
   /// Bernoulli draw.
   bool bernoulli(double p) noexcept;

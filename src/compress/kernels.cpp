@@ -8,6 +8,7 @@
 
 #include "common/bitstream.hpp"
 #include "common/error.hpp"
+#include "compress/gaussian_kernel.hpp"
 #include "compress/kernels_dispatch.hpp"
 #include "obs/metrics.hpp"
 
@@ -287,6 +288,7 @@ const KernelOps& scalar_ops() noexcept {
       &scalar_max_zigzag,       &scalar_zigzag,
       &scalar_dequantize_codes, &scalar_dequantize_symbols,
       &scalar_lorenzo_encode,   &scalar_lorenzo_decode,
+      &detail::normal_candidates_loop,
   };
   return table;
 }
@@ -387,6 +389,16 @@ void lorenzo_encode_fused(std::span<const float> input, std::size_t dim,
   active_ops().lorenzo_encode(input.data(), input.size(), dim, 2.0 * eb,
                               reconstructed.data(), symbols.data());
   if (hist != nullptr) accumulate(symbols, *hist);
+}
+
+void normal_candidates(std::span<const double> u1, std::span<const double> u2,
+                       double mean, double stddev, std::span<double> value,
+                       std::span<double> radius) {
+  DLCOMP_CHECK(u2.size() == u1.size());
+  DLCOMP_CHECK(value.size() == 2 * u1.size() && radius.size() == value.size());
+  if (u1.empty()) return;
+  active_ops().normal_candidates(u1.data(), u2.data(), u1.size(), mean,
+                                 stddev, value.data(), radius.data());
 }
 
 void lorenzo_decode_fused(std::span<const std::uint32_t> symbols,

@@ -11,6 +11,11 @@
 ///   lorenzo_decode_fused  = un-zigzag + inverse Lorenzo (no codes buffer)
 ///   dequantize_*          = straight-line reconstruction loops
 ///
+/// It also dispatches normal_candidates, the vectorized Box-Muller
+/// transform behind Rng::fill_normal (gaussian_kernel.hpp), which shares
+/// the per-ISA tables but not the byte-identity rules below: it is held
+/// to an error bound instead.
+///
 /// Design rules (see DESIGN.md "Codec hot path"):
 ///  - the int32-range check is hoisted to one up-front sweep per call, a
 ///    per-ISA kernel (min/max plus an unordered-compare NaN mask), so the
@@ -93,5 +98,15 @@ void lorenzo_encode_fused(std::span<const float> input, std::size_t dim,
 void lorenzo_decode_fused(std::span<const std::uint32_t> symbols,
                           std::size_t dim, double eb,
                           std::span<float> output);
+
+/// Box-Muller candidates for the uniform pairs (u1[i], u2[i]) under the
+/// dispatched tier, for Rng::fill_normal: value[i] and value[n + i]
+/// approximate mean + stddev * sqrt(-2 log u1) * cos and sin (2 pi u2) as
+/// libm computes them, and radius[] bounds each one's distance to the
+/// libm value (gaussian_kernel.hpp). Requires u1 in (0, 1), u2 in [0, 1)
+/// and value/radius twice as long as u1.
+void normal_candidates(std::span<const double> u1, std::span<const double> u2,
+                       double mean, double stddev, std::span<double> value,
+                       std::span<double> radius);
 
 }  // namespace dlcomp::kernels

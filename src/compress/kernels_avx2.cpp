@@ -30,6 +30,7 @@
 #include <limits>
 
 #include "common/bitstream.hpp"
+#include "compress/gaussian_kernel.hpp"
 
 namespace dlcomp::kernels::detail {
 
@@ -442,6 +443,7 @@ const KernelOps* avx2_ops() noexcept {
       &avx2_max_zigzag,       &avx2_zigzag,
       &avx2_dequantize_codes, &avx2_dequantize_symbols,
       &avx2_lorenzo_encode,   &avx2_lorenzo_decode,
+      &normal_candidates_loop,
   };
   return &table;
 }

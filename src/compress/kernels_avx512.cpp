@@ -22,6 +22,7 @@
 #include <cstdint>
 
 #include "common/bitstream.hpp"
+#include "compress/gaussian_kernel.hpp"
 
 namespace dlcomp::kernels::detail {
 
@@ -201,6 +202,7 @@ const KernelOps* avx512_ops() noexcept {
       &avx512_max_zigzag,       &avx512_zigzag,
       &avx512_dequantize_codes, &avx512_dequantize_symbols,
       &avx512_lorenzo_encode,   &avx512_lorenzo_decode,
+      &normal_candidates_loop,
   };
   return &table;
 }

@@ -11,7 +11,7 @@
 /// an int32 code, so implementations may use packed truncating
 /// conversions without per-element guards.
 ///
-/// Byte-identity contract: every implementation must reproduce the
+/// Byte-identity contract: every codec implementation must reproduce the
 /// scalar loops' per-element arithmetic exactly — double products and
 /// divides (IEEE-correctly rounded in any width), round-half-away-from-
 /// zero via the shared helpers below, float stores as correctly-rounded
@@ -89,6 +89,15 @@ struct KernelOps {
                          double step, float* rc, std::uint32_t* sym);
   void (*lorenzo_decode)(const std::uint32_t* sym, std::size_t n,
                          std::size_t dim, double step, float* out);
+  /// Box-Muller candidates for n uniform pairs, u1[i] in (0, 1) and
+  /// u2[i] in [0, 1): value[i] / value[n + i] approximate the libm values
+  /// of mean + stddev * sqrt(-2 log u1) * cos / sin(2 pi u2) and radius[]
+  /// bounds each one's distance to them. The candidates need not equal
+  /// libm's values; only the floats Rng::fill_normal accepts through the
+  /// radii must. One shared source, gaussian_kernel.hpp.
+  void (*normal_candidates)(const double* u1, const double* u2,
+                            std::size_t n, double mean, double stddev,
+                            double* value, double* radius);
 };
 
 /// Always available; lives in kernels.cpp (the auto-vectorized loops CI's

@@ -12,14 +12,18 @@ EmbeddingTable EmbeddingTable::init_from_spec(const TableSpec& spec,
                                               std::size_t dim, Rng& rng) {
   EmbeddingTable table(spec.cardinality, dim);
 
-  auto draw = [&](Rng& source) {
-    return spec.value_dist == ValueDist::kGaussian
-               ? static_cast<float>(source.normal(0.0, spec.value_scale))
-               : source.uniform_float(-spec.value_scale, spec.value_scale);
+  auto fill = [&](std::span<float> values) {
+    if (spec.value_dist == ValueDist::kGaussian) {
+      rng.fill_normal(values, 0.0, spec.value_scale);
+    } else {
+      for (auto& v : values) {
+        v = rng.uniform_float(-spec.value_scale, spec.value_scale);
+      }
+    }
   };
 
   if (spec.value_clusters == 0) {
-    for (auto& v : table.weights_.flat()) v = draw(rng);
+    fill(table.weights_.flat());
     return table;
   }
 
@@ -27,17 +31,15 @@ EmbeddingTable EmbeddingTable::init_from_spec(const TableSpec& spec,
   // centroids with tiny jitter, modelling the near-duplicate vectors of
   // trained tables (the Vector Homogenization source).
   Matrix centroids(spec.value_clusters, dim);
-  for (auto& v : centroids.flat()) v = draw(rng);
+  fill(centroids.flat());
 
   for (std::size_t r = 0; r < spec.cardinality; ++r) {
     const std::size_t c =
         static_cast<std::size_t>(rng.next_below(spec.value_clusters));
     const auto centroid = centroids.row(c);
     auto row = table.weights_.row(r);
-    for (std::size_t d = 0; d < dim; ++d) {
-      row[d] = centroid[d] +
-               static_cast<float>(rng.normal(0.0, spec.cluster_jitter));
-    }
+    rng.fill_normal(row, 0.0, spec.cluster_jitter);
+    for (std::size_t d = 0; d < dim; ++d) row[d] = centroid[d] + row[d];
   }
   return table;
 }

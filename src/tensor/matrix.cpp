@@ -5,7 +5,7 @@ namespace dlcomp {
 Matrix Matrix::randn(Rng& rng, std::size_t rows, std::size_t cols, double mean,
                      double stddev) {
   Matrix m(rows, cols);
-  for (auto& v : m.data_) v = static_cast<float>(rng.normal(mean, stddev));
+  rng.fill_normal(m.data_, mean, stddev);
   return m;
 }
 

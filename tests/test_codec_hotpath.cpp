@@ -25,6 +25,7 @@
 #include "core/compressed_alltoall.hpp"
 #include "parallel/thread_pool.hpp"
 #include "support/reference_kernels.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace dlcomp {
 namespace {
@@ -327,21 +328,6 @@ TEST(LorenzoDifferential, FusedMatchesReferenceBitExactly) {
 }
 
 // ----------------------------------------------------------- SIMD dispatch
-
-/// Runs `body` once per SIMD tier this host can actually execute,
-/// restoring the environment-resolved dispatch afterwards. Tiers the
-/// host or build lacks are skipped, not failed: the scalar tier always
-/// runs, so the differential coverage never silently vanishes.
-template <typename Body>
-void for_each_available_isa(const Body& body) {
-  const simd::Isa original = kernels::dispatched_isa();
-  for (const simd::Isa isa :
-       {simd::Isa::kScalar, simd::Isa::kAvx2, simd::Isa::kAvx512}) {
-    if (!kernels::force_isa_for_testing(isa)) continue;
-    body(isa);
-  }
-  ASSERT_TRUE(kernels::force_isa_for_testing(original));
-}
 
 TEST(SimdDifferential, QuantizeEdgeShapesMatchReference) {
   // Sizes straddle the 8- and 16-lane boundaries so every vector tail

@@ -16,6 +16,8 @@
 #include "dlrm/mlp.hpp"
 #include "dlrm/model.hpp"
 #include "data/synthetic.hpp"
+#include "support/reference_table_init.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace dlcomp {
 namespace {
@@ -285,22 +287,33 @@ bool all_zero(const EmbeddingTable& table) {
 }
 
 TEST(EmbeddingSetTest, ParallelBuildMatchesSerialReference) {
-  // The pool may run tables in any order on any thread; the bytes must
-  // still be those of drawing table t from fork({0xE0, t}) one by one.
-  // The reference is drawn one table at a time to keep memory flat.
+  // The pool may run tables in any order on any thread, and every SIMD
+  // tier draws Gaussian values in bulk; the bytes must still be those of
+  // drawing table t from fork({0xE0, t}) one element at a time.
   constexpr std::uint64_t kSeed = 42;
   for (const DatasetSpec& spec : {DatasetSpec::criteo_terabyte_like(20000),
                                   DatasetSpec::criteo_kaggle_like(20000)}) {
     SCOPED_TRACE(spec.name);
-    const std::vector<EmbeddingTable> tables = make_embedding_set(spec, kSeed);
-    ASSERT_EQ(tables.size(), spec.num_tables());
+    std::vector<Matrix> reference;
     const Rng rng(kSeed);
     for (std::size_t t = 0; t < spec.num_tables(); ++t) {
       Rng rng_t = rng.fork({0xE0, t});
-      const EmbeddingTable reference = EmbeddingTable::init_from_spec(
-          spec.tables[t], spec.embedding_dim, rng_t);
-      EXPECT_TRUE(same_bytes(tables[t], reference)) << "table " << t;
+      reference.push_back(reference::init_table_from_spec(
+          spec.tables[t], spec.embedding_dim, rng_t));
     }
+    for_each_available_isa([&](simd::Isa) {
+      const std::vector<EmbeddingTable> tables =
+          make_embedding_set(spec, kSeed);
+      ASSERT_EQ(tables.size(), spec.num_tables());
+      for (std::size_t t = 0; t < spec.num_tables(); ++t) {
+        const Matrix& want = reference[t];
+        const Matrix& got = tables[t].weights();
+        EXPECT_TRUE(got.rows() == want.rows() && got.cols() == want.cols() &&
+                    std::memcmp(got.data(), want.data(),
+                                want.size() * sizeof(float)) == 0)
+            << "table " << t;
+      }
+    });
   }
 }
 

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstring>
 #include <numeric>
 #include <set>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "compress/kernels_dispatch.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace dlcomp {
 namespace {
@@ -100,6 +105,110 @@ TEST(Rng, NormalWithParams) {
   double sum = 0.0;
   for (int i = 0; i < n; ++i) sum += rng.normal(3.0, 0.5);
   EXPECT_NEAR(sum / n, 3.0, 0.02);
+}
+
+// ------------------------------------------------------------ fill_normal
+
+/// fill_normal against the scalar loop it replaces, from the same seed:
+/// identical float bits, then an identical next normal() (the cached
+/// second value) and next_u64() (the generator state).
+void expect_fill_matches_scalar(std::uint64_t seed, std::size_t n,
+                                bool cached_on_entry, double mean,
+                                double stddev) {
+  SCOPED_TRACE(::testing::Message() << "n=" << n << " cached="
+                                    << cached_on_entry << " mean=" << mean
+                                    << " stddev=" << stddev);
+  Rng scalar(seed);
+  Rng bulk(seed);
+  if (cached_on_entry) {
+    ASSERT_EQ(std::bit_cast<std::uint64_t>(scalar.normal()),
+              std::bit_cast<std::uint64_t>(bulk.normal()));
+  }
+  std::vector<float> want(n);
+  for (auto& v : want) v = static_cast<float>(scalar.normal(mean, stddev));
+  std::vector<float> got(n, std::nanf(""));
+  bulk.fill_normal(got, mean, stddev);
+  for (std::size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(std::bit_cast<std::uint32_t>(want[i]),
+              std::bit_cast<std::uint32_t>(got[i]))
+        << "element " << i << ": " << want[i] << " vs " << got[i];
+  }
+  ASSERT_EQ(std::bit_cast<std::uint64_t>(scalar.normal()),
+            std::bit_cast<std::uint64_t>(bulk.normal()));
+  ASSERT_EQ(scalar.next_u64(), bulk.next_u64());
+}
+
+TEST(RngFillNormal, MatchesScalarLoopOnEveryTier) {
+  const double stddevs[] = {3e-4f, 0.05f, 0.1f, 0.25f, 1.0, 1e6};
+  for_each_available_isa([&](simd::Isa) {
+    std::uint64_t seed = 100;
+    for (std::size_t n = 0; n <= 67; ++n) {
+      for (const bool cached : {false, true}) {
+        expect_fill_matches_scalar(++seed, n, cached, 0.0, 0.1f);
+      }
+    }
+    for (const double stddev : stddevs) {
+      for (const bool cached : {false, true}) {
+        expect_fill_matches_scalar(++seed, 1000, cached, 0.0, stddev);
+        expect_fill_matches_scalar(++seed, 1001, cached, -2.5, stddev);
+      }
+    }
+    expect_fill_matches_scalar(++seed, 1000000, false, 0.0, 0.05f);
+    expect_fill_matches_scalar(++seed, 1000000, true, 0.75, 0.25f);
+  });
+}
+
+/// The kernel's error radii against libm over 2^20 seeded pairs: each
+/// candidate must sit within E/16 of the libm value (a radius too tight
+/// to be safe fails here long before it could flip a float), and the
+/// exact fallback must run, but rarely.
+TEST(RngFillNormal, CandidateRadiiBoundLibmWithMargin) {
+  constexpr std::size_t kPairs = std::size_t{1} << 20;
+  constexpr std::size_t kBlock = 4096;
+  struct Params {
+    double mean;
+    double stddev;
+  };
+  for (const Params params : {Params{0.0, 1.0}, Params{0.5, 0.05f}}) {
+    SCOPED_TRACE(::testing::Message() << "mean=" << params.mean
+                                      << " stddev=" << params.stddev);
+    for_each_available_isa([&](simd::Isa isa) {
+      const kernels::detail::KernelOps* ops = kernels::detail::ops_for(isa);
+      ASSERT_NE(ops, nullptr);
+      // `uniforms` replays normal()'s draws; `libm` is normal() itself.
+      Rng uniforms(2024);
+      Rng libm(2024);
+      std::vector<double> u1(kBlock), u2(kBlock);
+      std::vector<double> value(2 * kBlock), radius(2 * kBlock);
+      std::size_t fallbacks = 0;
+      for (std::size_t done = 0; done < kPairs; done += kBlock) {
+        for (std::size_t p = 0; p < kBlock; ++p) {
+          do {
+            u1[p] = uniforms.next_double();
+          } while (u1[p] <= 0.0);
+          u2[p] = uniforms.next_double();
+        }
+        ops->normal_candidates(u1.data(), u2.data(), kBlock, params.mean,
+                               params.stddev, value.data(), radius.data());
+        for (std::size_t p = 0; p < kBlock; ++p) {
+          // normal() returns the cos value, then the cached sin value.
+          for (const std::size_t j : {p, kBlock + p}) {
+            const double exact = libm.normal(params.mean, params.stddev);
+            const double v = value[j];
+            const double e = radius[j];
+            ASSERT_LE(std::fabs(v - exact), e / 16)
+                << "pair " << done + p << " v'=" << v << " libm=" << exact
+                << " E=" << e;
+            if (static_cast<float>(v - e) != static_cast<float>(v + e)) {
+              ++fallbacks;
+            }
+          }
+        }
+      }
+      EXPECT_GE(fallbacks, 1u);
+      EXPECT_LT(static_cast<double>(fallbacks) / (2.0 * kPairs), 1e-3);
+    });
+  }
 }
 
 TEST(Rng, BernoulliFrequency) {
