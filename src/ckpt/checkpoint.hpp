@@ -61,9 +61,9 @@ CheckpointOptions checkpoint_options_from(const CompressionPolicy& policy);
 /// analyzer's per-table bounds and codec choices).
 CheckpointOptions checkpoint_options_from(const CompressionPlan& plan);
 
-/// Non-owning view of the state a checkpoint covers. The trainer points
-/// this at its shared tables/optimizers; make_model_state() builds one
-/// from a DlrmModel.
+/// Non-owning view of the state a checkpoint covers: a DlrmModel's
+/// weights and optimizer state, as make_model_state() builds it (the
+/// trainer keeps its state in one).
 struct ModelState {
   std::uint64_t iteration = 0;  ///< completed training iterations
   std::uint64_t seed = 0;       ///< trainer seed (for provenance)

@@ -25,29 +25,12 @@ namespace {
 
 /// Per-rank mutable state living for the whole training run.
 struct RankState {
-  std::unique_ptr<Mlp> bottom;
-  std::unique_ptr<Mlp> top;
+  Mlp* bottom = nullptr;
+  Mlp* top = nullptr;
   std::vector<std::size_t> owned_tables;
   // Flat gradient buffer reused across iterations for the MLP all-reduce.
   std::vector<float> grad_scratch;
 };
-
-std::vector<std::size_t> bottom_dims(const DatasetSpec& spec,
-                                     const DlrmConfig& model) {
-  std::vector<std::size_t> dims{spec.num_dense};
-  dims.insert(dims.end(), model.bottom_hidden.begin(), model.bottom_hidden.end());
-  dims.push_back(spec.embedding_dim);
-  return dims;
-}
-
-std::vector<std::size_t> top_dims(const DatasetSpec& spec,
-                                  const DlrmConfig& model) {
-  std::vector<std::size_t> dims{
-      DotInteraction::output_dim(spec.num_tables(), spec.embedding_dim)};
-  dims.insert(dims.end(), model.top_hidden.begin(), model.top_hidden.end());
-  dims.push_back(1);
-  return dims;
-}
 
 /// Flattens MLP gradients into state.grad_scratch (the all-reduce send
 /// buffer, reused across iterations).
@@ -99,36 +82,6 @@ bool is_comm_phase(const std::string& phase) {
                            phase.rfind(phases::kAllReduce, 0) == 0;
   return comm_family && phase.find("/compress") == std::string::npos &&
          phase.find("/decompress") == std::string::npos;
-}
-
-/// Rank-0 held-out evaluation using its MLP replicas and the tables
-/// (owner-current everywhere after sync_tables_for_eval; under the sim
-/// backend shared memory makes every table current already).
-LossResult evaluate_full(Mlp& bottom, Mlp& top,
-                         std::span<EmbeddingTable> tables,
-                         const DatasetSpec& spec,
-                         const BatchSource& dataset,
-                         std::size_t batch_size, std::size_t batches) {
-  LossResult total;
-  std::vector<Matrix> lookups(tables.size());
-  for (std::size_t i = 0; i < batches; ++i) {
-    const SampleBatch batch = dataset.make_eval_batch(batch_size, i);
-    const Matrix& z0 = bottom.forward(batch.dense);
-    for (std::size_t t = 0; t < tables.size(); ++t) {
-      lookups[t].resize(batch_size, spec.embedding_dim);
-      tables[t].lookup(batch.indices[t], lookups[t]);
-    }
-    Matrix feat(batch_size,
-                DotInteraction::output_dim(tables.size(), spec.embedding_dim));
-    DotInteraction::forward(z0, lookups, feat);
-    const Matrix& logits = top.forward(feat);
-    const LossResult r = bce_with_logits(logits.flat(), batch.labels);
-    total.loss += r.loss;
-    total.accuracy += r.accuracy;
-  }
-  total.loss /= static_cast<double>(batches);
-  total.accuracy /= static_cast<double>(batches);
-  return total;
 }
 
 /// Owner-broadcast of every embedding table's weights over the *raw*
@@ -340,10 +293,8 @@ HybridParallelTrainer::HybridParallelTrainer(TrainerConfig config)
       config_.transport.backend == "sim" || config_.transport.backend == "tcp",
       "unknown transport backend '" << config_.transport.backend
                                     << "' (expected \"sim\" or \"tcp\")");
-  // The rank body hard-codes the dot interaction.
-  DLCOMP_CHECK_MSG(config_.model.arch == ModelArch::kDlrm,
-                   "the trainer supports only the dlrm arch, got '"
-                       << model_arch_name(config_.model.arch) << "'");
+  // Every run ends with a held-out eval (a mean over eval_batches).
+  DLCOMP_CHECK_MSG(config_.eval_batches > 0, "eval_batches must be >= 1");
 }
 
 TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
@@ -374,52 +325,24 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
     table_choice.assign(num_tables, HybridChoice::kAuto);
   }
 
-  // Embedding tables (owner-rank writes only) and one optimizer per table
-  // (touched only by the owning rank, hoisted out of the rank body so
-  // checkpoints can cover every table's state). Under the sim backend
-  // these are shared by all rank threads, so every table is drawn. Under
-  // TCP each process draws only the tables it owns; its copies of the
-  // others stay zero until sync_tables_for_eval overwrites them, which
-  // happens before anything reads them (mid-run and final evals; resume
+  // The model is the shared training state: its tables and per-table
+  // optimizers (owner-rank writes only) and rank 0's MLPs. Under the sim
+  // backend all rank threads share it, so every table is drawn. Under TCP
+  // each process draws only the tables it owns; its copies of the others
+  // stay zero until sync_tables_for_eval overwrites them, which happens
+  // before anything reads them (mid-run and final evals; resume
   // overwrites every table).
   const bool tcp = config_.transport.backend == "tcp";
-  std::vector<EmbeddingTable> tables = make_embedding_set(
-      spec, config_.seed,
-      tcp ? static_cast<std::size_t>(config_.transport.rank) : 0,
-      tcp ? world : 1);
-  std::vector<EmbeddingOptimizer> optimizers;
-  optimizers.reserve(num_tables);
-  for (std::size_t t = 0; t < num_tables; ++t) {
-    optimizers.emplace_back(config_.model.embedding_optimizer,
-                            config_.model.learning_rate);
-  }
+  DlrmModel model(spec, config_.model, config_.seed,
+                  tcp ? static_cast<std::size_t>(config_.transport.rank) : 0,
+                  tcp ? world : 1);
+  // Draw the tables now, as set-up: left lazy, the draw would land in the
+  // first iteration's lookups.
+  const std::span<EmbeddingTable> tables = model.tables();
   ThreadPool codec_pool(std::min<unsigned>(4, std::thread::hardware_concurrency()));
 
   const auto bdims = bottom_dims(spec, config_.model);
   const auto tdims = top_dims(spec, config_.model);
-
-  // Identical initial MLP replicas for every rank (and the restore /
-  // snapshot target; ranks copy these).
-  Rng mlp_rng(config_.seed);
-  auto rng_b = mlp_rng.fork({0xB0});
-  auto rng_t = mlp_rng.fork({0x70});
-  Mlp init_bottom(bdims, rng_b);
-  Mlp init_top(tdims, rng_t);
-
-  // Points a ModelState at the shared training state.
-  const auto shared_state = [&](std::uint64_t iteration) {
-    ModelState state;
-    state.iteration = iteration;
-    state.seed = config_.seed;
-    state.bottom = &init_bottom;
-    state.top = &init_top;
-    for (std::size_t t = 0; t < num_tables; ++t) {
-      state.tables.push_back(&tables[t].weights());
-      state.opt_state.push_back(&optimizers[t].accumulator());
-    }
-    state.opt_kind = config_.model.embedding_optimizer;
-    return state;
-  };
 
   // ---- Resume: restore tables, optimizer state, MLPs and the iteration
   // counter before the cluster starts. Under TCP every process loads the
@@ -431,7 +354,7 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
     DLCOMP_CHECK_MSG(
         loaded.opt_kind == config_.model.embedding_optimizer,
         "checkpoint optimizer kind does not match the trainer config");
-    apply_model_state(loaded, shared_state(0));
+    apply_model_state(loaded, make_model_state(model));
     start_iter = static_cast<std::size_t>(loaded.header.iteration);
     DLCOMP_LOG_INFO("train", "resumed from checkpoint",
                     {"path", config_.checkpoint.resume_from},
@@ -441,6 +364,14 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
                          << start_iter << ", config trains only "
                          << config_.iterations);
   }
+
+  // One MLP replica pair per rank this process runs. The first (rank 0
+  // under sim) trains the model's own MLPs, which eval and save read;
+  // every other rank trains a copy of the initial (or restored) ones,
+  // taken here before any rank thread starts.
+  const std::size_t local_ranks = tcp ? 1 : world;
+  std::vector<Mlp> bottom_copies(local_ranks - 1, model.bottom_mlp());
+  std::vector<Mlp> top_copies(local_ranks - 1, model.top_mlp());
 
   // ---- Periodic snapshotting (rank 0, inside a cluster barrier).
   std::unique_ptr<CheckpointWriter> ckpt_writer;
@@ -466,16 +397,25 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
     config_.status->set_ready(true);
   }
 
+  // Rank 0's held-out eval: the model's MLPs (rank 0's replicas) over
+  // its tables, which sync_tables_for_eval makes owner-current first.
+  const auto evaluate = [&] {
+    return model.evaluate_stream(dataset,
+                                 std::min<std::size_t>(global_batch, 512),
+                                 config_.eval_batches);
+  };
+
   WallTimer wall;
   const auto rank_body = [&](Communicator& comm) {
     const auto rank = static_cast<std::size_t>(comm.rank());
 
-    // --- Per-rank setup: identical MLP replicas (copies of the shared
-    // initial -- or restored -- state) and the table ownership map; the
-    // per-table optimizers live in shared scope, touched only by owners.
+    // --- Per-rank setup: this rank's MLP replicas and the table
+    // ownership map; the model's per-table optimizers are touched only by
+    // owners.
     RankState state;
-    state.bottom = std::make_unique<Mlp>(init_bottom);
-    state.top = std::make_unique<Mlp>(init_top);
+    const std::size_t local = tcp ? 0 : rank;
+    state.bottom = local == 0 ? &model.bottom_mlp() : &bottom_copies[local - 1];
+    state.top = local == 0 ? &model.top_mlp() : &top_copies[local - 1];
     for (std::size_t t = rank; t < num_tables; t += world) {
       state.owned_tables.push_back(t);
     }
@@ -684,8 +624,8 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
         std::size_t update_bytes = 0;
         const float lr_scale = 1.0f / static_cast<float>(world);
         for (const std::size_t t : state.owned_tables) {
-          optimizers[t].apply(tables[t], batch.indices[t], grad_assembled[t],
-                              lr_scale);
+          model.optimizer(t).apply(tables[t], batch.indices[t],
+                                   grad_assembled[t], lr_scale);
           update_bytes += grad_assembled[t].size() * sizeof(float);
         }
         comm.advance_compute(phases::kEmbUpdate,
@@ -741,14 +681,7 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
             rec.train_accuracy = loss.accuracy;
             rec.forward_cr = fwd_stats.compression_ratio();
             rec.eb_scale = eb_scale;
-            if (eval_now) {
-              rec.eval_accuracy =
-                  evaluate_full(*state.bottom, *state.top, tables, spec,
-                                dataset,
-                                std::min<std::size_t>(global_batch, 512),
-                                config_.eval_batches)
-                      .accuracy;
-            }
+            if (eval_now) rec.eval_accuracy = evaluate().accuracy;
             result.history.push_back(rec);
           }
           if (config_.status != nullptr) {
@@ -767,11 +700,9 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
             const std::string path =
                 (std::filesystem::path(config_.checkpoint.directory) / name)
                     .string();
-            ModelState snap = shared_state(iter + 1);
-            snap.bottom = state.bottom.get();  // rank 0's trained replicas
-            snap.top = state.top.get();
-            result.checkpoints_written.push_back(
-                ckpt_writer->save(path, snap, config_.checkpoint.full_every));
+            result.checkpoints_written.push_back(ckpt_writer->save(
+                path, make_model_state(model, iter + 1, config_.seed),
+                config_.checkpoint.full_every));
             DLCOMP_LOG_INFO("train", "checkpoint saved",
                             {"path", result.checkpoints_written.back()},
                             {"iteration", iter + 1});
@@ -784,12 +715,7 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
     // Final held-out evaluation.
     comm.barrier();
     sync_tables_for_eval(comm, tables);
-    if (rank == 0) {
-      result.final_eval =
-          evaluate_full(*state.bottom, *state.top, tables, spec, dataset,
-                        std::min<std::size_t>(global_batch, 512),
-                        config_.eval_batches);
-    }
+    if (rank == 0) result.final_eval = evaluate();
     comm.barrier();
 
     // ---- Cross-rank result aggregation over the raw transport. Raw

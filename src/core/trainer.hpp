@@ -243,13 +243,13 @@ struct TrainingResult {
 
 class HybridParallelTrainer {
  public:
-  /// Throws Error for an invalid config, including any model arch other
-  /// than ModelArch::kDlrm (the trainer implements the dot interaction
-  /// only).
+  /// Throws Error for an invalid config (world or iterations 0, an
+  /// unknown backend, eval_batches 0).
   explicit HybridParallelTrainer(TrainerConfig config);
 
-  /// Runs the full training loop on a fresh simulated cluster and model
-  /// state. Deterministic in (config.seed, data source). `dataset` may be
+  /// Runs the full training loop on a fresh cluster and a fresh
+  /// DlrmModel, which holds the tables, their optimizers and rank 0's
+  /// MLPs. Deterministic in (config.seed, data source). `dataset` may be
   /// synthetic or a ShardedDatasetReader over real shards.
   [[nodiscard]] TrainingResult train(const BatchSource& dataset);
 

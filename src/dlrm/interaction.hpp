@@ -1,25 +1,13 @@
 #pragma once
 
 /// \file interaction.hpp
-/// Feature-interaction layers of the model zoo. All take the bottom-MLP
-/// output z0 and the F embedding lookups (all batch x dim) — exactly what
-/// the all-to-all delivers, making this the communication-adjacent layer —
-/// and differ only in how they combine them:
-///
-///   - DotInteraction (DLRM): every pairwise dot product among the F+1
-///     vectors, z0 concatenated with the flattened upper triangle:
-///       out = [ z0 | <v_i, v_j> for 0 <= i < j <= F ],
-///     width dim + (F+1)F/2.
-///   - ConcatInteraction (Wide&Deep-shaped): plain concatenation
-///       out = [ z0 | v_1 | ... | v_F ],
-///     width dim * (F+1) — the "deep" tower of Wide&Deep, all
-///     crossing left to the top MLP.
-///   - NcfInteraction (NCF/GMF-shaped): tables split into two fields
-///     (user-side = first half, item-side = rest), each sum-pooled, and
-///     the fields combined element-wise:
-///       out = [ z0 | u ⊙ v ],  u = Σ first-half v_t, v = Σ rest,
-///     width 2 * dim — neural collaborative filtering's GMF branch with
-///     z0 standing in for the MLP branch.
+/// DLRM's feature interaction. It takes the bottom-MLP output z0 and the F
+/// embedding lookups (all batch x dim) -- exactly what the all-to-all
+/// delivers, making this the communication-adjacent layer -- and emits
+/// every pairwise dot product among the F+1 vectors, z0 concatenated with
+/// the flattened upper triangle:
+///   out = [ z0 | <v_i, v_j> for 0 <= i < j <= F ],
+/// width dim + (F+1)F/2.
 
 #include <span>
 
@@ -41,45 +29,6 @@ class DotInteraction {
 
   /// Backward: given dOut, fills dz0 and demb[t] (all batch x dim;
   /// overwritten, not accumulated).
-  static void backward(const Matrix& z0, std::span<const Matrix> emb,
-                       const Matrix& dout, Matrix& dz0,
-                       std::span<Matrix> demb);
-};
-
-/// Wide&Deep-shaped concatenation (see file comment). Same forward /
-/// backward contract as DotInteraction.
-class ConcatInteraction {
- public:
-  static std::size_t output_dim(std::size_t num_features, std::size_t dim) {
-    return dim * (num_features + 1);
-  }
-
-  static void forward(const Matrix& z0, std::span<const Matrix> emb,
-                      Matrix& out);
-
-  static void backward(const Matrix& z0, std::span<const Matrix> emb,
-                       const Matrix& dout, Matrix& dz0,
-                       std::span<Matrix> demb);
-};
-
-/// NCF/GMF-shaped two-field element-wise interaction (see file comment).
-/// Requires at least 2 embedding inputs (two non-empty fields).
-class NcfInteraction {
- public:
-  static std::size_t output_dim(std::size_t /*num_features*/,
-                                std::size_t dim) {
-    return 2 * dim;
-  }
-
-  /// First embedding index of the item-side field (user side is
-  /// [0, split), item side [split, F)).
-  static std::size_t field_split(std::size_t num_features) {
-    return num_features / 2;
-  }
-
-  static void forward(const Matrix& z0, std::span<const Matrix> emb,
-                      Matrix& out);
-
   static void backward(const Matrix& z0, std::span<const Matrix> emb,
                        const Matrix& dout, Matrix& dz0,
                        std::span<Matrix> demb);

@@ -4,8 +4,6 @@
 
 namespace dlcomp {
 
-namespace {
-
 std::vector<std::size_t> bottom_dims(const DatasetSpec& spec,
                                      const DlrmConfig& config) {
   std::vector<std::size_t> dims;
@@ -19,49 +17,20 @@ std::vector<std::size_t> bottom_dims(const DatasetSpec& spec,
 std::vector<std::size_t> top_dims(const DatasetSpec& spec,
                                   const DlrmConfig& config) {
   std::vector<std::size_t> dims;
-  dims.push_back(interaction_output_dim(config.arch, spec.num_tables(),
-                                        spec.embedding_dim));
+  dims.push_back(
+      DotInteraction::output_dim(spec.num_tables(), spec.embedding_dim));
   dims.insert(dims.end(), config.top_hidden.begin(), config.top_hidden.end());
   dims.push_back(1);
   return dims;
 }
 
-}  // namespace
-
-ModelArch parse_model_arch(std::string_view name) {
-  if (name == "dlrm") return ModelArch::kDlrm;
-  if (name == "widedeep" || name == "wide-deep") return ModelArch::kWideDeep;
-  if (name == "ncf") return ModelArch::kNcf;
-  throw Error("unknown model arch: " + std::string(name) +
-              " (expected dlrm|widedeep|ncf)");
-}
-
-std::string_view model_arch_name(ModelArch arch) noexcept {
-  switch (arch) {
-    case ModelArch::kDlrm: return "dlrm";
-    case ModelArch::kWideDeep: return "widedeep";
-    case ModelArch::kNcf: return "ncf";
-  }
-  return "dlrm";
-}
-
-std::size_t interaction_output_dim(ModelArch arch, std::size_t num_tables,
-                                   std::size_t dim) {
-  switch (arch) {
-    case ModelArch::kWideDeep:
-      return ConcatInteraction::output_dim(num_tables, dim);
-    case ModelArch::kNcf:
-      return NcfInteraction::output_dim(num_tables, dim);
-    case ModelArch::kDlrm: break;
-  }
-  return DotInteraction::output_dim(num_tables, dim);
-}
-
 DlrmModel::DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
-                     std::uint64_t seed)
+                     std::uint64_t seed, std::size_t rank, std::size_t world)
     : spec_(spec),
       config_(config),
       seed_(seed),
+      rank_(rank),
+      world_(world),
       bottom_([&] {
         Rng rng(seed);
         auto rng_b = rng.fork({0xB0});
@@ -74,9 +43,6 @@ DlrmModel::DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
         const auto dims = top_dims(spec, config);
         return Mlp(dims, rng_t);
       }()) {
-  DLCOMP_CHECK_MSG(
-      config_.arch != ModelArch::kNcf || spec_.num_tables() >= 2,
-      "NCF arch needs >= 2 embedding tables, got " << spec_.num_tables());
   optimizers_.reserve(spec_.num_tables());
   for (std::size_t t = 0; t < spec_.num_tables(); ++t) {
     optimizers_.emplace_back(config_.embedding_optimizer,
@@ -86,8 +52,9 @@ DlrmModel::DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
 }
 
 std::vector<EmbeddingTable>& DlrmModel::drawn_tables() const {
-  std::call_once(*draw_once_,
-                 [this] { tables_ = make_embedding_set(spec_, seed_); });
+  std::call_once(*draw_once_, [this] {
+    tables_ = make_embedding_set(spec_, seed_, rank_, world_);
+  });
   return tables_;
 }
 
@@ -112,19 +79,8 @@ const Matrix& DlrmModel::forward(const SampleBatch& batch) {
   }
 
   interaction_out_.resize(
-      B, interaction_output_dim(config_.arch, num_tables,
-                                spec_.embedding_dim));
-  switch (config_.arch) {
-    case ModelArch::kWideDeep:
-      ConcatInteraction::forward(z0_, lookups_, interaction_out_);
-      break;
-    case ModelArch::kNcf:
-      NcfInteraction::forward(z0_, lookups_, interaction_out_);
-      break;
-    case ModelArch::kDlrm:
-      DotInteraction::forward(z0_, lookups_, interaction_out_);
-      break;
-  }
+      B, DotInteraction::output_dim(num_tables, spec_.embedding_dim));
+  DotInteraction::forward(z0_, lookups_, interaction_out_);
   return top_.forward(interaction_out_);
 }
 
@@ -145,20 +101,7 @@ LossResult DlrmModel::train_step(const SampleBatch& batch) {
   Matrix dz0(B, spec_.embedding_dim);
   std::vector<Matrix> demb(num_tables);
   for (auto& d : demb) d.resize(B, spec_.embedding_dim);
-  switch (config_.arch) {
-    case ModelArch::kWideDeep:
-      ConcatInteraction::backward(z0_, lookups_, dfeat, dz0,
-                                  std::span<Matrix>(demb));
-      break;
-    case ModelArch::kNcf:
-      NcfInteraction::backward(z0_, lookups_, dfeat, dz0,
-                               std::span<Matrix>(demb));
-      break;
-    case ModelArch::kDlrm:
-      DotInteraction::backward(z0_, lookups_, dfeat, dz0,
-                               std::span<Matrix>(demb));
-      break;
-  }
+  DotInteraction::backward(z0_, lookups_, dfeat, dz0, std::span<Matrix>(demb));
 
   (void)bottom_.backward(dz0);
 

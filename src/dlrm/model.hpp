@@ -1,20 +1,23 @@
 #pragma once
 
 /// \file model.hpp
-/// Single-process DLRM reference model: bottom MLP + embedding lookups +
-/// dot interaction + top MLP + BCE loss, trained with SGD.
+/// The DLRM: bottom MLP + embedding lookups + pairwise dot interaction +
+/// top MLP + BCE loss, trained with SGD (Adagrad optional for the tables).
+/// It is the system's one model:
+///   - train_step() is the exact single-process reference;
+///   - the distributed trainer (HybridParallelTrainer) keeps its state in
+///     one: the tables and their optimizers, rank 0's MLPs, its held-out
+///     eval and its checkpoints (make_model_state);
+///   - the serving tier scores with it, optionally through a
+///     LookupProvider.
 ///
 /// The model has no codec: compressed training runs only through the
-/// distributed trainer in dlcomp::core (HybridParallelTrainer), which
-/// reuses these components. This model is the exact single-process
-/// reference the trainer is tested against, and the serving tier's
-/// scorer (through a LookupProvider).
+/// trainer's all-to-all.
 
 #include <functional>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <string_view>
 #include <vector>
 
 #include "data/batch_source.hpp"
@@ -26,27 +29,6 @@
 
 namespace dlcomp {
 
-/// Model-zoo architecture: which interaction layer sits between the
-/// embedding lookups and the top MLP (see interaction.hpp). Everything
-/// else — bottom/top MLPs, tables, optimizer, the lookup provider — is
-/// shared, so the serving tier runs unchanged across the zoo. The
-/// distributed trainer supports kDlrm only.
-enum class ModelArch : std::uint8_t {
-  kDlrm,      ///< pairwise dot interaction (the paper's model)
-  kWideDeep,  ///< Wide&Deep-shaped concatenation
-  kNcf,       ///< NCF/GMF-shaped two-field element-wise product
-};
-
-/// Parses "dlrm" / "widedeep" / "ncf"; throws Error otherwise.
-ModelArch parse_model_arch(std::string_view name);
-
-/// Stable name of an architecture (inverse of parse_model_arch).
-std::string_view model_arch_name(ModelArch arch) noexcept;
-
-/// Interaction output width of `arch` for F tables of width dim.
-std::size_t interaction_output_dim(ModelArch arch, std::size_t num_tables,
-                                   std::size_t dim);
-
 struct DlrmConfig {
   /// Bottom MLP hidden sizes (input = num_dense, output = embedding_dim
   /// are appended automatically).
@@ -56,9 +38,15 @@ struct DlrmConfig {
   float learning_rate = 0.1f;
   /// Embedding-table update rule (MLPs always use SGD, as in DLRM).
   EmbeddingOptimizerKind embedding_optimizer = EmbeddingOptimizerKind::kSgd;
-  /// Interaction architecture (kNcf needs >= 2 tables).
-  ModelArch arch = ModelArch::kDlrm;
 };
+
+/// Bottom MLP layer widths: {num_dense, bottom_hidden..., embedding_dim}.
+std::vector<std::size_t> bottom_dims(const DatasetSpec& spec,
+                                     const DlrmConfig& config);
+
+/// Top MLP layer widths: {dot-interaction width, top_hidden..., 1}.
+std::vector<std::size_t> top_dims(const DatasetSpec& spec,
+                                  const DlrmConfig& config);
 
 class DlrmModel {
  public:
@@ -71,10 +59,12 @@ class DlrmModel {
 
   /// Builds the MLPs now; the embedding tables are drawn on first access
   /// to table storage (table(), tables(), lookup_table(), or a forward
-  /// pass without a LookupProvider) as make_embedding_set(spec, seed), so
-  /// a replica that only ever serves through a provider never draws them.
+  /// pass without a LookupProvider) as make_embedding_set(spec, seed,
+  /// rank, world), so a replica that only ever serves through a provider
+  /// never draws them. With world > 1 only the tables rank owns are drawn
+  /// (a TCP trainer rank); the others stay zero.
   DlrmModel(const DatasetSpec& spec, const DlrmConfig& config,
-            std::uint64_t seed);
+            std::uint64_t seed, std::size_t rank = 0, std::size_t world = 1);
 
   /// One exact SGD step on a batch.
   LossResult train_step(const SampleBatch& batch);
@@ -102,6 +92,7 @@ class DlrmModel {
   [[nodiscard]] std::span<const EmbeddingTable> tables() const {
     return drawn_tables();
   }
+  [[nodiscard]] std::span<EmbeddingTable> tables() { return drawn_tables(); }
   [[nodiscard]] EmbeddingOptimizer& optimizer(std::size_t t) {
     return optimizers_.at(t);
   }
@@ -136,6 +127,8 @@ class DlrmModel {
   DatasetSpec spec_;
   DlrmConfig config_;
   std::uint64_t seed_;
+  std::size_t rank_;
+  std::size_t world_;
   Mlp bottom_;
   Mlp top_;
   mutable std::vector<EmbeddingTable> tables_;  ///< empty until drawn

@@ -73,19 +73,20 @@ class BatchScheduler {
     return config_;
   }
 
-  /// Coalesces `queries` (must be sorted by arrival_s) into batches in
-  /// dispatch order. Every query lands in exactly one batch (admission
-  /// control off — equivalent to plan() with slo_s = 0).
-  [[nodiscard]] std::vector<InferenceBatch> schedule(
-      std::span<const Query> queries) const;
-
-  /// Full policy: SLO admission (when slo_s > 0) followed by the same
-  /// deadline/size-aware coalescing as schedule(). Deterministic — both
-  /// phases are pure functions of the query stream and the config's cost
-  /// model, so shed counts are bit-stable across machines.
+  /// The policy: SLO admission (when slo_s > 0) followed by
+  /// deadline/size-aware coalescing of `queries` (must be sorted by
+  /// arrival_s; throws Error otherwise) into batches in dispatch order.
+  /// With slo_s = 0 nothing is shed and every query lands in exactly one
+  /// batch. Deterministic — both phases are pure functions of the query
+  /// stream and the config's cost model, so shed counts are bit-stable
+  /// across machines.
   [[nodiscard]] SchedulePlan plan(std::span<const Query> queries) const;
 
  private:
+  /// The coalescing phase of plan() over the admitted queries.
+  [[nodiscard]] std::vector<InferenceBatch> schedule(
+      std::span<const Query> queries) const;
+
   BatchSchedulerConfig config_;
 };
 

@@ -70,10 +70,10 @@ TEST_F(CliTest, HelpExitsZeroAndNamesEveryFlag) {
         "--trace", "--rank", "--listen-fd", "--port", "--address"}},
       {"serve",
        {"--pattern", "--qps", "--queries", "--query-size", "--max-batch",
-        "--max-delay-ms", "--codec", "--eb", "--dataset", "--model",
-        "--replicas", "--seed", "--checkpoint", "--shards", "--rows-per-page",
-        "--cache-mb", "--slo-ms", "--metrics-port", "--linger-ms",
-        "--manifest-out", "--label", "--trace"}},
+        "--max-delay-ms", "--codec", "--eb", "--dataset", "--replicas",
+        "--seed", "--checkpoint", "--shards", "--rows-per-page", "--cache-mb",
+        "--slo-ms", "--metrics-port", "--linger-ms", "--manifest-out",
+        "--label", "--trace"}},
       {"compress", {}},
       {"decompress", {}},
       {"inspect", {}},
@@ -132,6 +132,7 @@ TEST_F(CliTest, UsageErrorsExitTwoRuntimeErrorsExitOne) {
   expect("decompress a b c", 2);         // too many
   expect("compress hybrid 0.01x 16 in.f32 out.dlcp", 2);
   expect("compress hybrid 0.01 16x in.f32 out.dlcp", 2);
+  expect("serve --model dlrm", 2);  // DLRM is the only model
   expect("serve --shards 0", 2);  // compressed serving is the store's
   expect("serve --cache-mb -1 --shards 2 --queries 200 --qps 4000", 2);
   expect("serve --cache-mb nan", 2);

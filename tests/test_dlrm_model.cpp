@@ -421,6 +421,26 @@ TEST(DlrmModelTest, TrainingReducesLossAndLearns) {
   EXPECT_GT(eval.accuracy, 0.6);  // clearly better than chance
 }
 
+TEST(DlrmModelTest, TrainsAndServesProbabilities) {
+  const DatasetSpec spec = DatasetSpec::small_training_proxy(4, 8);
+  const SyntheticClickDataset data(spec, 77);
+  const SampleBatch batch = data.make_batch(32, 0);
+  DlrmModel model(spec, DlrmConfig{}, 123);
+  // Losses finite and improving over a few steps (sanity, not accuracy).
+  const LossResult first = model.train_step(batch);
+  ASSERT_TRUE(std::isfinite(first.loss));
+  LossResult last = first;
+  for (int i = 0; i < 20; ++i) last = model.train_step(batch);
+  EXPECT_LT(last.loss, first.loss);
+
+  std::vector<float> probs(batch.batch_size());
+  model.predict(batch, probs);
+  for (const float p : probs) {
+    EXPECT_GE(p, 0.0f);
+    EXPECT_LE(p, 1.0f);
+  }
+}
+
 TEST(DlrmModelTest, DeterministicTraining) {
   const DatasetSpec spec = DatasetSpec::small_training_proxy(4, 8);
   const SyntheticClickDataset data(spec, 5);

@@ -19,9 +19,12 @@
 #include <iterator>
 #include <span>
 #include <string>
+#include <string_view>
+#include <utility>
 #include <vector>
 
 #include "common/crc32.hpp"
+#include "compress/registry.hpp"
 #include "core/trainer.hpp"
 #include "data/synthetic.hpp"
 #include "dlrm/embedding_table.hpp"
@@ -78,6 +81,32 @@ TEST(Golden, EmbeddingSetCrcs) {
             "0x801109d8");
   EXPECT_EQ(hex32(embedding_set_crc(DatasetSpec::criteo_kaggle_like(20000), 42)),
             "0x02afdc6c");
+}
+
+TEST(Golden, CodecStreams) {
+  DLCOMP_SKIP_UNLESS_GCC();
+  // One table's lookups for a Zipf batch: repeated rows, as on the wire.
+  const DatasetSpec spec = DatasetSpec::small_training_proxy(2, 16);
+  const SyntheticClickDataset data(spec, 3);
+  const SampleBatch batch = data.make_batch(512, 0);
+  Matrix lookups(batch.batch_size(), spec.embedding_dim);
+  make_embedding_set(spec, 3)[0].lookup(batch.indices[0], lookups);
+  CompressParams params;
+  params.vector_dim = spec.embedding_dim;
+
+  const std::pair<std::string_view, std::string_view> golden[] = {
+      {"hybrid", "0x1ce9131c"},       {"vector-lz", "0x6a943087"},
+      {"huffman", "0x9954cfdb"},      {"generic-lz", "0x69f09ae4"},
+      {"deflate-like", "0x2ded9725"}, {"cusz-like", "0xb7093c82"},
+      {"fz-gpu-like", "0x0b0ff6c4"},  {"zfp-like", "0xab2dcf74"},
+      {"fp16", "0x2758a914"},         {"fp8", "0xbb8906b6"},
+  };
+  ASSERT_EQ(std::size(golden), all_compressor_names().size());
+  for (const auto& [name, crc] : golden) {
+    std::vector<std::byte> stream;
+    (void)get_compressor(name).compress(lookups.flat(), params, stream);
+    EXPECT_EQ(hex32(crc32(stream)), crc) << name;
+  }
 }
 
 TEST(Golden, CompressedTrainingRun) {

@@ -138,7 +138,7 @@ TEST(BatchScheduler, InvariantsUnderPoissonLoad) {
   BatchSchedulerConfig config;
   config.max_batch_samples = 128;
   config.max_delay_s = 0.003;
-  const auto batches = BatchScheduler(config).schedule(queries);
+  const auto batches = BatchScheduler(config).plan(queries).batches;
   ASSERT_FALSE(batches.empty());
 
   std::size_t scheduled = 0;
@@ -174,21 +174,21 @@ TEST(BatchScheduler, DeadlineFlushAndOversizedQuery) {
   // Two sparse queries farther apart than the delay budget: the first
   // must flush at its deadline, not wait for the second.
   std::vector<Query> sparse = {{0, 0.0, 10}, {1, 1.0, 10}};
-  auto batches = scheduler.schedule(sparse);
+  auto batches = scheduler.plan(sparse).batches;
   ASSERT_EQ(batches.size(), 2u);
   EXPECT_DOUBLE_EQ(batches[0].dispatch_s, 0.01);
   EXPECT_DOUBLE_EQ(batches[1].dispatch_s, 1.01);
 
   // An oversized query ships alone, immediately.
   std::vector<Query> mixed = {{0, 0.0, 10}, {1, 0.001, 500}, {2, 0.002, 10}};
-  batches = scheduler.schedule(mixed);
+  batches = scheduler.plan(mixed).batches;
   ASSERT_EQ(batches.size(), 3u);
   EXPECT_EQ(batches[1].queries.size(), 1u);
   EXPECT_EQ(batches[1].total_samples(), 500u);
   EXPECT_DOUBLE_EQ(batches[1].dispatch_s, 0.001);
 
   EXPECT_THROW(
-      (void)scheduler.schedule(std::vector<Query>{{0, 1.0, 1}, {1, 0.5, 1}}),
+      (void)scheduler.plan(std::vector<Query>{{0, 1.0, 1}, {1, 0.5, 1}}),
       Error);
 }
 

@@ -398,55 +398,6 @@ TEST(BatchScheduler, SaturatingStreamShedsMostQueries) {
   EXPECT_LT(plan.shed.size(), queries.size());  // backlog drains, readmits
 }
 
-// --------------------------------------------------------------- model zoo
-
-TEST(ModelZoo, ArchParsingRoundTrips) {
-  EXPECT_EQ(parse_model_arch("dlrm"), ModelArch::kDlrm);
-  EXPECT_EQ(parse_model_arch("widedeep"), ModelArch::kWideDeep);
-  EXPECT_EQ(parse_model_arch("ncf"), ModelArch::kNcf);
-  EXPECT_EQ(model_arch_name(ModelArch::kNcf), "ncf");
-  EXPECT_THROW((void)parse_model_arch("resnet"), Error);
-
-  EXPECT_EQ(interaction_output_dim(ModelArch::kDlrm, 4, 16),
-            16u + 5u * 4u / 2u);
-  EXPECT_EQ(interaction_output_dim(ModelArch::kWideDeep, 4, 16), 16u * 5u);
-  EXPECT_EQ(interaction_output_dim(ModelArch::kNcf, 4, 16), 32u);
-}
-
-TEST(ModelZoo, VariantsTrainAndServe) {
-  const DatasetSpec spec = DatasetSpec::small_training_proxy(4, 8);
-  const SyntheticClickDataset data(spec, 77);
-  const SampleBatch batch = data.make_batch(32, 0);
-
-  for (const ModelArch arch :
-       {ModelArch::kDlrm, ModelArch::kWideDeep, ModelArch::kNcf}) {
-    DlrmConfig config;
-    config.arch = arch;
-    DlrmModel model(spec, config, 123);
-    // Losses finite and improving over a few steps (sanity, not accuracy).
-    const LossResult first = model.train_step(batch);
-    ASSERT_TRUE(std::isfinite(first.loss));
-    LossResult last = first;
-    for (int i = 0; i < 20; ++i) last = model.train_step(batch);
-    EXPECT_LT(last.loss, first.loss)
-        << "arch " << model_arch_name(arch) << " failed to learn";
-
-    std::vector<float> probs(batch.batch_size());
-    model.predict(batch, probs);
-    for (const float p : probs) {
-      EXPECT_GE(p, 0.0f);
-      EXPECT_LE(p, 1.0f);
-    }
-  }
-}
-
-TEST(ModelZoo, NcfRequiresTwoTables) {
-  const DatasetSpec spec = DatasetSpec::small_training_proxy(1, 8);
-  DlrmConfig config;
-  config.arch = ModelArch::kNcf;
-  EXPECT_THROW((DlrmModel(spec, config, 1)), Error);
-}
-
 // ------------------------------------------------------------- end to end
 
 TEST(InferenceEngine, StoreBackedScoresMatchTableBacked) {

@@ -229,15 +229,13 @@ TEST(Trainer, InvalidBatchSplitThrows) {
   EXPECT_THROW((void)trainer.train(data), Error);
 }
 
-TEST(Trainer, NonDlrmArchRejected) {
-  // The rank body implements the dot interaction only, so another arch
-  // must fail loudly rather than silently train a DLRM.
+TEST(Trainer, ZeroEvalBatchesThrows) {
+  // Every run ends with a held-out eval, a mean over eval_batches; with
+  // none it would report NaN, so the config is rejected up front.
   TrainerConfig config = base_config();
-  for (const ModelArch arch : {ModelArch::kNcf, ModelArch::kWideDeep}) {
-    config.model.arch = arch;
-    EXPECT_THROW(HybridParallelTrainer{config}, Error) << model_arch_name(arch);
-  }
-  config.model.arch = ModelArch::kDlrm;
+  config.eval_batches = 0;
+  EXPECT_THROW(HybridParallelTrainer{config}, Error);
+  config.eval_batches = 1;
   EXPECT_NO_THROW(HybridParallelTrainer{config});
 }
 

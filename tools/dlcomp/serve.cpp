@@ -23,7 +23,6 @@ constexpr FlagSpec kServeFlags[] = {
     {"--codec", "NAME|none", "hybrid", "codec of the store's pages (none: raw pages)"},
     {"--eb", "X", "0.01", "error bound of the store's pages"},
     {"--dataset", "kaggle|terabyte|small", "small", "synthetic dataset shape"},
-    {"--model", "dlrm|widedeep|ncf", "dlrm", "interaction architecture"},
     {"--replicas", "N", "0", "engine replicas (0: one per hardware thread)"},
     {"--seed", "N", "2024", "query stream and model seed"},
     {"--checkpoint", "FILE", "", "serve this .dlck model instead of a fresh one"},
@@ -51,7 +50,6 @@ int cmd_serve(const ArgParser& args) {
   config.load.seed = args.u64("--seed");
   config.seed = config.load.seed;
   config.replicas = static_cast<unsigned>(args.uint("--replicas"));
-  config.model.arch = parse_model_arch(args.str("--model"));
   const std::string codec = codec_flag(args);
   const double eb = args.num("--eb");
   config.store.error_bound = eb;
