@@ -109,13 +109,11 @@ TEST(Golden, CodecStreams) {
   }
 }
 
-TEST(Golden, CompressedTrainingRun) {
-  DLCOMP_SKIP_UNLESS_GCC();
-  const DatasetSpec spec = DatasetSpec::small_training_proxy(6, 8);
-  const SyntheticClickDataset data(spec, 5);
-  const auto dir = std::filesystem::temp_directory_path() / "dlcomp_golden_train";
-  std::filesystem::remove_all(dir);
-
+/// A world-4 sim run: 2 stages, overlap, Adagrad, eval every 4 and
+/// checkpoints every 4 (the second a delta), all through `codec` ("" is
+/// the uncompressed baseline on the wire and raw storage on disk).
+TrainerConfig training_config(const std::string& codec,
+                              const std::filesystem::path& dir) {
   TrainerConfig config;
   config.world = 4;
   config.global_batch = 64;
@@ -124,7 +122,7 @@ TEST(Golden, CompressedTrainingRun) {
   config.model.top_hidden = {16};
   config.model.learning_rate = 0.05f;
   config.model.embedding_optimizer = EmbeddingOptimizerKind::kAdagrad;
-  config.compression.codec = "hybrid";
+  config.compression.codec = codec;
   config.compression.global_eb = 0.02;
   config.overlap.forward = true;
   config.overlap.backward = true;
@@ -135,10 +133,13 @@ TEST(Golden, CompressedTrainingRun) {
   config.checkpoint.directory = dir.string();
   config.checkpoint.every = 4;
   config.checkpoint.full_every = 2;  // the second save is a delta
-  config.checkpoint.codec = "hybrid";
+  config.checkpoint.codec = codec;
   config.seed = 9;
-  const TrainingResult result = HybridParallelTrainer(config).train(data);
+  return config;
+}
 
+/// CRC over the bits of every recorded iteration.
+std::uint32_t history_crc(const TrainingResult& result) {
   std::uint32_t history = crc32_init();
   for (const IterationRecord& rec : result.history) {
     history = fold(history, static_cast<std::uint64_t>(rec.iter));
@@ -147,8 +148,21 @@ TEST(Golden, CompressedTrainingRun) {
       history = fold(history, v);
     }
   }
+  return crc32_final(history);
+}
+
+TEST(Golden, CompressedTrainingRun) {
+  DLCOMP_SKIP_UNLESS_GCC();
+  const DatasetSpec spec = DatasetSpec::small_training_proxy(6, 8);
+  const SyntheticClickDataset data(spec, 5);
+  const auto dir = std::filesystem::temp_directory_path() / "dlcomp_golden_train";
+  std::filesystem::remove_all(dir);
+
+  const TrainerConfig config = training_config("hybrid", dir);
+  const TrainingResult result = HybridParallelTrainer(config).train(data);
+
   ASSERT_EQ(result.history.size(), 8u);
-  EXPECT_EQ(hex32(crc32_final(history)), "0x2508ad7d");
+  EXPECT_EQ(hex32(history_crc(result)), "0x2508ad7d");
   EXPECT_EQ(hex32(result.wire_crc32), "0x15bb6869");
   EXPECT_EQ(hex64(result.makespan_seconds), "0x3f4615a395b5350e");
   EXPECT_EQ(hex64(result.final_eval.loss), "0x3fe67abc6c96b332");
@@ -170,8 +184,29 @@ TEST(Golden, CompressedTrainingRun) {
   std::filesystem::remove_all(dir);
 }
 
-TEST(Golden, ServedScores) {
+TEST(Golden, RawTrainingRun) {
   DLCOMP_SKIP_UNLESS_GCC();
+  // The uncompressed baseline: raw floats on the wire, raw tables on disk.
+  const DatasetSpec spec = DatasetSpec::small_training_proxy(6, 8);
+  const SyntheticClickDataset data(spec, 5);
+  const auto dir = std::filesystem::temp_directory_path() / "dlcomp_golden_raw";
+  std::filesystem::remove_all(dir);
+
+  const TrainingResult result =
+      HybridParallelTrainer(training_config("", dir)).train(data);
+
+  ASSERT_EQ(result.history.size(), 8u);
+  EXPECT_EQ(hex32(history_crc(result)), "0x3df1e026");
+  EXPECT_EQ(hex32(result.wire_crc32), "0x57979cbe");
+  ASSERT_EQ(result.checkpoints_written.size(), 2u);
+  EXPECT_EQ(hex32(file_crc(result.checkpoints_written[0])), "0x0a06cffb");
+  EXPECT_EQ(hex32(file_crc(result.checkpoints_written[1])), "0x8266377d");
+  std::filesystem::remove_all(dir);
+}
+
+/// One replica over a 2-shard store with 64-row pages in `codec` ("" is
+/// raw pages) and a 64 KiB cache.
+ServingConfig serving_config(const std::string& codec) {
   ServingConfig config;
   config.spec = DatasetSpec::small_training_proxy(6, 16);
   config.load.pattern = ArrivalPattern::kPoisson;
@@ -186,11 +221,18 @@ TEST(Golden, ServedScores) {
   config.seed = 9;
   config.store.num_shards = 2;
   config.store.rows_per_page = 64;
-  config.store.codec = "hybrid";
+  config.store.codec = codec;
   config.store.error_bound = 0.01;
   config.store.cache_budget_bytes = 64 << 10;
-  const ServingReport report = ServingSimulator(config).run();
-  EXPECT_EQ(hex32(report.scores_crc32), "0xffff9cb8");
+  return config;
+}
+
+TEST(Golden, ServedScores) {
+  DLCOMP_SKIP_UNLESS_GCC();
+  EXPECT_EQ(hex32(ServingSimulator(serving_config("hybrid")).run().scores_crc32),
+            "0xffff9cb8");
+  EXPECT_EQ(hex32(ServingSimulator(serving_config("")).run().scores_crc32),
+            "0x1b26973d");
 }
 
 }  // namespace
