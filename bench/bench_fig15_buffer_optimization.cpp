@@ -27,7 +27,7 @@ int main() {
 
   ThreadPool pool;
   const Compressor& codec = get_compressor("vector-lz");
-  BlockEngine engine(codec, &pool);
+  BlockEngine engine(&codec, &pool);
   const DeviceModel device;
   const double codec_bps = calibrated_throughput("vector-lz").compress_bps;
   CompressParams params;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <utility>
@@ -49,12 +48,6 @@ struct EncodedValues {
   std::uint8_t storage = 0;  ///< 0 raw float32, 1 codec stream
 };
 
-/// The raw (storage 0) encoding: the values' float32 bytes.
-void copy_raw(std::span<const float> values, std::vector<std::byte>& bytes) {
-  const auto raw = std::as_bytes(values);
-  bytes.assign(raw.begin(), raw.end());
-}
-
 std::vector<float> decode_values(const std::string& codec_name,
                                  std::uint8_t storage,
                                  std::span<const std::byte> bytes,
@@ -64,31 +57,24 @@ std::vector<float> decode_values(const std::string& codec_name,
   if (expected_count > std::numeric_limits<std::size_t>::max() / sizeof(float)) {
     throw FormatError("checkpoint element count overflows byte size");
   }
-  if (storage == 0) {
-    if (bytes.size() != expected_count * sizeof(float)) {
-      throw FormatError("checkpoint raw table payload has wrong size");
-    }
-  } else {
+  const Compressor* codec = nullptr;  // storage 0: raw float32
+  if (storage != 0) {
     if (codec_name.empty()) {
       throw FormatError("checkpoint stream payload without a codec name");
     }
     if (decompressed_count(bytes) != expected_count) {
       throw FormatError("checkpoint stream element count mismatch");
     }
-  }
-  std::vector<float> values(expected_count);
-  if (storage == 0) {
-    if (!bytes.empty()) {
-      std::memcpy(values.data(), bytes.data(), bytes.size());
-    }
-    return values;
+    codec = &get_compressor(codec_name);
+  } else if (bytes.size() != expected_count * sizeof(float)) {
+    throw FormatError("checkpoint raw table payload has wrong size");
   }
   // The payload may be a blocked ("DLBK") container when the writer split
-  // a large table across its pool; blocked_decompress handles both forms.
+  // a large table across its pool; blocked_decompress handles every form.
   // A thread runs one per-table task at a time, so the task borrows
   // that thread's workspace.
-  blocked_decompress(get_compressor(codec_name), bytes, values,
-                     thread_local_workspace());
+  std::vector<float> values(expected_count);
+  blocked_decompress(codec, bytes, values, thread_local_workspace());
   return values;
 }
 
@@ -309,11 +295,8 @@ ModelState make_model_state(DlrmModel& model, std::uint64_t iteration,
 CheckpointWriter::CheckpointWriter(CheckpointOptions options)
     : options_(std::move(options)),
       codec_(options_.codec.empty() ? nullptr
-                                    : &get_compressor(options_.codec)) {
-  if (codec_ != nullptr) {
-    engine_ = std::make_unique<BlockEngine>(*codec_, options_.pool);
-  }
-}
+                                    : &get_compressor(options_.codec)),
+      engine_(std::make_unique<BlockEngine>(codec_, options_.pool)) {}
 
 double CheckpointWriter::table_eb(std::size_t t) const noexcept {
   if (codec_ == nullptr) return 0.0;  // raw storage is exact
@@ -353,33 +336,26 @@ void CheckpointWriter::save_full(const std::string& path,
   shadow_.assign(num_tables, Matrix());
   shadow_opt_.assign(num_tables, Matrix());
 
-  // Encode every table in parallel. The shadow reconstruction is
-  // deferred (see pending_shadow_): only a later save_delta needs it.
+  // Encode every table in one flat blocked batch: large tables split into
+  // independent blocks (see chunked.hpp), so a snapshot dominated by a
+  // single huge table still spreads across the pool instead of
+  // serializing on that table. The shadow reconstruction is deferred
+  // (see pending_shadow_): only a later save_delta needs it.
   std::vector<EncodedValues> encoded(num_tables);
-  if (codec_ != nullptr) {
-    // One flat blocked batch over every table: large tables split into
-    // independent blocks (see chunked.hpp), so a snapshot dominated by a
-    // single huge table still spreads across the pool instead of
-    // serializing on that table.
-    engine_->compress_begin();
-    std::vector<std::size_t> slots(num_tables, kNoSlot);
-    for (std::size_t t = 0; t < num_tables; ++t) {
-      const Matrix& weights = *state.tables[t];
-      if (weights.flat().empty()) continue;
-      encoded[t].storage = 1;
-      slots[t] = engine_->add_tensor(weights.flat(),
-                                     table_params(t, weights.cols()));
-    }
-    engine_->compress_run();
-    for (std::size_t t = 0; t < num_tables; ++t) {
-      if (slots[t] == kNoSlot) continue;
-      encoded[t].bytes.reserve(engine_->stream_bytes(slots[t]));
-      engine_->append_stream(slots[t], encoded[t].bytes);
-    }
-  } else {
-    for_each_table(options_.pool, num_tables, [&](std::size_t t) {
-      copy_raw(state.tables[t]->flat(), encoded[t].bytes);
-    });
+  engine_->compress_begin();
+  std::vector<std::size_t> slots(num_tables, kNoSlot);
+  for (std::size_t t = 0; t < num_tables; ++t) {
+    const Matrix& weights = *state.tables[t];
+    if (weights.flat().empty()) continue;
+    encoded[t].storage = stream_storage();
+    slots[t] =
+        engine_->add_tensor(weights.flat(), table_params(t, weights.cols()));
+  }
+  engine_->compress_run();
+  for (std::size_t t = 0; t < num_tables; ++t) {
+    if (slots[t] == kNoSlot) continue;
+    encoded[t].bytes.reserve(engine_->stream_bytes(slots[t]));
+    engine_->append_stream(slots[t], encoded[t].bytes);
   }
   for_each_table(options_.pool, num_tables, [&](std::size_t t) {
     const Matrix* opt = t < state.opt_state.size() ? state.opt_state[t]
@@ -433,8 +409,8 @@ void CheckpointWriter::save_full(const std::string& path,
   pending_shadow_.clear();
   pending_shadow_.resize(num_tables);
   for (std::size_t t = 0; t < num_tables; ++t) {
-    pending_shadow_[t] = {std::move(encoded[t].bytes), encoded[t].storage,
-                          state.tables[t]->rows(), state.tables[t]->cols()};
+    pending_shadow_[t] = {std::move(encoded[t].bytes), state.tables[t]->rows(),
+                          state.tables[t]->cols()};
   }
   last_id_ = header.checkpoint_id;
   last_file_ = std::filesystem::path(path).filename().string();
@@ -443,36 +419,16 @@ void CheckpointWriter::save_full(const std::string& path,
 
 void CheckpointWriter::materialize_shadow() {
   if (pending_shadow_.empty()) return;
-  if (codec_ != nullptr) {
-    // Blocked batch: large tables decode block-parallel, so the first
-    // save_delta after a full snapshot does not serialize on one table.
-    engine_->decompress_begin();
-    bool any = false;
-    for (std::size_t t = 0; t < pending_shadow_.size(); ++t) {
-      const PendingShadow& pending = pending_shadow_[t];
-      Matrix& shadow = shadow_[t];
-      shadow.resize(pending.rows, pending.dim);
-      if (pending.storage == 0) {
-        if (!pending.bytes.empty()) {
-          std::memcpy(shadow.data(), pending.bytes.data(),
-                      pending.bytes.size());
-        }
-      } else {
-        engine_->add_stream(pending.bytes, shadow.flat());
-        any = true;
-      }
-    }
-    if (any) engine_->decompress_run();
-  } else {
-    for_each_table(options_.pool, pending_shadow_.size(), [&](std::size_t t) {
-      const PendingShadow& pending = pending_shadow_[t];
-      Matrix& shadow = shadow_[t];
-      shadow.resize(pending.rows, pending.dim);
-      if (!pending.bytes.empty()) {
-        std::memcpy(shadow.data(), pending.bytes.data(), pending.bytes.size());
-      }
-    });
+  // Blocked batch: large tables decode block-parallel, so the first
+  // save_delta after a full snapshot does not serialize on one table.
+  engine_->decompress_begin();
+  for (std::size_t t = 0; t < pending_shadow_.size(); ++t) {
+    const PendingShadow& pending = pending_shadow_[t];
+    Matrix& shadow = shadow_[t];
+    shadow.resize(pending.rows, pending.dim);
+    if (!pending.bytes.empty()) engine_->add_stream(pending.bytes, shadow.flat());
   }
+  engine_->decompress_run();
   pending_shadow_.clear();
 }
 
@@ -564,33 +520,25 @@ void CheckpointWriter::save_delta(const std::string& path,
     }
   });
 
-  // Phase 2: encode every table's touched rows. With a codec this is one
-  // flat blocked batch with per-block reconstruction, so a delta
-  // dominated by a single hot table still scales with the pool.
-  if (codec_ != nullptr) {
-    engine_->compress_begin();
-    std::vector<std::size_t> slots(num_tables, kNoSlot);
-    for (std::size_t t = 0; t < num_tables; ++t) {
-      TableDelta& delta = deltas[t];
-      if (delta.touched_values.empty()) continue;
-      delta.encoded.storage = 1;
-      delta.encoded.recon.resize(delta.touched_values.size());
-      slots[t] = engine_->add_tensor(
-          delta.touched_values, table_params(t, state.tables[t]->cols()),
-          std::span<float>(delta.encoded.recon));
-    }
-    engine_->compress_run();
-    for (std::size_t t = 0; t < num_tables; ++t) {
-      if (slots[t] == kNoSlot) continue;
-      deltas[t].encoded.bytes.reserve(engine_->stream_bytes(slots[t]));
-      engine_->append_stream(slots[t], deltas[t].encoded.bytes);
-    }
-  } else {
-    for_each_table(options_.pool, num_tables, [&](std::size_t t) {
-      TableDelta& delta = deltas[t];
-      copy_raw(delta.touched_values, delta.encoded.bytes);
-      delta.encoded.recon = std::move(delta.touched_values);
-    });
+  // Phase 2: encode every table's touched rows as one flat blocked batch
+  // with per-block reconstruction, so a delta dominated by a single hot
+  // table still scales with the pool.
+  engine_->compress_begin();
+  std::vector<std::size_t> slots(num_tables, kNoSlot);
+  for (std::size_t t = 0; t < num_tables; ++t) {
+    TableDelta& delta = deltas[t];
+    if (delta.touched_values.empty()) continue;
+    delta.encoded.storage = stream_storage();
+    delta.encoded.recon.resize(delta.touched_values.size());
+    slots[t] = engine_->add_tensor(
+        delta.touched_values, table_params(t, state.tables[t]->cols()),
+        std::span<float>(delta.encoded.recon));
+  }
+  engine_->compress_run();
+  for (std::size_t t = 0; t < num_tables; ++t) {
+    if (slots[t] == kNoSlot) continue;
+    deltas[t].encoded.bytes.reserve(engine_->stream_bytes(slots[t]));
+    engine_->append_stream(slots[t], deltas[t].encoded.bytes);
   }
 
   // Phase 3 (parallel): fold the reconstruction back into the shadow so

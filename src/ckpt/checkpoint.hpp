@@ -130,6 +130,11 @@ class CheckpointWriter {
   [[nodiscard]] CompressParams table_params(std::size_t t,
                                             std::size_t dim) const noexcept;
   void check_shapes(const ModelState& state) const;
+  /// The `storage` byte of a non-empty table payload: 1 (codec stream)
+  /// with a codec, 0 (raw float32) without.
+  [[nodiscard]] std::uint8_t stream_storage() const noexcept {
+    return codec_ != nullptr ? 1 : 0;
+  }
 
   CheckpointOptions options_;
   const Compressor* codec_ = nullptr;  ///< registry singleton or null
@@ -149,7 +154,6 @@ class CheckpointWriter {
   /// second copy of the embedding state.
   struct PendingShadow {
     std::vector<std::byte> bytes;
-    std::uint8_t storage = 0;
     std::size_t rows = 0;
     std::size_t dim = 0;
   };
@@ -158,8 +162,8 @@ class CheckpointWriter {
   /// Blocked parallel codec batches (see chunked.hpp): every table's
   /// encode — split into blocks when large — runs as one flat task list,
   /// so a snapshot dominated by a single huge table still scales with
-  /// the pool instead of serializing on that table. Null for raw
-  /// (codec-less) checkpoints.
+  /// the pool instead of serializing on that table. Raw (codec-less)
+  /// checkpoints use the engine's raw mode.
   std::unique_ptr<BlockEngine> engine_;
 };
 

@@ -25,26 +25,4 @@ class WallTimer {
   clock::time_point start_;
 };
 
-/// Accumulates time across multiple start/stop intervals; useful for
-/// building per-phase breakdowns inside the training loop.
-class AccumTimer {
- public:
-  void start() noexcept { t_.reset(); running_ = true; }
-
-  void stop() noexcept {
-    if (running_) {
-      total_ += t_.seconds();
-      running_ = false;
-    }
-  }
-
-  [[nodiscard]] double total_seconds() const noexcept { return total_; }
-  void reset() noexcept { total_ = 0.0; running_ = false; }
-
- private:
-  WallTimer t_;
-  double total_ = 0.0;
-  bool running_ = false;
-};
-
 }  // namespace dlcomp

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <string>
 
 #include "common/byte_io.hpp"
 #include "common/error.hpp"
@@ -116,11 +117,31 @@ double max_abs_difference(std::span<const float> data,
   return static_cast<double>(worst);
 }
 
+/// A raw stream holds exactly its output's float32 bytes.
+void check_raw_size(std::span<const std::byte> stream, std::span<float> out) {
+  if (stream.size() != out.size_bytes()) {
+    throw FormatError("raw stream: received " + std::to_string(stream.size()) +
+                      " bytes, expected " + std::to_string(out.size_bytes()));
+  }
+}
+
+/// Decodes one plain codec stream, or with a null codec checks and
+/// copies one raw stream.
+void decode(const Compressor* codec, std::span<const std::byte> stream,
+            std::span<float> out, CompressionWorkspace& ws) {
+  if (codec == nullptr) {
+    check_raw_size(stream, out);
+    if (!stream.empty()) std::memcpy(out.data(), stream.data(), stream.size());
+  } else {
+    codec->decompress(stream, out, ws);
+  }
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ BlockEngine
 
-BlockEngine::BlockEngine(const Compressor& codec, ThreadPool* pool,
+BlockEngine::BlockEngine(const Compressor* codec, ThreadPool* pool,
                          std::size_t block_elems)
     : codec_(codec), pool_(pool), block_elems_(block_elems) {
   DLCOMP_CHECK_MSG(block_elems_ > 0, "block size must be positive");
@@ -174,31 +195,35 @@ std::size_t BlockEngine::add_tensor(std::span<const float> data,
   slot.first_task = tasks_.size();
   slot.element_count = data.size();
 
-  // Range-relative bounds resolve over the whole tensor before the
-  // split, so every block quantizes with the same step as a monolithic
-  // encode would.
   CompressParams block_params = params;
-  if (params.eb_mode == EbMode::kRangeRelative) {
-    block_params.error_bound = resolve_error_bound(data, params);
-    block_params.eb_mode = EbMode::kAbsolute;
+  if (codec_ == nullptr) {
+    // Raw: no block task and no staging; append_stream copies the data.
+    slot.task_count = 0;
+  } else {
+    // Range-relative bounds resolve over the whole tensor before the
+    // split, so every block quantizes with the same step as a monolithic
+    // encode would.
+    if (params.eb_mode == EbMode::kRangeRelative) {
+      block_params.error_bound = resolve_error_bound(data, params);
+      block_params.eb_mode = EbMode::kAbsolute;
+    }
+    // Blocks align to vector_dim so Lorenzo rows / vector-LZ patterns
+    // never straddle a boundary.
+    const std::size_t dim = std::max<std::size_t>(1, params.vector_dim);
+    slot.block_elems = std::max(block_elems_ / dim * dim, dim);
+    slot.blocked = data.size() > slot.block_elems;
+    slot.task_count = slot.blocked ? (data.size() + slot.block_elems - 1) /
+                                         slot.block_elems
+                                   : 1;
   }
-
-  // Blocks align to vector_dim so Lorenzo rows / vector-LZ patterns
-  // never straddle a boundary.
-  const std::size_t dim = std::max<std::size_t>(1, params.vector_dim);
-  std::size_t block_elems = std::max(block_elems_ / dim * dim, dim);
-  slot.blocked = data.size() > block_elems;
-  slot.block_elems = block_elems;
-  slot.task_count =
-      slot.blocked ? (data.size() + block_elems - 1) / block_elems : 1;
 
   const std::size_t slots_cap = slots_.capacity();
   const std::size_t tasks_cap = tasks_.capacity();
   for (std::size_t b = 0; b < slot.task_count; ++b) {
     CompressTask task;
     task.slot = slots_.size();
-    task.elem_begin = slot.blocked ? b * block_elems : 0;
-    task.elem_count = slot.blocked ? std::min(block_elems,
+    task.elem_begin = slot.blocked ? b * slot.block_elems : 0;
+    task.elem_count = slot.blocked ? std::min(slot.block_elems,
                                               data.size() - task.elem_begin)
                                    : data.size();
     task.staging_offset = staging_cursor_;
@@ -215,9 +240,11 @@ std::size_t BlockEngine::add_tensor(std::span<const float> data,
 }
 
 void BlockEngine::compress_run() {
-  const std::size_t staging_cap = staging_.capacity();
-  staging_.resize(staging_cursor_);
-  note_grow(staging_cap, staging_.capacity());
+  if (staging_cursor_ > staging_capacity_) {
+    staging_ = std::make_unique_for_overwrite<std::byte[]>(staging_cursor_);
+    staging_capacity_ = staging_cursor_;
+    ++grow_events_;
+  }
 
   run_lanes(tasks_.size(), [&](std::size_t i, CompressionWorkspace& ws) {
     CompressTask& task = tasks_[i];
@@ -225,16 +252,16 @@ void BlockEngine::compress_run() {
         pending_data_[task.slot].subspan(task.elem_begin, task.elem_count);
     std::vector<std::byte>& scratch = ws.caller_stream();
     scratch.clear();
-    codec_.compress(data, pending_params_[task.slot], scratch, ws);
+    codec_->compress(data, pending_params_[task.slot], scratch, ws);
     DLCOMP_CHECK(scratch.size() <= worst_case_stream_bytes(task.elem_count));
-    std::memcpy(staging_.data() + task.staging_offset, scratch.data(),
+    std::memcpy(staging_.get() + task.staging_offset, scratch.data(),
                 scratch.size());
     task.bytes = scratch.size();
     const std::span<float> recon = pending_recon_[task.slot];
     if (!recon.empty()) {
       const std::span<float> block =
           recon.subspan(task.elem_begin, task.elem_count);
-      codec_.decompress(scratch, block, ws);
+      codec_->decompress(scratch, block, ws);
       task.max_abs_error = max_abs_difference(data, block);
     }
   });
@@ -242,13 +269,19 @@ void BlockEngine::compress_run() {
   MetricsRegistry::global()
       .counter("dlcomp_codec_blocks_compressed_total")
       .add(tasks_.size());
-  pending_data_.clear();
-  pending_params_.clear();
-  pending_recon_.clear();
+  if (codec_ == nullptr) {
+    // Raw reconstruction is the data itself (max_abs_error stays 0).
+    for (std::size_t s = 0; s < slots_.size(); ++s) {
+      if (!pending_recon_[s].empty()) {
+        std::ranges::copy(pending_data_[s], pending_recon_[s].begin());
+      }
+    }
+  }
 }
 
 std::size_t BlockEngine::stream_bytes(std::size_t slot_index) const {
   const Slot& slot = slots_.at(slot_index);
+  if (codec_ == nullptr) return slot.element_count * sizeof(float);
   std::size_t payload = 0;
   for (std::size_t b = 0; b < slot.task_count; ++b) {
     payload += tasks_[slot.first_task + b].bytes;
@@ -269,6 +302,11 @@ double BlockEngine::max_abs_error(std::size_t slot_index) const {
 void BlockEngine::append_stream(std::size_t slot_index,
                                 std::vector<std::byte>& out) const {
   const Slot& slot = slots_.at(slot_index);
+  if (codec_ == nullptr) {
+    const auto raw = std::as_bytes(pending_data_[slot_index]);
+    out.insert(out.end(), raw.begin(), raw.end());
+    return;
+  }
   if (slot.blocked) {
     append_pod(out, kBlockMagic);
     append_pod(out, kBlockVersion);
@@ -285,7 +323,7 @@ void BlockEngine::append_stream(std::size_t slot_index,
   }
   for (std::size_t b = 0; b < slot.task_count; ++b) {
     const CompressTask& task = tasks_[slot.first_task + b];
-    const auto* p = staging_.data() + task.staging_offset;
+    const auto* p = staging_.get() + task.staging_offset;
     out.insert(out.end(), p, p + task.bytes);
   }
 }
@@ -295,7 +333,10 @@ void BlockEngine::decompress_begin() { decode_tasks_.clear(); }
 void BlockEngine::add_stream(std::span<const std::byte> stream,
                              std::span<float> out) {
   const std::size_t cap = decode_tasks_.capacity();
-  if (is_blocked(stream)) {
+  if (codec_ == nullptr) {
+    check_raw_size(stream, out);
+    decode_tasks_.push_back({stream, out});
+  } else if (is_blocked(stream)) {
     for_each_block(stream, out, [&](std::span<const std::byte> block,
                                     std::span<float> block_out) {
       decode_tasks_.push_back({block, block_out});
@@ -310,8 +351,9 @@ void BlockEngine::decompress_run() {
   run_lanes(decode_tasks_.size(),
             [&](std::size_t i, CompressionWorkspace& ws) {
               const DecompressTask& task = decode_tasks_[i];
-              codec_.decompress(task.stream, task.out, ws);
+              decode(codec_, task.stream, task.out, ws);
             });
+  if (codec_ == nullptr) return;  // raw copies are not codec blocks
   blocks_decompressed_ += decode_tasks_.size();
   MetricsRegistry::global()
       .counter("dlcomp_codec_blocks_decompressed_total")
@@ -338,7 +380,7 @@ std::uint64_t BlockEngine::grow_events() const {
 }
 
 std::size_t BlockEngine::capacity_bytes() const {
-  std::size_t total = staging_.capacity() +
+  std::size_t total = staging_capacity_ +
                       slots_.capacity() * sizeof(Slot) +
                       tasks_.capacity() * sizeof(CompressTask) +
                       decode_tasks_.capacity() * sizeof(DecompressTask);
@@ -346,17 +388,18 @@ std::size_t BlockEngine::capacity_bytes() const {
   return total;
 }
 
-double blocked_decompress(const Compressor& codec,
+double blocked_decompress(const Compressor* codec,
                           std::span<const std::byte> stream,
                           std::span<float> out, CompressionWorkspace& ws) {
-  if (!BlockEngine::is_blocked(stream)) {
-    return codec.decompress(stream, out, ws);
-  }
   WallTimer timer;
-  for_each_block(stream, out, [&](std::span<const std::byte> block,
-                                  std::span<float> block_out) {
-    codec.decompress(block, block_out, ws);
-  });
+  if (codec != nullptr && BlockEngine::is_blocked(stream)) {
+    for_each_block(stream, out, [&](std::span<const std::byte> block,
+                                    std::span<float> block_out) {
+      codec->decompress(block, block_out, ws);
+    });
+  } else {
+    decode(codec, stream, out, ws);
+  }
   return timer.seconds();
 }
 

@@ -14,6 +14,13 @@
 /// still fans out across the pool. Blocked streams travel in a "DLBK"
 /// container whose bytes are a pure function of (input, params, block
 /// size) -- never of thread count or scheduling.
+///
+/// A null codec is the engine's raw mode, the uncompressed baseline: a
+/// raw stream is exactly the tensor's float32 bytes, never DLBK-framed
+/// and never staged, so encoding is one copy from the caller's tensor
+/// into the caller's buffer and decoding checks the size and copies
+/// back. Callers therefore encode and decode raw and compressed tensors
+/// through the same calls.
 
 #include <cstddef>
 #include <cstdint>
@@ -59,6 +66,11 @@ namespace dlcomp {
 /// Range-relative error bounds are resolved over the whole tensor before
 /// splitting, so blocked and monolithic encodes quantize identically.
 ///
+/// Raw mode (null codec): add_tensor() registers no block task and no
+/// staging, append_stream() copies the tensor's bytes, and add_stream()
+/// rejects a stream whose size is not 4 bytes per output element. Raw
+/// work counts in neither blocks counter.
+///
 /// Thread-safety: one batch at a time per engine; the codec must be
 /// const-thread-safe (all registry codecs are).
 class BlockEngine {
@@ -69,17 +81,21 @@ class BlockEngine {
   /// ways.
   static constexpr std::size_t kDefaultBlockElems = 256 * 1024;
 
-  BlockEngine(const Compressor& codec, ThreadPool* pool,
+  /// `codec` null is raw mode.
+  BlockEngine(const Compressor* codec, ThreadPool* pool,
               std::size_t block_elems = kDefaultBlockElems);
 
   // ---- compression batch ------------------------------------------
   /// Drops all registered tensors/streams and starts a new batch.
   void compress_begin();
 
-  /// Registers one tensor; returns its slot for append_stream(). When
-  /// `recon` is non-empty (same length as `data`) each block is
-  /// decompressed right after compressing, yielding the reader-visible
-  /// reconstruction and its max_abs_error() without a second serial pass.
+  /// Registers one tensor; returns its slot for append_stream(). `data`
+  /// must stay alive until compress_run() returns (in raw mode, until
+  /// the slot's stream is appended). When `recon` is non-empty (same
+  /// length as `data`) each block is decompressed right after
+  /// compressing, yielding the reader-visible reconstruction and its
+  /// max_abs_error() without a second serial pass; raw mode copies
+  /// `data` into it.
   std::size_t add_tensor(std::span<const float> data,
                          const CompressParams& params,
                          std::span<float> recon = {});
@@ -105,9 +121,10 @@ class BlockEngine {
   // ---- decompression batch ----------------------------------------
   void decompress_begin();
 
-  /// Registers one received stream (plain or DLBK) with its pre-sized
-  /// output. Validates DLBK framing eagerly; throws FormatError on a
-  /// malformed container or element-count mismatch.
+  /// Registers one received stream (plain or DLBK; raw in raw mode) with
+  /// its pre-sized output. Validates DLBK framing and raw sizes eagerly;
+  /// throws FormatError on a malformed container or element-count
+  /// mismatch.
   void add_stream(std::span<const std::byte> stream, std::span<float> out);
 
   /// Decompresses every registered block across the pool.
@@ -169,7 +186,7 @@ class BlockEngine {
     if (cap_after != cap_before) ++grow_events_;
   }
 
-  const Compressor& codec_;
+  const Compressor* codec_;  ///< null: raw mode
   ThreadPool* pool_;
   std::size_t block_elems_;
   std::vector<std::unique_ptr<CompressionWorkspace>> lanes_;
@@ -177,12 +194,14 @@ class BlockEngine {
   std::vector<Slot> slots_;
   std::vector<CompressTask> tasks_;
   std::vector<DecompressTask> decode_tasks_;
-  /// Per-slot views registered by add_tensor; valid only until
-  /// compress_run() returns (the caller owns the data).
+  /// Per-slot views registered by add_tensor (the caller owns the data).
   std::vector<std::span<const float>> pending_data_;
   std::vector<CompressParams> pending_params_;
   std::vector<std::span<float>> pending_recon_;
-  std::vector<std::byte> staging_;
+  /// Worst-case-spaced block streams; never value-initialised, since
+  /// every byte read back was first written by a lane.
+  std::unique_ptr<std::byte[]> staging_;
+  std::size_t staging_capacity_ = 0;
   std::size_t staging_cursor_ = 0;
 
   std::uint64_t grow_events_ = 0;
@@ -191,10 +210,10 @@ class BlockEngine {
 };
 
 /// Serially decompresses a stream that may be either a plain codec
-/// stream or a DLBK container (the reader-side counterpart for callers
-/// without a pool or engine, e.g. per-table checkpoint decode). Returns
-/// wall seconds.
-double blocked_decompress(const Compressor& codec,
+/// stream or a DLBK container, or with a null codec a raw stream (the
+/// reader-side counterpart for callers without a pool or engine, e.g.
+/// per-table checkpoint decode). Returns wall seconds.
+double blocked_decompress(const Compressor* codec,
                           std::span<const std::byte> stream,
                           std::span<float> out, CompressionWorkspace& ws);
 

@@ -1,7 +1,7 @@
 #include "compress/paged.hpp"
 
 #include <algorithm>
-#include <cstring>
+#include <memory>
 
 #include "common/error.hpp"
 #include "compress/chunked.hpp"
@@ -23,31 +23,21 @@ PagedRowStore::PagedRowStore(const Matrix& rows, const PagedStoreConfig& config)
   sizes_.reserve(pages);
   input_bytes_ = rows_ * dim_ * sizeof(float);
 
-  if (codec_ == nullptr) {
-    // Raw paging: page streams are the float bytes themselves.
-    buffer_.resize(input_bytes_);
-    std::memcpy(buffer_.data(), rows.data(), input_bytes_);
-    for (std::size_t p = 0; p < pages; ++p) {
-      offsets_.push_back(p * rows_per_page_ * dim_ * sizeof(float));
-      sizes_.push_back(page_rows(p) * dim_ * sizeof(float));
-    }
-    return;
-  }
-
-  // Compressed paging: one BlockEngine batch over all pages (each page is
-  // below the engine's block size, so streams are plain codec streams,
-  // byte-identical to a serial Compressor::compress per page). The recon
-  // span makes the engine decode each page and measure its error against
-  // the input during the same parallel pass, which is how the store knows
-  // the at-rest error it will serve.
-  BlockEngine engine(*codec_, config.pool);
-  std::vector<float> recon(rows_ * dim_);
+  // One BlockEngine batch over all pages (each page is below the
+  // engine's block size, so streams are plain codec streams,
+  // byte-identical to a serial Compressor::compress per page; with no
+  // codec they are the page's float bytes). The recon span makes the
+  // engine decode each page and measure its error against the input
+  // during the same parallel pass, which is how the store knows the
+  // at-rest error it will serve.
+  BlockEngine engine(codec_, config.pool);
+  const auto recon = std::make_unique_for_overwrite<float[]>(rows_ * dim_);
   engine.compress_begin();
   for (std::size_t p = 0; p < pages; ++p) {
     const std::size_t first = page_first_row(p) * dim_;
     const std::size_t count = page_rows(p) * dim_;
     engine.add_tensor(rows.flat().subspan(first, count), params_,
-                      std::span<float>(recon).subspan(first, count));
+                      std::span<float>(recon.get() + first, count));
   }
   engine.compress_run();
 
@@ -73,11 +63,7 @@ void PagedRowStore::load_page(std::size_t p, std::span<float> out,
   DLCOMP_CHECK(out.size() == page_rows(p) * dim_);
   const std::span<const std::byte> stream{buffer_.data() + offsets_[p],
                                           sizes_[p]};
-  if (codec_ == nullptr) {
-    std::memcpy(out.data(), stream.data(), stream.size());
-    return;
-  }
-  (void)blocked_decompress(*codec_, stream, out, ws);
+  (void)blocked_decompress(codec_, stream, out, ws);
 }
 
 }  // namespace dlcomp

@@ -31,7 +31,8 @@ class ThreadPool;
 
 struct PagedStoreConfig {
   /// Registry codec for the page payloads; null stores raw float pages
-  /// (paging and accounting still apply, load_page is a memcpy).
+  /// (the BlockEngine's raw mode: paging and accounting still apply,
+  /// load_page is a size-checked copy).
   const Compressor* codec = nullptr;
   CompressParams params;
   /// Rows per page. Smaller pages fault faster but compress worse (the
@@ -48,10 +49,10 @@ struct PagedStoreConfig {
 /// One row matrix stored as independently compressed pages.
 class PagedRowStore {
  public:
-  /// Compresses `rows` page by page. When a codec is configured every
-  /// page is also decompressed once here to record the reconstruction
-  /// error actually served (`max_abs_error()`), so callers can assert the
-  /// at-rest bound without re-reading the whole store.
+  /// Compresses `rows` page by page. Every page is also decompressed
+  /// once here to record the reconstruction error actually served
+  /// (`max_abs_error()`), so callers can assert the at-rest bound without
+  /// re-reading the whole store.
   PagedRowStore(const Matrix& rows, const PagedStoreConfig& config);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }

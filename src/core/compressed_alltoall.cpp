@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 
 #include "common/byte_io.hpp"
@@ -18,9 +19,8 @@ CompressedAllToAll::CompressedAllToAll(CompressedAllToAllConfig config)
                    "pipeline_stages must be at least 1");
   if (config_.codec != nullptr) {
     throughput_ = calibrated_throughput(config_.codec->name());
-    scratch_.engine =
-        std::make_unique<BlockEngine>(*config_.codec, config_.pool);
   }
+  scratch_.engine = std::make_unique<BlockEngine>(config_.codec, config_.pool);
 }
 
 CompressedAllToAll::PendingExchange&
@@ -85,101 +85,56 @@ std::size_t CompressedAllToAll::pack_group(
 
   DLCOMP_TRACE_SPAN("a2a/pack_group");
   WallTimer compress_timer;
-  if (config_.codec != nullptr) {
-    // Codec path: three phases. (a) Serial framing — directories written,
-    // every chunk registered with the engine (large chunks split into
-    // blocks). (b) One flat parallel run over all blocks of all
-    // destinations — parallelism scales with total block count, so a
-    // group dominated by one huge chunk still uses the whole pool.
-    // (c) Serial assembly — deterministic wire bytes, sizes patched.
-    BlockEngine& engine = *scratch_.engine;
-    engine.compress_begin();
-    scratch_.packed_caps.resize(world);
-    for (std::size_t d = 0; d < world; ++d) {
-      std::vector<std::byte>& buf = scratch_.packed[d];
-      scratch_.packed_caps[d] = buf.capacity();
-      buf.clear();
-      const auto& chunks = send[d];
-      const std::size_t lo = group_begin(chunks.size(), groups, g);
-      const std::size_t hi = group_begin(chunks.size(), groups, g + 1);
-      if (g == 0) {
-        append_pod(buf, static_cast<std::uint32_t>(chunks.size()));
-      }
-      buf.resize(buf.size() + (hi - lo) * sizeof(std::uint64_t));
-      for (std::size_t i = lo; i < hi; ++i) {
-        (void)engine.add_tensor(chunks[i].data, chunks[i].params);
+  // Three phases. (a) Serial framing — directories written, every chunk
+  // registered with the engine (large chunks split into blocks). (b) One
+  // flat parallel run over all blocks of all destinations — parallelism
+  // scales with total block count, so a group dominated by one huge chunk
+  // still uses the whole pool. (c) Serial assembly — deterministic wire
+  // bytes, sizes patched. Raw chunks have no blocks: (c) copies them.
+  BlockEngine& engine = *scratch_.engine;
+  engine.compress_begin();
+  scratch_.packed_caps.resize(world);
+  for (std::size_t d = 0; d < world; ++d) {
+    std::vector<std::byte>& buf = scratch_.packed[d];
+    scratch_.packed_caps[d] = buf.capacity();
+    buf.clear();
+    const auto& chunks = send[d];
+    const std::size_t lo = group_begin(chunks.size(), groups, g);
+    const std::size_t hi = group_begin(chunks.size(), groups, g + 1);
+    const std::size_t sizes_at = g == 0 ? sizeof(std::uint32_t) : 0;
+    buf.resize(sizes_at + (hi - lo) * sizeof(std::uint64_t));
+    if (g == 0) {
+      const auto count = static_cast<std::uint32_t>(chunks.size());
+      std::memcpy(buf.data(), &count, sizeof(count));
+    }
+    for (std::size_t i = lo; i < hi; ++i) {
+      (void)engine.add_tensor(chunks[i].data, chunks[i].params);
+    }
+  }
+  {
+    DLCOMP_TRACE_SPAN("a2a/compress");
+    engine.compress_run();
+  }
+  std::size_t slot = 0;
+  for (std::size_t d = 0; d < world; ++d) {
+    std::vector<std::byte>& buf = scratch_.packed[d];
+    const auto& chunks = send[d];
+    const std::size_t lo = group_begin(chunks.size(), groups, g);
+    const std::size_t hi = group_begin(chunks.size(), groups, g + 1);
+    const std::size_t sizes_at = g == 0 ? sizeof(std::uint32_t) : 0;
+    for (std::size_t i = lo; i < hi; ++i, ++slot) {
+      const std::size_t before = buf.size();
+      engine.append_stream(slot, buf);
+      const auto stream_bytes =
+          static_cast<std::uint64_t>(buf.size() - before);
+      std::memcpy(buf.data() + sizes_at + (i - lo) * sizeof(std::uint64_t),
+                  &stream_bytes, sizeof(stream_bytes));
+      if (chunks[i].tag != A2AChunkSpec::kNoTag) {
+        scratch_.tag_wire[chunks[i].tag] += stream_bytes;
       }
     }
-    {
-      DLCOMP_TRACE_SPAN("a2a/compress");
-      engine.compress_run();
-    }
-    std::size_t slot = 0;
-    for (std::size_t d = 0; d < world; ++d) {
-      std::vector<std::byte>& buf = scratch_.packed[d];
-      const auto& chunks = send[d];
-      const std::size_t lo = group_begin(chunks.size(), groups, g);
-      const std::size_t hi = group_begin(chunks.size(), groups, g + 1);
-      const std::size_t sizes_at = g == 0 ? sizeof(std::uint32_t) : 0;
-      for (std::size_t i = lo; i < hi; ++i, ++slot) {
-        const std::size_t before = buf.size();
-        engine.append_stream(slot, buf);
-        const auto stream_bytes =
-            static_cast<std::uint64_t>(buf.size() - before);
-        std::memcpy(buf.data() + sizes_at + (i - lo) * sizeof(std::uint64_t),
-                    &stream_bytes, sizeof(stream_bytes));
-        if (chunks[i].tag != A2AChunkSpec::kNoTag) {
-          scratch_.tag_wire[chunks[i].tag].fetch_add(
-              stream_bytes, std::memory_order_relaxed);
-        }
-      }
-      if (buf.capacity() != scratch_.packed_caps[d]) {
-        scratch_.grow_events.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-  } else {
-    // Raw exchange: payload is the float bytes themselves; parallel per
-    // destination (pure memcpy, no codec scratch involved).
-    auto pack_destination = [&](std::size_t d) {
-      DLCOMP_TRACE_SPAN("a2a/compress");
-      std::vector<std::byte>& buf = scratch_.packed[d];
-      const std::size_t cap_before = buf.capacity();
-      buf.clear();
-      const auto& chunks = send[d];
-      const std::size_t lo = group_begin(chunks.size(), groups, g);
-      const std::size_t hi = group_begin(chunks.size(), groups, g + 1);
-      if (g == 0) {
-        append_pod(buf, static_cast<std::uint32_t>(chunks.size()));
-      }
-      const std::size_t sizes_at = buf.size();
-      buf.resize(sizes_at + (hi - lo) * sizeof(std::uint64_t));
-      for (std::size_t i = lo; i < hi; ++i) {
-        const std::size_t before = buf.size();
-        const auto* p =
-            reinterpret_cast<const std::byte*>(chunks[i].data.data());
-        buf.insert(buf.end(), p, p + chunks[i].data.size_bytes());
-        const auto stream_bytes =
-            static_cast<std::uint64_t>(buf.size() - before);
-        std::memcpy(buf.data() + sizes_at + (i - lo) * sizeof(std::uint64_t),
-                    &stream_bytes, sizeof(stream_bytes));
-        if (chunks[i].tag != A2AChunkSpec::kNoTag) {
-          scratch_.tag_wire[chunks[i].tag].fetch_add(
-              stream_bytes, std::memory_order_relaxed);
-        }
-      }
-      if (buf.capacity() != cap_before) {
-        scratch_.grow_events.fetch_add(1, std::memory_order_relaxed);
-      }
-    };
-    if (config_.pool != nullptr && world > 1) {
-      config_.pool->parallel_for(0, world, 1,
-                                 [&](std::size_t lo, std::size_t hi) {
-                                   for (std::size_t d = lo; d < hi; ++d) {
-                                     pack_destination(d);
-                                   }
-                                 });
-    } else {
-      for (std::size_t d = 0; d < world; ++d) pack_destination(d);
+    if (buf.capacity() != scratch_.packed_caps[d]) {
+      ++scratch_.grow_events;
     }
   }
   stats.compress_wall_seconds += compress_timer.seconds();
@@ -231,10 +186,10 @@ void CompressedAllToAll::land_group(
     }
   }
 
-  if (config_.codec != nullptr) {
-    // Codec path: register every chunk stream of every source with the
-    // engine (blocked streams expand into per-block tasks) and run one
-    // flat parallel pass — the multi-stream decompression of the paper,
+  {
+    // Register every chunk stream of every source with the engine
+    // (blocked streams expand into per-block tasks) and run one flat
+    // parallel pass — the multi-stream decompression of the paper,
     // extended below message granularity.
     DLCOMP_TRACE_SPAN("a2a/decompress");
     BlockEngine& engine = *scratch_.engine;
@@ -244,39 +199,17 @@ void CompressedAllToAll::land_group(
       const std::size_t lo = group_begin(recv[s].size(), groups, g);
       const std::size_t hi = group_begin(recv[s].size(), groups, g + 1);
       for (std::size_t i = lo; i < hi; ++i) {
-        engine.add_stream(
-            dir.payload.subspan(dir.offsets[i - lo], dir.sizes[i - lo]),
-            recv[s][i]);
+        try {
+          engine.add_stream(
+              dir.payload.subspan(dir.offsets[i - lo], dir.sizes[i - lo]),
+              recv[s][i]);
+        } catch (const FormatError& e) {
+          throw FormatError("chunk " + std::to_string(i) + " from rank " +
+                            std::to_string(s) + ": " + e.what());
+        }
       }
     }
     engine.decompress_run();
-  } else {
-    auto unpack_source = [&](std::size_t s) {
-      DLCOMP_TRACE_SPAN("a2a/decompress");
-      const RecvDirectory& dir = scratch_.dirs[s];
-      const std::size_t lo = group_begin(recv[s].size(), groups, g);
-      const std::size_t hi = group_begin(recv[s].size(), groups, g + 1);
-      for (std::size_t i = lo; i < hi; ++i) {
-        const auto stream =
-            dir.payload.subspan(dir.offsets[i - lo], dir.sizes[i - lo]);
-        auto out = recv[s][i];
-        DLCOMP_CHECK_MSG(stream.size() == out.size() * sizeof(float),
-                         "raw chunk " << i << " from rank " << s << ": received "
-                                      << stream.size() << " bytes, expected "
-                                      << out.size() * sizeof(float));
-        std::memcpy(out.data(), stream.data(), stream.size());
-      }
-    };
-    if (config_.pool != nullptr && world > 1) {
-      config_.pool->parallel_for(0, world, 1,
-                                 [&](std::size_t lo, std::size_t hi) {
-                                   for (std::size_t s = lo; s < hi; ++s) {
-                                     unpack_source(s);
-                                   }
-                                 });
-    } else {
-      for (std::size_t s = 0; s < world; ++s) unpack_source(s);
-    }
   }
   stats.decompress_wall_seconds += decompress_timer.seconds();
 
@@ -310,8 +243,7 @@ CompressedAllToAll::PendingExchange CompressedAllToAll::exchange_begin(
 
   scratch_.packed.resize(world);
 
-  // Size the per-tag accumulators to the high-water tag id before the
-  // packing tasks fan out (they only fetch_add into existing slots).
+  // Size the per-tag accumulators to the high-water tag id.
   std::size_t tags_needed = 0;
   for (std::size_t d = 0; d < world; ++d) {
     for (const auto& chunk : send[d]) {
@@ -321,18 +253,10 @@ CompressedAllToAll::PendingExchange CompressedAllToAll::exchange_begin(
       }
     }
   }
-  if (tags_needed > scratch_.tag_count) {
-    auto grown = std::make_unique<std::atomic<std::uint64_t>[]>(tags_needed);
-    for (std::size_t t = 0; t < tags_needed; ++t) {
-      grown[t].store(t < scratch_.tag_count
-                         ? scratch_.tag_wire[t].load(std::memory_order_relaxed)
-                         : 0,
-                     std::memory_order_relaxed);
-    }
-    scratch_.tag_wire = std::move(grown);
+  if (tags_needed > scratch_.tag_raw.size()) {
     scratch_.tag_raw.resize(tags_needed, 0);
-    scratch_.tag_count = tags_needed;
-    scratch_.grow_events.fetch_add(1, std::memory_order_relaxed);
+    scratch_.tag_wire.resize(tags_needed, 0);
+    ++scratch_.grow_events;
   }
   for (std::size_t d = 0; d < world; ++d) {
     for (const auto& chunk : send[d]) {
@@ -393,24 +317,21 @@ A2AStats CompressedAllToAll::exchange(
 }
 
 std::uint64_t CompressedAllToAll::workspace_grow_events() const {
-  std::uint64_t total = scratch_.grow_events.load(std::memory_order_relaxed);
-  if (scratch_.engine != nullptr) total += scratch_.engine->grow_events();
-  return total;
+  return scratch_.grow_events + scratch_.engine->grow_events();
 }
 
 std::vector<CompressedAllToAll::TagBytes> CompressedAllToAll::per_tag_bytes()
     const {
-  std::vector<TagBytes> out(scratch_.tag_count);
-  for (std::size_t t = 0; t < scratch_.tag_count; ++t) {
+  std::vector<TagBytes> out(scratch_.tag_raw.size());
+  for (std::size_t t = 0; t < out.size(); ++t) {
     out[t].raw = scratch_.tag_raw[t];
-    out[t].wire = scratch_.tag_wire[t].load(std::memory_order_relaxed);
+    out[t].wire = scratch_.tag_wire[t];
   }
   return out;
 }
 
 std::size_t CompressedAllToAll::scratch_capacity_bytes() const {
-  std::size_t total = 0;
-  if (scratch_.engine != nullptr) total += scratch_.engine->capacity_bytes();
+  std::size_t total = scratch_.engine->capacity_bytes();
   for (const auto& buf : scratch_.packed) total += buf.capacity();
   for (const auto& dir : scratch_.dirs) {
     total += dir.offsets.capacity() * sizeof(std::size_t) +

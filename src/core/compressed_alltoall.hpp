@@ -41,7 +41,6 @@
 /// model. A2AStats splits the modelled wire time into exposed (stalled
 /// the rank) and hidden (overlapped by codec/compute) seconds.
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string_view>
@@ -207,7 +206,8 @@ class CompressedAllToAll {
   /// Per-instance reusable state. Mutable because exchange() is logically
   /// const (scratch contents are never observable between calls).
   ///
-  /// Codec work (both directions) runs through one BlockEngine: every
+  /// Encoding and decoding (both directions, raw chunks included: a
+  /// null codec is the engine's raw mode) run through one BlockEngine: every
   /// chunk of every destination — split into blocks when large — forms a
   /// single flat task list per group, partitioned across fixed
   /// lane-indexed workspaces. Within one exchange the compress and
@@ -216,47 +216,18 @@ class CompressedAllToAll {
   /// sizes are stable across iterations — the zero-growth guarantee is
   /// deterministic rather than dependent on lease scheduling.
   struct Scratch {
-    Scratch() = default;
-    // The atomic member deletes the implicit moves vectors need; moving
-    // an instance is only ever done while no exchange is running.
-    Scratch(Scratch&& other) noexcept
-        : engine(std::move(other.engine)),
-          packed(std::move(other.packed)),
-          packed_caps(std::move(other.packed_caps)),
-          dirs(std::move(other.dirs)),
-          tag_raw(std::move(other.tag_raw)),
-          tag_wire(std::move(other.tag_wire)),
-          tag_count(other.tag_count),
-          grow_events(other.grow_events.load(std::memory_order_relaxed)) {}
-    Scratch& operator=(Scratch&& other) noexcept {
-      engine = std::move(other.engine);
-      packed = std::move(other.packed);
-      packed_caps = std::move(other.packed_caps);
-      dirs = std::move(other.dirs);
-      tag_raw = std::move(other.tag_raw);
-      tag_wire = std::move(other.tag_wire);
-      tag_count = other.tag_count;
-      grow_events.store(other.grow_events.load(std::memory_order_relaxed),
-                        std::memory_order_relaxed);
-      return *this;
-    }
-
-    std::unique_ptr<BlockEngine> engine;         // null for raw exchanges
+    std::unique_ptr<BlockEngine> engine;
     std::vector<std::vector<std::byte>> packed;  // per destination
     std::vector<std::size_t> packed_caps;        // pre-group capacities
     std::vector<RecvDirectory> dirs;             // per source
-    /// Per-tag cumulative totals. Raw bytes accumulate serially in
-    /// exchange_begin; wire bytes accumulate from the packing tasks, so
-    /// they are atomic (many destinations carry the same tag). Sized to
-    /// the high-water tag count (growth counted like any other scratch).
+    /// Per-tag cumulative totals, sized to the high-water tag count
+    /// (growth counted like any other scratch).
     std::vector<std::uint64_t> tag_raw;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> tag_wire;
-    std::size_t tag_count = 0;
+    std::vector<std::uint64_t> tag_wire;
     /// Packed-buffer capacity growth + workspace creation, counted so a
     /// freshly constructed (or wrongly re-constructed-per-iteration)
-    /// instance is visible to the steady-state grow-event tests. Atomic:
-    /// packing fans out across the pool.
-    std::atomic<std::uint64_t> grow_events{0};
+    /// instance is visible to the steady-state grow-event tests.
+    std::uint64_t grow_events = 0;
   };
 
   /// First chunk index of group g when `count` chunks split into `groups`

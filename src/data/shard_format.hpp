@@ -87,11 +87,6 @@ struct ShardView {
       std::size_t table, std::size_t first, std::size_t count) const noexcept {
     return categorical.subspan(table * header.sample_count + first, count);
   }
-  /// The dense block for samples [first, first+count), sample-major.
-  [[nodiscard]] std::span<const float> dense_rows(
-      std::size_t first, std::size_t count) const noexcept {
-    return dense.subspan(first * header.num_dense, count * header.num_dense);
-  }
 };
 
 /// Serializes `content` as a complete `.dlshard` byte image, appended to

@@ -99,12 +99,4 @@ std::vector<std::span<float>> Mlp::param_views() {
   return views;
 }
 
-std::size_t Mlp::parameter_count() const noexcept {
-  std::size_t total = 0;
-  for (const auto& layer : layers_) {
-    total += layer.w.size() + layer.b.size();
-  }
-  return total;
-}
-
 }  // namespace dlcomp

@@ -47,9 +47,6 @@ class Mlp {
   /// Mutable views over parameters, same order as grad_views().
   [[nodiscard]] std::vector<std::span<float>> param_views();
 
-  /// Total parameter count.
-  [[nodiscard]] std::size_t parameter_count() const noexcept;
-
  private:
   struct Layer {
     Matrix w;   // out x in

@@ -29,7 +29,7 @@ ShardedEmbeddingStore::ShardedEmbeddingStore(
   PagedStoreConfig page_config;
   page_config.rows_per_page = config_.rows_per_page;
   page_config.pool = pool;
-  if (!config_.codec.empty() && config_.codec != "none") {
+  if (!config_.codec.empty()) {
     page_config.codec = &get_compressor(config_.codec);
     page_config.params.error_bound = config_.error_bound;
     page_config.params.eb_mode = EbMode::kAbsolute;

@@ -54,7 +54,7 @@ struct ShardStoreConfig {
   std::size_t rows_per_page = 256;
   /// Total hot-tier budget in bytes, split evenly across shards.
   std::size_t cache_budget_bytes = 4u << 20;
-  /// Registry codec for the cold tier; "" or "none" stores raw pages.
+  /// Registry codec for the cold tier; "" stores raw pages.
   std::string codec = "hybrid";
   /// Absolute per-element error bound for the cold tier.
   double error_bound = 0.01;

@@ -1,10 +1,12 @@
 // Tests for the BlockEngine: blocked multi-tensor compression, its DLBK
-// framing, and both readers of it.
+// framing, both readers of it, and its raw (null codec) mode.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -14,8 +16,13 @@
 namespace dlcomp {
 namespace {
 
+/// The registry codec `name`, or null (raw mode) for "".
+const Compressor* codec_or_raw(std::string_view name) {
+  return name.empty() ? nullptr : &get_compressor(name);
+}
+
 std::vector<std::vector<std::byte>> engine_compress(
-    const Compressor& codec, ThreadPool* pool, std::size_t block_elems,
+    const Compressor* codec, ThreadPool* pool, std::size_t block_elems,
     const std::vector<std::vector<float>>& tensors,
     const CompressParams& params) {
   BlockEngine engine(codec, pool, block_elems);
@@ -54,10 +61,10 @@ TEST(BlockEngine, StreamsIdenticalAcrossThreadCounts) {
 
   for (const char* name : {"huffman", "hybrid", "vector-lz"}) {
     const Compressor& codec = get_compressor(name);
-    const auto want = engine_compress(codec, nullptr, block, tensors, params);
+    const auto want = engine_compress(&codec, nullptr, block, tensors, params);
     for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
       ThreadPool pool(threads);
-      const auto got = engine_compress(codec, &pool, block, tensors, params);
+      const auto got = engine_compress(&codec, &pool, block, tensors, params);
       ASSERT_EQ(got.size(), want.size());
       for (std::size_t i = 0; i < want.size(); ++i) {
         ASSERT_EQ(got[i], want[i])
@@ -76,6 +83,28 @@ TEST(BlockEngine, StreamsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(want[1], direct) << name;
     EXPECT_EQ(decompressed_count(want[0]), tensors[0].size()) << name;
   }
+
+  // Raw mode, with one more tensor above the default block size: every
+  // stream is exactly the tensor's float32 bytes (never a DLBK
+  // container) at every pool width.
+  std::vector<float> large(BlockEngine::kDefaultBlockElems + 517);
+  for (auto& v : large) v = static_cast<float>(rng.normal(0.0, 0.2));
+  tensors.push_back(std::move(large));
+  const std::size_t default_block = BlockEngine::kDefaultBlockElems;
+  const auto raw = engine_compress(nullptr, nullptr, default_block, tensors,
+                                   params);
+  for (const std::size_t threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(engine_compress(nullptr, &pool, default_block, tensors, params),
+              raw)
+        << "raw streams differ at " << threads << " threads";
+  }
+  for (std::size_t i = 0; i < tensors.size(); ++i) {
+    EXPECT_FALSE(BlockEngine::is_blocked(raw[i])) << "raw tensor " << i;
+    EXPECT_TRUE(std::ranges::equal(
+        raw[i], std::as_bytes(std::span<const float>(tensors[i]))))
+        << "raw tensor " << i;
+  }
 }
 
 TEST(BlockEngine, RoundTripsThroughEngineAndSerialReader) {
@@ -90,8 +119,9 @@ TEST(BlockEngine, RoundTripsThroughEngineAndSerialReader) {
   CompressParams params;
   params.error_bound = 0.01;
   params.vector_dim = 16;
-  for (const char* name : {"huffman", "cusz-like", "hybrid"}) {
-    const Compressor& codec = get_compressor(name);
+  for (const char* name : {"huffman", "cusz-like", "hybrid", ""}) {
+    const Compressor* codec = codec_or_raw(name);
+    const double tolerance = codec != nullptr ? 0.0101 : 0.0;
     ThreadPool pool(4);
     const auto streams = engine_compress(codec, &pool, block, tensors, params);
 
@@ -117,7 +147,7 @@ TEST(BlockEngine, RoundTripsThroughEngineAndSerialReader) {
 
     for (std::size_t i = 0; i < tensors.size(); ++i) {
       for (std::size_t j = 0; j < tensors[i].size(); ++j) {
-        ASSERT_LE(std::fabs(outputs[i][j] - tensors[i][j]), 0.0101)
+        ASSERT_LE(std::fabs(outputs[i][j] - tensors[i][j]), tolerance)
             << name << " tensor " << i << " elem " << j;
         ASSERT_EQ(outputs[i][j], serial_outputs[i][j])
             << name << " serial/parallel reader divergence";
@@ -152,11 +182,11 @@ TEST(BlockEngine, PerElementQuantizerBlockedMatchesMonolithicBitExactly) {
 
   ThreadPool pool(4);
   const auto streams =
-      engine_compress(codec, &pool, block, {tensor}, params);
+      engine_compress(&codec, &pool, block, {tensor}, params);
   ASSERT_TRUE(BlockEngine::is_blocked(streams[0]));
   CompressionWorkspace ws;
   std::vector<float> blocked_out(tensor.size());
-  blocked_decompress(codec, streams[0], blocked_out, ws);
+  blocked_decompress(&codec, streams[0], blocked_out, ws);
   for (std::size_t i = 0; i < tensor.size(); ++i) {
     ASSERT_EQ(mono_out[i], blocked_out[i]) << "elem " << i;
   }
@@ -172,7 +202,7 @@ TEST(BlockEngine, GrowEventsFlattenAfterWarmup) {
   params.vector_dim = 16;
 
   ThreadPool pool(4);
-  BlockEngine engine(get_compressor("hybrid"), &pool, block);
+  BlockEngine engine(&get_compressor("hybrid"), &pool, block);
   std::vector<float> out(tensor.size());
   auto round = [&] {
     engine.compress_begin();
@@ -208,7 +238,7 @@ TEST(BlockEngine, ExceptionsPropagateThroughThePool) {
   params.error_bound = 0.01;
   params.vector_dim = 16;
   ThreadPool pool(4);
-  BlockEngine engine(get_compressor("huffman"), &pool, block);
+  BlockEngine engine(&get_compressor("huffman"), &pool, block);
   engine.compress_begin();
   engine.add_tensor(tensor, params);
   EXPECT_THROW(engine.compress_run(), Error);
@@ -224,7 +254,7 @@ TEST(BlockEngine, MalformedContainersAreRejected) {
   params.vector_dim = 16;
   const Compressor& codec = get_compressor("huffman");
   const auto streams =
-      engine_compress(codec, nullptr, block, {tensor}, params);
+      engine_compress(&codec, nullptr, block, {tensor}, params);
   const std::vector<std::byte>& good = streams[0];
   ASSERT_TRUE(BlockEngine::is_blocked(good));
 
@@ -232,10 +262,11 @@ TEST(BlockEngine, MalformedContainersAreRejected) {
   // must reject every case, and the engine must register nothing.
   std::vector<float> out(tensor.size());
   const auto expect_rejected = [&](const std::vector<std::byte>& bad,
-                                   std::span<float> dest) {
+                                   std::span<float> dest,
+                                   const Compressor* reader) {
     CompressionWorkspace ws;
-    EXPECT_THROW(blocked_decompress(codec, bad, dest, ws), FormatError);
-    BlockEngine engine(codec, nullptr, block);
+    EXPECT_THROW(blocked_decompress(reader, bad, dest, ws), FormatError);
+    BlockEngine engine(reader, nullptr, block);
     engine.decompress_begin();
     EXPECT_THROW(engine.add_stream(bad, dest), FormatError);
     engine.decompress_run();
@@ -243,17 +274,17 @@ TEST(BlockEngine, MalformedContainersAreRejected) {
   };
 
   {  // truncated fixed header
-    expect_rejected({good.begin(), good.begin() + 16}, out);
+    expect_rejected({good.begin(), good.begin() + 16}, out, &codec);
   }
   {  // unknown container version
     std::vector<std::byte> bad = good;
     bad[4] = std::byte{0x7F};
-    expect_rejected(bad, out);
+    expect_rejected(bad, out, &codec);
   }
   {  // directory sum disagrees with the remaining payload
     std::vector<std::byte> bad = good;
     bad.pop_back();
-    expect_rejected(bad, out);
+    expect_rejected(bad, out, &codec);
   }
   {  // directory entries whose sum wraps around to the payload size
     std::vector<std::byte> bad = good;
@@ -265,17 +296,21 @@ TEST(BlockEngine, MalformedContainersAreRejected) {
     first = ~std::uint64_t{0};
     std::memcpy(bad.data() + 32, &first, sizeof(first));
     std::memcpy(bad.data() + 40, &second, sizeof(second));
-    expect_rejected(bad, out);
+    expect_rejected(bad, out, &codec);
   }
   {  // output span does not match the advertised element count
     std::vector<float> wrong(tensor.size() - 1);
-    expect_rejected(good, wrong);
+    expect_rejected(good, wrong, &codec);
+  }
+  {  // raw mode: a stream one float short of its output
+    const auto raw = std::as_bytes(std::span<const float>(tensor));
+    expect_rejected({raw.begin(), raw.end() - sizeof(float)}, out, nullptr);
   }
 }
 
 TEST(BlockEngine, EmptyBatch) {
   ThreadPool pool(2);
-  BlockEngine engine(get_compressor("huffman"), &pool);
+  BlockEngine engine(&get_compressor("huffman"), &pool);
   engine.compress_begin();
   engine.compress_run();
   engine.decompress_begin();
@@ -295,7 +330,7 @@ TEST(BlockEngine, WorstCaseBoundIsSufficientForRandomData) {
   params.vector_dim = 32;
   for (const std::size_t block : {BlockEngine::kDefaultBlockElems,
                                   std::size_t{1024}}) {
-    BlockEngine engine(get_compressor("huffman"), nullptr, block);
+    BlockEngine engine(&get_compressor("huffman"), nullptr, block);
     engine.compress_begin();
     for (int i = 0; i < 4; ++i) engine.add_tensor(tensor, params);
     EXPECT_NO_THROW(engine.compress_run()) << "block " << block;

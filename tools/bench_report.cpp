@@ -431,7 +431,7 @@ void measure_parallel_codec(std::size_t reps, MetricsSnapshot& m) {
   bool crc_identical = true;
   for (const int threads : {1, 2, 4, 8}) {
     ThreadPool pool(static_cast<std::size_t>(threads));
-    BlockEngine engine(codec, &pool);
+    BlockEngine engine(&codec, &pool);
     std::vector<std::byte> stream;
     const auto compress_once = [&] {
       engine.compress_begin();
