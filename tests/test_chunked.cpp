@@ -6,7 +6,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <string_view>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -15,11 +14,6 @@
 
 namespace dlcomp {
 namespace {
-
-/// The registry codec `name`, or null (raw mode) for "".
-const Compressor* codec_or_raw(std::string_view name) {
-  return name.empty() ? nullptr : &get_compressor(name);
-}
 
 std::vector<std::vector<std::byte>> engine_compress(
     const Compressor* codec, ThreadPool* pool, std::size_t block_elems,
@@ -120,7 +114,7 @@ TEST(BlockEngine, RoundTripsThroughEngineAndSerialReader) {
   params.error_bound = 0.01;
   params.vector_dim = 16;
   for (const char* name : {"huffman", "cusz-like", "hybrid", ""}) {
-    const Compressor* codec = codec_or_raw(name);
+    const Compressor* codec = *name != '\0' ? &get_compressor(name) : nullptr;
     const double tolerance = codec != nullptr ? 0.0101 : 0.0;
     ThreadPool pool(4);
     const auto streams = engine_compress(codec, &pool, block, tensors, params);
