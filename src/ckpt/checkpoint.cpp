@@ -4,6 +4,7 @@
 #include <cmath>
 #include <filesystem>
 #include <limits>
+#include <memory>
 #include <utility>
 
 #include "common/error.hpp"
@@ -39,12 +40,9 @@ void bitmap_set(std::span<std::byte> bitmap, std::size_t row) {
       static_cast<std::uint8_t>(bitmap[row / 8]) | (1u << (row % 8)));
 }
 
-/// A value buffer encoded for storage, plus (for deltas) the
-/// reconstruction a reader will see -- identical to the input for raw
-/// storage.
+/// A value buffer encoded for storage.
 struct EncodedValues {
   std::vector<std::byte> bytes;
-  std::vector<float> recon;
   std::uint8_t storage = 0;  ///< 0 raw float32, 1 codec stream
 };
 
@@ -336,11 +334,13 @@ void CheckpointWriter::save_full(const std::string& path,
   shadow_.assign(num_tables, Matrix());
   shadow_opt_.assign(num_tables, Matrix());
 
-  // Encode every table in one flat blocked batch: large tables split into
-  // independent blocks (see chunked.hpp), so a snapshot dominated by a
-  // single huge table still spreads across the pool instead of
-  // serializing on that table. The shadow reconstruction is deferred
-  // (see pending_shadow_): only a later save_delta needs it.
+  // Encode every table in one flat blocked batch: with a codec, large
+  // tables split into independent blocks (see chunked.hpp), so a snapshot
+  // dominated by a single huge table still spreads across the pool
+  // instead of serializing on that table. Streams are then gathered per
+  // table on the pool (raw tables are copied there). The shadow
+  // reconstruction is deferred (see pending_shadow_): only a later
+  // save_delta needs it.
   std::vector<EncodedValues> encoded(num_tables);
   engine_->compress_begin();
   std::vector<std::size_t> slots(num_tables, kNoSlot);
@@ -352,12 +352,11 @@ void CheckpointWriter::save_full(const std::string& path,
         engine_->add_tensor(weights.flat(), table_params(t, weights.cols()));
   }
   engine_->compress_run();
-  for (std::size_t t = 0; t < num_tables; ++t) {
-    if (slots[t] == kNoSlot) continue;
-    encoded[t].bytes.reserve(engine_->stream_bytes(slots[t]));
-    engine_->append_stream(slots[t], encoded[t].bytes);
-  }
   for_each_table(options_.pool, num_tables, [&](std::size_t t) {
+    if (slots[t] != kNoSlot) {
+      encoded[t].bytes.reserve(engine_->stream_bytes(slots[t]));
+      engine_->append_stream(slots[t], encoded[t].bytes);
+    }
     const Matrix* opt = t < state.opt_state.size() ? state.opt_state[t]
                                                    : nullptr;
     if (opt != nullptr && !opt->empty()) {
@@ -447,6 +446,9 @@ void CheckpointWriter::save_delta(const std::string& path,
     std::uint64_t touched = 0;
     std::vector<float> touched_values;
     EncodedValues encoded;
+    /// What a reader will decode for touched_values; every element is
+    /// written by the engine, so it is not value-initialised.
+    std::unique_ptr<float[]> recon;
     std::vector<std::byte> opt_bitmap;
     std::uint64_t opt_touched = 0;
     std::vector<float> opt_rows;
@@ -522,24 +524,26 @@ void CheckpointWriter::save_delta(const std::string& path,
 
   // Phase 2: encode every table's touched rows as one flat blocked batch
   // with per-block reconstruction, so a delta dominated by a single hot
-  // table still scales with the pool.
+  // table still scales with the pool; streams are gathered per table on
+  // the pool.
   engine_->compress_begin();
   std::vector<std::size_t> slots(num_tables, kNoSlot);
   for (std::size_t t = 0; t < num_tables; ++t) {
     TableDelta& delta = deltas[t];
     if (delta.touched_values.empty()) continue;
     delta.encoded.storage = stream_storage();
-    delta.encoded.recon.resize(delta.touched_values.size());
+    delta.recon =
+        std::make_unique_for_overwrite<float[]>(delta.touched_values.size());
     slots[t] = engine_->add_tensor(
         delta.touched_values, table_params(t, state.tables[t]->cols()),
-        std::span<float>(delta.encoded.recon));
+        std::span<float>(delta.recon.get(), delta.touched_values.size()));
   }
   engine_->compress_run();
-  for (std::size_t t = 0; t < num_tables; ++t) {
-    if (slots[t] == kNoSlot) continue;
+  for_each_table(options_.pool, num_tables, [&](std::size_t t) {
+    if (slots[t] == kNoSlot) return;
     deltas[t].encoded.bytes.reserve(engine_->stream_bytes(slots[t]));
     engine_->append_stream(slots[t], deltas[t].encoded.bytes);
-  }
+  });
 
   // Phase 3 (parallel): fold the reconstruction back into the shadow so
   // the next delta diffs against exactly what a reader will have.
@@ -551,8 +555,7 @@ void CheckpointWriter::save_delta(const std::string& path,
     std::size_t k = 0;
     for (std::size_t r = 0; r < weights.rows(); ++r) {
       if (!bitmap_get(delta.bitmap, r)) continue;
-      std::copy_n(delta.encoded.recon.begin() + k * dim, dim,
-                  shadow.data() + r * dim);
+      std::copy_n(delta.recon.get() + k * dim, dim, shadow.data() + r * dim);
       ++k;
     }
   });

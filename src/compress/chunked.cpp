@@ -197,8 +197,11 @@ std::size_t BlockEngine::add_tensor(std::span<const float> data,
 
   CompressParams block_params = params;
   if (codec_ == nullptr) {
-    // Raw: no block task and no staging; append_stream copies the data.
-    slot.task_count = 0;
+    // Raw: no staging; append_stream copies the data. Only a recon span
+    // gets tasks, block-sized copies that spread across the lanes.
+    slot.block_elems = block_elems_;
+    slot.task_count =
+        recon.empty() ? 0 : (data.size() + block_elems_ - 1) / block_elems_;
   } else {
     // Range-relative bounds resolve over the whole tensor before the
     // split, so every block quantizes with the same step as a monolithic
@@ -222,12 +225,13 @@ std::size_t BlockEngine::add_tensor(std::span<const float> data,
   for (std::size_t b = 0; b < slot.task_count; ++b) {
     CompressTask task;
     task.slot = slots_.size();
-    task.elem_begin = slot.blocked ? b * slot.block_elems : 0;
-    task.elem_count = slot.blocked ? std::min(slot.block_elems,
-                                              data.size() - task.elem_begin)
-                                   : data.size();
+    task.elem_begin = b * slot.block_elems;
+    task.elem_count =
+        std::min(slot.block_elems, data.size() - task.elem_begin);
     task.staging_offset = staging_cursor_;
-    staging_cursor_ += worst_case_stream_bytes(task.elem_count);
+    if (codec_ != nullptr) {
+      staging_cursor_ += worst_case_stream_bytes(task.elem_count);
+    }
     tasks_.push_back(task);
   }
   slots_.push_back(slot);
@@ -250,6 +254,12 @@ void BlockEngine::compress_run() {
     CompressTask& task = tasks_[i];
     const std::span<const float> data =
         pending_data_[task.slot].subspan(task.elem_begin, task.elem_count);
+    const std::span<float> recon = pending_recon_[task.slot];
+    if (codec_ == nullptr) {
+      // Raw reconstruction is the data itself (max_abs_error stays 0).
+      std::ranges::copy(data, recon.begin() + task.elem_begin);
+      return;
+    }
     std::vector<std::byte>& scratch = ws.caller_stream();
     scratch.clear();
     codec_->compress(data, pending_params_[task.slot], scratch, ws);
@@ -257,7 +267,6 @@ void BlockEngine::compress_run() {
     std::memcpy(staging_.get() + task.staging_offset, scratch.data(),
                 scratch.size());
     task.bytes = scratch.size();
-    const std::span<float> recon = pending_recon_[task.slot];
     if (!recon.empty()) {
       const std::span<float> block =
           recon.subspan(task.elem_begin, task.elem_count);
@@ -265,18 +274,11 @@ void BlockEngine::compress_run() {
       task.max_abs_error = max_abs_difference(data, block);
     }
   });
+  if (codec_ == nullptr) return;  // raw copies are not codec blocks
   blocks_compressed_ += tasks_.size();
   MetricsRegistry::global()
       .counter("dlcomp_codec_blocks_compressed_total")
       .add(tasks_.size());
-  if (codec_ == nullptr) {
-    // Raw reconstruction is the data itself (max_abs_error stays 0).
-    for (std::size_t s = 0; s < slots_.size(); ++s) {
-      if (!pending_recon_[s].empty()) {
-        std::ranges::copy(pending_data_[s], pending_recon_[s].begin());
-      }
-    }
-  }
 }
 
 std::size_t BlockEngine::stream_bytes(std::size_t slot_index) const {

@@ -66,10 +66,11 @@ namespace dlcomp {
 /// Range-relative error bounds are resolved over the whole tensor before
 /// splitting, so blocked and monolithic encodes quantize identically.
 ///
-/// Raw mode (null codec): add_tensor() registers no block task and no
-/// staging, append_stream() copies the tensor's bytes, and add_stream()
-/// rejects a stream whose size is not 4 bytes per output element. Raw
-/// work counts in neither blocks counter.
+/// Raw mode (null codec): add_tensor() takes no staging, append_stream()
+/// copies the tensor's bytes, and add_stream() rejects a stream whose
+/// size is not 4 bytes per output element. A recon span is filled by
+/// block-sized copy tasks on the lanes. Raw work counts in neither
+/// blocks counter.
 ///
 /// Thread-safety: one batch at a time per engine; the codec must be
 /// const-thread-safe (all registry codecs are).
@@ -95,7 +96,7 @@ class BlockEngine {
   /// length as `data`) each block is decompressed right after
   /// compressing, yielding the reader-visible reconstruction and its
   /// max_abs_error() without a second serial pass; raw mode copies
-  /// `data` into it.
+  /// `data` into it on the lanes, block by block.
   std::size_t add_tensor(std::span<const float> data,
                          const CompressParams& params,
                          std::span<float> recon = {});
@@ -105,8 +106,10 @@ class BlockEngine {
   /// lowest lane's is rethrown here.
   void compress_run();
 
-  /// Appends slot's assembled wire bytes (plain stream or DLBK
-  /// container) to `out`. Valid until the next compress_begin().
+  /// Appends slot's assembled wire bytes (plain stream, DLBK container
+  /// or raw float32 bytes) to `out`. Valid until the next
+  /// compress_begin(). Calls for distinct slots into distinct buffers may
+  /// run concurrently (the engine is only read).
   void append_stream(std::size_t slot, std::vector<std::byte>& out) const;
 
   /// Assembled size of slot's stream, directory included.
@@ -159,7 +162,7 @@ class BlockEngine {
     std::size_t first_task = 0;
     std::size_t task_count = 1;
     std::size_t element_count = 0;
-    std::size_t block_elems = 0;  ///< dim-aligned; meaningful iff blocked
+    std::size_t block_elems = 0;  ///< task split (dim-aligned with a codec)
     bool blocked = false;
   };
   struct CompressTask {

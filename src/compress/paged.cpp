@@ -26,18 +26,22 @@ PagedRowStore::PagedRowStore(const Matrix& rows, const PagedStoreConfig& config)
   // One BlockEngine batch over all pages (each page is below the
   // engine's block size, so streams are plain codec streams,
   // byte-identical to a serial Compressor::compress per page; with no
-  // codec they are the page's float bytes). The recon span makes the
-  // engine decode each page and measure its error against the input
-  // during the same parallel pass, which is how the store knows the
-  // at-rest error it will serve.
+  // codec they are the page's float bytes). With a codec, the recon span
+  // makes the engine decode each page and measure its error against the
+  // input during the same parallel pass, which is how the store knows
+  // the at-rest error it will serve. Raw pages are exact and skip it.
   BlockEngine engine(codec_, config.pool);
-  const auto recon = std::make_unique_for_overwrite<float[]>(rows_ * dim_);
+  const auto recon = codec_ != nullptr
+                         ? std::make_unique_for_overwrite<float[]>(rows_ * dim_)
+                         : nullptr;
   engine.compress_begin();
   for (std::size_t p = 0; p < pages; ++p) {
     const std::size_t first = page_first_row(p) * dim_;
     const std::size_t count = page_rows(p) * dim_;
-    engine.add_tensor(rows.flat().subspan(first, count), params_,
-                      std::span<float>(recon.get() + first, count));
+    engine.add_tensor(
+        rows.flat().subspan(first, count), params_,
+        recon ? std::span<float>(recon.get() + first, count)
+              : std::span<float>());
   }
   engine.compress_run();
 

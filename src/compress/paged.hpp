@@ -49,10 +49,10 @@ struct PagedStoreConfig {
 /// One row matrix stored as independently compressed pages.
 class PagedRowStore {
  public:
-  /// Compresses `rows` page by page. Every page is also decompressed
-  /// once here to record the reconstruction error actually served
-  /// (`max_abs_error()`), so callers can assert the at-rest bound without
-  /// re-reading the whole store.
+  /// Compresses `rows` page by page. With a codec every page is also
+  /// decompressed once here to record the reconstruction error actually
+  /// served (`max_abs_error()`, 0 for raw pages), so callers can assert
+  /// the at-rest bound without re-reading the whole store.
   PagedRowStore(const Matrix& rows, const PagedStoreConfig& config);
 
   [[nodiscard]] std::size_t rows() const noexcept { return rows_; }

@@ -139,12 +139,26 @@ TEST(BlockEngine, RoundTripsThroughEngineAndSerialReader) {
       blocked_decompress(codec, streams[i], serial_outputs[i], ws);
     }
 
+    // Writer-side reconstruction (recon spans, block by block on the
+    // lanes): what a reader decodes, with its measured error.
+    BlockEngine writer(codec, &pool, block);
+    writer.compress_begin();
+    std::vector<std::vector<float>> recons;
+    for (const auto& tensor : tensors) recons.emplace_back(tensor.size());
     for (std::size_t i = 0; i < tensors.size(); ++i) {
+      (void)writer.add_tensor(tensors[i], params, recons[i]);
+    }
+    writer.compress_run();
+
+    for (std::size_t i = 0; i < tensors.size(); ++i) {
+      EXPECT_LE(writer.max_abs_error(i), tolerance) << name << " tensor " << i;
       for (std::size_t j = 0; j < tensors[i].size(); ++j) {
         ASSERT_LE(std::fabs(outputs[i][j] - tensors[i][j]), tolerance)
             << name << " tensor " << i << " elem " << j;
         ASSERT_EQ(outputs[i][j], serial_outputs[i][j])
             << name << " serial/parallel reader divergence";
+        ASSERT_EQ(recons[i][j], outputs[i][j])
+            << name << " writer reconstruction differs from the reader";
       }
     }
   }
