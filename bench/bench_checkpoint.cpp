@@ -1,8 +1,10 @@
 // Checkpoint size and throughput bench (beyond the paper: the same
 // per-table error-bounded codecs applied to at-rest model state).
 // Measures, against a lossless raw baseline:
-//   - checkpoint size, table compression ratio and save/load throughput
-//     for error-bounded codecs at several bounds,
+//   - checkpoint size, table compression ratio and the wall time of warm
+//     save_full, save_delta and load calls for error-bounded codecs at
+//     several bounds (median and p10/p90 over a few repeats, after an
+//     untimed warm-up of each call),
 //   - delta vs full snapshot size over a training run (touched-row
 //     encoding exploits the Zipf query skew: most rows never move
 //     between saves).
@@ -17,6 +19,7 @@
 #include "bench_util.hpp"
 #include "ckpt/checkpoint.hpp"
 #include "common/arg_parser.hpp"
+#include "common/stats.hpp"
 #include "common/table_printer.hpp"
 #include "common/timer.hpp"
 #include "dlrm/model.hpp"
@@ -36,6 +39,33 @@ std::string bench_dir() {
 
 double mbps(std::size_t bytes, double seconds) {
   return seconds > 0.0 ? static_cast<double>(bytes) / seconds / 1e6 : 0.0;
+}
+
+/// Wall seconds of each of `reps` calls of fn(rep).
+template <typename Fn>
+std::vector<float> time_reps(std::size_t reps, const Fn& fn) {
+  std::vector<float> seconds;
+  for (std::size_t rep = 0; rep < reps; ++rep) {
+    WallTimer timer;
+    fn(rep);
+    seconds.push_back(static_cast<float>(timer.seconds()));
+  }
+  return seconds;
+}
+
+/// `key` is the median; `key`_p10 and `key`_p90 the spread.
+void set_spread(MetricsSnapshot& metrics, const std::string& key,
+                const std::vector<float>& seconds) {
+  metrics.set(key, percentile(seconds, 50));
+  metrics.set(key + "_p10", percentile(seconds, 10));
+  metrics.set(key + "_p90", percentile(seconds, 90));
+}
+
+/// "p50 (p10-p90)" in milliseconds.
+std::string ms_spread(const std::vector<float>& seconds) {
+  return TablePrinter::num(1e3 * percentile(seconds, 50), 2) + " (" +
+         TablePrinter::num(1e3 * percentile(seconds, 10), 2) + "-" +
+         TablePrinter::num(1e3 * percentile(seconds, 90), 2) + ")";
 }
 
 /// "hybrid" + eb 0.01 -> "hybrid_eb_0.01"; lossless -> "raw".
@@ -61,6 +91,13 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < train_steps; ++i) {
     (void)model.train_step(data.make_batch(spec.default_batch, i));
   }
+  // The delta timings alternate between two saved states, so every
+  // timed delta re-encodes the rows a few training steps move.
+  const std::size_t save_every = bench::scaled(5, 20);
+  DlrmModel next_model(spec, {}, 77);
+  for (std::size_t i = 0; i < train_steps + save_every; ++i) {
+    (void)next_model.train_step(data.make_batch(spec.default_batch, i));
+  }
   std::size_t raw_table_bytes = 0;
   for (std::size_t t = 0; t < model.num_tables(); ++t) {
     raw_table_bytes += model.table(t).weights().size() * sizeof(float);
@@ -83,8 +120,10 @@ int main(int argc, char** argv) {
                                  {"cusz-like", "cusz-like", 0.05},
                                  {"zfp-like", "zfp-like", 0.01}};
 
+  const std::size_t reps = bench::scaled(7, 9);
+  std::printf("warm timings over %zu calls each: median (p10-p90)\n", reps);
   TablePrinter table({"codec", "eb", "file MB", "table CR", "save MB/s",
-                      "load MB/s", "max err"});
+                      "save ms", "delta ms", "load ms", "max err"});
   MetricsSnapshot all_metrics;
   for (const auto& config : configs) {
     CheckpointOptions options;
@@ -93,14 +132,27 @@ int main(int argc, char** argv) {
     options.pool = &pool;
     CheckpointWriter writer(options);
     const std::string path = dir + "/bench.dlck";
+    const std::string delta_path = dir + "/bench_delta.dlck";
+    const ModelState state = make_model_state(model, train_steps, 77);
+    const ModelState next =
+        make_model_state(next_model, train_steps + save_every, 77);
 
-    WallTimer save_timer;
-    writer.save_full(path, make_model_state(model, train_steps, 77));
-    const double save_s = save_timer.seconds();
-
-    WallTimer load_timer;
-    const LoadedCheckpoint loaded = CheckpointReader(&pool).load(path);
-    const double load_s = load_timer.seconds();
+    // Untimed warm-up of each call: pool threads, engine scratch and
+    // first-touch pages are in place before any timed call.
+    writer.save_full(path, state);
+    LoadedCheckpoint loaded = CheckpointReader(&pool).load(path);
+    const std::vector<float> save_s = time_reps(
+        reps, [&](std::size_t) { writer.save_full(path, state); });
+    const std::vector<float> load_s = time_reps(reps, [&](std::size_t) {
+      loaded = CheckpointReader(&pool).load(path);
+    });
+    // The first delta after a full snapshot also decodes the writer's
+    // shadow; it is the delta warm-up.
+    writer.save_delta(delta_path, next);
+    const std::vector<float> delta_s =
+        time_reps(reps, [&](std::size_t rep) {
+          writer.save_delta(delta_path, rep % 2 == 0 ? state : next);
+        });
 
     double max_err = 0.0;
     for (std::size_t t = 0; t < loaded.tables.size(); ++t) {
@@ -118,8 +170,9 @@ int main(int argc, char** argv) {
     all_metrics.set(key + "/table_cr",
                     static_cast<double>(info.table_raw_bytes) /
                         static_cast<double>(info.table_stored_bytes));
-    all_metrics.set(key + "/save_s", save_s);
-    all_metrics.set(key + "/load_s", load_s);
+    set_spread(all_metrics, key + "/save_s", save_s);
+    set_spread(all_metrics, key + "/delta_s", delta_s);
+    set_spread(all_metrics, key + "/load_s", load_s);
     all_metrics.set(key + "/max_err", max_err);
     table.add_row(
         {config.label, config.codec.empty() ? "-" : TablePrinter::num(config.eb, 3),
@@ -127,16 +180,15 @@ int main(int argc, char** argv) {
          TablePrinter::num(static_cast<double>(info.table_raw_bytes) /
                                static_cast<double>(info.table_stored_bytes),
                            2),
-         TablePrinter::num(mbps(raw_table_bytes, save_s), 1),
-         TablePrinter::num(mbps(raw_table_bytes, load_s), 1),
+         TablePrinter::num(mbps(raw_table_bytes, percentile(save_s, 50)), 1),
+         ms_spread(save_s), ms_spread(delta_s), ms_spread(load_s),
          TablePrinter::num(max_err, 6)});
   }
   std::printf("%s\n", table.to_string().c_str());
 
   // ---- Delta vs full snapshots across a training run.
   std::printf("delta vs full snapshots (save every %zu steps, hybrid eb 0.01):\n",
-              bench::scaled(5ul, 20ul));
-  const std::size_t save_every = bench::scaled(5, 20);
+              save_every);
   const std::size_t legs = bench::scaled(4, 8);
 
   CheckpointOptions options;

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <filesystem>
 #include <limits>
 #include <memory>
 #include <utility>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "compress/registry.hpp"
 #include "compress/workspace.hpp"
 
@@ -40,61 +42,185 @@ void bitmap_set(std::span<std::byte> bitmap, std::size_t row) {
       static_cast<std::uint8_t>(bitmap[row / 8]) | (1u << (row % 8)));
 }
 
-/// A value buffer encoded for storage.
-struct EncodedValues {
-  std::vector<std::byte> bytes;
-  std::uint8_t storage = 0;  ///< 0 raw float32, 1 codec stream
+/// Rows being written as a delta: one bitmap bit per table row, set for
+/// the `touched` rows that moved, whose values are packed in row order.
+struct RowDelta {
+  std::vector<std::byte> bitmap;
+  std::uint64_t touched = 0;
+  std::vector<float> packed;
 };
 
-std::vector<float> decode_values(const std::string& codec_name,
-                                 std::uint8_t storage,
-                                 std::span<const std::byte> bytes,
-                                 std::size_t expected_count) {
+/// Collects the rows r of `live` for which moved(r) holds.
+template <typename Moved>
+RowDelta collect_rows(const Matrix& live, const Moved& moved) {
+  RowDelta delta;
+  delta.bitmap.assign(bitmap_bytes(live.rows()), std::byte{0});
+  for (std::size_t r = 0; r < live.rows(); ++r) {
+    if (!moved(r)) continue;
+    bitmap_set(delta.bitmap, r);
+    ++delta.touched;
+    const auto row = live.row(r);
+    delta.packed.insert(delta.packed.end(), row.begin(), row.end());
+  }
+  return delta;
+}
+
+/// Lands a row delta: packed row k goes to the row of `table` (rows x
+/// dim) at the k-th set bit of `bitmap`. It is the one place a delta is
+/// applied -- the reader's replay and the writer's shadow alike -- and so
+/// the one place the bitmap's popcount is checked against `touched`.
+void overlay_rows(std::span<const std::byte> bitmap, std::size_t rows,
+                  std::uint64_t touched, std::size_t dim,
+                  std::span<const float> packed, std::span<float> table) {
+  std::uint64_t k = 0;
+  for (std::size_t r = 0; r < rows; ++r) {
+    if (!bitmap_get(bitmap, r)) continue;
+    if (k >= touched) {
+      throw FormatError("delta bitmap popcount exceeds touched count");
+    }
+    std::copy_n(packed.begin() + k * dim, dim, table.begin() + r * dim);
+    ++k;
+  }
+  if (k != touched) {
+    throw FormatError("delta bitmap popcount below touched count");
+  }
+}
+
+/// One table or optimizer section, parsed. This is the one reader of
+/// per-table section headers: CheckpointReader, inspect_checkpoint and
+/// the writer's deferred shadow all go through it. Payloads start with
+/// u64 rows | u32 dim, then
+///   table:     u8 storage | f64 eb | [delta: u64 touched | bitmap] |
+///              u64 stream_bytes | stream
+///   optimizer: u8 present | [present: [delta: u64 touched | bitmap] |
+///              the rows as raw float32]
+/// where a full section holds every row and the bitmap has one bit per
+/// row. `touched` is bounded by `rows` here, before any size is derived
+/// from it; overlay_rows checks it against the bitmap.
+struct TableSection {
+  bool delta = false;
+  std::uint64_t rows = 0;
+  std::uint32_t dim = 0;
+  std::uint8_t storage = 0;  ///< 0 raw float32 (always for optimizer), 1 codec
+  double eb = 0.0;
+  bool present = true;        ///< false: an optimizer section without state
+  std::uint64_t touched = 0;  ///< rows the stream holds
+  std::span<const std::byte> bitmap;
+  std::span<const std::byte> stream;
+
+  [[nodiscard]] std::size_t count() const noexcept { return touched * dim; }
+};
+
+TableSection parse_table_section(const SectionView& section) {
+  const bool opt = section.type == CkptSection::kOptState ||
+                   section.type == CkptSection::kOptDelta;
+  TableSection s;
+  s.delta = section.type == CkptSection::kTableDelta ||
+            section.type == CkptSection::kOptDelta;
+  ByteReader reader(section.payload);
+  s.rows = reader.read<std::uint64_t>();
+  s.dim = reader.read<std::uint32_t>();
+  // Reject shapes whose float32 byte size would not fit a size_t: they
+  // could otherwise defeat every downstream size check, or wrap the
+  // bitmap's byte count to 0.
+  constexpr std::uint64_t kMaxElems =
+      std::numeric_limits<std::size_t>::max() / sizeof(float);
+  if (s.rows > kMaxElems || (s.dim != 0 && s.rows > kMaxElems / s.dim)) {
+    throw FormatError("checkpoint table dimensions overflow");
+  }
+  if (opt) {
+    s.present = reader.read<std::uint8_t>() != 0;
+  } else {
+    s.storage = reader.read<std::uint8_t>();
+    s.eb = reader.read<double>();
+  }
+  s.touched = s.present ? s.rows : 0;
+  if (s.delta && s.present) {
+    s.touched = reader.read<std::uint64_t>();
+    if (s.touched > s.rows) {
+      throw FormatError("delta touched count exceeds table rows");
+    }
+    s.bitmap = reader.take(bitmap_bytes(s.rows));
+  }
+  s.stream = reader.take(opt ? s.count() * sizeof(float)
+                             : reader.read<std::uint64_t>());
+  if (reader.remaining() != 0) {
+    throw FormatError("trailing bytes in checkpoint table section");
+  }
+  return s;
+}
+
+/// Decodes a section's stream and lands it in `dst`: a full section
+/// replaces it, a delta overlays its rows (onto zeros when `dst` holds
+/// nothing yet, as for optimizer state first saved in a delta).
+void land_section(const std::string& codec_name, const TableSection& s,
+                  std::vector<float>& dst) {
   // Validate sizes before allocating so a crafted count fails cleanly
   // instead of attempting a huge allocation.
-  if (expected_count > std::numeric_limits<std::size_t>::max() / sizeof(float)) {
-    throw FormatError("checkpoint element count overflows byte size");
-  }
   const Compressor* codec = nullptr;  // storage 0: raw float32
-  if (storage != 0) {
+  if (s.storage != 0) {
     if (codec_name.empty()) {
       throw FormatError("checkpoint stream payload without a codec name");
     }
-    if (decompressed_count(bytes) != expected_count) {
+    if (decompressed_count(s.stream) != s.count()) {
       throw FormatError("checkpoint stream element count mismatch");
     }
     codec = &get_compressor(codec_name);
-  } else if (bytes.size() != expected_count * sizeof(float)) {
+  } else if (s.stream.size() != s.count() * sizeof(float)) {
     throw FormatError("checkpoint raw table payload has wrong size");
   }
   // The payload may be a blocked ("DLBK") container when the writer split
   // a large table across its pool; blocked_decompress handles every form.
   // A thread runs one per-table task at a time, so the task borrows
   // that thread's workspace.
-  std::vector<float> values(expected_count);
-  blocked_decompress(codec, bytes, values, thread_local_workspace());
-  return values;
-}
-
-/// rows * dim as size_t, rejecting products that would wrap (crafted
-/// headers could otherwise defeat every downstream size check).
-std::size_t checked_element_count(std::uint64_t rows, std::uint32_t dim) {
-  if (rows != 0 && dim != 0 &&
-      rows > std::numeric_limits<std::size_t>::max() / dim) {
-    throw FormatError("checkpoint table dimensions overflow");
+  std::vector<float> values(s.count());
+  blocked_decompress(codec, s.stream, values, thread_local_workspace());
+  if (!s.delta) {
+    dst = std::move(values);
+  } else if (s.present) {
+    if (dst.empty()) dst.assign(s.rows * s.dim, 0.0f);
+    overlay_rows(s.bitmap, s.rows, s.touched, s.dim, values, dst);
   }
-  return static_cast<std::size_t>(rows) * dim;
 }
 
-std::vector<std::byte> serialize_mlp(Mlp& mlp) {
-  std::vector<std::byte> payload;
+void put_mlp(SectionWriter& w, CkptSection type, Mlp& mlp) {
   const auto views = mlp.param_views();
-  append_pod(payload, static_cast<std::uint32_t>(views.size()));
+  w.begin(type, 0);
+  w.put(static_cast<std::uint32_t>(views.size()));
   for (const auto view : views) {
-    append_pod(payload, static_cast<std::uint64_t>(view.size()));
-    append_pod_span(payload, std::span<const float>(view));
+    w.put(static_cast<std::uint64_t>(view.size()));
+    w.put_bytes(std::as_bytes(view));
   }
-  return payload;
+  w.end();
+}
+
+/// A row delta's index: u64 touched | bitmap.
+void put_index(SectionWriter& w, const RowDelta& delta) {
+  w.put(delta.touched);
+  w.put_bytes(delta.bitmap);
+}
+
+/// Writes table t's optimizer section: shape, whether `opt` holds state,
+/// then all its rows (full) or `delta`'s index and rows, as raw float32.
+void put_opt(SectionWriter& w, CkptSection type, std::size_t t,
+             const Matrix& weights, const Matrix* opt, const RowDelta* delta) {
+  w.begin(type, static_cast<std::uint32_t>(t));
+  w.put(static_cast<std::uint64_t>(weights.rows()));
+  w.put(static_cast<std::uint32_t>(weights.cols()));
+  w.put(static_cast<std::uint8_t>(opt != nullptr));
+  if (opt != nullptr) {
+    if (delta != nullptr) put_index(w, *delta);
+    w.put_bytes(std::as_bytes(delta != nullptr
+                                  ? std::span<const float>(delta->packed)
+                                  : opt->flat()));
+  }
+  w.end();
+}
+
+/// The live optimizer state of table t, or null when there is none.
+const Matrix* live_opt(const ModelState& state, std::size_t t) {
+  const Matrix* opt = t < state.opt_state.size() ? state.opt_state[t] : nullptr;
+  return opt != nullptr && !opt->empty() ? opt : nullptr;
 }
 
 std::vector<std::vector<float>> parse_mlp(std::span<const std::byte> payload) {
@@ -138,27 +264,6 @@ void for_each_table(ThreadPool* pool, std::size_t count,
   pool->parallel_for(0, count, 1, [&](std::size_t begin, std::size_t end) {
     for (std::size_t t = begin; t < end; ++t) body(t);
   });
-}
-
-/// Emits the file header plus the meta and MLP sections shared by full
-/// and delta containers (3 sections); returns the section_count patch
-/// offset. Keeping one emission path means format changes cannot apply
-/// to one container kind and miss the other.
-std::size_t begin_container(std::vector<std::byte>& out,
-                            const CkptHeader& header,
-                            const std::string& codec,
-                            const std::string& parent_file,
-                            const ModelState& state) {
-  const std::size_t count_at = append_ckpt_header(out, header);
-  std::vector<std::byte> meta;
-  append_string(meta, codec);
-  append_pod(meta, static_cast<std::uint8_t>(state.opt_kind));
-  append_string(meta, parent_file);
-  append_pod(meta, static_cast<std::uint32_t>(state.tables.size()));
-  append_section(out, CkptSection::kMeta, 0, meta);
-  append_section(out, CkptSection::kMlpBottom, 0, serialize_mlp(*state.bottom));
-  append_section(out, CkptSection::kMlpTop, 0, serialize_mlp(*state.top));
-  return count_at;
 }
 
 /// Sections of one container, parsed but not yet decoded.
@@ -227,24 +332,21 @@ RawContainer parse_container(std::span<const std::byte> file) {
   if (tables.size() != raw.num_tables) {
     throw FormatError("checkpoint table section count mismatch");
   }
-  raw.table_sections.resize(raw.num_tables);
-  std::vector<bool> seen(raw.num_tables, false);
-  for (const auto& section : tables) {
-    if (section.id >= raw.num_tables || seen[section.id]) {
-      throw FormatError("bad table id in checkpoint section");
+  const auto by_id = [&](const std::vector<SectionView>& sections,
+                         const std::string& what) {
+    std::vector<SectionView> out(raw.num_tables);
+    std::vector<bool> seen(raw.num_tables, false);
+    for (const auto& section : sections) {
+      if (section.id >= raw.num_tables || seen[section.id]) {
+        throw FormatError("bad " + what + " id in checkpoint section");
+      }
+      seen[section.id] = true;
+      out[section.id] = section;
     }
-    seen[section.id] = true;
-    raw.table_sections[section.id] = section;
-  }
-  raw.opt_sections.resize(raw.num_tables);
-  std::fill(seen.begin(), seen.end(), false);
-  for (const auto& section : opts) {
-    if (section.id >= raw.num_tables || seen[section.id]) {
-      throw FormatError("bad optimizer table id in checkpoint section");
-    }
-    seen[section.id] = true;
-    raw.opt_sections[section.id] = section;
-  }
+    return out;
+  };
+  raw.table_sections = by_id(tables, "table");
+  raw.opt_sections = by_id(opts, "optimizer table");
   const bool is_delta = raw.header.kind == CkptKind::kDelta;
   for (std::size_t t = 0; t < raw.num_tables; ++t) {
     const CkptSection expect =
@@ -318,7 +420,14 @@ void CheckpointWriter::check_shapes(const ModelState& state) const {
   DLCOMP_CHECK(state.bottom != nullptr && state.top != nullptr);
   DLCOMP_CHECK(state.opt_state.empty() ||
                state.opt_state.size() == state.tables.size());
-  for (const Matrix* table : state.tables) DLCOMP_CHECK(table != nullptr);
+  for (std::size_t t = 0; t < state.tables.size(); ++t) {
+    const Matrix* table = state.tables[t];
+    DLCOMP_CHECK(table != nullptr);
+    const Matrix* opt = live_opt(state, t);
+    DLCOMP_CHECK_MSG(opt == nullptr || (opt->rows() == table->rows() &&
+                                        opt->cols() == table->cols()),
+                     "table " << t << " optimizer state shape differs");
+  }
   DLCOMP_CHECK_MSG(
       options_.table_eb.empty() ||
           options_.table_eb.size() == state.tables.size(),
@@ -327,108 +436,129 @@ void CheckpointWriter::check_shapes(const ModelState& state) const {
                                       << state.tables.size());
 }
 
+template <typename Tables>
+std::vector<std::byte> CheckpointWriter::write_image(const std::string& path,
+                                                     CkptKind kind,
+                                                     const ModelState& state,
+                                                     const Tables& tables) {
+  const std::size_t num_tables = state.tables.size();
+  CkptHeader header;
+  header.kind = kind;
+  header.checkpoint_id = make_checkpoint_id(state.seed, state.iteration, saves_);
+  header.parent_id = kind == CkptKind::kDelta ? last_id_ : 0;
+  header.iteration = state.iteration;
+  header.seed = state.seed;
+  header.section_count = static_cast<std::uint32_t>(3 + 2 * num_tables);
+  const auto head = [&](SectionWriter& w) {
+    w.put_header(header);
+    w.begin(CkptSection::kMeta, 0);
+    w.put_string(options_.codec);
+    w.put(static_cast<std::uint8_t>(state.opt_kind));
+    w.put_string(kind == CkptKind::kDelta ? last_file_ : "");
+    w.put(static_cast<std::uint32_t>(num_tables));
+    w.end();
+    put_mlp(w, CkptSection::kMlpBottom, *state.bottom);
+    put_mlp(w, CkptSection::kMlpTop, *state.top);
+  };
+  SectionWriter measure;
+  head(measure);
+  std::vector<std::size_t> table_at(num_tables + 1, measure.position());
+  for (std::size_t t = 0; t < num_tables; ++t) {
+    tables(measure, t);
+    table_at[t + 1] = measure.position();
+  }
+  std::vector<std::byte> image(table_at.back());
+  SectionWriter w(image);
+  head(w);
+  for_each_table(options_.pool, num_tables, [&](std::size_t t) {
+    SectionWriter part(image, table_at[t]);
+    tables(part, t);
+  });
+  write_file(path, image);
+
+  last_id_ = header.checkpoint_id;
+  last_file_ = std::filesystem::path(path).filename().string();
+  ++saves_;
+  return image;
+}
+
+void CheckpointWriter::put_table_head(SectionWriter& w, CkptSection type,
+                                      std::size_t t, const Matrix& weights,
+                                      std::size_t slot) const {
+  w.begin(type, static_cast<std::uint32_t>(t));
+  w.put(static_cast<std::uint64_t>(weights.rows()));
+  w.put(static_cast<std::uint32_t>(weights.cols()));
+  w.put(static_cast<std::uint8_t>(slot != kNoSlot && codec_ != nullptr));
+  w.put(table_eb(t));
+}
+
+void CheckpointWriter::put_stream(SectionWriter& w, std::size_t slot) const {
+  const std::size_t bytes = slot == kNoSlot ? 0 : engine_->stream_bytes(slot);
+  w.put(static_cast<std::uint64_t>(bytes));
+  w.fill(bytes, [&](std::span<std::byte> dst) {
+    engine_->write_stream(slot, dst);
+  });
+  w.end();
+}
+
 void CheckpointWriter::save_full(const std::string& path,
                                  const ModelState& state) {
   check_shapes(state);
   const std::size_t num_tables = state.tables.size();
-  shadow_.assign(num_tables, Matrix());
-  shadow_opt_.assign(num_tables, Matrix());
 
   // Encode every table in one flat blocked batch: with a codec, large
   // tables split into independent blocks (see chunked.hpp), so a snapshot
   // dominated by a single huge table still spreads across the pool
-  // instead of serializing on that table. Streams are then gathered per
-  // table on the pool (raw tables are copied there). The shadow
-  // reconstruction is deferred (see pending_shadow_): only a later
-  // save_delta needs it.
-  std::vector<EncodedValues> encoded(num_tables);
+  // instead of serializing on that table. write_image() then puts each
+  // table's stream (raw tables: its float32 bytes) straight into the
+  // file image, one table per pool task.
   engine_->compress_begin();
   std::vector<std::size_t> slots(num_tables, kNoSlot);
   for (std::size_t t = 0; t < num_tables; ++t) {
     const Matrix& weights = *state.tables[t];
     if (weights.flat().empty()) continue;
-    encoded[t].storage = stream_storage();
     slots[t] =
         engine_->add_tensor(weights.flat(), table_params(t, weights.cols()));
   }
   engine_->compress_run();
-  for_each_table(options_.pool, num_tables, [&](std::size_t t) {
-    if (slots[t] != kNoSlot) {
-      encoded[t].bytes.reserve(engine_->stream_bytes(slots[t]));
-      engine_->append_stream(slots[t], encoded[t].bytes);
-    }
-    const Matrix* opt = t < state.opt_state.size() ? state.opt_state[t]
-                                                   : nullptr;
-    if (opt != nullptr && !opt->empty()) {
-      shadow_opt_[t] = *opt;  // optimizer state is always stored exactly
-    }
-  });
 
-  std::vector<std::byte> out;
-  CkptHeader header;
-  header.kind = CkptKind::kFull;
-  header.checkpoint_id = make_checkpoint_id(state.seed, state.iteration, saves_);
-  header.parent_id = 0;
-  header.iteration = state.iteration;
-  header.seed = state.seed;
-  const std::size_t count_at =
-      begin_container(out, header, options_.codec, /*parent_file=*/"", state);
-  std::uint32_t sections = 3;
+  std::vector<std::byte> image = write_image(
+      path, CkptKind::kFull, state, [&](SectionWriter& w, std::size_t t) {
+        const Matrix& weights = *state.tables[t];
+        put_table_head(w, CkptSection::kTableFull, t, weights, slots[t]);
+        put_stream(w, slots[t]);
+        put_opt(w, CkptSection::kOptState, t, weights, live_opt(state, t),
+                nullptr);
+      });
 
-  for (std::size_t t = 0; t < num_tables; ++t) {
-    const Matrix& weights = *state.tables[t];
-    std::vector<std::byte> payload;
-    append_pod(payload, static_cast<std::uint64_t>(weights.rows()));
-    append_pod(payload, static_cast<std::uint32_t>(weights.cols()));
-    append_pod(payload, encoded[t].storage);
-    append_pod(payload, table_eb(t));
-    append_pod(payload, static_cast<std::uint64_t>(encoded[t].bytes.size()));
-    payload.insert(payload.end(), encoded[t].bytes.begin(),
-                   encoded[t].bytes.end());
-    append_section(out, CkptSection::kTableFull,
-                   static_cast<std::uint32_t>(t), payload);
-    ++sections;
-
-    std::vector<std::byte> opt_payload;
-    const Matrix& opt = shadow_opt_[t];
-    append_pod(opt_payload, static_cast<std::uint64_t>(weights.rows()));
-    append_pod(opt_payload, static_cast<std::uint32_t>(weights.cols()));
-    append_pod(opt_payload, static_cast<std::uint8_t>(opt.empty() ? 0 : 1));
-    if (!opt.empty()) {
-      append_pod_span(opt_payload, std::span<const float>(opt.flat()));
-    }
-    append_section(out, CkptSection::kOptState, static_cast<std::uint32_t>(t),
-                   opt_payload);
-    ++sections;
-  }
-
-  patch_section_count(out, count_at, sections);
-  write_container(path, out);
-
-  pending_shadow_.clear();
-  pending_shadow_.resize(num_tables);
-  for (std::size_t t = 0; t < num_tables; ++t) {
-    pending_shadow_[t] = {std::move(encoded[t].bytes), state.tables[t]->rows(),
-                          state.tables[t]->cols()};
-  }
-  last_id_ = header.checkpoint_id;
-  last_file_ = std::filesystem::path(path).filename().string();
-  ++saves_;
+  // The shadow is deferred (see pending_image_): only a later save_delta
+  // needs it.
+  shadow_.assign(num_tables, Matrix());
+  shadow_opt_.assign(num_tables, Matrix());
+  pending_image_ = std::move(image);
 }
 
 void CheckpointWriter::materialize_shadow() {
-  if (pending_shadow_.empty()) return;
+  if (pending_image_.empty()) return;
+  const RawContainer raw = parse_container(pending_image_);
+  std::vector<std::span<const std::byte>> streams(shadow_.size());
+  for_each_table(options_.pool, shadow_.size(), [&](std::size_t t) {
+    const TableSection table = parse_table_section(raw.table_sections[t]);
+    shadow_[t].resize(table.rows, table.dim);
+    streams[t] = table.stream;
+    const TableSection opt = parse_table_section(raw.opt_sections[t]);
+    if (!opt.present) return;
+    shadow_opt_[t].resize(opt.rows, opt.dim);
+    std::memcpy(shadow_opt_[t].data(), opt.stream.data(), opt.stream.size());
+  });
   // Blocked batch: large tables decode block-parallel, so the first
   // save_delta after a full snapshot does not serialize on one table.
   engine_->decompress_begin();
-  for (std::size_t t = 0; t < pending_shadow_.size(); ++t) {
-    const PendingShadow& pending = pending_shadow_[t];
-    Matrix& shadow = shadow_[t];
-    shadow.resize(pending.rows, pending.dim);
-    if (!pending.bytes.empty()) engine_->add_stream(pending.bytes, shadow.flat());
+  for (std::size_t t = 0; t < shadow_.size(); ++t) {
+    if (!streams[t].empty()) engine_->add_stream(streams[t], shadow_[t].flat());
   }
   engine_->decompress_run();
-  pending_shadow_.clear();
+  pending_image_ = std::vector<std::byte>();  // frees the image
 }
 
 void CheckpointWriter::save_delta(const std::string& path,
@@ -442,35 +572,26 @@ void CheckpointWriter::save_delta(const std::string& path,
   materialize_shadow();
 
   struct TableDelta {
-    std::vector<std::byte> bitmap;
-    std::uint64_t touched = 0;
-    std::vector<float> touched_values;
-    EncodedValues encoded;
-    /// What a reader will decode for touched_values; every element is
+    RowDelta weights;
+    /// What a reader will decode for weights.packed; every element is
     /// written by the engine, so it is not value-initialised.
     std::unique_ptr<float[]> recon;
-    std::vector<std::byte> opt_bitmap;
-    std::uint64_t opt_touched = 0;
-    std::vector<float> opt_rows;
-    bool opt_present = false;
+    RowDelta opt;
   };
   std::vector<TableDelta> deltas(num_tables);
 
-  // Phase 1 (parallel per table): diff live weights against the shadow to
-  // collect touched rows, and fold optimizer rows (always exact, raw).
+  // Phase 1 (parallel per table): the rows that moved more than the
+  // table's bound from the shadow, and the optimizer rows that changed at
+  // all (optimizer state is stored exactly).
   for_each_table(options_.pool, num_tables, [&](std::size_t t) {
     const Matrix& weights = *state.tables[t];
-    Matrix& shadow = shadow_[t];
+    const Matrix& shadow = shadow_[t];
     DLCOMP_CHECK_MSG(
         shadow.rows() == weights.rows() && shadow.cols() == weights.cols(),
         "table " << t << " shape changed between saves");
-    const std::size_t rows = weights.rows();
     const std::size_t dim = weights.cols();
     const double bound = table_eb(t);
-    TableDelta& delta = deltas[t];
-    delta.bitmap.assign(bitmap_bytes(rows), std::byte{0});
-
-    for (std::size_t r = 0; r < rows; ++r) {
+    deltas[t].weights = collect_rows(weights, [&](std::size_t r) {
       const float* live = weights.data() + r * dim;
       const float* seen = shadow.data() + r * dim;
       double max_diff = 0.0;
@@ -478,138 +599,65 @@ void CheckpointWriter::save_delta(const std::string& path,
         max_diff = std::max(
             max_diff, static_cast<double>(std::abs(live[i] - seen[i])));
       }
-      if (max_diff > bound) {
-        bitmap_set(delta.bitmap, r);
-        ++delta.touched;
-        delta.touched_values.insert(delta.touched_values.end(), live,
-                                    live + dim);
+      return max_diff > bound;
+    });
+    const Matrix* opt = live_opt(state, t);
+    if (opt == nullptr) return;
+    const Matrix& opt_shadow = shadow_opt_[t];
+    deltas[t].opt = collect_rows(*opt, [&](std::size_t r) {
+      const float* live = opt->data() + r * dim;
+      for (std::size_t i = 0; i < dim; ++i) {
+        const float base =
+            opt_shadow.empty() ? 0.0f : opt_shadow.data()[r * dim + i];
+        if (live[i] != base) return true;
       }
-    }
-
-    // Optimizer rows: exact diff, raw storage.
-    const Matrix* opt = t < state.opt_state.size() ? state.opt_state[t]
-                                                   : nullptr;
-    delta.opt_present = opt != nullptr && !opt->empty();
-    delta.opt_bitmap.assign(bitmap_bytes(rows), std::byte{0});
-    if (delta.opt_present) {
-      Matrix& opt_shadow = shadow_opt_[t];
-      const bool had_shadow = !opt_shadow.empty();
-      for (std::size_t r = 0; r < rows; ++r) {
-        const float* live = opt->data() + r * dim;
-        const float* seen = had_shadow ? opt_shadow.data() + r * dim : nullptr;
-        bool changed = false;
-        for (std::size_t i = 0; i < dim; ++i) {
-          const float base = seen != nullptr ? seen[i] : 0.0f;
-          if (live[i] != base) {
-            changed = true;
-            break;
-          }
-        }
-        if (changed) {
-          bitmap_set(delta.opt_bitmap, r);
-          ++delta.opt_touched;
-          delta.opt_rows.insert(delta.opt_rows.end(), live, live + dim);
-        }
-      }
-      if (!had_shadow) opt_shadow.resize(rows, dim);
-      std::size_t j = 0;
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (!bitmap_get(delta.opt_bitmap, r)) continue;
-        std::copy_n(delta.opt_rows.begin() + j * dim, dim,
-                    opt_shadow.data() + r * dim);
-        ++j;
-      }
-    }
+      return false;
+    });
   });
 
-  // Phase 2: encode every table's touched rows as one flat blocked batch
+  // Phase 2: encode every table's moved rows as one flat blocked batch
   // with per-block reconstruction, so a delta dominated by a single hot
-  // table still scales with the pool; streams are gathered per table on
-  // the pool.
+  // table still scales with the pool.
   engine_->compress_begin();
   std::vector<std::size_t> slots(num_tables, kNoSlot);
   for (std::size_t t = 0; t < num_tables; ++t) {
     TableDelta& delta = deltas[t];
-    if (delta.touched_values.empty()) continue;
-    delta.encoded.storage = stream_storage();
-    delta.recon =
-        std::make_unique_for_overwrite<float[]>(delta.touched_values.size());
-    slots[t] = engine_->add_tensor(
-        delta.touched_values, table_params(t, state.tables[t]->cols()),
-        std::span<float>(delta.recon.get(), delta.touched_values.size()));
+    const std::size_t count = delta.weights.packed.size();
+    if (count == 0) continue;
+    delta.recon = std::make_unique_for_overwrite<float[]>(count);
+    slots[t] = engine_->add_tensor(delta.weights.packed,
+                                   table_params(t, state.tables[t]->cols()),
+                                   std::span<float>(delta.recon.get(), count));
   }
   engine_->compress_run();
-  for_each_table(options_.pool, num_tables, [&](std::size_t t) {
-    if (slots[t] == kNoSlot) return;
-    deltas[t].encoded.bytes.reserve(engine_->stream_bytes(slots[t]));
-    engine_->append_stream(slots[t], deltas[t].encoded.bytes);
+
+  write_image(path, CkptKind::kDelta, state,
+              [&](SectionWriter& w, std::size_t t) {
+    const Matrix& weights = *state.tables[t];
+    put_table_head(w, CkptSection::kTableDelta, t, weights, slots[t]);
+    put_index(w, deltas[t].weights);
+    put_stream(w, slots[t]);
+    put_opt(w, CkptSection::kOptDelta, t, weights, live_opt(state, t),
+            &deltas[t].opt);
   });
 
-  // Phase 3 (parallel): fold the reconstruction back into the shadow so
-  // the next delta diffs against exactly what a reader will have.
+  // Phase 3 (parallel), once the file is on disk: land the
+  // reconstruction and the optimizer rows in the shadow, so the next
+  // delta diffs against exactly what a reader will have.
   for_each_table(options_.pool, num_tables, [&](std::size_t t) {
     const Matrix& weights = *state.tables[t];
+    const std::size_t rows = weights.rows();
     const std::size_t dim = weights.cols();
-    Matrix& shadow = shadow_[t];
     const TableDelta& delta = deltas[t];
-    std::size_t k = 0;
-    for (std::size_t r = 0; r < weights.rows(); ++r) {
-      if (!bitmap_get(delta.bitmap, r)) continue;
-      std::copy_n(delta.recon.get() + k * dim, dim, shadow.data() + r * dim);
-      ++k;
-    }
+    overlay_rows(delta.weights.bitmap, rows, delta.weights.touched, dim,
+                 {delta.recon.get(), delta.weights.packed.size()},
+                 shadow_[t].flat());
+    if (live_opt(state, t) == nullptr) return;
+    Matrix& opt_shadow = shadow_opt_[t];
+    if (opt_shadow.empty()) opt_shadow.resize(rows, dim);
+    overlay_rows(delta.opt.bitmap, rows, delta.opt.touched, dim,
+                 delta.opt.packed, opt_shadow.flat());
   });
-
-  std::vector<std::byte> out;
-  CkptHeader header;
-  header.kind = CkptKind::kDelta;
-  header.checkpoint_id = make_checkpoint_id(state.seed, state.iteration, saves_);
-  header.parent_id = last_id_;
-  header.iteration = state.iteration;
-  header.seed = state.seed;
-  const std::size_t count_at =
-      begin_container(out, header, options_.codec, last_file_, state);
-  std::uint32_t sections = 3;
-
-  for (std::size_t t = 0; t < num_tables; ++t) {
-    const Matrix& weights = *state.tables[t];
-    const TableDelta& delta = deltas[t];
-    std::vector<std::byte> payload;
-    append_pod(payload, static_cast<std::uint64_t>(weights.rows()));
-    append_pod(payload, static_cast<std::uint32_t>(weights.cols()));
-    append_pod(payload, delta.encoded.storage);
-    append_pod(payload, table_eb(t));
-    append_pod(payload, delta.touched);
-    payload.insert(payload.end(), delta.bitmap.begin(), delta.bitmap.end());
-    append_pod(payload,
-               static_cast<std::uint64_t>(delta.encoded.bytes.size()));
-    payload.insert(payload.end(), delta.encoded.bytes.begin(),
-                   delta.encoded.bytes.end());
-    append_section(out, CkptSection::kTableDelta,
-                   static_cast<std::uint32_t>(t), payload);
-    ++sections;
-
-    std::vector<std::byte> opt_payload;
-    append_pod(opt_payload, static_cast<std::uint64_t>(weights.rows()));
-    append_pod(opt_payload, static_cast<std::uint32_t>(weights.cols()));
-    append_pod(opt_payload,
-               static_cast<std::uint8_t>(delta.opt_present ? 1 : 0));
-    if (delta.opt_present) {
-      append_pod(opt_payload, delta.opt_touched);
-      opt_payload.insert(opt_payload.end(), delta.opt_bitmap.begin(),
-                         delta.opt_bitmap.end());
-      append_pod_span(opt_payload, std::span<const float>(delta.opt_rows));
-    }
-    append_section(out, CkptSection::kOptDelta, static_cast<std::uint32_t>(t),
-                   opt_payload);
-    ++sections;
-  }
-
-  patch_section_count(out, count_at, sections);
-  write_container(path, out);
-  last_id_ = header.checkpoint_id;
-  last_file_ = std::filesystem::path(path).filename().string();
-  ++saves_;
 }
 
 std::string CheckpointWriter::save(const std::string& path,
@@ -667,110 +715,27 @@ LoadedCheckpoint CheckpointReader::load_one(const std::string& path,
   const bool is_delta = raw.header.kind == CkptKind::kDelta;
   for_each_table(pool_, raw.num_tables, [&](std::size_t t) {
     LoadedTable& table = loaded.tables[t];
-    ByteReader reader(raw.table_sections[t].payload);
-    const auto rows = reader.read<std::uint64_t>();
-    const auto dim = reader.read<std::uint32_t>();
-    const auto storage = reader.read<std::uint8_t>();
-    const auto eb = reader.read<double>();
-    if (!is_delta) {
-      table.rows = rows;
-      table.dim = dim;
-      table.error_bound = eb;
-      table.lossy = storage == 1 && get_compressor(raw.codec).lossy();
-      const auto byte_count = reader.read<std::uint64_t>();
-      table.values = decode_values(raw.codec, storage,
-                                   reader.take(byte_count),
-                                   checked_element_count(rows, dim));
-    } else {
-      if (table.rows != rows || table.dim != dim) {
-        throw FormatError("delta table shape differs from parent");
-      }
-      const auto touched = reader.read<std::uint64_t>();
-      if (touched > rows) {
-        throw FormatError("delta touched count exceeds table rows");
-      }
-      const auto bitmap = reader.take(bitmap_bytes(rows));
-      const auto byte_count = reader.read<std::uint64_t>();
-      const std::vector<float> rows_data =
-          decode_values(raw.codec, storage, reader.take(byte_count),
-                        static_cast<std::size_t>(touched) * dim);
-      std::size_t k = 0;
-      for (std::size_t r = 0; r < rows; ++r) {
-        if (!bitmap_get(bitmap, r)) continue;
-        if (k >= touched) {
-          throw FormatError("delta bitmap popcount exceeds touched count");
-        }
-        std::copy_n(rows_data.begin() + k * dim, dim,
-                    table.values.begin() + r * dim);
-        ++k;
-      }
-      if (k != touched) {
-        throw FormatError("delta bitmap popcount below touched count");
-      }
-      table.error_bound = std::max(table.error_bound, eb);
-      table.lossy = table.lossy || (storage == 1 && get_compressor(raw.codec).lossy());
+    const TableSection section = parse_table_section(raw.table_sections[t]);
+    if (is_delta && (table.rows != section.rows || table.dim != section.dim)) {
+      throw FormatError("delta table shape differs from parent");
     }
-    if (reader.remaining() != 0) {
-      throw FormatError("trailing bytes in checkpoint table section");
-    }
+    table.rows = section.rows;
+    table.dim = section.dim;
+    land_section(raw.codec, section, table.values);
+    const bool lossy =
+        section.storage == 1 && get_compressor(raw.codec).lossy();
+    table.error_bound =
+        is_delta ? std::max(table.error_bound, section.eb) : section.eb;
+    table.lossy = (is_delta && table.lossy) || lossy;
 
     const SectionView& opt_section = raw.opt_sections[t];
     if (opt_section.payload.data() == nullptr) return;  // no optimizer state
-    ByteReader opt(opt_section.payload);
-    const auto opt_rows = opt.read<std::uint64_t>();
-    const auto opt_dim = opt.read<std::uint32_t>();
-    if (opt_rows != table.rows || opt_dim != table.dim) {
+    const TableSection opt = parse_table_section(opt_section);
+    if (opt.rows != table.rows || opt.dim != table.dim) {
       throw FormatError("optimizer section shape differs from table");
     }
-    const auto present = opt.read<std::uint8_t>();
-    if (opt_section.type == CkptSection::kOptState) {
-      if (present != 0) {
-        table.opt_state.resize(static_cast<std::size_t>(opt_rows) * opt_dim);
-        opt.read_span(std::span<float>(table.opt_state));
-      } else {
-        table.opt_state.clear();
-      }
-    } else if (present != 0) {  // kOptDelta overlays the parent's state
-      const auto touched = opt.read<std::uint64_t>();
-      if (touched > opt_rows) {
-        throw FormatError("optimizer delta touched count exceeds table rows");
-      }
-      const auto bitmap = opt.take(bitmap_bytes(opt_rows));
-      std::vector<float> rows_data(static_cast<std::size_t>(touched) *
-                                   opt_dim);
-      opt.read_span(std::span<float>(rows_data));
-      if (table.opt_state.empty()) {
-        table.opt_state.assign(static_cast<std::size_t>(opt_rows) * opt_dim,
-                               0.0f);
-      }
-      std::size_t k = 0;
-      for (std::size_t r = 0; r < opt_rows; ++r) {
-        if (!bitmap_get(bitmap, r)) continue;
-        if (k >= touched) {
-          throw FormatError("optimizer delta bitmap exceeds touched count");
-        }
-        std::copy_n(rows_data.begin() + k * opt_dim, opt_dim,
-                    table.opt_state.begin() + r * opt_dim);
-        ++k;
-      }
-      if (k != touched) {
-        throw FormatError("optimizer delta bitmap below touched count");
-      }
-    }
-    if (opt.remaining() != 0) {
-      throw FormatError("trailing bytes in checkpoint optimizer section");
-    }
+    land_section(raw.codec, opt, table.opt_state);
   });
-
-  // Full snapshots must materialize every value exactly once.
-  if (!is_delta) {
-    for (const LoadedTable& table : loaded.tables) {
-      if (table.values.size() !=
-          static_cast<std::size_t>(table.rows) * table.dim) {
-        throw FormatError("checkpoint table not fully materialized");
-      }
-    }
-  }
   return loaded;
 }
 
@@ -821,43 +786,17 @@ ContainerInfo inspect_checkpoint(const std::string& path) {
     const SectionView section = read_section(reader);
     info.sections.push_back(
         {section.type, section.id, section.payload.size()});
-    switch (section.type) {
-      case CkptSection::kMeta: {
-        ByteReader meta(section.payload);
-        info.codec = read_string(meta);
-        (void)meta.read<std::uint8_t>();
-        info.parent_file = read_string(meta);
-        break;
-      }
-      case CkptSection::kTableFull: {
-        ByteReader table(section.payload);
-        const auto rows = table.read<std::uint64_t>();
-        const auto dim = table.read<std::uint32_t>();
-        (void)table.read<std::uint8_t>();
-        (void)table.read<double>();
-        const auto bytes = table.read<std::uint64_t>();
-        info.table_raw_bytes +=
-            static_cast<std::size_t>(rows) * dim * sizeof(float);
-        info.table_stored_bytes += bytes;
-        break;
-      }
-      case CkptSection::kTableDelta: {
-        ByteReader table(section.payload);
-        const auto rows = table.read<std::uint64_t>();
-        const auto dim = table.read<std::uint32_t>();
-        (void)table.read<std::uint8_t>();
-        (void)table.read<double>();
-        const auto touched = table.read<std::uint64_t>();
-        table.skip(bitmap_bytes(rows));
-        const auto bytes = table.read<std::uint64_t>();
-        info.table_raw_bytes +=
-            static_cast<std::size_t>(touched) * dim * sizeof(float);
-        info.table_stored_bytes += bytes;
-        info.delta_touched_rows += touched;
-        break;
-      }
-      default:
-        break;
+    if (section.type == CkptSection::kMeta) {
+      ByteReader meta(section.payload);
+      info.codec = read_string(meta);
+      (void)meta.read<std::uint8_t>();
+      info.parent_file = read_string(meta);
+    } else if (section.type == CkptSection::kTableFull ||
+               section.type == CkptSection::kTableDelta) {
+      const TableSection table = parse_table_section(section);
+      info.table_raw_bytes += table.count() * sizeof(float);
+      info.table_stored_bytes += table.stream.size();
+      if (table.delta) info.delta_touched_rows += table.touched;
     }
   }
   if (reader.remaining() != 0) {

@@ -130,17 +130,29 @@ class CheckpointWriter {
   [[nodiscard]] CompressParams table_params(std::size_t t,
                                             std::size_t dim) const noexcept;
   void check_shapes(const ModelState& state) const;
-  /// The `storage` byte of a non-empty table payload: 1 (codec stream)
-  /// with a codec, 0 (raw float32) without.
-  [[nodiscard]] std::uint8_t stream_storage() const noexcept {
-    return codec_ != nullptr ? 1 : 0;
-  }
+
+  /// Writes the next container of `kind` to `path`: the file header,
+  /// meta and MLP sections, then tables(w, t) for each table's two
+  /// sections. A measuring pass lays the image out; then every table is
+  /// framed in place at its offset, CRC included, one table per pool
+  /// task. Once the file is written it becomes the next delta's parent.
+  /// Returns the image.
+  template <typename Tables>
+  std::vector<std::byte> write_image(const std::string& path, CkptKind kind,
+                                     const ModelState& state,
+                                     const Tables& tables);
+  /// Opens table t's section: shape, storage byte (1 for a codec stream,
+  /// 0 for raw float32 or no `slot`) and error bound.
+  void put_table_head(SectionWriter& w, CkptSection type, std::size_t t,
+                      const Matrix& weights, std::size_t slot) const;
+  /// Writes slot's engine stream after its u64 length (0 bytes for no
+  /// slot) and closes the section.
+  void put_stream(SectionWriter& w, std::size_t slot) const;
+  /// Decodes the deferred full snapshot into shadow_ and shadow_opt_.
+  void materialize_shadow();
 
   CheckpointOptions options_;
   const Compressor* codec_ = nullptr;  ///< registry singleton or null
-
-  /// Decodes deferred full-snapshot streams into shadow_ (see below).
-  void materialize_shadow();
 
   std::size_t saves_ = 0;
   std::uint64_t last_id_ = 0;
@@ -148,16 +160,11 @@ class CheckpointWriter {
   std::vector<Matrix> shadow_;      ///< reader-visible table values
   std::vector<Matrix> shadow_opt_;  ///< reader-visible optimizer state
 
-  /// save_full defers shadow materialization: it keeps the encoded table
-  /// streams here and only decodes them if a save_delta follows, so
-  /// one-shot full snapshots pay no decompress round-trip and hold no
-  /// second copy of the embedding state.
-  struct PendingShadow {
-    std::vector<std::byte> bytes;
-    std::size_t rows = 0;
-    std::size_t dim = 0;
-  };
-  std::vector<PendingShadow> pending_shadow_;
+  /// save_full defers the shadow: it keeps the image it wrote and only
+  /// decodes the table streams (and copies the optimizer state) out of
+  /// it if a save_delta follows, so one-shot full snapshots pay no
+  /// decompress round-trip and hold no second copy of the model state.
+  std::vector<std::byte> pending_image_;
 
   /// Blocked parallel codec batches (see chunked.hpp): every table's
   /// encode — split into blocks when large — runs as one flat task list,

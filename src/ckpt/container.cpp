@@ -1,32 +1,11 @@
 #include "ckpt/container.hpp"
 
-#include <cstring>
 #include <fstream>
 
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 
 namespace dlcomp {
-
-std::size_t append_ckpt_header(std::vector<std::byte>& out,
-                               const CkptHeader& header) {
-  append_pod(out, kCkptMagic);
-  append_pod(out, kCkptVersion);
-  append_pod(out, static_cast<std::uint16_t>(header.kind));
-  append_pod(out, header.checkpoint_id);
-  append_pod(out, header.parent_id);
-  append_pod(out, header.iteration);
-  append_pod(out, header.seed);
-  const std::size_t field_offset = out.size();
-  append_pod(out, header.section_count);
-  return field_offset;
-}
-
-void patch_section_count(std::vector<std::byte>& out, std::size_t field_offset,
-                         std::uint32_t section_count) {
-  DLCOMP_CHECK(field_offset + sizeof(section_count) <= out.size());
-  std::memcpy(out.data() + field_offset, &section_count, sizeof(section_count));
-}
 
 CkptHeader parse_ckpt_header(ByteReader& reader) {
   const auto magic = reader.read<std::uint32_t>();
@@ -53,13 +32,40 @@ CkptHeader parse_ckpt_header(ByteReader& reader) {
   return h;
 }
 
-void append_section(std::vector<std::byte>& out, CkptSection type,
-                    std::uint32_t id, std::span<const std::byte> payload) {
-  append_pod(out, static_cast<std::uint8_t>(type));
-  append_pod(out, id);
-  append_pod(out, static_cast<std::uint64_t>(payload.size()));
-  append_pod(out, crc32(payload));
-  out.insert(out.end(), payload.begin(), payload.end());
+void SectionWriter::put_header(const CkptHeader& header) {
+  put(kCkptMagic);
+  put(kCkptVersion);
+  put(static_cast<std::uint16_t>(header.kind));
+  put(header.checkpoint_id);
+  put(header.parent_id);
+  put(header.iteration);
+  put(header.seed);
+  put(header.section_count);
+}
+
+void SectionWriter::put_string(std::string_view text) {
+  DLCOMP_CHECK_MSG(text.size() <= 0xFFFF,
+                   "string too long for checkpoint: " << text.size());
+  put(static_cast<std::uint16_t>(text.size()));
+  put_bytes(std::as_bytes(std::span<const char>(text)));
+}
+
+void SectionWriter::begin(CkptSection type, std::uint32_t id) {
+  put(static_cast<std::uint8_t>(type));
+  put(id);
+  size_at_ = pos_;  // u64 payload_bytes | u32 crc, patched by end()
+  fill(sizeof(std::uint64_t) + sizeof(std::uint32_t),
+       [](std::span<std::byte>) {});
+}
+
+void SectionWriter::end() {
+  if (measuring()) return;
+  const std::size_t payload_at =
+      size_at_ + sizeof(std::uint64_t) + sizeof(std::uint32_t);
+  const auto payload = out_.subspan(payload_at, pos_ - payload_at);
+  ByteWriter patch(out_, size_at_);
+  patch.put(static_cast<std::uint64_t>(payload.size()));
+  patch.put(crc32(payload));
 }
 
 SectionView read_section(ByteReader& reader) {
@@ -82,26 +88,10 @@ SectionView read_section(ByteReader& reader) {
   return section;
 }
 
-void append_string(std::vector<std::byte>& out, std::string_view text) {
-  DLCOMP_CHECK_MSG(text.size() <= 0xFFFF,
-                   "string too long for checkpoint: " << text.size());
-  append_pod(out, static_cast<std::uint16_t>(text.size()));
-  const auto* p = reinterpret_cast<const std::byte*>(text.data());
-  out.insert(out.end(), p, p + text.size());
-}
-
 std::string read_string(ByteReader& reader) {
   const auto length = reader.read<std::uint16_t>();
   const auto bytes = reader.take(length);
   return std::string(reinterpret_cast<const char*>(bytes.data()), bytes.size());
-}
-
-void write_container(const std::string& path, std::span<const std::byte> data) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) throw Error("cannot open checkpoint for writing: " + path);
-  os.write(reinterpret_cast<const char*>(data.data()),
-           static_cast<std::streamsize>(data.size()));
-  if (!os.good()) throw Error("checkpoint write failed: " + path);
 }
 
 std::vector<std::byte> read_container(const std::string& path) {

@@ -17,6 +17,9 @@
 /// name their parent (by checkpoint_id and by filename inside the meta
 /// section) so readers can replay full -> delta -> delta chains.
 ///
+/// Writers build the file image in place with SectionWriter (below) and
+/// hand it to write_file (common/file_io.hpp), which reports a full disk.
+///
 /// See DESIGN.md "Checkpoint container" for the rationale and the
 /// section payload layouts.
 
@@ -57,22 +60,34 @@ struct CkptHeader {
   std::uint32_t section_count = 0;
 };
 
-/// Appends the fixed file header; returns the offset of section_count so
-/// the writer can patch it once all sections are appended.
-std::size_t append_ckpt_header(std::vector<std::byte>& out,
-                               const CkptHeader& header);
-
-/// Patches section_count in a previously appended header.
-void patch_section_count(std::vector<std::byte>& out, std::size_t field_offset,
-                         std::uint32_t section_count);
-
 /// Parses and validates the file header (magic + version); throws
 /// FormatError on mismatch or truncation.
 CkptHeader parse_ckpt_header(ByteReader& reader);
 
-/// Appends one CRC-stamped section.
-void append_section(std::vector<std::byte>& out, CkptSection type,
-                    std::uint32_t id, std::span<const std::byte> payload);
+/// Writes a container in place in its file image. begin() reserves a
+/// section header, the payload goes straight into the image through
+/// ByteWriter's put/fill, and end() patches the payload size and CRC, so
+/// no section is staged in a buffer of its own. A default-constructed
+/// writer measures: running the same emission code through it first
+/// sizes the image (and every section's offset), after which writers at
+/// those offsets fill disjoint parts of the image, concurrently if the
+/// caller likes.
+class SectionWriter : public ByteWriter {
+ public:
+  using ByteWriter::ByteWriter;
+
+  /// The fixed file header.
+  void put_header(const CkptHeader& header);
+
+  /// u16 length + bytes (throws Error above 65535 bytes).
+  void put_string(std::string_view text);
+
+  void begin(CkptSection type, std::uint32_t id);
+  void end();
+
+ private:
+  std::size_t size_at_ = 0;
+};
 
 /// One parsed section; `payload` views into the container buffer.
 struct SectionView {
@@ -85,14 +100,12 @@ struct SectionView {
 /// truncation or checksum mismatch.
 SectionView read_section(ByteReader& reader);
 
-/// Serialized-string helpers shared by section payloads (u16 length +
-/// bytes; throws FormatError if the stored length overruns the buffer).
-void append_string(std::vector<std::byte>& out, std::string_view text);
+/// Reads a SectionWriter::put_string string; throws FormatError if the
+/// stored length overruns the buffer.
 std::string read_string(ByteReader& reader);
 
-/// Whole-file IO. read_container throws Error when the file is missing
-/// and FormatError when it is shorter than a header.
-void write_container(const std::string& path, std::span<const std::byte> data);
+/// Whole-file read; throws Error when the file is missing. Writers use
+/// write_file (common/file_io.hpp).
 std::vector<std::byte> read_container(const std::string& path);
 
 }  // namespace dlcomp

@@ -2,7 +2,8 @@
 
 /// \file byte_io.hpp
 /// Little-endian serialization of trivially copyable values into byte
-/// vectors, plus a bounds-checked reader. Compressed stream headers and
+/// vectors, a bounds-checked reader, and an in-place writer over a
+/// pre-sized span. Compressed stream headers, checkpoint sections and
 /// collective metadata use these primitives so that stream layouts are
 /// explicit and portable.
 
@@ -87,6 +88,51 @@ class ByteReader {
 
  private:
   std::span<const std::byte> data_;
+  std::size_t pos_ = 0;
+};
+
+/// Sequential writer into a pre-sized byte span, the counterpart of
+/// ByteReader. A default-constructed writer measures: it counts the bytes
+/// a write pass would produce and stores none, so one emission routine
+/// first sizes a buffer and then fills it in place.
+class ByteWriter {
+ public:
+  ByteWriter() = default;
+  /// Writes into `out` from byte `pos` on; overrunning `out` is a bug
+  /// (the measuring pass sized it), so it throws Error.
+  explicit ByteWriter(std::span<std::byte> out, std::size_t pos = 0) noexcept
+      : out_(out), pos_(pos) {}
+
+  [[nodiscard]] bool measuring() const noexcept { return out_.data() == nullptr; }
+
+  /// Bytes counted or written so far, including the start offset.
+  [[nodiscard]] std::size_t position() const noexcept { return pos_; }
+
+  template <typename T>
+    requires std::is_trivially_copyable_v<T>
+  void put(const T& value) {
+    put_bytes(std::as_bytes(std::span<const T>(&value, 1)));
+  }
+
+  void put_bytes(std::span<const std::byte> bytes) {
+    fill(bytes.size(), [&](std::span<std::byte> dst) {
+      std::memcpy(dst.data(), bytes.data(), bytes.size());
+    });
+  }
+
+  /// Hands the next `count` bytes to write(span) and advances past them;
+  /// a measuring writer, or a count of 0, only advances.
+  template <typename Write>
+  void fill(std::size_t count, const Write& write) {
+    if (!measuring() && count != 0) {
+      DLCOMP_CHECK(pos_ <= out_.size() && count <= out_.size() - pos_);
+      write(out_.subspan(pos_, count));
+    }
+    pos_ += count;
+  }
+
+ protected:
+  std::span<std::byte> out_;
   std::size_t pos_ = 0;
 };
 

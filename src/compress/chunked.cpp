@@ -301,33 +301,60 @@ double BlockEngine::max_abs_error(std::size_t slot_index) const {
   return worst;
 }
 
-void BlockEngine::append_stream(std::size_t slot_index,
-                                std::vector<std::byte>& out) const {
+namespace {
+
+/// Appends to a vector through ByteWriter's interface, so append_stream
+/// grows its buffer without value-initialising it first.
+struct VectorSink {
+  std::vector<std::byte>& out;
+  template <typename T>
+  void put(const T& value) {
+    append_pod(out, value);
+  }
+  void put_bytes(std::span<const std::byte> bytes) {
+    out.insert(out.end(), bytes.begin(), bytes.end());
+  }
+};
+
+}  // namespace
+
+template <typename Sink>
+void BlockEngine::emit_stream(std::size_t slot_index, Sink& sink) const {
   const Slot& slot = slots_.at(slot_index);
   if (codec_ == nullptr) {
-    const auto raw = std::as_bytes(pending_data_[slot_index]);
-    out.insert(out.end(), raw.begin(), raw.end());
+    sink.put_bytes(std::as_bytes(pending_data_[slot_index]));
     return;
   }
   if (slot.blocked) {
-    append_pod(out, kBlockMagic);
-    append_pod(out, kBlockVersion);
-    append_pod(out, std::uint8_t{0});
-    append_pod(out, std::uint16_t{0});
-    append_pod(out, static_cast<std::uint64_t>(slot.element_count));
-    append_pod(out, static_cast<std::uint64_t>(slot.block_elems));
-    append_pod(out, static_cast<std::uint32_t>(slot.task_count));
-    append_pod(out, std::uint32_t{0});
+    sink.put(kBlockMagic);
+    sink.put(kBlockVersion);
+    sink.put(std::uint8_t{0});
+    sink.put(std::uint16_t{0});
+    sink.put(static_cast<std::uint64_t>(slot.element_count));
+    sink.put(static_cast<std::uint64_t>(slot.block_elems));
+    sink.put(static_cast<std::uint32_t>(slot.task_count));
+    sink.put(std::uint32_t{0});
     for (std::size_t b = 0; b < slot.task_count; ++b) {
-      append_pod(out,
-                 static_cast<std::uint64_t>(tasks_[slot.first_task + b].bytes));
+      sink.put(static_cast<std::uint64_t>(tasks_[slot.first_task + b].bytes));
     }
   }
   for (std::size_t b = 0; b < slot.task_count; ++b) {
     const CompressTask& task = tasks_[slot.first_task + b];
-    const auto* p = staging_.get() + task.staging_offset;
-    out.insert(out.end(), p, p + task.bytes);
+    sink.put_bytes({staging_.get() + task.staging_offset, task.bytes});
   }
+}
+
+void BlockEngine::write_stream(std::size_t slot,
+                               std::span<std::byte> out) const {
+  DLCOMP_CHECK(out.size() == stream_bytes(slot));
+  ByteWriter sink(out);
+  emit_stream(slot, sink);
+}
+
+void BlockEngine::append_stream(std::size_t slot,
+                                std::vector<std::byte>& out) const {
+  VectorSink sink{out};
+  emit_stream(slot, sink);
 }
 
 void BlockEngine::decompress_begin() { decode_tasks_.clear(); }

@@ -106,10 +106,14 @@ class BlockEngine {
   /// lowest lane's is rethrown here.
   void compress_run();
 
-  /// Appends slot's assembled wire bytes (plain stream, DLBK container
-  /// or raw float32 bytes) to `out`. Valid until the next
-  /// compress_begin(). Calls for distinct slots into distinct buffers may
-  /// run concurrently (the engine is only read).
+  /// Writes slot's assembled wire bytes (plain stream, DLBK container or
+  /// raw float32 bytes) into `out`, which must be exactly stream_bytes()
+  /// long. Valid until the next compress_begin(). Calls for distinct
+  /// slots into distinct buffers may run concurrently (the engine is only
+  /// read).
+  void write_stream(std::size_t slot, std::span<std::byte> out) const;
+
+  /// Appends what write_stream() would write to `out`.
   void append_stream(std::size_t slot, std::vector<std::byte>& out) const;
 
   /// Assembled size of slot's stream, directory included.
@@ -184,6 +188,10 @@ class BlockEngine {
   /// lane's exception (one lane per pool block).
   template <typename Body>
   void run_lanes(std::size_t count, const Body& body);
+
+  /// Emits slot's stream through `sink`'s put/put_bytes.
+  template <typename Sink>
+  void emit_stream(std::size_t slot, Sink& sink) const;
 
   void note_grow(std::size_t cap_before, std::size_t cap_after) {
     if (cap_after != cap_before) ++grow_events_;

@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "core/offline_analyzer.hpp"
 
 namespace dlcomp {
@@ -126,10 +127,7 @@ CompressionPlan plan_from_string(const std::string& text) {
 }
 
 void save_plan(const std::string& path, const CompressionPlan& plan) {
-  std::ofstream os(path);
-  DLCOMP_CHECK_MSG(os.good(), "cannot open plan file for writing: " << path);
-  write_plan(os, plan);
-  DLCOMP_CHECK_MSG(os.good(), "failed writing plan file: " << path);
+  write_file(path, plan_to_string(plan));
 }
 
 CompressionPlan load_plan(const std::string& path) {

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "common/timer.hpp"
@@ -94,14 +95,7 @@ void convert_group(const CriteoTsvParser& parser,
   encode_shard(content, bytes);
 
   const std::filesystem::path path = out_dir / shard_filename(index);
-  std::ofstream os(path, std::ios::binary | std::ios::trunc);
-  os.write(reinterpret_cast<const char*>(bytes.data()),
-           static_cast<std::streamsize>(bytes.size()));
-  os.close();  // flush before checking: write errors can surface here
-  if (!os.good()) {
-    sink.record_error("cannot write shard: " + path.string());
-    return;
-  }
+  write_file(path.string(), bytes);  // throws Error; recorded below
   sink.samples.fetch_add(n, std::memory_order_relaxed);
   sink.shards.fetch_add(1, std::memory_order_relaxed);
   sink.shard_bytes.fetch_add(bytes.size(), std::memory_order_relaxed);

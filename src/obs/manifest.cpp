@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 
 namespace dlcomp {
@@ -105,10 +106,7 @@ std::string RunManifest::to_json(int indent) const {
 }
 
 void RunManifest::save(const std::string& path) const {
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw Error("obs: cannot write '" + path + "'");
-  out << to_json(2) << '\n';
-  if (!out) throw Error("obs: short write to '" + path + "'");
+  write_file(path, to_json(2) + '\n');
 }
 
 std::string utc_now_iso8601() {

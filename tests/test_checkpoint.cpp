@@ -16,6 +16,8 @@
 
 #include "ckpt/checkpoint.hpp"
 #include "common/error.hpp"
+#include "common/file_io.hpp"
+#include "common/rng.hpp"
 #include "core/trainer.hpp"
 #include "obs/metrics.hpp"
 #include "serve/inference_engine.hpp"
@@ -449,7 +451,7 @@ TEST(Checkpoint, CorruptionIsDetected) {
   {
     auto bad = original;
     bad[0] ^= std::byte{0xFF};
-    write_container(dir + "/bad.dlck", bad);
+    write_file(dir + "/bad.dlck", bad);
     EXPECT_THROW((void)CheckpointReader().load(dir + "/bad.dlck"),
                  FormatError);
   }
@@ -457,7 +459,7 @@ TEST(Checkpoint, CorruptionIsDetected) {
   {
     auto bad = original;
     bad[4] = std::byte{0x7F};
-    write_container(dir + "/bad.dlck", bad);
+    write_file(dir + "/bad.dlck", bad);
     EXPECT_THROW((void)CheckpointReader().load(dir + "/bad.dlck"),
                  FormatError);
   }
@@ -467,7 +469,7 @@ TEST(Checkpoint, CorruptionIsDetected) {
        {std::size_t{60}, original.size() / 2, original.size() - 3}) {
     auto bad = original;
     bad[pos] ^= std::byte{0x10};
-    write_container(dir + "/bad.dlck", bad);
+    write_file(dir + "/bad.dlck", bad);
     EXPECT_THROW((void)CheckpointReader().load(dir + "/bad.dlck"),
                  FormatError)
         << "flip at " << pos;
@@ -478,17 +480,112 @@ TEST(Checkpoint, CorruptionIsDetected) {
         original.size() - 1}) {
     auto cut = original;
     cut.resize(keep);
-    write_container(dir + "/cut.dlck", cut);
+    write_file(dir + "/cut.dlck", cut);
     EXPECT_THROW((void)CheckpointReader().load(dir + "/cut.dlck"),
                  FormatError)
         << "kept " << keep;
   }
 }
 
+/// Writes a container through SectionWriter's two passes: a measuring
+/// pass sizes the image, then `emit` fills it.
+template <typename Emit>
+void write_crafted(const std::string& path, const Emit& emit) {
+  SectionWriter measure;
+  emit(measure);
+  std::vector<std::byte> image(measure.position());
+  SectionWriter w(image);
+  emit(w);
+  write_file(path, image);
+}
+
+/// File header, meta and empty MLP sections of a crafted raw container.
+void put_crafted_head(SectionWriter& w, CkptKind kind, std::uint64_t id,
+                      std::uint64_t parent_id, const std::string& parent_file,
+                      std::uint32_t sections, std::uint32_t tables) {
+  CkptHeader header;
+  header.kind = kind;
+  header.checkpoint_id = id;
+  header.parent_id = parent_id;
+  header.iteration = id;
+  header.section_count = sections;
+  w.put_header(header);
+  w.begin(CkptSection::kMeta, 0);
+  w.put_string("");                                   // codec: raw
+  w.put(std::uint8_t{0});                             // opt kind
+  w.put_string(parent_file);
+  w.put(tables);
+  w.end();
+  for (const auto mlp : {CkptSection::kMlpBottom, CkptSection::kMlpTop}) {
+    w.begin(mlp, 0);
+    w.put(std::uint32_t{0});                          // zero param views
+    w.end();
+  }
+}
+
+/// One crafted row delta: its touched count, the rows its bitmap marks
+/// and how many zero rows of values it carries.
+struct CraftedDelta {
+  std::uint64_t touched = 0;
+  std::vector<std::uint64_t> marked;
+  std::uint64_t packed_rows = 0;
+};
+
+/// A row delta's index: touched count, then one bitmap bit per row.
+void put_crafted_index(SectionWriter& w, std::uint64_t rows,
+                       const CraftedDelta& delta) {
+  w.put(delta.touched);
+  std::vector<std::byte> bitmap((rows + 7) / 8, std::byte{0});
+  for (const std::uint64_t r : delta.marked) {
+    bitmap[r / 8] |= static_cast<std::byte>(1u << (r % 8));
+  }
+  w.put_bytes(bitmap);
+}
+
+/// A raw delta on `parent_file` whose table 0 carries `weights` (and
+/// `opt`, if given, as its optimizer delta); other tables are unchanged.
+void write_crafted_delta(const std::string& path,
+                         const std::string& parent_file,
+                         std::uint64_t parent_id,
+                         const std::vector<std::uint64_t>& rows,
+                         std::uint32_t dim, const CraftedDelta& weights,
+                         const CraftedDelta* opt = nullptr) {
+  const auto tables = static_cast<std::uint32_t>(rows.size());
+  const auto values = [&](const CraftedDelta& delta) {
+    return std::vector<std::byte>(delta.packed_rows * dim * sizeof(float));
+  };
+  write_crafted(path, [&](SectionWriter& w) {
+    put_crafted_head(w, CkptKind::kDelta, parent_id + 1, parent_id,
+                     parent_file, 3 + tables * (opt != nullptr ? 2 : 1),
+                     tables);
+    for (std::uint32_t t = 0; t < tables; ++t) {
+      const CraftedDelta delta = t == 0 ? weights : CraftedDelta{};
+      w.begin(CkptSection::kTableDelta, t);
+      w.put(rows[t]);
+      w.put(dim);
+      w.put(std::uint8_t{0});                         // raw storage
+      w.put(0.0);                                     // eb
+      put_crafted_index(w, rows[t], delta);
+      w.put(static_cast<std::uint64_t>(values(delta).size()));
+      w.put_bytes(values(delta));
+      w.end();
+      if (opt == nullptr) continue;
+      const CraftedDelta opt_delta = t == 0 ? *opt : CraftedDelta{};
+      w.begin(CkptSection::kOptDelta, t);
+      w.put(rows[t]);
+      w.put(dim);
+      w.put(std::uint8_t{1});                         // state present
+      put_crafted_index(w, rows[t], opt_delta);
+      w.put_bytes(values(opt_delta));
+      w.end();
+    }
+  });
+}
+
 TEST(Checkpoint, CraftedDeltaCountsRejected) {
-  // CRC protects against corruption, not crafted files: a delta section
-  // claiming touched > rows (chosen so touched * dim wraps to 0 and
-  // would defeat every size check) must be rejected, not replayed.
+  // CRC protects against corruption, not crafted files: a delta whose
+  // touched count disagrees with its table or its bitmap must be
+  // rejected, not replayed. That holds for table and optimizer deltas.
   const DatasetSpec spec = proxy_spec(3, 8);
   DlrmModel model(spec, {}, 83);
   const std::string dir = test_dir("crafted");
@@ -496,47 +593,91 @@ TEST(Checkpoint, CraftedDeltaCountsRejected) {
   writer.save_full(dir + "/c0.dlck", make_model_state(model, 0));
   const std::uint64_t parent_id =
       inspect_checkpoint(dir + "/c0.dlck").header.checkpoint_id;
-
-  std::vector<std::byte> out;
-  CkptHeader header;
-  header.kind = CkptKind::kDelta;
-  header.checkpoint_id = 1;
-  header.parent_id = parent_id;
-  header.iteration = 1;
-  const std::size_t count_at = append_ckpt_header(out, header);
-
-  std::vector<std::byte> meta;
-  append_string(meta, "");                             // codec: raw
-  append_pod(meta, std::uint8_t{0});                   // opt kind
-  append_string(meta, "c0.dlck");                      // parent
-  append_pod(meta, std::uint32_t{3});                  // num tables
-  append_section(out, CkptSection::kMeta, 0, meta);
-
-  std::vector<std::byte> empty_mlp;
-  append_pod(empty_mlp, std::uint32_t{0});             // zero param views
-  append_section(out, CkptSection::kMlpBottom, 0, empty_mlp);
-  append_section(out, CkptSection::kMlpTop, 0, empty_mlp);
-
-  for (std::uint32_t t = 0; t < 3; ++t) {
-    const std::size_t rows = model.table(t).rows();
-    std::vector<std::byte> payload;
-    append_pod(payload, static_cast<std::uint64_t>(rows));
-    append_pod(payload, std::uint32_t{8});             // dim (2^3)
-    append_pod(payload, std::uint8_t{0});              // raw storage
-    append_pod(payload, 0.0);                          // eb
-    // touched * dim = 2^61 * 8 wraps to 0 in 64 bits.
-    append_pod(payload, std::uint64_t{1} << 61);
-    std::vector<std::byte> bitmap((rows + 7) / 8, std::byte{0});
-    bitmap[0] = std::byte{1};                          // one row "touched"
-    payload.insert(payload.end(), bitmap.begin(), bitmap.end());
-    append_pod(payload, std::uint64_t{0});             // empty row payload
-    append_section(out, CkptSection::kTableDelta, t, payload);
+  std::vector<std::uint64_t> rows;
+  for (std::size_t t = 0; t < model.num_tables(); ++t) {
+    rows.push_back(model.table(t).rows());
   }
-  patch_section_count(out, count_at, 6);
-  write_container(dir + "/crafted.dlck", out);
+  const std::string path = dir + "/crafted.dlck";
+  const auto load = [&] { return CheckpointReader().load(path); };
 
-  EXPECT_THROW((void)CheckpointReader().load(dir + "/crafted.dlck"),
+  // touched * dim = 2^61 * 8 wraps to 0 in 64 bits.
+  write_crafted_delta(path, "c0.dlck", parent_id, rows, 8,
+                      {std::uint64_t{1} << 61, {0}, 0});
+  EXPECT_THROW((void)load(), FormatError);
+  // Bitmap popcount above, then below, the touched count.
+  write_crafted_delta(path, "c0.dlck", parent_id, rows, 8, {1, {0, 1}, 1});
+  EXPECT_THROW((void)load(), FormatError);
+  write_crafted_delta(path, "c0.dlck", parent_id, rows, 8, {2, {0}, 2});
+  EXPECT_THROW((void)load(), FormatError);
+
+  // The same three faults in an optimizer delta.
+  const CraftedDelta one_row{1, {0}, 1};
+  const CraftedDelta bad_opt[] = {
+      {rows[0] + 1, {0}, rows[0] + 1}, {1, {0, 1}, 1}, {2, {0}, 2}};
+  for (const CraftedDelta& opt : bad_opt) {
+    write_crafted_delta(path, "c0.dlck", parent_id, rows, 8, one_row, &opt);
+    EXPECT_THROW((void)load(), FormatError) << "opt touched " << opt.touched;
+  }
+  // Control: consistent counts load, so the faults above are what the
+  // reader rejects.
+  write_crafted_delta(path, "c0.dlck", parent_id, rows, 8, one_row, &one_row);
+  const LoadedCheckpoint good = load();
+  ASSERT_EQ(good.tables[0].opt_state.size(), rows[0] * 8);
+  EXPECT_EQ(good.tables[0].values[0], 0.0f);
+
+  // A table of 2^64 - 1 rows and dim 0 has no values, but its bitmap's
+  // byte count wraps to 0; a delta on it claiming every row touched must
+  // not walk that empty bitmap.
+  const std::uint64_t huge = ~std::uint64_t{0};
+  write_crafted(dir + "/huge0.dlck", [&](SectionWriter& w) {
+    put_crafted_head(w, CkptKind::kFull, 7, 0, "", 4, 1);
+    w.begin(CkptSection::kTableFull, 0);
+    w.put(huge);
+    w.put(std::uint32_t{0});                          // dim
+    w.put(std::uint8_t{0});                           // raw storage
+    w.put(0.0);                                       // eb
+    w.put(std::uint64_t{0});                          // no values
+    w.end();
+  });
+  write_crafted_delta(dir + "/huge1.dlck", "huge0.dlck", 7, {huge}, 0,
+                      {huge, {}, 0});
+  EXPECT_THROW((void)CheckpointReader().load(dir + "/huge0.dlck"),
                FormatError);
+  EXPECT_THROW((void)CheckpointReader().load(dir + "/huge1.dlck"),
+               FormatError);
+}
+
+TEST(Checkpoint, FullDiskWriteThrowsAndKeepsTheChain) {
+  // A write the disk cannot take must end in an Error, and leave the
+  // writer's chain at the last container that did reach the disk. The
+  // containers are a few hundred bytes: an ofstream keeps that much in
+  // its buffer, so /dev/full refuses the bytes only when it is closed.
+  if (!std::filesystem::exists("/dev/full")) GTEST_SKIP() << "no /dev/full";
+  Rng rng(89);
+  const std::size_t dims[] = {2, 2};
+  Mlp bottom(dims, rng);
+  Mlp top(dims, rng);
+  Matrix table(16, 4);
+  for (std::size_t i = 0; i < table.size(); ++i) table.flat()[i] = 0.25f * i;
+  ModelState state;
+  state.bottom = &bottom;
+  state.top = &top;
+  state.tables = {&table};
+  const std::string dir = test_dir("disk_full");
+  CheckpointWriter writer({});
+
+  EXPECT_THROW(writer.save_full("/dev/full", state), Error);
+  writer.save_full(dir + "/c0.dlck", state);
+  ASSERT_LT(std::filesystem::file_size(dir + "/c0.dlck"), 1024u);
+  table.flat()[5] += 1.0f;
+  state.iteration = 1;
+  EXPECT_THROW(writer.save_delta("/dev/full", state), Error);
+  writer.save_delta(dir + "/c1.dlck", state);
+
+  const LoadedCheckpoint loaded = CheckpointReader().load(dir + "/c1.dlck");
+  EXPECT_EQ(loaded.chain_length, 2u);
+  ASSERT_EQ(loaded.tables.size(), 1u);
+  EXPECT_EQ(max_abs_diff(table.flat(), loaded.tables[0].values), 0.0);
 }
 
 TEST(Checkpoint, DeltaWithoutBaselineThrows) {

@@ -1,12 +1,18 @@
-// Tests for the stream format, byte IO and table printer utilities.
+// Tests for the stream format, byte IO, CRC-32, whole-file writes and
+// table printer utilities.
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <vector>
 
 #include "common/byte_io.hpp"
+#include "common/crc32.hpp"
+#include "common/file_io.hpp"
+#include "common/rng.hpp"
 #include "common/table_printer.hpp"
 #include "compress/format.hpp"
+#include "support/reference_crc32.hpp"
 
 namespace dlcomp {
 namespace {
@@ -174,6 +180,77 @@ TEST(ByteIo, TakeAndSkip) {
   EXPECT_EQ(slice[1], std::byte{0x77});
   EXPECT_EQ(reader.remaining(), 2u);
   EXPECT_THROW(reader.take(3), FormatError);
+}
+
+TEST(ByteIo, WriterMeasuresThenFillsInPlace) {
+  const auto emit = [](ByteWriter& w) {
+    w.put(std::uint32_t{0xDEADBEEF});
+    w.put_bytes(std::vector<std::byte>(3, std::byte{0x5A}));
+    w.fill(2, [](std::span<std::byte> dst) { dst[1] = std::byte{0x77}; });
+    w.put(double{3.5});
+  };
+  ByteWriter measure;
+  emit(measure);
+  ASSERT_EQ(measure.position(), 4u + 3u + 2u + 8u);
+
+  std::vector<std::byte> buffer(2 + measure.position());
+  ByteWriter w(buffer, 2);
+  emit(w);
+  EXPECT_EQ(w.position(), buffer.size());
+  ByteReader reader(buffer);
+  reader.skip(2);
+  EXPECT_EQ(reader.read<std::uint32_t>(), 0xDEADBEEFu);
+  EXPECT_EQ(reader.take(3)[2], std::byte{0x5A});
+  EXPECT_EQ(reader.take(2)[1], std::byte{0x77});
+  EXPECT_DOUBLE_EQ(reader.read<double>(), 3.5);
+  // Overrunning the pre-sized span is a bug, not a format error.
+  EXPECT_THROW(w.put(std::uint8_t{1}), Error);
+}
+
+TEST(Crc32, SlicingBy8MatchesTheByteLoop) {
+  std::vector<std::byte> data(3 * 1024 * 1024 + 13);
+  Rng rng(2024);
+  for (auto& b : data) b = static_cast<std::byte>(rng.next_u64());
+  const auto reference = [](std::span<const std::byte> bytes) {
+    return crc32_final(reference::crc32_update(crc32_init(), bytes));
+  };
+  EXPECT_EQ(crc32(std::as_bytes(std::span<const char>("123456789", 9))),
+            0xCBF43926u);  // the standard check value
+  // Every short length from every start offset modulo 8 (unaligned).
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t length = 0; length <= 64; ++length) {
+      const auto bytes = std::span<const std::byte>(data).subspan(start, length);
+      EXPECT_EQ(crc32(bytes), reference(bytes))
+          << "start " << start << " length " << length;
+    }
+  }
+  // Large, unaligned.
+  const auto large = std::span<const std::byte>(data).subspan(3);
+  EXPECT_EQ(crc32(large), reference(large));
+  // Incremental updates split anywhere give the one-shot value.
+  const auto part = std::span<const std::byte>(data).first(4099);
+  for (const std::size_t split : {0, 1, 7, 8, 9, 63, 64, 1000, 4098, 4099}) {
+    const std::uint32_t state =
+        crc32_update(crc32_update(crc32_init(), part.first(split)),
+                     part.subspan(split));
+    EXPECT_EQ(crc32_final(state), reference(part)) << "split " << split;
+  }
+}
+
+TEST(FileIo, WritesWholeFilesAndReportsAFullDisk) {
+  const auto path =
+      (std::filesystem::temp_directory_path() / "dlcomp_write_file.txt")
+          .string();
+  write_file(path, std::string_view("first, longer content"));
+  write_file(path, std::string_view("second"));
+  EXPECT_EQ(std::filesystem::file_size(path), 6u);
+  std::filesystem::remove(path);
+  EXPECT_THROW(write_file("/nonexistent-dir/x", std::string_view("x")), Error);
+  // /dev/full accepts the open and the buffered write; the bytes fail to
+  // land only when the stream is flushed at close.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_THROW(write_file("/dev/full", std::string_view("x")), Error);
+  }
 }
 
 TEST(TablePrinterTest, AlignsColumns) {

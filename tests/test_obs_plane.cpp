@@ -153,6 +153,10 @@ TEST(Manifest, SaveLoadRoundTrip) {
   EXPECT_EQ(loaded.created, "2026-08-07T00:00:00Z");
   EXPECT_EQ(loaded.config.at("--iterations"), "40");
   EXPECT_EQ(metrics, saved.metrics);
+  // A disk that takes no bytes fails the save, not silently.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_THROW(saved.save("/dev/full"), Error);
+  }
 }
 
 TEST(Manifest, LoadsChromeTraceAggregated) {

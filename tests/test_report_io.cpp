@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 
 #include "core/offline_analyzer.hpp"
 #include "core/report_io.hpp"
@@ -79,6 +80,10 @@ TEST(ReportIo, FileRoundTrip) {
   EXPECT_EQ(back.tables.size(), 3u);
   std::remove(path.c_str());
   EXPECT_THROW(load_plan("/no/such/dir/plan.txt"), Error);
+  // A disk that takes no bytes fails the save, not silently.
+  if (std::filesystem::exists("/dev/full")) {
+    EXPECT_THROW(save_plan("/dev/full", sample_plan()), Error);
+  }
 }
 
 TEST(ReportIo, EndToEndFromAnalyzer) {
