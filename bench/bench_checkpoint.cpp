@@ -4,7 +4,8 @@
 //   - checkpoint size, table compression ratio and the wall time of warm
 //     save_full, save_delta and load calls for error-bounded codecs at
 //     several bounds (median and p10/p90 over a few repeats, after an
-//     untimed warm-up of each call),
+//     untimed warm-up of each call), and of the first delta after each
+//     full snapshot, which also decodes the writer's deferred shadow,
 //   - delta vs full snapshot size over a training run (touched-row
 //     encoding exploits the Zipf query skew: most rows never move
 //     between saves).
@@ -123,7 +124,8 @@ int main(int argc, char** argv) {
   const std::size_t reps = bench::scaled(7, 9);
   std::printf("warm timings over %zu calls each: median (p10-p90)\n", reps);
   TablePrinter table({"codec", "eb", "file MB", "table CR", "save MB/s",
-                      "save ms", "delta ms", "load ms", "max err"});
+                      "save ms", "delta ms", "1st delta ms", "load ms",
+                      "max err"});
   MetricsSnapshot all_metrics;
   for (const auto& config : configs) {
     CheckpointOptions options;
@@ -147,12 +149,21 @@ int main(int argc, char** argv) {
       loaded = CheckpointReader(&pool).load(path);
     });
     // The first delta after a full snapshot also decodes the writer's
-    // shadow; it is the delta warm-up.
+    // shadow; it is the warm-up of the steady deltas timed next.
     writer.save_delta(delta_path, next);
     const std::vector<float> delta_s =
         time_reps(reps, [&](std::size_t rep) {
           writer.save_delta(delta_path, rep % 2 == 0 ? state : next);
         });
+    // The first delta after each full snapshot, timed on its own: every
+    // delta of a run that alternates full and delta saves is one.
+    std::vector<float> first_delta_s;
+    for (std::size_t rep = 0; rep < reps; ++rep) {
+      writer.save_full(path, state);  // untimed
+      first_delta_s.push_back(time_reps(1, [&](std::size_t) {
+        writer.save_delta(delta_path, next);
+      })[0]);
+    }
 
     double max_err = 0.0;
     for (std::size_t t = 0; t < loaded.tables.size(); ++t) {
@@ -172,6 +183,7 @@ int main(int argc, char** argv) {
                         static_cast<double>(info.table_stored_bytes));
     set_spread(all_metrics, key + "/save_s", save_s);
     set_spread(all_metrics, key + "/delta_s", delta_s);
+    set_spread(all_metrics, key + "/first_delta_s", first_delta_s);
     set_spread(all_metrics, key + "/load_s", load_s);
     all_metrics.set(key + "/max_err", max_err);
     table.add_row(
@@ -181,7 +193,8 @@ int main(int argc, char** argv) {
                                static_cast<double>(info.table_stored_bytes),
                            2),
          TablePrinter::num(mbps(raw_table_bytes, percentile(save_s, 50)), 1),
-         ms_spread(save_s), ms_spread(delta_s), ms_spread(load_s),
+         ms_spread(save_s), ms_spread(delta_s), ms_spread(first_delta_s),
+         ms_spread(load_s),
          TablePrinter::num(max_err, 6)});
   }
   std::printf("%s\n", table.to_string().c_str());

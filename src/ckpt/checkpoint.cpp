@@ -437,10 +437,10 @@ void CheckpointWriter::check_shapes(const ModelState& state) const {
 }
 
 template <typename Tables>
-std::vector<std::byte> CheckpointWriter::write_image(const std::string& path,
-                                                     CkptKind kind,
-                                                     const ModelState& state,
-                                                     const Tables& tables) {
+CheckpointWriter::Image CheckpointWriter::write_image(const std::string& path,
+                                                      CkptKind kind,
+                                                      const ModelState& state,
+                                                      const Tables& tables) {
   const std::size_t num_tables = state.tables.size();
   CkptHeader header;
   header.kind = kind;
@@ -467,19 +467,23 @@ std::vector<std::byte> CheckpointWriter::write_image(const std::string& path,
     tables(measure, t);
     table_at[t + 1] = measure.position();
   }
+  // Each part must end where the measuring pass said: the tables are
+  // framed concurrently, so any drift would overwrite a neighbour.
   std::vector<std::byte> image(table_at.back());
   SectionWriter w(image);
   head(w);
+  DLCOMP_CHECK(w.position() == table_at[0]);
   for_each_table(options_.pool, num_tables, [&](std::size_t t) {
     SectionWriter part(image, table_at[t]);
     tables(part, t);
+    DLCOMP_CHECK(part.position() == table_at[t + 1]);
   });
   write_file(path, image);
 
   last_id_ = header.checkpoint_id;
   last_file_ = std::filesystem::path(path).filename().string();
   ++saves_;
-  return image;
+  return {std::move(image), std::move(table_at)};
 }
 
 void CheckpointWriter::put_table_head(SectionWriter& w, CkptSection type,
@@ -522,7 +526,7 @@ void CheckpointWriter::save_full(const std::string& path,
   }
   engine_->compress_run();
 
-  std::vector<std::byte> image = write_image(
+  Image image = write_image(
       path, CkptKind::kFull, state, [&](SectionWriter& w, std::size_t t) {
         const Matrix& weights = *state.tables[t];
         put_table_head(w, CkptSection::kTableFull, t, weights, slots[t]);
@@ -539,14 +543,18 @@ void CheckpointWriter::save_full(const std::string& path,
 }
 
 void CheckpointWriter::materialize_shadow() {
-  if (pending_image_.empty()) return;
-  const RawContainer raw = parse_container(pending_image_);
+  if (pending_image_.bytes.empty()) return;
+  // The image is this writer's own, so table t's two sections are read
+  // straight from their offset: no container walk, CRC or MLP copy.
+  const std::span<const std::byte> image(pending_image_.bytes);
+  const std::vector<std::size_t>& table_at = pending_image_.table_at;
   std::vector<std::span<const std::byte>> streams(shadow_.size());
   for_each_table(options_.pool, shadow_.size(), [&](std::size_t t) {
-    const TableSection table = parse_table_section(raw.table_sections[t]);
+    ByteReader reader(image.subspan(table_at[t], table_at[t + 1] - table_at[t]));
+    const TableSection table = parse_table_section(read_framed_section(reader));
     shadow_[t].resize(table.rows, table.dim);
     streams[t] = table.stream;
-    const TableSection opt = parse_table_section(raw.opt_sections[t]);
+    const TableSection opt = parse_table_section(read_framed_section(reader));
     if (!opt.present) return;
     shadow_opt_[t].resize(opt.rows, opt.dim);
     std::memcpy(shadow_opt_[t].data(), opt.stream.data(), opt.stream.size());
@@ -558,7 +566,7 @@ void CheckpointWriter::materialize_shadow() {
     if (!streams[t].empty()) engine_->add_stream(streams[t], shadow_[t].flat());
   }
   engine_->decompress_run();
-  pending_image_ = std::vector<std::byte>();  // frees the image
+  pending_image_ = Image();  // frees the image
 }
 
 void CheckpointWriter::save_delta(const std::string& path,

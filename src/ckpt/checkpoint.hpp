@@ -131,6 +131,13 @@ class CheckpointWriter {
                                             std::size_t dim) const noexcept;
   void check_shapes(const ModelState& state) const;
 
+  /// A container image and where each table's two sections start in it
+  /// (one offset per table, then the image size).
+  struct Image {
+    std::vector<std::byte> bytes;
+    std::vector<std::size_t> table_at;
+  };
+
   /// Writes the next container of `kind` to `path`: the file header,
   /// meta and MLP sections, then tables(w, t) for each table's two
   /// sections. A measuring pass lays the image out; then every table is
@@ -138,9 +145,8 @@ class CheckpointWriter {
   /// task. Once the file is written it becomes the next delta's parent.
   /// Returns the image.
   template <typename Tables>
-  std::vector<std::byte> write_image(const std::string& path, CkptKind kind,
-                                     const ModelState& state,
-                                     const Tables& tables);
+  Image write_image(const std::string& path, CkptKind kind,
+                    const ModelState& state, const Tables& tables);
   /// Opens table t's section: shape, storage byte (1 for a codec stream,
   /// 0 for raw float32 or no `slot`) and error bound.
   void put_table_head(SectionWriter& w, CkptSection type, std::size_t t,
@@ -164,7 +170,7 @@ class CheckpointWriter {
   /// decodes the table streams (and copies the optimizer state) out of
   /// it if a save_delta follows, so one-shot full snapshots pay no
   /// decompress round-trip and hold no second copy of the model state.
-  std::vector<std::byte> pending_image_;
+  Image pending_image_;
 
   /// Blocked parallel codec batches (see chunked.hpp): every table's
   /// encode — split into blocks when large — runs as one flat task list,

@@ -68,7 +68,7 @@ void SectionWriter::end() {
   patch.put(crc32(payload));
 }
 
-SectionView read_section(ByteReader& reader) {
+SectionView read_framed_section(ByteReader& reader) {
   SectionView section;
   const auto type = reader.read<std::uint8_t>();
   if (type < static_cast<std::uint8_t>(CkptSection::kMeta) ||
@@ -78,12 +78,17 @@ SectionView read_section(ByteReader& reader) {
   section.type = static_cast<CkptSection>(type);
   section.id = reader.read<std::uint32_t>();
   const auto payload_bytes = reader.read<std::uint64_t>();
-  const auto stored_crc = reader.read<std::uint32_t>();
+  section.crc = reader.read<std::uint32_t>();
   section.payload = reader.take(payload_bytes);
-  if (crc32(section.payload) != stored_crc) {
+  return section;
+}
+
+SectionView read_section(ByteReader& reader) {
+  const SectionView section = read_framed_section(reader);
+  if (crc32(section.payload) != section.crc) {
     throw FormatError("checkpoint section CRC mismatch (type " +
-                      std::to_string(type) + ", id " +
-                      std::to_string(section.id) + ")");
+                      std::to_string(static_cast<int>(section.type)) +
+                      ", id " + std::to_string(section.id) + ")");
   }
   return section;
 }

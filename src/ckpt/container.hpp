@@ -94,11 +94,16 @@ struct SectionView {
   CkptSection type{};
   std::uint32_t id = 0;
   std::span<const std::byte> payload;
+  std::uint32_t crc = 0;  ///< as stored
 };
 
 /// Reads the next section and verifies its CRC; throws FormatError on
 /// truncation or checksum mismatch.
 SectionView read_section(ByteReader& reader);
+
+/// read_section without the CRC check, for an image this process has
+/// just framed itself (the checkpoint writer's deferred shadow).
+SectionView read_framed_section(ByteReader& reader);
 
 /// Reads a SectionWriter::put_string string; throws FormatError if the
 /// stored length overruns the buffer.

@@ -4,8 +4,10 @@
 /// Whole-file writes that report a full disk. An ofstream buffers its
 /// bytes, so a write that cannot reach the disk (ENOSPC, /dev/full) often
 /// fails only when the buffer is flushed at close(); checking the stream
-/// before closing it passes silently. Every whole-file writer goes
-/// through write_file, which closes first and then checks.
+/// before closing it passes silently. write_file closes first and then
+/// checks; the checkpoint, plan, manifest and shard writers and the
+/// dlcomp CLI's output files (compress, decompress, --history-out) go
+/// through it.
 
 #include <cstddef>
 #include <span>

@@ -172,6 +172,13 @@ TEST_F(CliTest, RoundTripEveryCodecWithinBound) {
   }
   // A dim the u16 header field cannot hold is refused, not truncated.
   EXPECT_EQ(run("compress cusz-like 0.01 65537 in.f32 s.dlcp").code, 1);
+  // A full disk is a runtime error: the buffered stream meets it only
+  // when it is flushed at close.
+  if (fs::exists("/dev/full")) {
+    const Outcome full = run("compress hybrid 0.05 16 in.f32 /dev/full");
+    EXPECT_EQ(full.code, 1) << full.output;
+    EXPECT_NE(full.output.find("/dev/full"), std::string::npos) << full.output;
+  }
 }
 
 TEST_F(CliTest, DataConvertRefusesWidthsBeyondShardHeader) {

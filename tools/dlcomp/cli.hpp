@@ -30,7 +30,6 @@ extern const Command kCompress, kDecompress, kInspect, kAnalyze, kCodecs,
     kDataConvert, kDataInspect, kDataStats;
 
 std::vector<std::byte> read_file(const std::string& path);
-void write_file(const std::string& path, std::span<const std::byte> data);
 
 /// kaggle | terabyte (tables capped at `rows`) | small.
 DatasetSpec spec_by_name(const std::string& which, std::size_t rows = 20000);

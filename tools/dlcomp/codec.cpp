@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "cli.hpp"
+#include "common/file_io.hpp"
 #include "compress/format.hpp"
 #include "compress/registry.hpp"
 #include "core/offline_analyzer.hpp"

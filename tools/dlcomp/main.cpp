@@ -28,14 +28,6 @@ std::vector<std::byte> read_file(const std::string& path) {
   return data;
 }
 
-void write_file(const std::string& path, std::span<const std::byte> data) {
-  std::ofstream os(path, std::ios::binary);
-  if (!os.good()) throw Error("cannot open for writing: " + path);
-  os.write(reinterpret_cast<const char*>(data.data()),
-           static_cast<std::streamsize>(data.size()));
-  if (!os.good()) throw Error("write failed: " + path);
-}
-
 DatasetSpec spec_by_name(const std::string& which, std::size_t rows) {
   if (which == "kaggle") return DatasetSpec::criteo_kaggle_like(rows);
   if (which == "terabyte") return DatasetSpec::criteo_terabyte_like(rows);

@@ -3,9 +3,8 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
-#include <fstream>
-
 #include "cli.hpp"
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/net.hpp"
 #include "core/trainer.hpp"
@@ -62,9 +61,7 @@ void write_history_json(const std::string& path, const TrainerConfig& config,
          {"forward_cr", rec.forward_cr}, {"eb_scale", rec.eb_scale}}));
   }
   doc.set("history", std::move(history));
-  std::ofstream os(path);
-  os << doc.dump(2) << "\n";
-  if (!os.good()) throw Error("cannot write: " + path);
+  write_file(path, doc.dump(2) + "\n");
 }
 
 /// Runs one training process (the whole cluster under sim; one rank of
