@@ -8,13 +8,12 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <iostream>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "common/error.hpp"
+#include "common/file_io.hpp"
 #include "common/json.hpp"
 #include "common/rng.hpp"
 #include "obs/metrics.hpp"
@@ -109,24 +108,20 @@ inline std::string with_paper(double measured, const std::string& paper,
 /// `--metrics <path>` support shared by the bench binaries. A `.json`
 /// path gets a flat name->value JSON object that `dlcomp obs diff`
 /// consumes directly; anything else gets sorted "name value" lines.
-/// No-op when `path` is empty.
+/// Written through write_file, so a full disk fails the bench. No-op
+/// when `path` is empty.
 inline void dump_metrics(const std::string& path,
                          const MetricsSnapshot& snapshot) {
   if (path.empty()) return;
-  std::ofstream os(path);
-  if (!os.good()) {
-    throw Error("bench: cannot open metrics output: " + path);
-  }
   if (path.size() >= 5 && path.compare(path.size() - 5, 5, ".json") == 0) {
     JsonValue doc = JsonValue::object();
     for (const auto& [name, value] : snapshot.values) {
       doc.set(name, JsonValue(value));
     }
-    os << doc.dump(2) << '\n';
+    write_file(path, doc.dump(2) + '\n');
   } else {
-    os << snapshot.to_text();
+    write_file(path, snapshot.to_text());
   }
-  if (!os.good()) throw Error("bench: metrics write failed: " + path);
   std::cout << "metrics written to " << path << " ("
             << snapshot.values.size() << " keys)\n";
 }

@@ -5,9 +5,11 @@
 /// bytes, so a write that cannot reach the disk (ENOSPC, /dev/full) often
 /// fails only when the buffer is flushed at close(); checking the stream
 /// before closing it passes silently. write_file closes first and then
-/// checks; the checkpoint, plan, manifest and shard writers and the
-/// dlcomp CLI's output files (compress, decompress, --history-out) go
-/// through it.
+/// checks; the checkpoint, plan, manifest and shard writers, the dlcomp
+/// CLI's output files (compress, decompress, --history-out) and the
+/// benches' --metrics dumps go through it. bench_report --history appends
+/// instead, and closes its stream before checking it for the same
+/// reason.
 
 #include <cstddef>
 #include <span>

@@ -3,11 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
-#include <cstring>
-#include <limits>
 
 #include "common/bitstream.hpp"
 #include "common/error.hpp"
+#include "compress/elementwise_kernel.hpp"
 #include "compress/gaussian_kernel.hpp"
 #include "compress/kernels_dispatch.hpp"
 #include "obs/metrics.hpp"
@@ -17,7 +16,6 @@ namespace dlcomp::kernels {
 namespace {
 
 using detail::round_code;
-using detail::round_code_checked;
 
 /// Throws the overflow error for an input `codes_in_range` rejected. The
 /// message's extrema come from a serial pass (NaNs hide from std::min and
@@ -44,9 +42,9 @@ using detail::round_code_checked;
   throw Error("quantization range check disagrees with its error report");
 }
 
-/// The quantize loops' up-front range check: one per-ISA sweep (min/max
-/// plus an unordered-compare NaN mask) instead of the reference's
-/// per-element branch, so the loops themselves stay branch-free.
+/// The quantize loops' up-front range check: one per-ISA sweep for the
+/// extrema and any NaN instead of the reference's per-element branch, so
+/// the loops themselves stay branch-free.
 void check_code_range(const detail::KernelOps& ops,
                       std::span<const float> input, double inv, double eb) {
   if (!ops.codes_in_range(input.data(), input.size(), inv)) [[unlikely]] {
@@ -61,85 +59,8 @@ void accumulate(std::span<const std::uint32_t> symbols,
 }
 
 // ---------------------------------------------------------------------
-// Scalar inner loops (the dispatch baseline). These are the loops the CI
-// vectorization report check compiles standalone: keep them branch-free
-// so gcc's "loop vectorized" remark stays greppable.
-
-/// Maps float bits to an int32 whose signed order is the float order
-/// (negatives flip their magnitude bits); its own inverse. Integer
-/// min/max vectorizes where float compares that must honor NaN do not.
-inline std::int32_t float_order_key(std::int32_t bits) noexcept {
-  return bits ^ ((bits >> 31) & 0x7FFFFFFF);
-}
-
-inline float float_from_order_key(std::int32_t key) noexcept {
-  const std::int32_t bits = float_order_key(key);
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-/// codes_in_range over sign-ordered integer keys; NaNs are the bit
-/// patterns above +inf once the sign is cleared.
-bool scalar_codes_in_range(const float* in, std::size_t n, double inv) {
-  std::int32_t lo = std::numeric_limits<std::int32_t>::max();
-  std::int32_t hi = std::numeric_limits<std::int32_t>::min();
-  std::int32_t nan = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::int32_t bits;
-    std::memcpy(&bits, in + i, sizeof(bits));
-    const std::int32_t key = float_order_key(bits);
-    lo = std::min(lo, key);
-    hi = std::max(hi, key);
-    nan |= static_cast<std::int32_t>((bits & 0x7FFFFFFF) > 0x7F800000);
-  }
-  return nan == 0 && detail::extrema_fit_codes(float_from_order_key(lo),
-                                               float_from_order_key(hi), inv);
-}
-
-void scalar_quantize_symbols(const float* in, std::size_t n, double inv,
-                             std::uint32_t* sym) {
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::int32_t code =
-        round_code_checked(static_cast<double>(in[i]) * inv);
-    sym[i] = zigzag_encode32(code);
-  }
-}
-
-void scalar_quantize_codes(const float* in, std::size_t n, double inv,
-                           std::int32_t* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = round_code_checked(static_cast<double>(in[i]) * inv);
-  }
-}
-
-std::uint32_t scalar_max_zigzag(const std::int32_t* codes, std::size_t n) {
-  std::uint32_t max_symbol = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    max_symbol = std::max(max_symbol, zigzag_encode32(codes[i]));
-  }
-  return max_symbol;
-}
-
-void scalar_zigzag(const std::int32_t* codes, std::size_t n,
-                   std::uint32_t* sym) {
-  for (std::size_t i = 0; i < n; ++i) sym[i] = zigzag_encode32(codes[i]);
-}
-
-void scalar_dequantize_codes(const std::int32_t* in, std::size_t n,
-                             double step, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<float>(static_cast<double>(in[i]) * step);
-  }
-}
-
-void scalar_dequantize_symbols(const std::uint32_t* in, std::size_t n,
-                               double step, float* out) {
-  for (std::size_t i = 0; i < n; ++i) {
-    out[i] = static_cast<float>(
-        static_cast<double>(zigzag_decode32(in[i])) * step);
-  }
-}
+// Scalar Lorenzo loops (the dispatch baseline; the element-wise loops
+// come from elementwise_kernel.hpp).
 
 void scalar_lorenzo_encode(const float* in, std::size_t n, std::size_t dim,
                            double step, float* rc, std::uint32_t* sym) {
@@ -283,12 +204,12 @@ namespace detail {
 
 const KernelOps& scalar_ops() noexcept {
   static constexpr KernelOps table = {
-      &scalar_codes_in_range,
-      &scalar_quantize_symbols, &scalar_quantize_codes,
-      &scalar_max_zigzag,       &scalar_zigzag,
-      &scalar_dequantize_codes, &scalar_dequantize_symbols,
+      &codes_in_range_loop,
+      &quantize_symbols_loop,   &quantize_codes_loop,
+      &max_zigzag_loop,         &zigzag_loop,
+      &dequantize_codes_loop,   &dequantize_symbols_loop,
       &scalar_lorenzo_encode,   &scalar_lorenzo_decode,
-      &detail::normal_candidates_loop,
+      &normal_candidates_loop,
   };
   return table;
 }

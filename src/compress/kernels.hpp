@@ -18,8 +18,8 @@
 ///
 /// Design rules (see DESIGN.md "Codec hot path"):
 ///  - the int32-range check is hoisted to one up-front sweep per call, a
-///    per-ISA kernel (min/max plus an unordered-compare NaN mask), so the
-///    per-element loops are branch-free and auto-vectorizable at -O3
+///    per-ISA kernel (extrema plus a NaN test), so the per-element loops
+///    are branch-free and auto-vectorizable at -O3
 ///    (build with -DDLCOMP_VEC_REPORT=ON to get the compiler's
 ///    vectorization report for these files);
 ///  - boundary handling (first row / first column / short tail row) is

@@ -1,10 +1,17 @@
 /// \file kernels_avx512.cpp
-/// AVX-512 builds of the element-wise codec loops (16 floats per
-/// iteration; requires F+BW+DQ+VL, which cpu_best() checks as a unit).
-/// Compiled with the -mavx512* flags and -ffp-contract=off so no
-/// mul/add pair can fuse into an FMA — see kernels_avx2.cpp for the
-/// full byte-identity argument; the same reasoning applies lane-wise
-/// here since every conversion and arithmetic op is IEEE-exact.
+/// The AVX-512 tier's kernel table (requires F+BW+DQ+VL, which
+/// cpu_best() checks as a unit). Compiled with the -mavx512* flags,
+/// -fno-math-errno and -ffp-contract=off so no mul/add pair can fuse into
+/// an FMA; see kernels_avx2.cpp for the byte-identity argument.
+///
+/// The element-wise loops (elementwise_kernel.hpp) and the Box-Muller
+/// transform (gaussian_kernel.hpp) are the shared sources, vectorized by
+/// gcc to 64-byte vectors; CI's vectorization report check pins that
+/// width. In the paired microbench kernels_avx2.cpp describes, each
+/// shared loop ran within 5% of the intrinsics it replaced or faster,
+/// except `codes_in_range`: the float min/max sweep below, with its
+/// unordered-compare NaN mask, takes 5.9 us where the shared integer-key
+/// loop takes 10.0 us, so it stays.
 ///
 /// The Lorenzo passes are gather/scatter-bound, not lane-bound: four
 /// staggered rows already hide the dependent-chain latency and wider
@@ -21,47 +28,17 @@
 #include <algorithm>
 #include <cstdint>
 
-#include "common/bitstream.hpp"
+#include "compress/elementwise_kernel.hpp"
 #include "compress/gaussian_kernel.hpp"
 
 namespace dlcomp::kernels::detail {
 
 namespace {
 
-inline __m512i zigzag16(__m512i c) noexcept {
-  return _mm512_xor_si512(_mm512_slli_epi32(c, 1), _mm512_srai_epi32(c, 31));
-}
-
-/// t + copysign(0.5, t) on 8 lanes.
-inline __m512d bias_half_away(__m512d t) noexcept {
-  const __m512d sign = _mm512_set1_pd(-0.0);
-  const __m512d half = _mm512_set1_pd(0.5);
-  return _mm512_add_pd(t, _mm512_or_pd(_mm512_and_pd(t, sign), half));
-}
-
-/// round(in[i] * inv) for 16 range-checked floats.
-inline __m512i quantize16(__m512 vf, __m512d vinv) noexcept {
-  const __m512d lo = bias_half_away(_mm512_mul_pd(
-      _mm512_cvtps_pd(_mm512_castps512_ps256(vf)), vinv));
-  const __m512d hi = bias_half_away(_mm512_mul_pd(
-      _mm512_cvtps_pd(_mm512_extractf32x8_ps(vf, 1)), vinv));
-  return _mm512_inserti32x8(
-      _mm512_castsi256_si512(_mm512_cvttpd_epi32(lo)),
-      _mm512_cvttpd_epi32(hi), 1);
-}
-
-/// float(c[i] * step) for 16 int32 codes.
-inline __m512 dequantize16(__m512i c, __m512d vstep) noexcept {
-  const __m256 lo = _mm512_cvtpd_ps(_mm512_mul_pd(
-      _mm512_cvtepi32_pd(_mm512_castsi512_si256(c)), vstep));
-  const __m256 hi = _mm512_cvtpd_ps(_mm512_mul_pd(
-      _mm512_cvtepi32_pd(_mm512_extracti32x8_epi32(c, 1)), vstep));
-  return _mm512_insertf32x8(_mm512_castps256_ps512(lo), hi, 1);
-}
-
-/// min/max sweep plus an unordered-compare NaN mask, 16 lanes at a time;
-/// see avx2_codes_in_range for why the lane order cannot change the
-/// decision.
+/// min/max sweep plus an unordered-compare NaN mask, 16 lanes at a time.
+/// Lane minima of NaN-free data equal the serial minimum in value (only
+/// the sign of a zero may differ, which no product can tell apart), so
+/// the decision matches the shared integer-key loop.
 bool avx512_codes_in_range(const float* in, std::size_t n, double inv) {
   float lo = in[0];
   float hi = in[0];
@@ -98,87 +75,6 @@ bool avx512_codes_in_range(const float* in, std::size_t n, double inv) {
   return !nan && extrema_fit_codes(lo, hi, inv);
 }
 
-void avx512_quantize_symbols(const float* in, std::size_t n, double inv,
-                             std::uint32_t* sym) {
-  const __m512d vinv = _mm512_set1_pd(inv);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i codes = quantize16(_mm512_loadu_ps(in + i), vinv);
-    _mm512_storeu_si512(sym + i, zigzag16(codes));
-  }
-  for (; i < n; ++i) {
-    sym[i] = zigzag_encode32(
-        round_code_checked(static_cast<double>(in[i]) * inv));
-  }
-}
-
-void avx512_quantize_codes(const float* in, std::size_t n, double inv,
-                           std::int32_t* out) {
-  const __m512d vinv = _mm512_set1_pd(inv);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_si512(out + i, quantize16(_mm512_loadu_ps(in + i), vinv));
-  }
-  for (; i < n; ++i) {
-    out[i] = round_code_checked(static_cast<double>(in[i]) * inv);
-  }
-}
-
-std::uint32_t avx512_max_zigzag(const std::int32_t* codes, std::size_t n) {
-  __m512i vmax = _mm512_setzero_si512();
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i c = _mm512_loadu_si512(codes + i);
-    vmax = _mm512_max_epu32(vmax, zigzag16(c));
-  }
-  std::uint32_t max_symbol = _mm512_reduce_max_epu32(vmax);
-  for (; i < n; ++i) {
-    max_symbol = std::max(max_symbol, zigzag_encode32(codes[i]));
-  }
-  return max_symbol;
-}
-
-void avx512_zigzag(const std::int32_t* codes, std::size_t n,
-                   std::uint32_t* sym) {
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_si512(sym + i, zigzag16(_mm512_loadu_si512(codes + i)));
-  }
-  for (; i < n; ++i) sym[i] = zigzag_encode32(codes[i]);
-}
-
-void avx512_dequantize_codes(const std::int32_t* in, std::size_t n,
-                             double step, float* out) {
-  const __m512d vstep = _mm512_set1_pd(step);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    _mm512_storeu_ps(out + i,
-                     dequantize16(_mm512_loadu_si512(in + i), vstep));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<float>(static_cast<double>(in[i]) * step);
-  }
-}
-
-void avx512_dequantize_symbols(const std::uint32_t* in, std::size_t n,
-                               double step, float* out) {
-  const __m512d vstep = _mm512_set1_pd(step);
-  const __m512i vone = _mm512_set1_epi32(1);
-  std::size_t i = 0;
-  for (; i + 16 <= n; i += 16) {
-    const __m512i s = _mm512_loadu_si512(in + i);
-    // un-zigzag: (s >> 1) ^ -(s & 1)
-    const __m512i c = _mm512_xor_si512(
-        _mm512_srli_epi32(s, 1),
-        _mm512_sub_epi32(_mm512_setzero_si512(), _mm512_and_si512(s, vone)));
-    _mm512_storeu_ps(out + i, dequantize16(c, vstep));
-  }
-  for (; i < n; ++i) {
-    out[i] = static_cast<float>(
-        static_cast<double>(zigzag_decode32(in[i])) * step);
-  }
-}
-
 void avx512_lorenzo_encode(const float* in, std::size_t n, std::size_t dim,
                            double step, float* rc, std::uint32_t* sym) {
   const KernelOps* o = avx2_ops();
@@ -198,9 +94,9 @@ void avx512_lorenzo_decode(const std::uint32_t* sym, std::size_t n,
 const KernelOps* avx512_ops() noexcept {
   static constexpr KernelOps table = {
       &avx512_codes_in_range,
-      &avx512_quantize_symbols, &avx512_quantize_codes,
-      &avx512_max_zigzag,       &avx512_zigzag,
-      &avx512_dequantize_codes, &avx512_dequantize_symbols,
+      &quantize_symbols_loop,   &quantize_codes_loop,
+      &max_zigzag_loop,         &zigzag_loop,
+      &dequantize_codes_loop,   &dequantize_symbols_loop,
       &avx512_lorenzo_encode,   &avx512_lorenzo_decode,
       &normal_candidates_loop,
   };

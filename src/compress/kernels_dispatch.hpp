@@ -2,14 +2,23 @@
 
 /// \file kernels_dispatch.hpp
 /// Internal contract between kernels.cpp (argument validation, error
-/// reporting, histogram accumulation, dispatch) and the per-ISA loop
-/// implementations (kernels.cpp scalar, kernels_avx2.cpp,
-/// kernels_avx512.cpp). Each entry is a branch-free inner loop over
-/// pre-validated data: the public wrappers have already rejected empty /
-/// mismatched spans, checked eb > 0, and (for the quantize loops) proven
-/// through the tier's own `codes_in_range` that every scaled value fits
-/// an int32 code, so implementations may use packed truncating
-/// conversions without per-element guards.
+/// reporting, histogram accumulation, dispatch) and the per-ISA tables
+/// (kernels.cpp scalar, kernels_avx2.cpp, kernels_avx512.cpp). Each entry
+/// is a branch-free inner loop over pre-validated data: the public
+/// wrappers have already rejected empty / mismatched spans, checked
+/// eb > 0, and (for the quantize loops) proven through the tier's own
+/// `codes_in_range` that every scaled value fits an int32 code, so
+/// implementations may use packed truncating conversions without
+/// per-element guards.
+///
+/// Most entries have one source. The element-wise loops live in
+/// elementwise_kernel.hpp and the Box-Muller transform in
+/// gaussian_kernel.hpp; every tier compiles them with its own target
+/// flags and lets gcc vectorize them. A loop stays hand-written only
+/// where a paired microbench shows the intrinsics faster than the shared
+/// source at that tier (DESIGN.md "Parallel framing and SIMD dispatch"):
+/// AVX2's staggered Lorenzo pair, which AVX-512 forwards to, and
+/// AVX-512's float `codes_in_range`.
 ///
 /// Byte-identity contract: every codec implementation must reproduce the
 /// scalar loops' per-element arithmetic exactly — double products and
@@ -20,6 +29,7 @@
 /// the test-only oracle tests/support/reference_kernels.hpp on edge
 /// shapes and random sweeps.
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -27,6 +37,12 @@
 #include "compress/simd.hpp"
 
 namespace dlcomp::kernels::detail {
+
+// The rounding and range helpers run inside every tier's loops, so they
+// have internal linkage like the shared loop headers: each TU keeps its
+// own copy, compiled with its own target flags, even in an unoptimized
+// build that does not inline them.
+namespace {
 
 /// Round-half-away-from-zero, clamped into int64 so the cast stays
 /// defined on garbage residuals (inf/NaN → deterministic values). Used
@@ -42,9 +58,12 @@ inline std::int32_t round_code(double t) noexcept {
 }
 
 /// Same rounding for values already proven inside the int32 code range:
-/// the narrow cast maps to a packed double→int32 conversion.
+/// the narrow cast maps to a packed double→int32 conversion, and the sign
+/// bit of `t` selects the bias without a compare (a blend the vectorizer
+/// would otherwise emit). It differs from round_code's bias only at
+/// t == -0.0, where both give code 0.
 inline std::int32_t round_code_checked(double t) noexcept {
-  return static_cast<std::int32_t>(t + (t >= 0.0 ? 0.5 : -0.5));
+  return static_cast<std::int32_t>(t + std::copysign(0.5, t));
 }
 
 /// The quantize loops' precondition over the input extrema: scaled values
@@ -59,6 +78,8 @@ inline bool extrema_fit_codes(float lo, float hi, double inv) noexcept {
   return static_cast<double>(lo) * inv >= kMin &&
          static_cast<double>(hi) * inv <= kMax;
 }
+
+}  // namespace
 
 /// One ISA tier's inner loops. All pointers are non-null and n > 0
 /// unless stated; `inv` is 1/(2*eb), `step` is 2*eb.
@@ -100,8 +121,7 @@ struct KernelOps {
                             double* value, double* radius);
 };
 
-/// Always available; lives in kernels.cpp (the auto-vectorized loops CI's
-/// gcc report check pins).
+/// Always available; lives in kernels.cpp.
 [[nodiscard]] const KernelOps& scalar_ops() noexcept;
 
 /// Per-ISA tables; nullptr when the variant was not compiled in (non-x86

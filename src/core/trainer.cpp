@@ -16,7 +16,7 @@
 #include "common/timer.hpp"
 #include "compress/registry.hpp"
 #include "dlrm/interaction.hpp"
-#include "obs/obs_server.hpp"
+#include "obs/log.hpp"
 #include "obs/trace.hpp"
 
 namespace dlcomp {
@@ -391,12 +391,6 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
   // Rank 0's per-iteration wall times.
   LatencyRecorder iter_wall;
 
-  if (config_.status != nullptr) {
-    config_.status->set_total_iterations(config_.iterations);
-    config_.status->set_state("training");
-    config_.status->set_ready(true);
-  }
-
   // Rank 0's held-out eval: the model's MLPs (rank 0's replicas) over
   // its tables, which sync_tables_for_eval makes owner-current first.
   const auto evaluate = [&] {
@@ -683,15 +677,6 @@ TrainingResult HybridParallelTrainer::train(const BatchSource& dataset) {
             rec.eb_scale = eb_scale;
             if (eval_now) rec.eval_accuracy = evaluate().accuracy;
             result.history.push_back(rec);
-          }
-          if (config_.status != nullptr) {
-            const double elapsed = wall.seconds();
-            const double samples_per_s =
-                elapsed > 0.0 ? static_cast<double>(
-                                    (iter + 1 - start_iter) * global_batch) /
-                                    elapsed
-                              : 0.0;
-            config_.status->heartbeat(iter + 1, samples_per_s);
           }
           if (save_now) {
             char name[32];

@@ -34,8 +34,6 @@
 
 namespace dlcomp {
 
-class StatusBoard;
-
 /// What to compress and how hard.
 struct CompressionPolicy {
   /// Registry codec name; empty string disables compression entirely.
@@ -153,11 +151,6 @@ struct TrainerConfig {
   /// Evaluate on held-out batches every N iterations (0 = final only).
   std::size_t eval_every = 0;
   std::size_t eval_batches = 8;
-
-  /// Optional live-progress board (may stay null; must outlive train()).
-  /// Rank 0 heartbeats iteration and samples/s at every record point, so
-  /// a /status scrape of a long run shows progress instead of silence.
-  StatusBoard* status = nullptr;
 };
 
 struct IterationRecord {

@@ -330,47 +330,64 @@ TEST(LorenzoDifferential, FusedMatchesReferenceBitExactly) {
 // ----------------------------------------------------------- SIMD dispatch
 
 TEST(SimdDifferential, QuantizeEdgeShapesMatchReference) {
+  auto check = [](const std::vector<float>& input, double eb,
+                  const std::string& what) {
+    const std::size_t n = input.size();
+    std::vector<std::int32_t> ref_codes(n);
+    reference::quantize(input, eb, ref_codes);
+
+    std::vector<std::int32_t> codes(n);
+    const std::uint64_t max_symbol =
+        kernels::quantize_to_codes(input, eb, codes);
+    ASSERT_EQ(codes, ref_codes) << what;
+    std::uint64_t want_max = 0;
+    for (const auto c : ref_codes) {
+      want_max = std::max(want_max, zigzag_encode(c));
+    }
+    ASSERT_EQ(max_symbol, want_max) << what;
+
+    SymbolHistogram hist;
+    std::vector<std::uint32_t> symbols(n);
+    kernels::quantize_to_symbols(input, eb, symbols, &hist);
+    for (std::size_t i = 0; i < n; ++i) {
+      ASSERT_EQ(symbols[i],
+                static_cast<std::uint32_t>(zigzag_encode(ref_codes[i])))
+          << what << " i=" << i;
+    }
+
+    std::vector<float> ref_out(n);
+    reference::dequantize(ref_codes, eb, ref_out);
+    std::vector<float> out(n);
+    kernels::dequantize_codes(codes, eb, out);
+    ASSERT_EQ(std::memcmp(out.data(), ref_out.data(), n * sizeof(float)), 0)
+        << what;
+    kernels::dequantize_symbols(symbols, eb, out);
+    ASSERT_EQ(std::memcmp(out.data(), ref_out.data(), n * sizeof(float)), 0)
+        << what;
+  };
+
+  // Exact ties and signed zeros: with eb 0.5 the step is 1.0, so k + 0.5
+  // must round away from zero on every lane. The five-value cycle is
+  // coprime with 16, so over five 16-lane blocks each value lands on
+  // every lane position, and the odd tail runs the remainder loop on
+  // them too.
+  std::vector<float> ties(5 * 16 + 7);
+  for (std::size_t i = 0; i < ties.size(); ++i) {
+    const float k = static_cast<float>(i / 5);
+    const float cycle[] = {k + 0.5f, -(k + 0.5f), 0.0f, -0.0f, -0.5f};
+    ties[i] = cycle[i % 5];
+  }
+
   // Sizes straddle the 8- and 16-lane boundaries so every vector tail
   // path runs at least once under each tier.
   const std::size_t sizes[] = {1, 7, 8, 9, 15, 16, 17, 31, 33, 1000, 4097};
   for_each_available_isa([&](simd::Isa isa) {
+    const std::string tier(simd::isa_name(isa));
     for (const std::size_t n : sizes) {
-      const auto input = random_input(n, 7000 + n, 0.3f);
-      const double eb = 0.01;
-      std::vector<std::int32_t> ref_codes(n);
-      reference::quantize(input, eb, ref_codes);
-
-      std::vector<std::int32_t> codes(n);
-      const std::uint64_t max_symbol =
-          kernels::quantize_to_codes(input, eb, codes);
-      ASSERT_EQ(codes, ref_codes) << simd::isa_name(isa) << " n=" << n;
-      std::uint64_t want_max = 0;
-      for (const auto c : ref_codes) {
-        want_max = std::max(want_max, zigzag_encode(c));
-      }
-      ASSERT_EQ(max_symbol, want_max) << simd::isa_name(isa) << " n=" << n;
-
-      SymbolHistogram hist;
-      std::vector<std::uint32_t> symbols(n);
-      kernels::quantize_to_symbols(input, eb, symbols, &hist);
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(symbols[i],
-                  static_cast<std::uint32_t>(zigzag_encode(ref_codes[i])))
-            << simd::isa_name(isa) << " n=" << n << " i=" << i;
-      }
-
-      std::vector<float> ref_out(n);
-      reference::dequantize(ref_codes, eb, ref_out);
-      std::vector<float> out(n);
-      kernels::dequantize_codes(codes, eb, out);
-      ASSERT_EQ(std::memcmp(out.data(), ref_out.data(), n * sizeof(float)),
-                0)
-          << simd::isa_name(isa) << " n=" << n;
-      kernels::dequantize_symbols(symbols, eb, out);
-      ASSERT_EQ(std::memcmp(out.data(), ref_out.data(), n * sizeof(float)),
-                0)
-          << simd::isa_name(isa) << " n=" << n;
+      check(random_input(n, 7000 + n, 0.3f), 0.01,
+            tier + " n=" + std::to_string(n));
     }
+    check(ties, 0.5, tier + " ties");
   });
 }
 

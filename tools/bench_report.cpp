@@ -698,6 +698,7 @@ int main(int argc, char** argv) {
       const std::string history_path = args.str("--history");
       std::ofstream history(history_path, std::ios::app);
       history << manifest.to_json() << '\n';
+      history.close();  // flush first: a full disk often shows only here
       if (!history) throw Error("cannot append to '" + history_path + "'");
       std::cout << "appended 1 line to " << history_path << "\n";
     }
