@@ -58,18 +58,4 @@ void CuszLikeCompressor::do_decompress(const StreamHeader& header,
                                 header.effective_error_bound, out);
 }
 
-std::vector<std::int32_t> CuszLikeCompressor::prediction_codes(
-    std::span<const float> input, const CompressParams& params) {
-  const double eb = resolve_error_bound(input, params);
-  CompressionWorkspace& ws = thread_local_workspace();
-  const auto symbols = ws.symbols(input.size());
-  kernels::lorenzo_encode_fused(input, params.vector_dim, eb,
-                                ws.recon(input.size()), symbols, nullptr);
-  std::vector<std::int32_t> codes(input.size());
-  for (std::size_t i = 0; i < codes.size(); ++i) {
-    codes[i] = zigzag_decode32(symbols[i]);
-  }
-  return codes;
-}
-
 }  // namespace dlcomp

@@ -29,11 +29,6 @@ class CuszLikeCompressor final : public Compressor {
   }
   [[nodiscard]] bool lossy() const noexcept override { return true; }
 
-  /// Residual quantization codes for a buffer (diagnostic used by tests
-  /// and the Table I "false prediction" characterization).
-  static std::vector<std::int32_t> prediction_codes(
-      std::span<const float> input, const CompressParams& params);
-
  private:
   void do_compress(std::span<const float> input, const CompressParams& params,
                    std::vector<std::byte>& out,

@@ -18,13 +18,10 @@
 /// Vectorization only changes the order of the integer min/max
 /// reductions, which are associative.
 
-#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstring>
-#include <limits>
 
-#include "common/bitstream.hpp"
 #include "compress/kernels_dispatch.hpp"
 
 namespace dlcomp::kernels::detail {
@@ -48,15 +45,15 @@ inline float float_from_order_key(std::int32_t key) noexcept {
 /// patterns above +inf once the sign is cleared.
 inline bool codes_in_range_loop(const float* in, std::size_t n,
                                 double inv) {
-  std::int32_t lo = std::numeric_limits<std::int32_t>::max();
-  std::int32_t hi = std::numeric_limits<std::int32_t>::min();
+  std::int32_t lo = kInt32Max;
+  std::int32_t hi = kInt32Min;
   std::int32_t nan = 0;
   for (std::size_t i = 0; i < n; ++i) {
     std::int32_t bits;
     std::memcpy(&bits, in + i, sizeof(bits));
     const std::int32_t key = float_order_key(bits);
-    lo = std::min(lo, key);
-    hi = std::max(hi, key);
+    lo = lane_min(lo, key);
+    hi = lane_max(hi, key);
     nan |= static_cast<std::int32_t>((bits & 0x7FFFFFFF) > 0x7F800000);
   }
   return nan == 0 && extrema_fit_codes(float_from_order_key(lo),
@@ -66,8 +63,7 @@ inline bool codes_in_range_loop(const float* in, std::size_t n,
 inline void quantize_symbols_loop(const float* in, std::size_t n,
                                   double inv, std::uint32_t* sym) {
   for (std::size_t i = 0; i < n; ++i) {
-    sym[i] = zigzag_encode32(
-        round_code_checked(static_cast<double>(in[i]) * inv));
+    sym[i] = zigzag32(round_code_checked(static_cast<double>(in[i]) * inv));
   }
 }
 
@@ -82,14 +78,14 @@ inline std::uint32_t max_zigzag_loop(const std::int32_t* codes,
                                      std::size_t n) {
   std::uint32_t max_symbol = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    max_symbol = std::max(max_symbol, zigzag_encode32(codes[i]));
+    max_symbol = lane_max(max_symbol, zigzag32(codes[i]));
   }
   return max_symbol;
 }
 
 inline void zigzag_loop(const std::int32_t* codes, std::size_t n,
                         std::uint32_t* sym) {
-  for (std::size_t i = 0; i < n; ++i) sym[i] = zigzag_encode32(codes[i]);
+  for (std::size_t i = 0; i < n; ++i) sym[i] = zigzag32(codes[i]);
 }
 
 inline void dequantize_codes_loop(const std::int32_t* in, std::size_t n,
@@ -103,7 +99,7 @@ inline void dequantize_symbols_loop(const std::uint32_t* in, std::size_t n,
                                     double step, float* out) {
   for (std::size_t i = 0; i < n; ++i) {
     out[i] = static_cast<float>(
-        static_cast<double>(zigzag_decode32(in[i])) * step);
+        static_cast<double>(unzigzag32(in[i])) * step);
   }
 }
 

@@ -26,7 +26,6 @@
 /// (the observed error stays below E/16), and the fallback fires for
 /// about 2 in 10^5 values.
 
-#include <bit>
 #include <cmath>
 #include <cstddef>
 #include <cstdint>
@@ -53,15 +52,16 @@ inline double gaussian_log(double x) noexcept {
   // ops so the loop stays free of control flow: adding 0x95f64 to the top
   // mantissa bits carries into the exponent exactly when m >= ~sqrt(2),
   // and that carry both halves m and bumps the exponent k.
-  const std::uint64_t bits = std::bit_cast<std::uint64_t>(x);
+  const std::uint64_t bits = __builtin_bit_cast(std::uint64_t, x);
   const std::uint64_t mant = bits & 0x000FFFFFFFFFFFFFULL;
   const std::uint64_t carry = (mant + (0x95f64ULL << 32)) & (1ULL << 52);
   const double m =
-      std::bit_cast<double>(mant | (carry ^ 0x3FF0000000000000ULL));
+      __builtin_bit_cast(double, mant | (carry ^ 0x3FF0000000000000ULL));
   // k as an exact double: (2^52 + e) - (2^52 + 1023).
   const std::uint64_t biased_k = (bits >> 52) + (carry >> 52);
-  const double k = std::bit_cast<double>(0x4330000000000000ULL + biased_k) -
-                   (0x1p52 + 1023.0);
+  const double k =
+      __builtin_bit_cast(double, 0x4330000000000000ULL + biased_k) -
+      (0x1p52 + 1023.0);
   const double f = m - 1.0;
   const double s = f / (2.0 + f);
   const double z = s * s;
@@ -126,14 +126,16 @@ inline void normal_candidates_block(
     // and so is its difference with angle (Sterbenz); the second part
     // carries its own rounding error into the third.
     const double biased = angle * kInvPio2 + kRound;
-    const std::uint64_t quadrant = std::bit_cast<std::uint64_t>(biased);
+    const std::uint64_t quadrant = __builtin_bit_cast(std::uint64_t, biased);
     const double q = biased - kRound;
     const double t = angle - q * kPio2_1;
     const double w = q * kPio2_2;
     const double hi = t - w;
     const double y = hi - (q * kPio2_2t - ((t - hi) - w));
-    const std::uint64_t sy = std::bit_cast<std::uint64_t>(gaussian_sin(y));
-    const std::uint64_t cy = std::bit_cast<std::uint64_t>(gaussian_cos(y));
+    const std::uint64_t sy =
+        __builtin_bit_cast(std::uint64_t, gaussian_sin(y));
+    const std::uint64_t cy =
+        __builtin_bit_cast(std::uint64_t, gaussian_cos(y));
     // Odd quadrants swap sin and cos; cos(angle) is negative in quadrants
     // 1 and 2, sin(angle) in 2 and 3. Bit selects and sign flips keep the
     // loop free of control flow.
@@ -142,8 +144,8 @@ inline void normal_candidates_block(
         ((sy & swap) | (cy & ~swap)) ^ (((quadrant + 1) & 2) << 62);
     const std::uint64_t s =
         ((cy & swap) | (sy & ~swap)) ^ ((quadrant & 2) << 62);
-    const double pc = stddev * (r * std::bit_cast<double>(c));
-    const double ps = stddev * (r * std::bit_cast<double>(s));
+    const double pc = stddev * (r * __builtin_bit_cast(double, c));
+    const double ps = stddev * (r * __builtin_bit_cast(double, s));
     cos_value[i] = mean + pc;
     sin_value[i] = mean + ps;
     cos_radius[i] = kNormalRadius * (mean_abs + std::fabs(pc));

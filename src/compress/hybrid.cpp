@@ -43,40 +43,25 @@ void HybridCompressor::do_compress(std::span<const float> input,
   HybridChoice choice = params.hybrid_choice;
   if (choice == HybridChoice::kAuto && !input.empty()) {
     // No offline decision available: pick the smaller stream (the online
-    // fallback), sharing one quantization pass between both candidates.
-    // Both sizes are exact without encoding either: vector-LZ's from one
-    // match scan (whose tokens the workspace keeps), Huffman's from the
-    // histogram (payload bits = sum length x frequency, plus the
-    // canonical table). Only the winner is written, so stream bytes are
-    // identical to encoding both and keeping the smaller (ties go to
-    // vector-LZ).
+    // fallback), sharing one quantization pass between both candidates
+    // and sizing both exactly without encoding either. Only the winner
+    // is written, so stream bytes are identical to encoding both and
+    // keeping the smaller (ties go to vector-LZ).
     const double eb = header.effective_error_bound;
-    const auto codes = ws.codes(input.size());
-    const std::uint64_t max_symbol =
-        kernels::quantize_to_codes(input, eb, codes);
-    const auto symbols = ws.symbols(input.size());
-    kernels::codes_to_symbols(codes, symbols, &ws.histogram());
-
-    const std::size_t lz_size =
-        vector_lz_codec().plan(codes, max_symbol, params, ws);
-
-    HuffmanCodec& codec = ws.huffman();
-    codec.build_from_histogram_in_place(ws.histogram());
-    const std::size_t huff_size =
-        StreamHeader::kBytes + codec.serialized_table_bytes() +
-        (codec.build_payload_bits() + 7) / 8;
-
-    choice = lz_size <= huff_size ? HybridChoice::kVectorLz
-                                  : HybridChoice::kHuffman;
+    const HybridSizing sized = size_candidates(input, eb, params, ws);
+    choice = sized.vector_lz_bytes <= sized.huffman_bytes
+                 ? HybridChoice::kVectorLz
+                 : HybridChoice::kHuffman;
     out.push_back(static_cast<std::byte>(choice));
     if (choice == HybridChoice::kVectorLz) {
       const std::size_t lz_start = out.size();
-      vector_lz_codec().write_planned(codes, eb, max_symbol, params, out, ws);
-      DLCOMP_CHECK(out.size() - lz_start == lz_size);
+      vector_lz_codec().write_planned(sized.codes, eb, sized.max_symbol,
+                                      params, out, ws);
+      DLCOMP_CHECK(out.size() - lz_start == sized.vector_lz_bytes);
     } else {
       huffman_codec().compress_with_symbols(input.size(), eb, params,
-                                            symbols, ws.histogram(), out, ws,
-                                            /*rebuild_codec=*/false);
+                                            sized.symbols, ws.histogram(),
+                                            out, ws, /*rebuild_codec=*/false);
     }
   } else if (choice == HybridChoice::kAuto) {
     // Empty input: both candidates are bare headers of equal size, so the
@@ -114,6 +99,32 @@ void HybridCompressor::do_decompress(const StreamHeader& /*header*/,
     default:
       throw FormatError("unknown hybrid selector");
   }
+}
+
+HybridSizing HybridCompressor::size_candidates(std::span<const float> input,
+                                               double eb,
+                                               const CompressParams& params,
+                                               CompressionWorkspace& ws) {
+  DLCOMP_CHECK(!input.empty());
+  HybridSizing sized;
+  const auto codes = ws.codes(input.size());
+  sized.max_symbol = kernels::quantize_to_codes(input, eb, codes);
+  const auto symbols = ws.symbols(input.size());
+  kernels::codes_to_symbols(codes, symbols, &ws.histogram());
+  sized.codes = codes;
+  sized.symbols = symbols;
+
+  const VectorLzCompressor::Plan plan =
+      vector_lz_codec().plan(codes, sized.max_symbol, params, ws);
+  sized.vector_lz_bytes = plan.stream_bytes;
+  sized.lz_matches = plan.matches;
+
+  HuffmanCodec& codec = ws.huffman();
+  codec.build_from_histogram_in_place(ws.histogram());
+  sized.huffman_bytes = StreamHeader::kBytes +
+                        codec.serialized_table_bytes() +
+                        (codec.build_payload_bits() + 7) / 8;
+  return sized;
 }
 
 HybridChoice HybridCompressor::stream_choice(std::span<const std::byte> stream) {

@@ -13,6 +13,17 @@
 
 namespace dlcomp {
 
+/// The hybrid's two candidate streams for one input, sized without
+/// writing either (HybridCompressor::size_candidates).
+struct HybridSizing {
+  std::span<const std::int32_t> codes;     ///< quantization codes, in ws
+  std::span<const std::uint32_t> symbols;  ///< their zigzag symbols, in ws
+  std::uint64_t max_symbol = 0;            ///< largest symbol
+  std::size_t vector_lz_bytes = 0;  ///< exact vector-LZ stream size
+  std::size_t huffman_bytes = 0;    ///< exact Huffman stream size
+  std::size_t lz_matches = 0;       ///< vectors vector-LZ back-references
+};
+
 class HybridCompressor final : public Compressor {
  public:
   [[nodiscard]] std::string_view name() const noexcept override {
@@ -25,6 +36,19 @@ class HybridCompressor final : public Compressor {
 
   /// Which inner codec a compressed stream used (diagnostic).
   static HybridChoice stream_choice(std::span<const std::byte> stream);
+
+  /// Quantizes non-empty `input` once under the resolved bound `eb` and
+  /// returns the exact sizes of the streams the vector-LZ and Huffman
+  /// codecs would write for it, without encoding either: vector-LZ's from
+  /// one match scan, Huffman's from the histogram (payload bits = sum of
+  /// length x frequency, plus the canonical table). `ws` keeps what a
+  /// writer needs next: the codes and symbols, vector-LZ's tokens
+  /// (write_planned), and the histogram with ws.huffman() built from it
+  /// (compress_with_symbols, rebuild_codec=false). Used by kAuto and by
+  /// the offline selector (core/selector.hpp).
+  static HybridSizing size_candidates(std::span<const float> input, double eb,
+                                      const CompressParams& params,
+                                      CompressionWorkspace& ws);
 
  private:
   void do_compress(std::span<const float> input, const CompressParams& params,

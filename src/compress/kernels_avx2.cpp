@@ -36,11 +36,8 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
-#include <limits>
 
-#include "common/bitstream.hpp"
 #include "compress/elementwise_kernel.hpp"
 #include "compress/gaussian_kernel.hpp"
 
@@ -81,7 +78,7 @@ struct EncodeCtx {
   inline void emit(std::size_t idx, double pred) const {
     const double residual = static_cast<double>(in[idx]) - pred;
     const std::int32_t code = round_code(residual / step);
-    sym[idx] = zigzag_encode32(code);
+    sym[idx] = zigzag32(code);
     rc[idx] = static_cast<float>(pred + static_cast<double>(code) * step);
   }
   inline void emit_mid(std::size_t base, std::size_t c) const {
@@ -99,7 +96,7 @@ void avx2_lorenzo_encode(const float* in, std::size_t n, std::size_t dim,
                          double step, float* rc, std::uint32_t* sym) {
   // Gathers index with int32; tiny rows have no steady-state region.
   if (dim < 8 || n <= 4 * dim ||
-      n > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+      n > static_cast<std::size_t>(kInt32Max)) {
     scalar_ops().lorenzo_encode(in, n, dim, step, rc, sym);
     return;
   }
@@ -189,7 +186,7 @@ void avx2_lorenzo_encode(const float* in, std::size_t n, std::size_t dim,
   // Leftover rows (quad remainder, short tail): one at a time.
   for (; r < rows; ++r) {
     const std::size_t base = r * dim;
-    const std::size_t len = std::min(dim, n - base);
+    const std::size_t len = lane_min(dim, n - base);
     ctx.emit_row_start(base);
     for (std::size_t c = 1; c < len; ++c) ctx.emit_mid(base, c);
   }
@@ -203,7 +200,7 @@ struct DecodeCtx {
 
   inline void value(std::size_t idx, double pred) const {
     out[idx] = static_cast<float>(
-        pred + static_cast<double>(zigzag_decode32(sym[idx])) * step);
+        pred + static_cast<double>(unzigzag32(sym[idx])) * step);
   }
   inline void value_mid(std::size_t base, std::size_t c) const {
     const double pred = static_cast<double>(out[base + c - 1]) +
@@ -219,7 +216,7 @@ struct DecodeCtx {
 void avx2_lorenzo_decode(const std::uint32_t* sym, std::size_t n,
                          std::size_t dim, double step, float* out) {
   if (dim < 8 || n <= 4 * dim ||
-      n > static_cast<std::size_t>(std::numeric_limits<std::int32_t>::max())) {
+      n > static_cast<std::size_t>(kInt32Max)) {
     scalar_ops().lorenzo_decode(sym, n, dim, step, out);
     return;
   }
@@ -286,7 +283,7 @@ void avx2_lorenzo_decode(const std::uint32_t* sym, std::size_t n,
 
   for (; r < rows; ++r) {
     const std::size_t base = r * dim;
-    const std::size_t len = std::min(dim, n - base);
+    const std::size_t len = lane_min(dim, n - base);
     ctx.value_row_start(base);
     for (std::size_t c = 1; c < len; ++c) ctx.value_mid(base, c);
   }

@@ -25,7 +25,6 @@
 
 #include <immintrin.h>
 
-#include <algorithm>
 #include <cstdint>
 
 #include "compress/elementwise_kernel.hpp"
@@ -61,15 +60,15 @@ bool avx512_codes_in_range(const float* in, std::size_t n, double inv) {
     lo = lanes_lo[0];
     hi = lanes_hi[0];
     for (int l = 1; l < 16; ++l) {
-      lo = std::min(lo, lanes_lo[l]);
-      hi = std::max(hi, lanes_hi[l]);
+      lo = lane_min(lo, lanes_lo[l]);
+      hi = lane_max(hi, lanes_hi[l]);
     }
   }
   bool nan = unordered != 0;
   for (; i < n; ++i) {
     const float v = in[i];
-    lo = std::min(lo, v);
-    hi = std::max(hi, v);
+    lo = lane_min(lo, v);
+    hi = lane_max(hi, v);
     nan |= v != v;
   }
   return !nan && extrema_fit_codes(lo, hi, inv);

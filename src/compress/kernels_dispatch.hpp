@@ -44,6 +44,35 @@ namespace dlcomp::kernels::detail {
 // build that does not inline them.
 namespace {
 
+// The tier TUs call nothing with external linkage: no std::min/max, no
+// std::bit_cast, no numeric_limits call, no header-inline zigzag. An
+// unoptimized build emits each of those as a weak symbol in VEX or EVEX
+// encoding, and the linker may keep that copy for the whole program.
+// CI compiles both tier TUs at -O0 and fails on any weak symbol.
+
+/// std::min / std::max by value, with their exact comparison semantics.
+template <typename T>
+inline T lane_min(T a, T b) noexcept {
+  return b < a ? b : a;
+}
+template <typename T>
+inline T lane_max(T a, T b) noexcept {
+  return a < b ? b : a;
+}
+
+/// zigzag_encode32 / zigzag_decode32 (common/bitstream.hpp).
+inline std::uint32_t zigzag32(std::int32_t v) noexcept {
+  return (static_cast<std::uint32_t>(v) << 1) ^
+         static_cast<std::uint32_t>(v >> 31);
+}
+inline std::int32_t unzigzag32(std::uint32_t v) noexcept {
+  return static_cast<std::int32_t>(v >> 1) ^
+         -static_cast<std::int32_t>(v & 1);
+}
+
+constexpr std::int32_t kInt32Min = std::numeric_limits<std::int32_t>::min();
+constexpr std::int32_t kInt32Max = std::numeric_limits<std::int32_t>::max();
+
 /// Round-half-away-from-zero, clamped into int64 so the cast stays
 /// defined on garbage residuals (inf/NaN → deterministic values). Used
 /// by the Lorenzo loops, whose residuals carry no up-front range check.
@@ -71,12 +100,8 @@ inline std::int32_t round_code_checked(double t) noexcept {
 /// code every element's product does. Shared by every `codes_in_range`
 /// so the tiers decide on the same double products.
 inline bool extrema_fit_codes(float lo, float hi, double inv) noexcept {
-  constexpr double kMin =
-      static_cast<double>(std::numeric_limits<std::int32_t>::min());
-  constexpr double kMax =
-      static_cast<double>(std::numeric_limits<std::int32_t>::max());
-  return static_cast<double>(lo) * inv >= kMin &&
-         static_cast<double>(hi) * inv <= kMax;
+  return static_cast<double>(lo) * inv >= static_cast<double>(kInt32Min) &&
+         static_cast<double>(hi) * inv <= static_cast<double>(kInt32Max);
 }
 
 }  // namespace

@@ -11,30 +11,44 @@ namespace dlcomp {
 
 namespace {
 
-/// FNV-1a over a run of bytes; good spread for vector dedup sets, but
-/// collisions must still be resolved by comparison (see
-/// count_unique_rows_bytes).
-std::uint64_t fnv1a_bytes(const void* data, std::size_t bytes) noexcept {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  for (std::size_t i = 0; i < bytes; ++i) {
-    h ^= p[i];
-    h *= 0x100000001B3ULL;
-  }
-  return h;
-}
-
 template <typename T>
 std::size_t count_unique_rows(std::span<const T> values, std::size_t dim) {
   DLCOMP_CHECK(dim > 0);
   const std::size_t rows = values.size() / dim;
   return detail::count_unique_rows_bytes(values.data(), dim * sizeof(T), rows,
-                                         &fnv1a_bytes);
+                                         &detail::hash_row_words);
 }
 
 }  // namespace
 
 namespace detail {
+
+std::uint64_t hash_row_words(const void* data, std::size_t bytes) noexcept {
+  // Multiply-xor per 8-byte word (a short tail is zero-extended), then
+  // a full avalanche so the low bits that pick a slot depend on every
+  // input bit. Collisions only cost a memcmp; counts stay exact.
+  constexpr std::uint64_t kMul = 0x9E3779B97F4A7C15ULL;
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t h = 0xCBF29CE484222325ULL ^ bytes;
+  std::size_t i = 0;
+  for (; i + 8 <= bytes; i += 8) {
+    std::uint64_t word;
+    std::memcpy(&word, p + i, 8);
+    h = (h ^ word) * kMul;
+    h ^= h >> 29;
+  }
+  if (i < bytes) {
+    std::uint64_t word = 0;
+    std::memcpy(&word, p + i, bytes - i);
+    h = (h ^ word) * kMul;
+  }
+  h ^= h >> 33;
+  h *= 0xFF51AFD7ED558CCDULL;
+  h ^= h >> 33;
+  h *= 0xC4CEB9FE1A85EC53ULL;
+  h ^= h >> 33;
+  return h;
+}
 
 std::size_t count_unique_rows_bytes(const void* data, std::size_t row_bytes,
                                     std::size_t rows, RowHashFn hash) {
@@ -94,6 +108,11 @@ std::vector<std::int32_t> quantize(std::span<const float> input, double eb) {
 std::size_t count_unique_vectors(std::span<const std::int32_t> codes,
                                  std::size_t dim) {
   return count_unique_rows(codes, dim);
+}
+
+std::size_t count_unique_vectors(std::span<const std::uint32_t> symbols,
+                                 std::size_t dim) {
+  return count_unique_rows(symbols, dim);
 }
 
 std::size_t count_unique_vectors(std::span<const float> values,

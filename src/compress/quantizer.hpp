@@ -33,6 +33,11 @@ std::vector<std::int32_t> quantize(std::span<const float> input, double eb);
 std::size_t count_unique_vectors(std::span<const std::int32_t> codes,
                                  std::size_t dim);
 
+/// Counts distinct vectors of zigzag symbols; equal to the count over the
+/// codes they encode (zigzag is a bijection).
+std::size_t count_unique_vectors(std::span<const std::uint32_t> symbols,
+                                 std::size_t dim);
+
 /// Counts distinct float vectors (original pattern counting).
 std::size_t count_unique_vectors(std::span<const float> values,
                                  std::size_t dim);
@@ -41,6 +46,9 @@ namespace detail {
 
 /// Row hash signature for count_unique_rows_bytes.
 using RowHashFn = std::uint64_t (*)(const void* data, std::size_t bytes);
+
+/// The row hash count_unique_vectors uses: 8 bytes per step, any length.
+std::uint64_t hash_row_words(const void* data, std::size_t bytes) noexcept;
 
 /// Collision-safe distinct-row count over a packed row-major buffer:
 /// rows whose hashes collide are compared byte-for-byte instead of being

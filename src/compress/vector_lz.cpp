@@ -26,38 +26,6 @@ bool codes_equal(const std::int32_t* a, const std::int32_t* b,
   return std::memcmp(a, b, dim * sizeof(std::int32_t)) == 0;
 }
 
-/// Walks the vector sequence finding matches; calls
-/// on_match(vector_index, distance) or on_literal(vector_index) per
-/// vector. Shared by the encoder and the match-statistics helper. The
-/// match table replaces the old per-call unordered_map (hash -> most
-/// recent position) with identical lookup semantics, so emitted token
-/// sequences are unchanged.
-template <typename OnMatch, typename OnLiteral>
-void scan_vectors(std::span<const std::int32_t> codes, std::size_t dim,
-                  std::size_t window_vectors, CompressionWorkspace& ws,
-                  OnMatch&& on_match, OnLiteral&& on_literal) {
-  const std::size_t vectors = codes.size() / dim;
-  MatchPositionTable& last_pos = ws.match_table();
-  if (last_pos.prepare(vectors)) ws.note_grow_event();
-
-  for (std::size_t v = 0; v < vectors; ++v) {
-    const std::int32_t* cur = codes.data() + v * dim;
-    const std::uint64_t h = hash_codes(cur, dim);
-    const std::size_t* candidate = last_pos.find(h);
-    bool matched = false;
-    if (candidate != nullptr) {
-      const std::size_t distance = v - *candidate;
-      if (distance <= window_vectors &&
-          codes_equal(cur, codes.data() + *candidate * dim, dim)) {
-        on_match(v, distance);
-        matched = true;
-      }
-    }
-    if (!matched) on_literal(v);
-    last_pos.put(h, v);  // most recent occurrence wins (shortest distances)
-  }
-}
-
 /// Scan token of a vector left as a literal; a match records its
 /// distance, which is at least 1.
 constexpr std::size_t kLiteralToken = 0;
@@ -101,24 +69,36 @@ void VectorLzCompressor::do_compress(std::span<const float> input,
   write_planned(codes, eb, max_symbol, params, out, ws);
 }
 
-std::size_t VectorLzCompressor::plan(std::span<const std::int32_t> codes,
-                                     std::uint64_t max_symbol,
-                                     const CompressParams& params,
-                                     CompressionWorkspace& ws) const {
+VectorLzCompressor::Plan VectorLzCompressor::plan(
+    std::span<const std::int32_t> codes, std::uint64_t max_symbol,
+    const CompressParams& params, CompressionWorkspace& ws) const {
   check_params(params);
-  if (codes.empty()) return StreamHeader::kBytes;
+  if (codes.empty()) return {StreamHeader::kBytes, 0};
 
+  // The match scan: each whole vector looks up its hash's most recent
+  // position; a hit within the window whose codes compare equal becomes
+  // a back-reference.
   const std::size_t dim = params.vector_dim;
   const std::size_t vectors = codes.size() / dim;
   const auto tokens = ws.lz_tokens(vectors);
+  MatchPositionTable& last_pos = ws.match_table();
+  if (last_pos.prepare(vectors)) ws.note_grow_event();
   std::size_t matches = 0;
-  scan_vectors(
-      codes, dim, params.lz_window_vectors, ws,
-      [&](std::size_t v, std::size_t distance) {
+  for (std::size_t v = 0; v < vectors; ++v) {
+    const std::int32_t* cur = codes.data() + v * dim;
+    const std::uint64_t h = hash_codes(cur, dim);
+    const std::size_t* candidate = last_pos.find(h);
+    tokens[v] = kLiteralToken;
+    if (candidate != nullptr) {
+      const std::size_t distance = v - *candidate;
+      if (distance <= params.lz_window_vectors &&
+          codes_equal(cur, codes.data() + *candidate * dim, dim)) {
         tokens[v] = distance;
         ++matches;
-      },
-      [&](std::size_t v) { tokens[v] = kLiteralToken; });
+      }
+    }
+    last_pos.put(h, v);  // most recent occurrence wins (shortest distances)
+  }
 
   // Payload bits exactly as write_planned emits them: a flag bit per
   // vector, then a distance or dim literals; tail elements are literals.
@@ -128,8 +108,9 @@ std::size_t VectorLzCompressor::plan(std::span<const std::int32_t> codes,
   const std::size_t bits = matches * (1 + distance_bits) +
                            (vectors - matches) * (1 + dim * literal_bits) +
                            (codes.size() - vectors * dim) * literal_bits;
-  return StreamHeader::kBytes + 1 + varint_bytes(params.lz_window_vectors) +
-         (bits + 7) / 8;
+  return {StreamHeader::kBytes + 1 + varint_bytes(params.lz_window_vectors) +
+              (bits + 7) / 8,
+          matches};
 }
 
 void VectorLzCompressor::write_planned(std::span<const std::int32_t> codes,
@@ -227,12 +208,8 @@ std::size_t VectorLzCompressor::count_matches(std::span<const float> input,
   const double eb = resolve_error_bound(input, params);
   CompressionWorkspace& ws = thread_local_workspace();
   const auto codes = ws.codes(input.size());
-  kernels::quantize_to_codes(input, eb, codes);
-  std::size_t matches = 0;
-  scan_vectors(
-      codes, params.vector_dim, params.lz_window_vectors, ws,
-      [&](std::size_t, std::size_t) { ++matches; }, [](std::size_t) {});
-  return matches;
+  const std::uint64_t max_symbol = kernels::quantize_to_codes(input, eb, codes);
+  return VectorLzCompressor().plan(codes, max_symbol, params, ws).matches;
 }
 
 }  // namespace dlcomp

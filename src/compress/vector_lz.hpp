@@ -30,14 +30,19 @@ class VectorLzCompressor final : public Compressor {
   }
   [[nodiscard]] bool lossy() const noexcept override { return true; }
 
+  /// What one match scan found.
+  struct Plan {
+    std::size_t stream_bytes = 0;  ///< exact size of the stream
+    std::size_t matches = 0;       ///< vectors encoded as back-references
+  };
+
   /// Hybrid fast path, step 1: for an input whose quantization codes and
   /// largest zigzag symbol are already known, runs the match scan once,
   /// records its tokens in `ws` and returns the exact size of the stream
-  /// write_planned() would write, so a caller can compare candidates
-  /// without encoding this one.
-  std::size_t plan(std::span<const std::int32_t> codes,
-                   std::uint64_t max_symbol, const CompressParams& params,
-                   CompressionWorkspace& ws) const;
+  /// write_planned() would write (and the matches behind it), so a caller
+  /// can compare candidates without encoding this one.
+  Plan plan(std::span<const std::int32_t> codes, std::uint64_t max_symbol,
+            const CompressParams& params, CompressionWorkspace& ws) const;
 
   /// Step 2: writes the complete vector-LZ stream for the codes the last
   /// plan() on `ws` scanned (quantized under `eb`), from its recorded
@@ -47,8 +52,8 @@ class VectorLzCompressor final : public Compressor {
                      std::vector<std::byte>& out,
                      CompressionWorkspace& ws) const;
 
-  /// Number of vector matches found in the last-compressed layout for a
-  /// given buffer (re-derived; helper for the Fig. 13 pattern analysis).
+  /// Number of vector matches compress() would encode for `input`: the
+  /// matches of plan() (helper for the Fig. 13 pattern analysis).
   static std::size_t count_matches(std::span<const float> input,
                                    const CompressParams& params);
 

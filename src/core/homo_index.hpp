@@ -14,6 +14,7 @@
 /// columns. See DESIGN.md.
 
 #include <cstddef>
+#include <cstdint>
 #include <span>
 
 namespace dlcomp {
@@ -29,5 +30,12 @@ struct HomoIndexResult {
 /// batch*dim floats) at absolute error bound `eb`.
 HomoIndexResult compute_homo_index(std::span<const float> values,
                                    std::size_t dim, double eb);
+
+/// The same index from a quantization already in hand: `symbols` are the
+/// zigzag quantization symbols of `values` at the bound
+/// (kernels::quantize_to_symbols), e.g. the prefix of a larger sample's.
+HomoIndexResult compute_homo_index(std::span<const float> values,
+                                   std::span<const std::uint32_t> symbols,
+                                   std::size_t dim);
 
 }  // namespace dlcomp

@@ -3,28 +3,51 @@
 #include <exception>
 #include <unordered_map>
 
+#include "common/bitstream.hpp"
 #include "common/error.hpp"
-#include "compress/cusz_like.hpp"
-#include "compress/quantizer.hpp"
-#include "compress/vector_lz.hpp"
+#include "compress/histogram.hpp"
+#include "compress/kernels.hpp"
+#include "compress/workspace.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace dlcomp {
 
-namespace {
+namespace detail {
 
-/// Shannon entropy (bits/symbol) of an int32 code sequence.
-double code_entropy_bits(std::span<const std::int32_t> codes) {
+double symbol_entropy_bits(std::span<const std::uint32_t> symbols) {
+  // Dense counts for the small symbols, a map for the rare large ones
+  // (as SymbolHistogram); the dense array is thread-local and cleared
+  // through the first-seen list, so a call costs O(distinct) beyond the
+  // counting pass.
+  constexpr std::uint32_t kDense = SymbolHistogram::kDenseLimit;
+  thread_local std::vector<std::uint64_t> dense(kDense, 0);
+  std::unordered_map<std::uint32_t, std::uint64_t> overflow;
+  std::vector<std::uint32_t> first_seen;
+  for (const std::uint32_t s : symbols) {
+    if (s < kDense) {
+      if (dense[s]++ == 0) first_seen.push_back(s);
+    } else if (overflow[s]++ == 0) {
+      first_seen.push_back(s);
+    }
+  }
+
+  // entropy_bits sums in the order of a map filled code by code; the
+  // same distinct codes inserted in first-seen order build the same map,
+  // so the sum, and its bits, are the ones counting into it gave.
   std::unordered_map<std::int32_t, std::uint64_t> histogram;
   histogram.reserve(1024);
-  for (const auto c : codes) ++histogram[c];
+  for (const std::uint32_t s : first_seen) {
+    std::uint64_t& count = s < kDense ? dense[s] : overflow[s];
+    histogram.emplace(zigzag_decode32(s), count);
+    count = 0;
+  }
   std::vector<std::uint64_t> freqs;
   freqs.reserve(histogram.size());
-  for (const auto& [sym, f] : histogram) freqs.push_back(f);
+  for (const auto& [code, f] : histogram) freqs.push_back(f);
   return entropy_bits(freqs);
 }
 
-}  // namespace
+}  // namespace detail
 
 std::vector<double> AnalysisReport::table_error_bounds() const {
   std::vector<double> ebs(tables.size(), config.eb_config.global_eb);
@@ -57,12 +80,34 @@ AnalysisReport OfflineAnalyzer::analyze(
       config_.batch_size > 0 ? config_.batch_size : spec.default_batch;
   const std::size_t dim = spec.embedding_dim;
 
-  // Every table samples the same batches: make them once.
-  std::vector<SampleBatch> batches;
-  batches.reserve(config_.sample_batches);
-  for (std::size_t s = 0; s < config_.sample_batches; ++s) {
-    batches.push_back(dataset.make_batch(batch_size, s));
-  }
+  // Tables are independent, and every table samples the same batches:
+  // make the batches, then analyse the tables, on a pool local to this
+  // call. Each result lands in its own slot, so the report does not
+  // depend on the thread count. Failures are rethrown in batch order,
+  // then table order, once the pool has drained; the destructor joins
+  // the workers before returning, so callers may fork right after.
+  ThreadPool pool(0);
+  const auto run_all = [&pool](std::size_t count, const auto& task) {
+    std::vector<std::exception_ptr> errors(count);
+    for (std::size_t i = 0; i < count; ++i) {
+      pool.submit([&, i] {
+        try {
+          task(i);
+        } catch (...) {
+          errors[i] = std::current_exception();
+        }
+      });
+    }
+    pool.wait_idle();
+    for (const std::exception_ptr& error : errors) {
+      if (error) std::rethrow_exception(error);
+    }
+  };
+
+  std::vector<SampleBatch> batches(config_.sample_batches);
+  run_all(batches.size(), [&](std::size_t s) {
+    batches[s] = dataset.make_batch(batch_size, s);
+  });
 
   const CompressorSelector selector(config_.selector);
 
@@ -79,11 +124,20 @@ AnalysisReport OfflineAnalyzer::analyze(
       sample.insert(sample.end(), lookup.flat().begin(), lookup.flat().end());
     }
 
+    // One quantization at the sampling bound serves the Homogenization
+    // Index and the direct-code entropy; the Lorenzo symbols then reuse
+    // the buffer. The selector below reuses this workspace after both.
+    CompressionWorkspace& ws = thread_local_workspace();
+    const std::span<std::uint32_t> symbols = ws.symbols(sample.size());
+    kernels::quantize_to_symbols(sample, config_.sampling_eb, symbols, nullptr);
+
     // Homogenization Index at the sampling error bound, over one batch
-    // (the paper's Tables III/IV report per-batch pattern counts).
+    // (the paper's Tables III/IV report per-batch pattern counts): the
+    // first batch's codes are the sample codes' prefix.
+    const std::size_t first_batch = batch_size * dim;
     analysis.homo = compute_homo_index(
-        std::span<const float>(sample.data(), batch_size * dim), dim,
-        config_.sampling_eb);
+        std::span<const float>(sample.data(), first_batch),
+        std::span<const std::uint32_t>(symbols.data(), first_batch), dim);
     analysis.eb_class = classify_table(analysis.homo, config_.thresholds);
     analysis.assigned_eb = config_.eb_config.eb_for(analysis.eb_class);
 
@@ -94,53 +148,29 @@ AnalysisReport OfflineAnalyzer::analyze(
 
     // False-prediction characterization: Lorenzo residual codes carrying
     // more entropy than direct quantization codes means prediction hurts.
-    CompressParams probe;
-    probe.error_bound = config_.sampling_eb;
-    probe.vector_dim = dim;
-    {
-      std::vector<std::int32_t> direct(sample.size());
-      quantize(sample, config_.sampling_eb, direct);
-      analysis.direct_entropy_bits = code_entropy_bits(direct);
-      const auto lorenzo = CuszLikeCompressor::prediction_codes(sample, probe);
-      analysis.lorenzo_entropy_bits = code_entropy_bits(lorenzo);
-      analysis.false_prediction =
-          analysis.lorenzo_entropy_bits > analysis.direct_entropy_bits;
-    }
+    analysis.direct_entropy_bits = detail::symbol_entropy_bits(symbols);
+    kernels::lorenzo_encode_fused(sample, dim, config_.sampling_eb,
+                                  ws.recon(sample.size()), symbols, nullptr);
+    analysis.lorenzo_entropy_bits = detail::symbol_entropy_bits(symbols);
+    analysis.false_prediction =
+        analysis.lorenzo_entropy_bits > analysis.direct_entropy_bits;
 
-    // Algorithm 2: evaluate candidates at the *assigned* error bound.
-    CompressParams select_params = probe;
+    // Algorithm 2: evaluate candidates at the *assigned* error bound; the
+    // selector's sizing scan also counts the vector matches.
+    CompressParams select_params;
     select_params.error_bound = analysis.assigned_eb;
+    select_params.vector_dim = dim;
     analysis.selection =
         selector.select(sample, select_params, config_.candidates);
-    analysis.lz_matches = VectorLzCompressor::count_matches(sample, select_params);
+    analysis.lz_matches = analysis.selection.lz_matches;
     return analysis;
   };
 
-  // Tables are independent: analyse them on a pool local to this call.
-  // Each result lands in its own slot, so the report does not depend on
-  // the thread count. Failures are rethrown in table order once the pool
-  // has drained; the destructor joins the workers before returning, so
-  // callers may fork right after.
   AnalysisReport report;
   report.config = config_;
   report.tables.resize(spec.num_tables());
-  std::vector<std::exception_ptr> errors(spec.num_tables());
-  {
-    ThreadPool pool(0);
-    for (std::size_t t = 0; t < spec.num_tables(); ++t) {
-      pool.submit([&, t] {
-        try {
-          report.tables[t] = analyze_table(t);
-        } catch (...) {
-          errors[t] = std::current_exception();
-        }
-      });
-    }
-    pool.wait_idle();
-  }
-  for (const std::exception_ptr& error : errors) {
-    if (error) std::rethrow_exception(error);
-  }
+  run_all(spec.num_tables(),
+          [&](std::size_t t) { report.tables[t] = analyze_table(t); });
   return report;
 }
 

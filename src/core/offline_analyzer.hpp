@@ -66,15 +66,30 @@ struct AnalysisReport {
   [[nodiscard]] std::vector<HybridChoice> table_choices() const;
 };
 
+namespace detail {
+
+/// Shannon entropy (bits/symbol) of the int32 codes whose zigzag symbols
+/// are `symbols`, bit-identical to counting the codes into an
+/// std::unordered_map<std::int32_t, std::uint64_t> (reserve(1024)) and
+/// passing its frequencies, in iteration order, to entropy_bits.
+[[nodiscard]] double symbol_entropy_bits(
+    std::span<const std::uint32_t> symbols);
+
+}  // namespace detail
+
 class OfflineAnalyzer {
  public:
   explicit OfflineAnalyzer(AnalyzerConfig config) : config_(std::move(config)) {}
 
   /// Analyzes every table: samples lookups, computes metrics, classifies
-  /// and selects codecs. `tables` must match dataset.spec(). Tables are
-  /// analysed in parallel on a pool that is joined before returning; the
-  /// report does not depend on the thread count, and a failing table's
-  /// error (the lowest-indexed one if several fail) is rethrown here.
+  /// and selects codecs. `tables` must match dataset.spec(). The sample
+  /// batches, then the tables, are made in parallel on a pool that is
+  /// joined before returning; the report does not depend on the thread
+  /// count, and a failing batch's or table's error (the lowest-indexed
+  /// batch's, else the lowest-indexed table's) is rethrown here. Each
+  /// table's sample is quantized once per bound: once at sampling_eb for
+  /// the Homogenization Index and the direct-code entropy, once at its
+  /// assigned bound to size the candidates (see selector.hpp).
   [[nodiscard]] AnalysisReport analyze(
       const BatchSource& dataset,
       std::span<const EmbeddingTable> tables) const;

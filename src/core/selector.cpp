@@ -3,7 +3,9 @@
 #include <string>
 
 #include "common/error.hpp"
+#include "compress/hybrid.hpp"
 #include "compress/registry.hpp"
+#include "compress/workspace.hpp"
 
 namespace dlcomp {
 
@@ -27,38 +29,53 @@ SelectionResult CompressorSelector::select(
   SelectionResult result;
   result.candidates.reserve(candidate_names.size());
 
+  CompressionWorkspace& ws = thread_local_workspace();
+  const HybridSizing sized = HybridCompressor::size_candidates(
+      sample, resolve_error_bound(sample, params), params, ws);
+  result.lz_matches = sized.lz_matches;
+
+  std::vector<std::byte> stream;
   for (const auto name : candidate_names) {
     const Compressor& codec = get_compressor(name);
-    const RoundTrip rt = round_trip(codec, sample, params);
+    std::size_t sized_bytes = 0;  // 0: not one of the sized encoders
+    if (name == "vector-lz") sized_bytes = sized.vector_lz_bytes;
+    if (name == "huffman") sized_bytes = sized.huffman_bytes;
 
     CandidateScore score;
     score.codec = std::string(name);
-    score.compression_ratio = rt.compress_stats.ratio();
-    score.measured_compress_bps =
-        rt.compress_stats.throughput_bytes_per_second();
-    score.measured_decompress_bps =
-        rt.decompress_seconds > 0.0
-            ? static_cast<double>(rt.compress_stats.input_bytes) /
-                  rt.decompress_seconds
-            : 0.0;
-
+    CompressionStats stats;
     if (config_.use_calibrated_throughput) {
-      const CodecThroughput calibrated =
-          calibrated_throughput(name);
+      stats.input_bytes = sample.size_bytes();
+      stats.output_bytes = sized_bytes;
+      if (sized_bytes == 0) {
+        stream.clear();
+        stats = codec.compress(sample, params, stream, ws);
+      }
+      const CodecThroughput calibrated = calibrated_throughput(name);
       score.compress_bps = calibrated.compress_bps;
       score.decompress_bps = calibrated.decompress_bps;
     } else {
+      const RoundTrip rt = round_trip(codec, sample, params);
+      stats = rt.compress_stats;
+      DLCOMP_CHECK_MSG(sized_bytes == 0 || stats.output_bytes == sized_bytes,
+                       name << " sized " << sized_bytes << " bytes, encoded "
+                            << stats.output_bytes);
+      score.measured_compress_bps = stats.throughput_bytes_per_second();
+      score.measured_decompress_bps =
+          rt.decompress_seconds > 0.0
+              ? static_cast<double>(stats.input_bytes) / rt.decompress_seconds
+              : 0.0;
       score.compress_bps = score.measured_compress_bps;
       score.decompress_bps = score.measured_decompress_bps;
+      // Degenerate timing measurements (too fast to time) fall back to
+      // the calibrated values so Eq. (2) stays well defined.
+      if (score.compress_bps <= 0.0 || score.decompress_bps <= 0.0) {
+        const CodecThroughput calibrated = calibrated_throughput(name);
+        score.compress_bps = calibrated.compress_bps;
+        score.decompress_bps = calibrated.decompress_bps;
+      }
     }
-    // Degenerate timing measurements (too fast to time) fall back to the
-    // calibrated values so Eq. (2) stays well defined.
-    if (score.compress_bps <= 0.0 || score.decompress_bps <= 0.0) {
-      const CodecThroughput calibrated =
-          calibrated_throughput(name);
-      score.compress_bps = calibrated.compress_bps;
-      score.decompress_bps = calibrated.decompress_bps;
-    }
+    score.compression_ratio = stats.ratio();
 
     score.est_speedup =
         eq2_speedup(score.compression_ratio,

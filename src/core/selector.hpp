@@ -7,10 +7,18 @@
 ///
 ///   speedup = 1 / ( 1/CR + B * (1/Tc + 1/Td) )
 ///
-/// where CR is the measured compression ratio on the sample, B the
-/// network bandwidth, and Tc/Td the codec's compression/decompression
+/// where CR is the compression ratio on the sample, B the network
+/// bandwidth, and Tc/Td the codec's compression/decompression
 /// throughputs. Throughputs can come from the calibrated GPU table
 /// (default; see DeviceModel) or from the measured CPU timings.
+///
+/// With calibrated throughputs only CR is needed, so the hybrid's two
+/// encoders are sized, not run: the sample is quantized once and the
+/// exact vector-LZ and Huffman stream sizes come from one match scan and
+/// one histogram (HybridCompressor::size_candidates). Any other
+/// candidate is compressed once and never decoded. Measured mode keeps
+/// a full round trip per candidate for its timings, and checks that
+/// each sized stream matches the encoded one byte for byte.
 
 #include <string>
 #include <vector>
@@ -34,13 +42,17 @@ struct CandidateScore {
   double est_speedup = 0.0;
   double compress_bps = 0.0;    ///< throughput used in Eq. (2)
   double decompress_bps = 0.0;
-  double measured_compress_bps = 0.0;   ///< CPU-measured, reported alongside
+  /// CPU-measured throughputs; 0 in calibrated mode, which times nothing.
+  double measured_compress_bps = 0.0;
   double measured_decompress_bps = 0.0;
 };
 
 struct SelectionResult {
   std::vector<CandidateScore> candidates;  ///< in input order
   std::size_t best_index = 0;
+  /// Vectors vector-LZ back-references in the sample, from the match
+  /// scan that sized it (whatever the candidates).
+  std::size_t lz_matches = 0;
 
   [[nodiscard]] const CandidateScore& best() const {
     return candidates.at(best_index);
@@ -59,7 +71,9 @@ class CompressorSelector {
  public:
   explicit CompressorSelector(SelectorConfig config) : config_(config) {}
 
-  /// Runs every candidate codec on the sample and scores it with Eq. (2).
+  /// Scores every candidate codec on the sample with Eq. (2). The sample
+  /// is always quantized at the resolved bound for the sizing pass (and
+  /// lz_matches), so a bound that overflows int32 codes throws.
   [[nodiscard]] SelectionResult select(
       std::span<const float> sample, const CompressParams& params,
       std::span<const std::string_view> candidate_names) const;

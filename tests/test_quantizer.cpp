@@ -3,13 +3,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <set>
+#include <string>
 #include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "compress/compressor.hpp"
+#include "compress/kernels.hpp"
 #include "compress/quantizer.hpp"
+#include "support/reference_analysis.hpp"
 
 namespace dlcomp {
 namespace {
@@ -74,6 +79,64 @@ TEST(Quantizer, UniqueVectorCounting) {
   const std::size_t dim = 2;
   const std::vector<float> values = {1.0f, 2.0f, 1.0f, 2.0f, 3.0f, 4.0f};
   EXPECT_EQ(count_unique_vectors(std::span<const float>(values), dim), 2u);
+}
+
+TEST(UniqueRows, WordHashCountsMatchByteWiseReference) {
+  // Every row size from 4 to 260 bytes, most of them not a multiple of
+  // 8: rows repeat 24 random bases, and some rows differ from their base
+  // in one byte (cycling through every position, the short tail word's
+  // included). The word hash must count exactly what the byte-wise FNV
+  // counter and a plain set count.
+  Rng rng(11);
+  constexpr std::size_t kRows = 96;
+  constexpr std::size_t kBases = 24;
+  for (std::size_t row_bytes = 4; row_bytes <= 260; ++row_bytes) {
+    SCOPED_TRACE("row_bytes " + std::to_string(row_bytes));
+    std::vector<unsigned char> base(kBases * row_bytes);
+    for (auto& b : base) b = static_cast<unsigned char>(rng.next_u64());
+    std::vector<unsigned char> data(kRows * row_bytes);
+    for (std::size_t r = 0; r < kRows; ++r) {
+      unsigned char* row = data.data() + r * row_bytes;
+      std::copy_n(base.data() + (r * 7 % kBases) * row_bytes, row_bytes, row);
+      if (r % 3 == 0) row[(r / 3) % row_bytes] ^= 1;
+      if (r % 5 == 0) row[row_bytes - 1] ^= 0x80;
+    }
+    std::set<std::string> exact;
+    for (std::size_t r = 0; r < kRows; ++r) {
+      exact.emplace(reinterpret_cast<const char*>(data.data() + r * row_bytes),
+                    row_bytes);
+    }
+    EXPECT_EQ(detail::count_unique_rows_bytes(data.data(), row_bytes, kRows,
+                                              &detail::hash_row_words),
+              exact.size());
+    EXPECT_EQ(detail::count_unique_rows_bytes(data.data(), row_bytes, kRows,
+                                              &reference::fnv1a_bytes),
+              exact.size());
+  }
+}
+
+TEST(UniqueRows, SymbolRowsCountLikeTheirCodes) {
+  // Zigzag is a bijection, so rows of symbols are distinct exactly when
+  // their codes are, whatever the row length.
+  Rng rng(12);
+  std::vector<float> values(64 * 33);
+  for (auto& v : values) v = static_cast<float>(rng.normal(0.0, 0.02));
+  const auto codes = quantize(values, 0.01);
+  std::vector<std::uint32_t> symbols(values.size());
+  kernels::quantize_to_symbols(values, 0.01, symbols, nullptr);
+  for (const std::size_t dim : {1u, 2u, 3u, 7u, 33u, 64u}) {
+    SCOPED_TRACE("dim " + std::to_string(dim));
+    const std::size_t want =
+        count_unique_vectors(std::span<const std::int32_t>(codes), dim);
+    EXPECT_EQ(
+        count_unique_vectors(std::span<const std::uint32_t>(symbols), dim),
+        want);
+    EXPECT_EQ(detail::count_unique_rows_bytes(codes.data(),
+                                              dim * sizeof(std::int32_t),
+                                              codes.size() / dim,
+                                              &reference::fnv1a_bytes),
+              want);
+  }
 }
 
 TEST(ResolveErrorBound, AbsolutePassesThrough) {

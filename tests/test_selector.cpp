@@ -2,11 +2,18 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.hpp"
+#include <bit>
+#include <cstdint>
+#include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
+#include "compress/hybrid.hpp"
+#include "compress/registry.hpp"
+#include "compress/vector_lz.hpp"
 #include "core/selector.hpp"
+#include "support/simd_tiers.hpp"
 
 namespace dlcomp {
 namespace {
@@ -114,6 +121,103 @@ TEST_F(SelectorFixture, MeasuredThroughputModeWorks) {
   for (const auto& c : result.candidates) {
     EXPECT_GT(c.est_speedup, 0.0);
   }
+}
+
+/// A sample shape the sizing pass must get exactly right.
+struct SizedCase {
+  std::string name;
+  std::vector<float> values;
+  std::size_t dim;
+  double eb;
+};
+
+std::vector<SizedCase> sized_cases() {
+  std::vector<SizedCase> cases;
+  Rng rng(9);
+  std::vector<float> base(16);
+  for (auto& v : base) v = static_cast<float>(rng.normal(0.0, 0.3));
+
+  // Mostly repeated rows, and a short tail vector-LZ writes as literals.
+  SizedCase ragged{"ragged tail", {}, 16, 0.01};
+  for (int r = 0; r < 200; ++r) {
+    if (r % 5 == 0) {
+      for (auto& v : base) v = static_cast<float>(rng.normal(0.0, 0.3));
+    }
+    ragged.values.insert(ragged.values.end(), base.begin(), base.end());
+  }
+  ragged.values.resize(ragged.values.size() + 7, 0.25f);
+  cases.push_back(std::move(ragged));
+
+  SizedCase dim1{"dim 1", std::vector<float>(3001), 1, 0.01};
+  for (auto& v : dim1.values) v = static_cast<float>(rng.normal(0.0, 0.05));
+  cases.push_back(std::move(dim1));
+
+  // Codes up to +-50000: symbols far past the histogram's dense limit.
+  SizedCase wide{"overflow symbols", std::vector<float>(64 * 40), 64, 0.001};
+  for (auto& v : wide.values) v = rng.uniform_float(-100.0f, 100.0f);
+  cases.push_back(std::move(wide));
+
+  cases.push_back({"constant", std::vector<float>(32 * 50, 0.7f), 32, 0.01});
+
+  SizedCase dup{"all-duplicate rows", {}, 32, 0.01};
+  std::vector<float> row(32);
+  for (auto& v : row) v = static_cast<float>(rng.normal(0.0, 0.3));
+  for (int r = 0; r < 300; ++r) {
+    dup.values.insert(dup.values.end(), row.begin(), row.end());
+  }
+  cases.push_back(std::move(dup));
+  return cases;
+}
+
+TEST(Selector, SizedRatiosEqualEncodedStreams) {
+  // Calibrated selection sizes vector-LZ and Huffman without writing
+  // them; its ratios must be bit for bit the ratios of the real streams,
+  // on every SIMD tier. A third candidate is compressed for real.
+  const std::vector<std::string_view> names = {"vector-lz", "huffman",
+                                               "generic-lz"};
+  for_each_available_isa([&](simd::Isa) {
+    for (const SizedCase& c : sized_cases()) {
+      SCOPED_TRACE(c.name);
+      CompressParams params;
+      params.error_bound = c.eb;
+      params.vector_dim = c.dim;
+      const SelectionResult result =
+          CompressorSelector({}).select(c.values, params, names);
+      ASSERT_EQ(result.candidates.size(), names.size());
+      for (std::size_t i = 0; i < names.size(); ++i) {
+        SCOPED_TRACE(std::string(names[i]));
+        const RoundTrip rt =
+            round_trip(get_compressor(names[i]), c.values, params);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      result.candidates[i].compression_ratio),
+                  std::bit_cast<std::uint64_t>(rt.compress_stats.ratio()));
+        EXPECT_EQ(result.candidates[i].measured_compress_bps, 0.0);
+        EXPECT_EQ(result.candidates[i].measured_decompress_bps, 0.0);
+      }
+      EXPECT_EQ(result.lz_matches,
+                VectorLzCompressor::count_matches(c.values, params));
+
+      // Hybrid's kAuto writes the smaller of the two sized streams.
+      std::vector<std::byte> hybrid;
+      (void)get_compressor("hybrid").compress(c.values, params, hybrid);
+      const bool lz_wins = result.candidates[0].compression_ratio >=
+                           result.candidates[1].compression_ratio;
+      EXPECT_EQ(HybridCompressor::stream_choice(hybrid),
+                lz_wins ? HybridChoice::kVectorLz : HybridChoice::kHuffman);
+
+      // Measured mode encodes and decodes, and checks the sizes agree.
+      SelectorConfig measured;
+      measured.use_calibrated_throughput = false;
+      const SelectionResult timed =
+          CompressorSelector(measured).select(c.values, params, names);
+      for (std::size_t i = 0; i < names.size(); ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(
+                      timed.candidates[i].compression_ratio),
+                  std::bit_cast<std::uint64_t>(
+                      result.candidates[i].compression_ratio));
+      }
+    }
+  });
 }
 
 TEST_F(SelectorFixture, EmptyCandidatesThrow) {
