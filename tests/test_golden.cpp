@@ -151,6 +151,23 @@ std::uint32_t history_crc(const TrainingResult& result) {
   return crc32_final(history);
 }
 
+/// CRC over what the model computed: every recorded iteration's train
+/// loss and accuracy, eval accuracy and error-bound scale, then the final
+/// eval loss. It leaves out forward_cr, so a change to the wire format
+/// alone must not move it.
+std::uint32_t loss_crc(const TrainingResult& result) {
+  std::uint32_t crc = crc32_init();
+  for (const IterationRecord& rec : result.history) {
+    crc = fold(crc, static_cast<std::uint64_t>(rec.iter));
+    for (const double v : {rec.train_loss, rec.train_accuracy,
+                           rec.eval_accuracy, rec.eb_scale}) {
+      crc = fold(crc, v);
+    }
+  }
+  crc = fold(crc, result.final_eval.loss);
+  return crc32_final(crc);
+}
+
 TEST(Golden, CompressedTrainingRun) {
   DLCOMP_SKIP_UNLESS_GCC();
   const DatasetSpec spec = DatasetSpec::small_training_proxy(6, 8);
@@ -163,6 +180,7 @@ TEST(Golden, CompressedTrainingRun) {
 
   ASSERT_EQ(result.history.size(), 8u);
   EXPECT_EQ(hex32(history_crc(result)), "0x2508ad7d");
+  EXPECT_EQ(hex32(loss_crc(result)), "0x44f289c3");
   EXPECT_EQ(hex32(result.wire_crc32), "0x15bb6869");
   EXPECT_EQ(hex64(result.makespan_seconds), "0x3f4615a395b5350e");
   EXPECT_EQ(hex64(result.final_eval.loss), "0x3fe67abc6c96b332");
@@ -197,6 +215,7 @@ TEST(Golden, RawTrainingRun) {
 
   ASSERT_EQ(result.history.size(), 8u);
   EXPECT_EQ(hex32(history_crc(result)), "0x3df1e026");
+  EXPECT_EQ(hex32(loss_crc(result)), "0x9f6138f3");
   EXPECT_EQ(hex32(result.wire_crc32), "0x57979cbe");
   ASSERT_EQ(result.checkpoints_written.size(), 2u);
   EXPECT_EQ(hex32(file_crc(result.checkpoints_written[0])), "0x0a06cffb");
