@@ -9,6 +9,7 @@
 #include "common/byte_io.hpp"
 #include "common/error.hpp"
 #include "common/timer.hpp"
+#include "compress/format.hpp"
 #include "obs/metrics.hpp"
 
 namespace dlcomp {
@@ -188,7 +189,8 @@ void BlockEngine::compress_begin() {
 
 std::size_t BlockEngine::add_tensor(std::span<const float> data,
                                     const CompressParams& params,
-                                    std::span<float> recon) {
+                                    std::span<float> recon,
+                                    std::size_t shape_elems) {
   DLCOMP_CHECK_MSG(recon.empty() || recon.size() == data.size(),
                    "reconstruction span must match the input length");
   Slot slot;
@@ -228,9 +230,11 @@ std::size_t BlockEngine::add_tensor(std::span<const float> data,
     task.elem_begin = b * slot.block_elems;
     task.elem_count =
         std::min(slot.block_elems, data.size() - task.elem_begin);
+    task.scratch_elems = std::max(task.elem_count,
+                                  std::min(shape_elems, slot.block_elems));
     task.staging_offset = staging_cursor_;
     if (codec_ != nullptr) {
-      staging_cursor_ += worst_case_stream_bytes(task.elem_count);
+      staging_cursor_ += worst_case_stream_bytes(task.scratch_elems);
     }
     tasks_.push_back(task);
   }
@@ -259,6 +263,9 @@ void BlockEngine::compress_run() {
       // Raw reconstruction is the data itself (max_abs_error stays 0).
       std::ranges::copy(data, recon.begin() + task.elem_begin);
       return;
+    }
+    if (task.scratch_elems > task.elem_count) {
+      ws.reserve(task.scratch_elems, pending_params_[task.slot].vector_dim);
     }
     std::vector<std::byte>& scratch = ws.caller_stream();
     scratch.clear();
@@ -360,18 +367,32 @@ void BlockEngine::append_stream(std::size_t slot,
 void BlockEngine::decompress_begin() { decode_tasks_.clear(); }
 
 void BlockEngine::add_stream(std::span<const std::byte> stream,
-                             std::span<float> out) {
+                             std::span<float> out, std::size_t shape_elems) {
   const std::size_t cap = decode_tasks_.capacity();
   if (codec_ == nullptr) {
     check_raw_size(stream, out);
-    decode_tasks_.push_back({stream, out});
+    decode_tasks_.push_back({stream, out, 0});
   } else if (is_blocked(stream)) {
+    // Every block but the last is full, so the first one's size bounds
+    // the scratch any block needs.
+    std::size_t full_block = 0;
     for_each_block(stream, out, [&](std::span<const std::byte> block,
                                     std::span<float> block_out) {
-      decode_tasks_.push_back({block, block_out});
+      if (full_block == 0) full_block = block_out.size();
+      decode_tasks_.push_back(
+          {block, block_out,
+           std::max(block_out.size(), std::min(shape_elems, full_block))});
     });
   } else {
-    decode_tasks_.push_back({stream, out});
+    // The header is checked here, where the caller can still say which
+    // stream it was, rather than on a lane.
+    std::span<const std::byte> payload;
+    const StreamHeader header = parse_header(stream, payload);
+    if (header.element_count != out.size()) {
+      throw FormatError("stream holds " + std::to_string(header.element_count) +
+                        " elements, expected " + std::to_string(out.size()));
+    }
+    decode_tasks_.push_back({stream, out, std::max(out.size(), shape_elems)});
   }
   note_grow(cap, decode_tasks_.capacity());
 }
@@ -380,6 +401,11 @@ void BlockEngine::decompress_run() {
   run_lanes(decode_tasks_.size(),
             [&](std::size_t i, CompressionWorkspace& ws) {
               const DecompressTask& task = decode_tasks_[i];
+              if (task.scratch_elems > task.out.size()) {
+                std::span<const std::byte> payload;
+                ws.reserve(task.scratch_elems,
+                           parse_header(task.stream, payload).vector_dim);
+              }
               decode(codec_, task.stream, task.out, ws);
             });
   if (codec_ == nullptr) return;  // raw copies are not codec blocks

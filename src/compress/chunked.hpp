@@ -96,10 +96,14 @@ class BlockEngine {
   /// length as `data`) each block is decompressed right after
   /// compressing, yielding the reader-visible reconstruction and its
   /// max_abs_error() without a second serial pass; raw mode copies
-  /// `data` into it on the lanes, block by block.
+  /// `data` into it on the lanes, block by block. A `shape_elems` larger
+  /// than `data` sizes the staging and the lane's scratch as if the
+  /// tensor held that many elements, for callers whose tensor length
+  /// varies below a known bound (see CompressionWorkspace::reserve).
   std::size_t add_tensor(std::span<const float> data,
                          const CompressParams& params,
-                         std::span<float> recon = {});
+                         std::span<float> recon = {},
+                         std::size_t shape_elems = 0);
 
   /// Compresses every registered block across the pool. Exceptions from
   /// codec calls (e.g. non-finite input) are captured per lane and the
@@ -129,10 +133,12 @@ class BlockEngine {
   void decompress_begin();
 
   /// Registers one received stream (plain or DLBK; raw in raw mode) with
-  /// its pre-sized output. Validates DLBK framing and raw sizes eagerly;
-  /// throws FormatError on a malformed container or element-count
-  /// mismatch.
-  void add_stream(std::span<const std::byte> stream, std::span<float> out);
+  /// its pre-sized output. Validates DLBK framing, a plain stream's
+  /// header and raw sizes eagerly; throws FormatError on a malformed
+  /// container, a truncated stream or an element-count mismatch.
+  /// `shape_elems` sizes the lane's scratch as in add_tensor().
+  void add_stream(std::span<const std::byte> stream, std::span<float> out,
+                  std::size_t shape_elems = 0);
 
   /// Decompresses every registered block across the pool.
   void decompress_run();
@@ -174,12 +180,14 @@ class BlockEngine {
     std::size_t staging_offset = 0;  ///< worst-case-spaced, deterministic
     std::size_t elem_begin = 0;
     std::size_t elem_count = 0;
+    std::size_t scratch_elems = 0;  ///< staging and scratch sized for this
     std::size_t bytes = 0;  ///< actual stream size, filled by the lane
     double max_abs_error = 0.0;  ///< filled by the lane when recon is set
   };
   struct DecompressTask {
     std::span<const std::byte> stream;
     std::span<float> out;
+    std::size_t scratch_elems = 0;
   };
 
   /// Runs body(task_index) for every index in [0, count) partitioned

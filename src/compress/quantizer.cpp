@@ -1,7 +1,6 @@
 #include "compress/quantizer.hpp"
 
 #include <cstring>
-#include <limits>
 #include <vector>
 
 #include "common/error.hpp"
@@ -50,41 +49,50 @@ std::uint64_t hash_row_words(const void* data, std::size_t bytes) noexcept {
   return h;
 }
 
-std::size_t count_unique_rows_bytes(const void* data, std::size_t row_bytes,
-                                    std::size_t rows, RowHashFn hash) {
+std::size_t find_distinct_rows(const void* data, std::size_t row_bytes,
+                               std::size_t rows, RowHashFn hash,
+                               std::vector<DistinctRowSlot>& table,
+                               std::span<std::uint32_t> map) {
+  DLCOMP_CHECK(rows < UINT32_MAX);
+  DLCOMP_CHECK(map.empty() || map.size() == rows);
   const auto* base = static_cast<const unsigned char*>(data);
-  // One flat open-addressing table (linear probing, load <= 0.5) holding
-  // the hash and index of each distinct row seen. A hash hit alone is not
-  // equality: verify bytes, otherwise colliding uniques would be silently
-  // undercounted and skew the homogeneity analysis.
-  constexpr std::size_t kEmpty = std::numeric_limits<std::size_t>::max();
-  struct Slot {
-    std::uint64_t hash = 0;
-    std::size_t row = kEmpty;
-  };
+  // One flat open-addressing table (linear probing, load <= 0.5): the low
+  // hash bits pick the slot, the high half is kept to skip most
+  // mismatches. A hash hit alone is not equality: verify bytes, otherwise
+  // colliding rows would merge silently.
   std::size_t capacity = 16;
   while (capacity < rows * 2) capacity *= 2;
   const std::size_t mask = capacity - 1;
-  std::vector<Slot> slots(capacity);
-  std::size_t unique = 0;
+  table.assign(capacity, DistinctRowSlot{});
+  std::size_t distinct = 0;
   for (std::size_t r = 0; r < rows; ++r) {
     const unsigned char* row = base + r * row_bytes;
     const std::uint64_t h = hash(row, row_bytes);
-    std::size_t at = static_cast<std::size_t>(h) & mask;
-    for (;; at = (at + 1) & mask) {
-      Slot& slot = slots[at];
-      if (slot.row == kEmpty) {
-        slot = {h, r};
-        ++unique;
+    const auto tag = static_cast<std::uint32_t>(h >> 32);
+    for (std::size_t at = static_cast<std::size_t>(h) & mask;;
+         at = (at + 1) & mask) {
+      DistinctRowSlot& slot = table[at];
+      if (slot.row == UINT32_MAX) {
+        slot = {tag, static_cast<std::uint32_t>(r)};
+        if (!map.empty()) map[r] = static_cast<std::uint32_t>(distinct);
+        ++distinct;
         break;
       }
-      if (slot.hash == h &&
-          std::memcmp(row, base + slot.row * row_bytes, row_bytes) == 0) {
-        break;  // duplicate of a row already counted
+      if (slot.hash == tag &&
+          std::memcmp(row, base + std::size_t{slot.row} * row_bytes,
+                      row_bytes) == 0) {
+        if (!map.empty()) map[r] = map[slot.row];
+        break;
       }
     }
   }
-  return unique;
+  return distinct;
+}
+
+std::size_t count_unique_rows_bytes(const void* data, std::size_t row_bytes,
+                                    std::size_t rows, RowHashFn hash) {
+  std::vector<DistinctRowSlot> table;
+  return find_distinct_rows(data, row_bytes, rows, hash, table, {});
 }
 
 }  // namespace detail

@@ -8,6 +8,7 @@
 /// the representable code range. The implementations live in the fused
 /// kernels (kernels.hpp); this header keeps the stable public surface.
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -50,10 +51,27 @@ using RowHashFn = std::uint64_t (*)(const void* data, std::size_t bytes);
 /// The row hash count_unique_vectors uses: 8 bytes per step, any length.
 std::uint64_t hash_row_words(const void* data, std::size_t bytes) noexcept;
 
-/// Collision-safe distinct-row count over a packed row-major buffer:
-/// rows whose hashes collide are compared byte-for-byte instead of being
-/// assumed equal. The hash is injectable so tests can force collisions
-/// (a constant hash must still produce exact counts).
+/// One slot of find_distinct_rows' open-addressing table: the high half
+/// of a row's hash and the row that first showed its bytes.
+struct DistinctRowSlot {
+  std::uint32_t hash = 0;
+  std::uint32_t row = UINT32_MAX;  ///< UINT32_MAX: empty
+};
+
+/// Finds the distinct rows of a packed row-major buffer, compared
+/// bitwise, in first-seen order, and returns their count. When `map` is
+/// non-empty (one entry per row) map[r] is the first-seen index of row
+/// r's bytes, so the k-th distinct row is the first r with map[r] == k.
+/// `table` is scratch: it is refilled on every call and keeps its
+/// capacity. Rows whose hashes collide are compared byte-for-byte
+/// instead of being assumed equal; the hash is injectable so tests can
+/// force collisions. `rows` must be below UINT32_MAX.
+std::size_t find_distinct_rows(const void* data, std::size_t row_bytes,
+                               std::size_t rows, RowHashFn hash,
+                               std::vector<DistinctRowSlot>& table,
+                               std::span<std::uint32_t> map);
+
+/// find_distinct_rows' count alone, with a table of its own.
 std::size_t count_unique_rows_bytes(const void* data, std::size_t row_bytes,
                                     std::size_t rows, RowHashFn hash);
 

@@ -1,5 +1,7 @@
 #include "compress/workspace.hpp"
 
+#include <algorithm>
+
 namespace dlcomp {
 
 // ---------------------------------------------------- MatchPositionTable
@@ -46,6 +48,18 @@ void MatchPositionTable::put(std::uint64_t key, std::size_t position) noexcept {
 }
 
 // -------------------------------------------------- CompressionWorkspace
+
+void CompressionWorkspace::reserve(std::size_t elements,
+                                   std::size_t vector_dim) {
+  grow_if_used(codes_, elements);
+  grow_if_used(symbols_, elements);
+  grow_if_used(recon_, elements);
+  const std::size_t vectors = elements / std::max<std::size_t>(1, vector_dim);
+  grow_if_used(lz_tokens_, vectors);
+  if (match_table_.capacity_bytes() != 0 && match_table_.prepare(vectors)) {
+    ++grow_events_;
+  }
+}
 
 std::uint64_t CompressionWorkspace::grow_events() const noexcept {
   return grow_events_;

@@ -111,6 +111,14 @@ class CompressionWorkspace {
   /// never touched by the codecs themselves.
   std::vector<std::byte>& caller_stream() noexcept { return caller_stream_; }
 
+  /// Grows the element-sized scratch a codec has already used (codes,
+  /// symbols, recon, vector-LZ tokens and match table) to hold a tensor
+  /// of `elements` elements in rows of `vector_dim`, counting the growth.
+  /// A caller whose tensors vary in length below a known bound passes
+  /// the bound, so the scratch reaches its high-water on the second call
+  /// rather than on the largest tensor.
+  void reserve(std::size_t elements, std::size_t vector_dim);
+
   /// Number of times any tracked scratch buffer had to (re)allocate.
   /// Flat after warm-up == the codec path stopped touching the heap.
   [[nodiscard]] std::uint64_t grow_events() const noexcept;
@@ -124,6 +132,13 @@ class CompressionWorkspace {
   [[nodiscard]] std::size_t capacity_bytes() const noexcept;
 
  private:
+  template <typename T>
+  void grow_if_used(std::vector<T>& v, std::size_t n) {
+    if (v.capacity() == 0 || v.capacity() >= n) return;
+    v.reserve(n);
+    ++grow_events_;
+  }
+
   template <typename T>
   std::span<T> ensure(std::vector<T>& v, std::size_t n) {
     if (n > v.capacity()) ++grow_events_;

@@ -1,6 +1,7 @@
 #include "core/compressed_alltoall.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <string>
 #include <utility>
@@ -39,42 +40,160 @@ CompressedAllToAll::PendingExchange::operator=(PendingExchange&& other) noexcept
   return *this;
 }
 
+namespace {
+
+/// u32 row_width | u32 distinct, in front of a distinct-row chunk's map.
+constexpr std::size_t kDistinctHeaderBytes = 2 * sizeof(std::uint32_t);
+
+/// Bits per map entry: ceil(log2 distinct), 0 when every row is one.
+unsigned map_bits(std::size_t distinct) noexcept {
+  return static_cast<unsigned>(std::bit_width(distinct - 1));
+}
+
+std::size_t map_bytes(std::size_t rows, std::size_t distinct) noexcept {
+  return (rows * map_bits(distinct) + 7) / 8;
+}
+
+/// Runs body(i) for every i in [0, count), spread over the pool when
+/// there is one.
+template <typename Body>
+void for_each_chunk(ThreadPool* pool, std::size_t count, const Body& body) {
+  if (pool == nullptr || count < 2) {
+    for (std::size_t i = 0; i < count; ++i) body(i);
+    return;
+  }
+  pool->parallel_for(0, count, 1, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) body(i);
+  });
+}
+
+std::string from_rank(std::size_t chunk, std::size_t src) {
+  return "chunk " + std::to_string(chunk) + " from rank " +
+         std::to_string(src) + ": ";
+}
+
+}  // namespace
+
 /// Directory layout prepended to each destination buffer:
 ///   u32 chunk_count (group 0 only; the total across all groups)
 ///   | u64 sizes[chunks in this group] | payload (streams back-to-back,
 ///   in chunk order).
 /// Offsets are implied by prefix sums of sizes, so the directory stays
 /// minimal (this is the per-destination metadata of the paper's stage 2).
+/// A size's top bit (detail::kDistinctRowsFlag) marks a chunk in
+/// distinct-row form (u32 row_width | u32 distinct | map | rows stream);
+/// a chunk without it is the engine's stream of the whole chunk.
 /// The sizes are reserved up front and patched after each chunk lands, so
 /// streams compress straight into the send buffer. With one group
 /// (monolithic) this is the pre-pipelining framing unchanged; with G
 /// groups the bytes on the wire are *identical in total* -- the count
 /// travels once and every chunk's u64 size travels exactly once.
-void CompressedAllToAll::read_group_directory_into(
-    Communicator& comm, std::span<const std::byte> buffer, RecvDirectory& dir,
-    std::size_t src, std::size_t lo, std::size_t hi,
-    std::size_t total_expected, bool first_group) const {
+std::span<const std::byte> detail::parse_chunk_directory(
+    std::span<const std::byte> buffer, std::size_t src, std::size_t lo,
+    std::size_t hi, std::size_t total_expected, bool first_group,
+    std::vector<A2AChunkEntry>& entries) {
+  const std::string from = "chunk directory from rank " + std::to_string(src);
+  const std::size_t dir_bytes = (first_group ? sizeof(std::uint32_t) : 0) +
+                                (hi - lo) * sizeof(std::uint64_t);
+  if (buffer.size() < dir_bytes) {
+    throw FormatError(from + ": " + std::to_string(buffer.size()) +
+                      " bytes, shorter than its " + std::to_string(dir_bytes) +
+                      "-byte directory");
+  }
   ByteReader reader(buffer);
   if (first_group) {
     const auto count = reader.read<std::uint32_t>();
-    DLCOMP_CHECK_MSG(count == total_expected,
-                     "rank " << comm.rank() << " expected " << total_expected
-                             << " chunks from " << src << ", got " << count);
+    if (count != total_expected) {
+      throw FormatError(from + ": expected " + std::to_string(total_expected) +
+                        " chunks, got " + std::to_string(count));
+    }
   }
-  dir.offsets.clear();
-  dir.sizes.clear();
-  dir.offsets.reserve(hi - lo);
-  dir.sizes.reserve(hi - lo);
+  const std::size_t payload_bytes = buffer.size() - dir_bytes;
+  entries.clear();
+  entries.reserve(hi - lo);
   std::size_t cursor = 0;
   for (std::size_t i = lo; i < hi; ++i) {
-    const auto size = static_cast<std::size_t>(reader.read<std::uint64_t>());
-    dir.offsets.push_back(cursor);
-    dir.sizes.push_back(size);
-    cursor += size;
+    const auto word = reader.read<std::uint64_t>();
+    const std::uint64_t size = word & ~kDistinctRowsFlag;
+    // Checked before adding, so wire-supplied sizes can never wrap the
+    // cursor back into range.
+    if (size > payload_bytes - cursor) {
+      throw FormatError(from_rank(i, src) + "size " + std::to_string(size) +
+                        " exceeds the " +
+                        std::to_string(payload_bytes - cursor) +
+                        " payload bytes left");
+    }
+    entries.push_back({cursor, static_cast<std::size_t>(size),
+                       (word & kDistinctRowsFlag) != 0});
+    cursor += static_cast<std::size_t>(size);
   }
-  dir.payload = buffer.subspan(reader.position());
-  if (dir.payload.size() != cursor) {
-    throw FormatError("all-to-all chunk directory inconsistent with payload");
+  if (cursor != payload_bytes) {
+    throw FormatError(from + ": sizes add up to " + std::to_string(cursor) +
+                      " of " + std::to_string(payload_bytes) +
+                      " payload bytes");
+  }
+  return buffer.subspan(dir_bytes);
+}
+
+void CompressedAllToAll::find_group_rows(
+    const std::vector<std::vector<A2AChunkSpec>>& send, std::size_t g,
+    std::size_t groups) const {
+  std::vector<const A2AChunkSpec*>& chunks = scratch_.group_chunks;
+  const std::size_t chunks_cap = chunks.capacity();
+  chunks.clear();
+  for (const auto& list : send) {
+    const std::size_t lo = group_begin(list.size(), groups, g);
+    const std::size_t hi = group_begin(list.size(), groups, g + 1);
+    for (std::size_t i = lo; i < hi; ++i) chunks.push_back(&list[i]);
+  }
+  if (chunks.capacity() != chunks_cap) ++scratch_.grow_events;
+  if (chunks.size() > scratch_.send_rows.size()) {
+    const std::size_t cap = scratch_.send_rows.capacity();
+    scratch_.send_rows.resize(chunks.size());
+    if (scratch_.send_rows.capacity() != cap) ++scratch_.grow_events;
+  }
+  const bool gather = config_.codec != nullptr;
+  for_each_chunk(config_.pool, chunks.size(), [&](std::size_t k) {
+    const A2AChunkSpec& chunk = *chunks[k];
+    SendRows& sr = scratch_.send_rows[k];
+    const std::size_t before = sr.capacity_bytes();
+    sr.distinct_rows = false;
+    const std::size_t width = std::max<std::size_t>(1, chunk.params.vector_dim);
+    const std::size_t n = chunk.data.size();
+    const std::size_t rows = n / width;
+    if (n % width == 0 && rows >= 2 && rows < UINT32_MAX &&
+        width <= UINT32_MAX) {
+      if (sr.map.size() < rows) sr.map.resize(rows);
+      const auto map = std::span<std::uint32_t>(sr.map).first(rows);
+      const std::size_t row_bytes = width * sizeof(float);
+      const std::size_t distinct = detail::find_distinct_rows(
+          chunk.data.data(), row_bytes, rows, &detail::hash_row_words,
+          sr.table, map);
+      if ((rows - distinct) * row_bytes >
+          kDistinctHeaderBytes + map_bytes(rows, distinct)) {
+        sr.distinct_rows = true;
+        sr.width = width;
+        sr.distinct = distinct;
+      }
+      // Codecs encode the gathered rows. The buffer is sized to the whole
+      // chunk whatever the count, so its capacity does not track the batch.
+      if (gather) {
+        if (sr.rows.size() < n) sr.rows.resize(n);
+        if (sr.distinct_rows) {
+          std::size_t next = 0;
+          for (std::size_t r = 0; r < rows; ++r) {
+            if (map[r] != next) continue;
+            std::memcpy(sr.rows.data() + next * width,
+                        chunk.data.data() + r * width, row_bytes);
+            ++next;
+          }
+        }
+      }
+    }
+    sr.grew = sr.capacity_bytes() != before;
+  });
+  for (std::size_t k = 0; k < chunks.size(); ++k) {
+    if (scratch_.send_rows[k].grew) ++scratch_.grow_events;
   }
 }
 
@@ -85,15 +204,20 @@ std::size_t CompressedAllToAll::pack_group(
 
   DLCOMP_TRACE_SPAN("a2a/pack_group");
   WallTimer compress_timer;
-  // Three phases. (a) Serial framing — directories written, every chunk
-  // registered with the engine (large chunks split into blocks). (b) One
-  // flat parallel run over all blocks of all destinations — parallelism
-  // scales with total block count, so a group dominated by one huge chunk
-  // still uses the whole pool. (c) Serial assembly — deterministic wire
-  // bytes, sizes patched. Raw chunks have no blocks: (c) copies them.
+  // Four phases. (0) Every chunk's distinct rows, one pool task per
+  // chunk. (a) Serial framing — directories written, every chunk (or its
+  // gathered distinct rows) registered with the engine (large chunks
+  // split into blocks). (b) One flat parallel run over all blocks of all
+  // destinations — parallelism scales with total block count, so a group
+  // dominated by one huge chunk still uses the whole pool. (c) Serial
+  // assembly — deterministic wire bytes, sizes patched. Raw chunks have
+  // no blocks: (c) copies them, a distinct-row chunk's rows straight from
+  // the caller's tensor.
+  find_group_rows(send, g, groups);
   BlockEngine& engine = *scratch_.engine;
   engine.compress_begin();
   scratch_.packed_caps.resize(world);
+  std::size_t k = 0;
   for (std::size_t d = 0; d < world; ++d) {
     std::vector<std::byte>& buf = scratch_.packed[d];
     scratch_.packed_caps[d] = buf.capacity();
@@ -103,12 +227,29 @@ std::size_t CompressedAllToAll::pack_group(
     const std::size_t hi = group_begin(chunks.size(), groups, g + 1);
     const std::size_t sizes_at = g == 0 ? sizeof(std::uint32_t) : 0;
     buf.resize(sizes_at + (hi - lo) * sizeof(std::uint64_t));
+    // Reserved for the chunks' floats, which raw streams never exceed and
+    // compressed ones rarely do, so the capacity follows the chunk shapes
+    // rather than how many rows repeat or how well they compress.
+    std::size_t raw_bytes = buf.size();
+    for (std::size_t i = lo; i < hi; ++i) {
+      raw_bytes += chunks[i].data.size_bytes();
+    }
+    buf.reserve(raw_bytes);
     if (g == 0) {
       const auto count = static_cast<std::uint32_t>(chunks.size());
       std::memcpy(buf.data(), &count, sizeof(count));
     }
-    for (std::size_t i = lo; i < hi; ++i) {
-      (void)engine.add_tensor(chunks[i].data, chunks[i].params);
+    for (std::size_t i = lo; i < hi; ++i, ++k) {
+      const SendRows& sr = scratch_.send_rows[k];
+      if (!sr.distinct_rows) {
+        (void)engine.add_tensor(chunks[i].data, chunks[i].params);
+      } else if (config_.codec != nullptr) {
+        // Scratch sized for the whole chunk: the distinct count moves
+        // with every batch, the chunk's shape does not.
+        (void)engine.add_tensor(
+            std::span<const float>(sr.rows).first(sr.distinct * sr.width),
+            chunks[i].params, {}, chunks[i].data.size());
+      }
     }
   }
   {
@@ -116,19 +257,53 @@ std::size_t CompressedAllToAll::pack_group(
     engine.compress_run();
   }
   std::size_t slot = 0;
+  k = 0;
+  BitWriter& map_writer = scratch_.map_writer;
   for (std::size_t d = 0; d < world; ++d) {
     std::vector<std::byte>& buf = scratch_.packed[d];
     const auto& chunks = send[d];
     const std::size_t lo = group_begin(chunks.size(), groups, g);
     const std::size_t hi = group_begin(chunks.size(), groups, g + 1);
     const std::size_t sizes_at = g == 0 ? sizeof(std::uint32_t) : 0;
-    for (std::size_t i = lo; i < hi; ++i, ++slot) {
+    for (std::size_t i = lo; i < hi; ++i, ++k) {
+      const SendRows& sr = scratch_.send_rows[k];
       const std::size_t before = buf.size();
-      engine.append_stream(slot, buf);
+      std::uint64_t flag = 0;
+      if (!sr.distinct_rows) {
+        engine.append_stream(slot++, buf);
+      } else {
+        flag = detail::kDistinctRowsFlag;
+        const std::size_t rows = chunks[i].data.size() / sr.width;
+        append_pod(buf, static_cast<std::uint32_t>(sr.width));
+        append_pod(buf, static_cast<std::uint32_t>(sr.distinct));
+        const unsigned bits = map_bits(sr.distinct);
+        const std::size_t writer_cap = map_writer.capacity_bytes();
+        map_writer.reset();
+        // Reserved for 32-bit entries, so the capacity follows the chunk
+        // shape rather than the batch's distinct count.
+        map_writer.reserve_bits(rows * 32);
+        for (std::size_t r = 0; r < rows; ++r) map_writer.write(sr.map[r], bits);
+        map_writer.finish_into(buf);
+        if (map_writer.capacity_bytes() != writer_cap) ++scratch_.grow_events;
+        if (config_.codec != nullptr) {
+          engine.append_stream(slot++, buf);
+        } else {
+          const auto data = std::as_bytes(chunks[i].data);
+          const std::size_t row_bytes = sr.width * sizeof(float);
+          std::size_t next = 0;
+          for (std::size_t r = 0; r < rows; ++r) {
+            if (sr.map[r] != next) continue;
+            const auto row = data.subspan(r * row_bytes, row_bytes);
+            buf.insert(buf.end(), row.begin(), row.end());
+            ++next;
+          }
+        }
+      }
       const auto stream_bytes =
           static_cast<std::uint64_t>(buf.size() - before);
+      const std::uint64_t word = stream_bytes | flag;
       std::memcpy(buf.data() + sizes_at + (i - lo) * sizeof(std::uint64_t),
-                  &stream_bytes, sizeof(stream_bytes));
+                  &word, sizeof(word));
       if (chunks[i].tag != A2AChunkSpec::kNoTag) {
         scratch_.tag_wire[chunks[i].tag] += stream_bytes;
       }
@@ -158,6 +333,98 @@ std::size_t CompressedAllToAll::pack_group(
   return group_raw;
 }
 
+void CompressedAllToAll::add_distinct_rows(std::span<const std::byte> stream,
+                                           std::span<float> out,
+                                           RecvRows& rows) const {
+  if (stream.size() < kDistinctHeaderBytes) {
+    throw FormatError("distinct-row chunk of " + std::to_string(stream.size()) +
+                      " bytes is shorter than its " +
+                      std::to_string(kDistinctHeaderBytes) + "-byte header");
+  }
+  ByteReader reader(stream);
+  const std::size_t width = reader.read<std::uint32_t>();
+  const std::size_t distinct = reader.read<std::uint32_t>();
+  if (width == 0 || out.size() % width != 0) {
+    throw FormatError("row width " + std::to_string(width) +
+                      " does not divide the " + std::to_string(out.size()) +
+                      "-float receive span");
+  }
+  const std::size_t count = out.size() / width;
+  if (distinct == 0 || distinct >= count) {
+    throw FormatError("distinct count " + std::to_string(distinct) +
+                      " is not in [1, " + std::to_string(count) + ")");
+  }
+  const std::size_t packed_map = map_bytes(count, distinct);
+  if (reader.remaining() < packed_map) {
+    throw FormatError("row map of " + std::to_string(count) +
+                      " rows truncated: " + std::to_string(reader.remaining()) +
+                      " of " + std::to_string(packed_map) + " bytes");
+  }
+  // Every entry must be below the distinct count and in first-seen order
+  // (at most one past the largest so far), which expand_group_rows'
+  // in-place copy relies on.
+  rows.map = stream.subspan(kDistinctHeaderBytes, packed_map);
+  BitReader map(rows.map);
+  const unsigned bits = map_bits(distinct);
+  std::uint64_t next = 0;
+  for (std::size_t r = 0; r < count; ++r) {
+    const std::uint64_t entry = map.read(bits);
+    if (entry >= distinct || entry > next) {
+      throw FormatError("row map entry " + std::to_string(entry) + " at row " +
+                        std::to_string(r) +
+                        (entry >= distinct
+                             ? " is not below the distinct count " +
+                                   std::to_string(distinct)
+                             : " skips first-seen index " +
+                                   std::to_string(next)));
+    }
+    if (entry == next) ++next;
+  }
+  if (next != distinct) {
+    throw FormatError("row map refers to " + std::to_string(next) + " of " +
+                      std::to_string(distinct) + " distinct rows");
+  }
+  const auto rows_stream = stream.subspan(kDistinctHeaderBytes + packed_map);
+  const auto head = out.first(distinct * width);
+  if (config_.codec == nullptr) {
+    if (rows_stream.size() != head.size_bytes()) {
+      throw FormatError("raw stream: received " +
+                        std::to_string(rows_stream.size()) +
+                        " bytes, expected " +
+                        std::to_string(head.size_bytes()));
+    }
+    rows.src = rows_stream;
+  } else {
+    scratch_.engine->add_stream(rows_stream, head, out.size());
+    rows.src = std::as_bytes(head);
+  }
+  rows.out = out;
+  rows.width = width;
+  rows.distinct = distinct;
+  rows.pending = true;
+}
+
+void CompressedAllToAll::expand_group_rows(std::size_t count) const {
+  for_each_chunk(config_.pool, count, [&](std::size_t k) {
+    const RecvRows& rows = scratch_.recv_rows[k];
+    if (!rows.pending) return;
+    // Last row first: in first-seen order row r's source index is at most
+    // r, and every row that reads source j sits at or after row j, so a
+    // codec's rows, decoded into the head of the span, are each read
+    // before they are overwritten.
+    const std::size_t row_bytes = rows.width * sizeof(float);
+    const unsigned bits = map_bits(rows.distinct);
+    BitReader map(rows.map);
+    auto* out = reinterpret_cast<std::byte*>(rows.out.data());
+    for (std::size_t r = rows.out.size() / rows.width; r-- > 0;) {
+      map.set_bit_position(r * bits);
+      const std::byte* from = rows.src.data() + map.read(bits) * row_bytes;
+      std::byte* to = out + r * row_bytes;
+      if (from != to) std::memcpy(to, from, row_bytes);
+    }
+  });
+}
+
 void CompressedAllToAll::land_group(
     Communicator& comm, PendingCollective& pending, std::size_t g,
     std::size_t groups, const std::vector<std::vector<std::span<float>>>& recv,
@@ -176,40 +443,58 @@ void CompressedAllToAll::land_group(
   WallTimer decompress_timer;
   scratch_.dirs.resize(world);
   std::size_t group_recv_raw = 0;
+  std::size_t group_chunks = 0;
   for (std::size_t s = 0; s < world; ++s) {
     const std::size_t lo = group_begin(recv[s].size(), groups, g);
     const std::size_t hi = group_begin(recv[s].size(), groups, g + 1);
-    read_group_directory_into(comm, received[s], scratch_.dirs[s], s, lo, hi,
-                              recv[s].size(), g == 0);
+    RecvDirectory& dir = scratch_.dirs[s];
+    dir.payload = detail::parse_chunk_directory(
+        received[s], s, lo, hi, recv[s].size(), g == 0, dir.entries);
     for (std::size_t i = lo; i < hi; ++i) {
       group_recv_raw += recv[s][i].size() * sizeof(float);
     }
+    group_chunks += hi - lo;
+  }
+  if (group_chunks > scratch_.recv_rows.size()) {
+    const std::size_t cap = scratch_.recv_rows.capacity();
+    scratch_.recv_rows.resize(group_chunks);
+    if (scratch_.recv_rows.capacity() != cap) ++scratch_.grow_events;
   }
 
   {
     // Register every chunk stream of every source with the engine
     // (blocked streams expand into per-block tasks) and run one flat
     // parallel pass — the multi-stream decompression of the paper,
-    // extended below message granularity.
+    // extended below message granularity. Distinct-row chunks then
+    // expand into their receive spans, one pool task per chunk.
     DLCOMP_TRACE_SPAN("a2a/decompress");
     BlockEngine& engine = *scratch_.engine;
     engine.decompress_begin();
+    std::size_t k = 0;
+    std::size_t expand = 0;
     for (std::size_t s = 0; s < world; ++s) {
       const RecvDirectory& dir = scratch_.dirs[s];
       const std::size_t lo = group_begin(recv[s].size(), groups, g);
       const std::size_t hi = group_begin(recv[s].size(), groups, g + 1);
-      for (std::size_t i = lo; i < hi; ++i) {
+      for (std::size_t i = lo; i < hi; ++i, ++k) {
+        const detail::A2AChunkEntry& entry = dir.entries[i - lo];
+        const auto stream = dir.payload.subspan(entry.offset, entry.size);
+        RecvRows& rows = scratch_.recv_rows[k];
+        rows.pending = false;
         try {
-          engine.add_stream(
-              dir.payload.subspan(dir.offsets[i - lo], dir.sizes[i - lo]),
-              recv[s][i]);
+          if (entry.distinct_rows) {
+            add_distinct_rows(stream, recv[s][i], rows);
+            ++expand;
+          } else {
+            engine.add_stream(stream, recv[s][i]);
+          }
         } catch (const FormatError& e) {
-          throw FormatError("chunk " + std::to_string(i) + " from rank " +
-                            std::to_string(s) + ": " + e.what());
+          throw FormatError(from_rank(i, s) + e.what());
         }
       }
     }
     engine.decompress_run();
+    if (expand > 0) expand_group_rows(group_chunks);
   }
   stats.decompress_wall_seconds += decompress_timer.seconds();
 
@@ -334,10 +619,12 @@ std::size_t CompressedAllToAll::scratch_capacity_bytes() const {
   std::size_t total = scratch_.engine->capacity_bytes();
   for (const auto& buf : scratch_.packed) total += buf.capacity();
   for (const auto& dir : scratch_.dirs) {
-    total += dir.offsets.capacity() * sizeof(std::size_t) +
-             dir.sizes.capacity() * sizeof(std::size_t);
+    total += dir.entries.capacity() * sizeof(detail::A2AChunkEntry);
   }
-  return total;
+  for (const auto& rows : scratch_.send_rows) total += rows.capacity_bytes();
+  total += scratch_.recv_rows.capacity() * sizeof(RecvRows) +
+           scratch_.group_chunks.capacity() * sizeof(const A2AChunkSpec*);
+  return total + scratch_.map_writer.capacity_bytes();
 }
 
 }  // namespace dlcomp

@@ -35,26 +35,78 @@
 /// count travels once, with group 0), and the received floats are
 /// byte-identical to the monolithic path -- both asserted in tests.
 ///
+/// Distinct-row chunks: lookups of one batch repeat rows, so before the
+/// engine sees a chunk the sender finds its distinct `vector_dim`-float
+/// rows, compared bitwise, in first-seen order (one pool task per chunk,
+/// detail::find_distinct_rows). When the repeats save more bytes than
+/// the form costs, `(rows - distinct) * row_bytes > 8 + map bytes`, the
+/// chunk travels as
+///   u32 row_width | u32 distinct | map | rows stream
+/// where the map holds each row's first-seen index at
+/// ceil(log2 distinct) bits, LSB-first (BitWriter), and the rows stream
+/// is the engine's stream of the distinct rows only: their raw floats,
+/// or the codec's stream of them. The top bit of the chunk's u64
+/// directory size marks the form; any other chunk keeps the plain
+/// engine stream, byte for byte. The receiver decodes the distinct rows
+/// and expands them into the receive span. The rule is the same for raw
+/// and every codec. Raw rows land bitwise as sent, and so do the rows of
+/// a codec that reconstructs element by element (hybrid among them): a
+/// repeated row decodes to the same floats whether it was sent or
+/// expanded. cusz-like's 2-D Lorenzo predicts each row from the one
+/// before, whose neighbours change, so its reconstruction may change
+/// within the bound (DESIGN.md lists the codecs).
+/// Modelled codec time is still charged on the full chunk bytes.
+///
 /// Wall time of the CPU codecs is measured and reported; simulated clocks
 /// are charged with modelled GPU codec time (calibrated throughput +
 /// kernel launches) so breakdowns compose consistently with the network
 /// model. A2AStats splits the modelled wire time into exposed (stalled
 /// the rank) and hidden (overlapped by codec/compute) seconds.
 
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
 #include "comm/communicator.hpp"
 #include "comm/phase_names.hpp"
+#include "common/bitstream.hpp"
 #include "compress/chunked.hpp"
 #include "compress/compressor.hpp"
+#include "compress/quantizer.hpp"
 #include "compress/workspace.hpp"
 #include "parallel/device_model.hpp"
 #include "parallel/thread_pool.hpp"
 
 namespace dlcomp {
+
+namespace detail {
+
+/// Top bit of a chunk's u64 directory size: the chunk travels in
+/// distinct-row form (see the file comment).
+inline constexpr std::uint64_t kDistinctRowsFlag = std::uint64_t{1} << 63;
+
+/// One chunk of a received group, as its directory entry describes it.
+struct A2AChunkEntry {
+  std::size_t offset = 0;       ///< into the group's payload
+  std::size_t size = 0;         ///< stream bytes, flag cleared
+  bool distinct_rows = false;   ///< the stream is in distinct-row form
+};
+
+/// Parses the directory at the front of one group buffer received from
+/// rank `src`, which holds chunks [lo, hi) of `total_expected` (the u32
+/// chunk count leads group 0 only), into `entries`, and returns the
+/// payload behind it. Throws FormatError naming the rank (and the chunk
+/// whose size is at fault) when the count differs, a size exceeds the
+/// bytes left, or the sizes do not add up to the payload.
+std::span<const std::byte> parse_chunk_directory(
+    std::span<const std::byte> buffer, std::size_t src, std::size_t lo,
+    std::size_t hi, std::size_t total_expected, bool first_group,
+    std::vector<A2AChunkEntry>& entries);
+
+}  // namespace detail
 
 /// One tensor chunk addressed to a destination rank.
 struct A2AChunkSpec {
@@ -198,9 +250,38 @@ class CompressedAllToAll {
  private:
   /// Parsed view of one received packed buffer (one chunk group).
   struct RecvDirectory {
-    std::vector<std::size_t> offsets;  // into payload
-    std::vector<std::size_t> sizes;
+    std::vector<detail::A2AChunkEntry> entries;
     std::span<const std::byte> payload;
+  };
+
+  /// Distinct-row state of one chunk of the group being packed, indexed
+  /// by the chunk's position in the group (destination-major), so every
+  /// buffer keeps its high-water capacity across exchanges.
+  struct SendRows {
+    std::vector<detail::DistinctRowSlot> table;
+    std::vector<std::uint32_t> map;  ///< first-seen index per row
+    std::vector<float> rows;         ///< gathered distinct rows (codecs)
+    std::size_t width = 0;
+    std::size_t distinct = 0;
+    bool distinct_rows = false;      ///< this chunk travels in that form
+    bool grew = false;
+    [[nodiscard]] std::size_t capacity_bytes() const noexcept {
+      return table.capacity() * sizeof(detail::DistinctRowSlot) +
+             map.capacity() * sizeof(std::uint32_t) +
+             rows.capacity() * sizeof(float);
+    }
+  };
+
+  /// A received distinct-row chunk waiting to be expanded, indexed like
+  /// SendRows by the chunk's position in the group (source-major). It
+  /// only views the received payload and the receive span.
+  struct RecvRows {
+    std::span<const std::byte> map;  ///< packed first-seen indices
+    std::span<const std::byte> src;  ///< the distinct rows' float32 bytes
+    std::span<float> out;
+    std::size_t width = 0;
+    std::size_t distinct = 0;
+    bool pending = false;
   };
 
   /// Per-instance reusable state. Mutable because exchange() is logically
@@ -220,6 +301,10 @@ class CompressedAllToAll {
     std::vector<std::vector<std::byte>> packed;  // per destination
     std::vector<std::size_t> packed_caps;        // pre-group capacities
     std::vector<RecvDirectory> dirs;             // per source
+    std::vector<const A2AChunkSpec*> group_chunks;  // destination-major
+    std::vector<SendRows> send_rows;             // per chunk of the group
+    std::vector<RecvRows> recv_rows;             // per chunk of the group
+    BitWriter map_writer;
     /// Per-tag cumulative totals, sized to the high-water tag count
     /// (growth counted like any other scratch).
     std::vector<std::uint64_t> tag_raw;
@@ -252,12 +337,20 @@ class CompressedAllToAll {
                   const std::vector<std::vector<std::span<float>>>& recv,
                   const PhaseNames& names, A2AStats& stats) const;
 
-  void read_group_directory_into(Communicator& comm,
-                                 std::span<const std::byte> buffer,
-                                 RecvDirectory& dir, std::size_t src,
-                                 std::size_t lo, std::size_t hi,
-                                 std::size_t total_expected,
-                                 bool first_group) const;
+  /// Finds the distinct rows of every chunk of group g (one pool task
+  /// per chunk) and decides which chunks travel in distinct-row form.
+  void find_group_rows(const std::vector<std::vector<A2AChunkSpec>>& send,
+                       std::size_t g, std::size_t groups) const;
+
+  /// Copies every pending distinct-row chunk's rows into place, one pool
+  /// task per chunk.
+  void expand_group_rows(std::size_t count) const;
+
+  /// Checks a received distinct-row stream against its receive span and
+  /// registers it for expansion: a codec's stream decodes into the head
+  /// of the span, raw rows expand straight from the payload.
+  void add_distinct_rows(std::span<const std::byte> stream,
+                         std::span<float> out, RecvRows& rows) const;
 
   CompressedAllToAllConfig config_;
   /// Modelled codec throughputs: the calibrated table entry for the

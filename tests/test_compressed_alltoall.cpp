@@ -3,9 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <string>
 #include <vector>
 
+#include "common/byte_io.hpp"
+#include "common/crc32.hpp"
 #include "common/rng.hpp"
 #include "compress/registry.hpp"
 #include "core/compressed_alltoall.hpp"
@@ -399,6 +402,401 @@ TEST(CompressedA2A, MultiBlockSteadyStateDoesNotAllocate) {
   }
   EXPECT_EQ(grow_after, grow)
       << "steady-state multi-block exchange allocated in the codec path";
+}
+
+// ------------------------------------------------- distinct-row chunks
+
+/// `rows` rows of `width` floats drawn from `pool` distinct rows with a
+/// skew towards the first ones, as a batch's lookups repeat hot rows.
+std::vector<float> repeated_rows(std::size_t rows, std::size_t width,
+                                 std::size_t pool, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> table(pool * width);
+  for (auto& v : table) v = static_cast<float>(rng.normal(0.0, 0.2));
+  std::vector<float> out(rows * width);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t pick = rng.next_below(pool) * rng.next_below(pool) / pool;
+    std::memcpy(out.data() + r * width, table.data() + pick * width,
+                width * sizeof(float));
+  }
+  return out;
+}
+
+/// `rows` rows of `width` independent normal floats: no row repeats.
+std::vector<float> distinct_rows(std::size_t rows, std::size_t width,
+                                 std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<float> out(rows * width);
+  for (auto& v : out) v = static_cast<float>(rng.normal(0.0, 0.2));
+  return out;
+}
+
+/// World-2 exchange of one chunk per destination through `codec` (null:
+/// raw). Returns each rank's received floats, source-major, and fills
+/// `stats` per rank.
+std::vector<std::vector<float>> exchange_chunks(
+    const Compressor* codec,
+    const std::vector<std::vector<float>>& payload,  // [rank * 2 + dest]
+    std::size_t width, std::vector<A2AStats>& stats) {
+  const int world = 2;
+  ThreadPool pool(2);
+  Cluster cluster(world);
+  std::vector<std::vector<float>> received(world);
+  stats.assign(world, {});
+  cluster.run([&](Communicator& comm) {
+    const auto r = static_cast<std::size_t>(comm.rank());
+    std::vector<std::vector<A2AChunkSpec>> send(world);
+    for (std::size_t d = 0; d < world; ++d) {
+      A2AChunkSpec spec;
+      spec.data = payload[r * world + d];
+      spec.params.error_bound = 0.01;
+      spec.params.vector_dim = width;
+      spec.tag = static_cast<std::uint32_t>(d);
+      send[d].push_back(spec);
+    }
+    std::vector<float>& out = received[r];
+    out.assign(payload[r].size() * world, -1.0f);
+    std::vector<std::vector<std::span<float>>> recv(world);
+    for (std::size_t s = 0; s < world; ++s) {
+      recv[s].push_back(std::span<float>(out).subspan(
+          s * payload[r].size(), payload[s * world + r].size()));
+    }
+    CompressedAllToAllConfig config;
+    config.codec = codec;
+    config.pool = &pool;
+    const CompressedAllToAll a2a(config);
+    stats[r] = a2a.exchange(comm, send, recv, "rows");
+  });
+  return received;
+}
+
+TEST(CompressedA2A, RepeatedRawRowsTravelOnceAndLandBitwise) {
+  const std::size_t width = 16;
+  const std::size_t rows = 256;
+  std::vector<std::vector<float>> payload;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    payload.push_back(repeated_rows(rows, width, 40, seed));
+  }
+  std::vector<A2AStats> stats;
+  const auto received = exchange_chunks(nullptr, payload, width, stats);
+  for (std::size_t r = 0; r < 2; ++r) {
+    for (std::size_t s = 0; s < 2; ++s) {
+      const std::vector<float>& sent = payload[s * 2 + r];
+      ASSERT_EQ(std::memcmp(received[r].data() + s * sent.size(), sent.data(),
+                            sent.size() * sizeof(float)),
+                0)
+          << "rank " << r << " from " << s;
+    }
+    // At most 40 distinct rows of 256 travel, plus an 8-bit map.
+    EXPECT_EQ(stats[r].send_raw_bytes, 2 * rows * width * sizeof(float));
+    EXPECT_LT(stats[r].send_wire_bytes, stats[r].send_raw_bytes / 4);
+  }
+}
+
+TEST(CompressedA2A, DistinctRawRowsKeepTheirPlainFraming) {
+  // Rows that never repeat travel exactly as before: u32 count | u64 size
+  // | the chunk's floats.
+  const std::size_t width = 16;
+  const std::size_t rows = 64;
+  std::vector<std::vector<float>> payload;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    payload.push_back(distinct_rows(rows, width, seed));
+  }
+  std::vector<A2AStats> stats;
+  (void)exchange_chunks(nullptr, payload, width, stats);
+  for (std::size_t r = 0; r < 2; ++r) {
+    const std::vector<float>& to_peer = payload[r * 2 + (1 - r)];
+    std::vector<std::byte> expected;
+    append_pod(expected, std::uint32_t{1});
+    append_pod(expected, static_cast<std::uint64_t>(rows * width * 4));
+    append_pod_span(expected, std::span<const float>(to_peer));
+    EXPECT_EQ(stats[r].wire_crc32, crc32(expected)) << "rank " << r;
+    EXPECT_EQ(stats[r].send_wire_bytes,
+              2 * (sizeof(std::uint32_t) + sizeof(std::uint64_t)) +
+                  stats[r].send_raw_bytes);
+  }
+}
+
+TEST(CompressedA2A, ElementwiseCodecsReconstructRepeatedRowsAsBefore) {
+  // A codec that quantizes element by element decodes a repeated row to
+  // the same floats whether it was sent or expanded, so the receiver sees
+  // exactly the whole chunk's round trip. cusz-like predicts across rows
+  // and is held only to its bound.
+  const std::size_t width = 16;
+  const std::size_t rows = 256;
+  std::vector<std::vector<float>> payload;
+  for (std::uint64_t seed = 11; seed <= 14; ++seed) {
+    payload.push_back(repeated_rows(rows, width, 40, seed));
+  }
+  CompressParams params;
+  params.error_bound = 0.01;
+  params.vector_dim = width;
+  for (const std::string_view name : all_compressor_names()) {
+    SCOPED_TRACE(std::string(name));
+    const Compressor& codec = get_compressor(name);
+    std::vector<A2AStats> stats;
+    const auto received = exchange_chunks(&codec, payload, width, stats);
+    for (std::size_t r = 0; r < 2; ++r) {
+      for (std::size_t s = 0; s < 2; ++s) {
+        const std::vector<float>& sent = payload[s * 2 + r];
+        const std::span<const float> got(received[r].data() + s * sent.size(),
+                                         sent.size());
+        if (name == "cusz-like") {
+          for (std::size_t k = 0; k < sent.size(); ++k) {
+            ASSERT_LE(std::fabs(got[k] - sent[k]), 0.01 * (1 + 1e-6)) << k;
+          }
+          continue;
+        }
+        std::vector<std::byte> stream;
+        (void)codec.compress(sent, params, stream);
+        std::vector<float> whole(sent.size());
+        (void)codec.decompress(stream, whole);
+        ASSERT_EQ(std::memcmp(got.data(), whole.data(),
+                              whole.size() * sizeof(float)),
+                  0)
+            << "rank " << r << " from " << s;
+      }
+    }
+  }
+}
+
+TEST(CompressedA2A, RepeatedRowsSteadyStateDoesNotAllocate) {
+  // The distinct count changes every round; the dedup scratch is sized by
+  // the chunk's shape, so it must not grow after warm-up.
+  const std::size_t width = 16;
+  const std::size_t rows = 512;
+  for (const char* name : {"", "hybrid"}) {
+    SCOPED_TRACE(name);
+    const Compressor* codec =
+        std::string_view(name).empty() ? nullptr : &get_compressor(name);
+    ThreadPool pool(2);
+    Cluster cluster(2);
+    std::vector<CompressedAllToAll> a2a;
+    for (int r = 0; r < 2; ++r) {
+      CompressedAllToAllConfig config;
+      config.codec = codec;
+      config.pool = &pool;
+      config.charge_modeled_time = false;
+      a2a.emplace_back(config);
+    }
+    std::uint64_t warm = 0;
+    for (std::uint64_t round = 0; round < 8; ++round) {
+      if (round == 2) {
+        for (const auto& x : a2a) warm += x.workspace_grow_events();
+      }
+      cluster.run([&](Communicator& comm) {
+        const auto r = static_cast<std::size_t>(comm.rank());
+        // Round 0 repeats the most; later rounds draw from larger pools.
+        std::vector<std::vector<float>> payload;
+        std::vector<std::vector<A2AChunkSpec>> send(2);
+        for (std::size_t d = 0; d < 2; ++d) {
+          payload.push_back(
+              repeated_rows(rows, width, 8 + 60 * round, round * 4 + r * 2 + d));
+        }
+        for (std::size_t d = 0; d < 2; ++d) {
+          A2AChunkSpec spec;
+          spec.data = payload[d];
+          spec.params.vector_dim = width;
+          send[d].push_back(spec);
+        }
+        std::vector<std::vector<float>> out(2, std::vector<float>(rows * width));
+        std::vector<std::vector<std::span<float>>> recv(2);
+        for (std::size_t s = 0; s < 2; ++s) recv[s].emplace_back(out[s]);
+        (void)a2a[r].exchange(comm, send, recv, "steady");
+      });
+    }
+    std::uint64_t after = 0;
+    for (const auto& x : a2a) after += x.workspace_grow_events();
+    EXPECT_EQ(after, warm);
+  }
+}
+
+// -------------------------------------------------- hostile framing
+
+TEST(CompressedA2ADirectory, SizesThatWouldWrapAreRejected) {
+  // Sizes {2^64 - 8, P + 8} add up to P modulo 2^64; so do three sizes
+  // without the form flag. Each size must fit the bytes left on its own.
+  const std::size_t payload = 40;
+  for (const std::vector<std::uint64_t>& sizes :
+       {std::vector<std::uint64_t>{~std::uint64_t{0} - 7, payload + 8},
+        std::vector<std::uint64_t>{(std::uint64_t{1} << 63) - 8,
+                                   (std::uint64_t{1} << 63) - 8,
+                                   payload + 16}}) {
+    std::vector<std::byte> buffer;
+    append_pod(buffer, static_cast<std::uint32_t>(sizes.size()));
+    for (const auto size : sizes) append_pod(buffer, size);
+    buffer.resize(buffer.size() + payload);
+    std::vector<detail::A2AChunkEntry> entries;
+    try {
+      (void)detail::parse_chunk_directory(buffer, 3, 0, sizes.size(),
+                                          sizes.size(), true, entries);
+      ADD_FAILURE() << "wrapping directory accepted";
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find("chunk 0 from rank 3"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(CompressedA2ADirectory, TruncationAtEveryLengthIsAFormatError) {
+  std::vector<std::byte> buffer;
+  append_pod(buffer, std::uint32_t{2});
+  append_pod(buffer, std::uint64_t{12});
+  append_pod(buffer, std::uint64_t{20} | detail::kDistinctRowsFlag);
+  buffer.resize(buffer.size() + 32);
+  std::vector<detail::A2AChunkEntry> entries;
+  const auto payload =
+      detail::parse_chunk_directory(buffer, 1, 0, 2, 2, true, entries);
+  ASSERT_EQ(payload.size(), 32u);
+  ASSERT_EQ(entries.size(), 2u);
+  EXPECT_FALSE(entries[0].distinct_rows);
+  EXPECT_TRUE(entries[1].distinct_rows);
+  EXPECT_EQ(entries[1].offset, 12u);
+  EXPECT_EQ(entries[1].size, 20u);
+  for (std::size_t len = 0; len < buffer.size(); ++len) {
+    EXPECT_THROW((void)detail::parse_chunk_directory(
+                     std::span<const std::byte>(buffer).first(len), 1, 0, 2,
+                     2, true, entries),
+                 FormatError)
+        << len;
+  }
+}
+
+/// Rank 1 sends `stream` to rank 0 as its only chunk, flagged as a
+/// distinct-row chunk, while rank 0 expects `floats` floats from it and
+/// runs the exchange through `codec`. Returns rank 0's FormatError text
+/// ("" when the exchange succeeded).
+std::string land_crafted(std::span<const std::byte> stream, std::size_t floats,
+                         const Compressor* codec) {
+  ThreadPool pool(2);
+  Cluster cluster(2);
+  std::string message;
+  cluster.run([&](Communicator& comm) {
+    std::vector<float> data(floats, 0.25f);
+    if (comm.rank() == 1) {
+      std::vector<std::vector<std::byte>> buffers(2);
+      append_pod(buffers[0], std::uint32_t{1});
+      append_pod(buffers[0], static_cast<std::uint64_t>(stream.size()) |
+                                 detail::kDistinctRowsFlag);
+      buffers[0].insert(buffers[0].end(), stream.begin(), stream.end());
+      (void)comm.all_to_all_v(buffers, "hostile");
+      return;
+    }
+    std::vector<std::vector<A2AChunkSpec>> send(2);
+    for (auto& chunks : send) {
+      A2AChunkSpec spec;
+      spec.data = data;
+      spec.params.vector_dim = floats;  // one row: never in distinct form
+      chunks.push_back(spec);
+    }
+    std::vector<std::vector<float>> out(2, std::vector<float>(floats));
+    std::vector<std::vector<std::span<float>>> recv(2);
+    for (int s = 0; s < 2; ++s) recv[s].emplace_back(out[s]);
+    CompressedAllToAllConfig config;
+    config.codec = codec;
+    config.pool = &pool;
+    const CompressedAllToAll a2a(config);
+    try {
+      (void)a2a.exchange(comm, send, recv, "hostile");
+    } catch (const FormatError& e) {
+      message = e.what();
+    }
+  });
+  return message;
+}
+
+/// A distinct-row stream for 4 rows of width 2 (rows A, B, A, A): u32
+/// width | u32 distinct | map | rows.
+std::vector<std::byte> distinct_row_stream(std::uint32_t width,
+                                           std::uint32_t distinct,
+                                           std::span<const std::byte> map,
+                                           std::span<const std::byte> rows) {
+  std::vector<std::byte> out;
+  append_pod(out, width);
+  append_pod(out, distinct);
+  out.insert(out.end(), map.begin(), map.end());
+  out.insert(out.end(), rows.begin(), rows.end());
+  return out;
+}
+
+constexpr std::byte kMapABAA{0x02};  // 1-bit entries 0, 1, 0, 0
+
+TEST(CompressedA2AHostile, WellFormedCraftedChunkLands) {
+  const std::vector<float> rows = {1.0f, 2.0f, 3.0f, 4.0f};
+  const auto stream = distinct_row_stream(
+      2, 2, std::span(&kMapABAA, 1), std::as_bytes(std::span(rows)));
+  EXPECT_EQ(land_crafted(stream, 8, nullptr), "");
+}
+
+TEST(CompressedA2AHostile, TruncationAtEveryLengthNamesTheChunk) {
+  const std::vector<float> rows = {1.0f, 2.0f, 3.0f, 4.0f};
+  const auto raw = distinct_row_stream(2, 2, std::span(&kMapABAA, 1),
+                                       std::as_bytes(std::span(rows)));
+  const Compressor& hybrid = get_compressor("hybrid");
+  CompressParams params;
+  params.vector_dim = 2;
+  std::vector<std::byte> coded_rows;
+  (void)hybrid.compress(rows, params, coded_rows);
+  const auto coded =
+      distinct_row_stream(2, 2, std::span(&kMapABAA, 1), coded_rows);
+  for (const auto& [stream, codec] :
+       {std::pair{raw, (const Compressor*)nullptr}, std::pair{coded, &hybrid}}) {
+    ASSERT_EQ(land_crafted(stream, 8, codec), "");
+    for (std::size_t len = 0; len < stream.size(); ++len) {
+      const std::string message =
+          land_crafted(std::span(stream).first(len), 8, codec);
+      EXPECT_NE(message.find("chunk 0 from rank 1"), std::string::npos)
+          << "length " << len << ": " << message;
+    }
+  }
+}
+
+TEST(CompressedA2AHostile, BadCountsMapsAndWidthsNameTheChunk) {
+  const std::vector<float> two = {1.0f, 2.0f, 3.0f, 4.0f};
+  const std::vector<float> three = {1.0f, 2.0f, 3.0f, 4.0f, 5.0f, 6.0f};
+  const auto two_rows = std::as_bytes(std::span(two));
+  const std::byte map4{0xE4};  // 2-bit entries 0, 1, 2, 3
+  const std::byte map_skip{0x08};  // 2-bit entries 0, 2, 0, 0
+  const struct {
+    const char* what;
+    std::vector<std::byte> stream;
+    const char* expect;
+  } cases[] = {
+      {"distinct 0", distinct_row_stream(2, 0, {}, {}), "distinct count 0"},
+      {"distinct = rows",
+       distinct_row_stream(2, 4, std::span(&map4, 1),
+                           std::as_bytes(std::span(three))),
+       "distinct count 4"},
+      {"distinct > rows", distinct_row_stream(2, 9, std::span(&map4, 1), {}),
+       "distinct count 9"},
+      {"entry >= distinct",
+       distinct_row_stream(2, 3, std::span(&map4, 1),
+                           std::as_bytes(std::span(three))),
+       "not below the distinct count 3"},
+      {"entry out of first-seen order",
+       distinct_row_stream(2, 3, std::span(&map_skip, 1),
+                           std::as_bytes(std::span(three))),
+       "skips first-seen index 1"},
+      {"width does not divide the span",
+       distinct_row_stream(3, 2, std::span(&kMapABAA, 1), two_rows),
+       "row width 3 does not divide the 8-float receive span"},
+      {"width 0", distinct_row_stream(0, 2, std::span(&kMapABAA, 1), two_rows),
+       "row width 0"},
+      {"flag on a chunk shorter than the header",
+       std::vector<std::byte>(5, std::byte{1}), "shorter than its 8-byte header"},
+      {"rows bytes short",
+       distinct_row_stream(2, 2, std::span(&kMapABAA, 1),
+                           two_rows.first(12)),
+       "received 12 bytes, expected 16"},
+  };
+  for (const auto& c : cases) {
+    const std::string message = land_crafted(c.stream, 8, nullptr);
+    EXPECT_NE(message.find("chunk 0 from rank 1"), std::string::npos)
+        << c.what << ": " << message;
+    EXPECT_NE(message.find(c.expect), std::string::npos)
+        << c.what << ": " << message;
+  }
 }
 
 }  // namespace

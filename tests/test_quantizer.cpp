@@ -5,6 +5,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -136,6 +138,44 @@ TEST(UniqueRows, SymbolRowsCountLikeTheirCodes) {
                                               codes.size() / dim,
                                               &reference::fnv1a_bytes),
               want);
+  }
+}
+
+TEST(UniqueRows, MapGivesEachRowItsFirstSeenIndex) {
+  // The map names every row's distinct class in first-seen order, also
+  // when every hash collides and only the byte comparison tells rows
+  // apart; the reused table gives the same answer on a second call.
+  Rng rng(13);
+  constexpr std::size_t kRows = 200;
+  constexpr std::size_t kWidth = 5;
+  std::vector<float> data(kRows * kWidth);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const auto pick = static_cast<float>(rng.next_below(17));
+    for (std::size_t c = 0; c < kWidth; ++c) {
+      data[r * kWidth + c] = pick + static_cast<float>(c);
+    }
+  }
+  data[7 * kWidth] = -0.0f;  // bitwise distinct from +0.0f rows
+  std::map<std::string, std::uint32_t> seen;
+  std::vector<std::uint32_t> want(kRows);
+  for (std::size_t r = 0; r < kRows; ++r) {
+    const std::string key(reinterpret_cast<const char*>(&data[r * kWidth]),
+                          kWidth * sizeof(float));
+    want[r] = seen.emplace(key, static_cast<std::uint32_t>(seen.size()))
+                  .first->second;
+  }
+  const auto constant = [](const void*, std::size_t) -> std::uint64_t {
+    return 7;
+  };
+  std::vector<detail::DistinctRowSlot> table;
+  for (const detail::RowHashFn hash :
+       {detail::RowHashFn{&detail::hash_row_words}, detail::RowHashFn{constant},
+        detail::RowHashFn{&detail::hash_row_words}}) {
+    std::vector<std::uint32_t> map(kRows, UINT32_MAX);
+    EXPECT_EQ(detail::find_distinct_rows(data.data(), kWidth * sizeof(float),
+                                         kRows, hash, table, map),
+              seen.size());
+    EXPECT_EQ(map, want);
   }
 }
 
