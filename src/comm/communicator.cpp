@@ -142,13 +142,6 @@ double Communicator::exchange_with_clock(
   return latest;
 }
 
-std::vector<std::vector<std::byte>> Communicator::all_to_all_v(
-    const std::vector<std::vector<std::byte>>& send, std::string_view phase) {
-  PendingCollective pending = all_to_all_v_async(send, phase);
-  pending.wait();
-  return std::move(pending.recv());
-}
-
 PendingCollective Communicator::all_to_all_v_async(
     const std::vector<std::vector<std::byte>>& send, std::string_view phase,
     double not_before) {

@@ -10,7 +10,7 @@
 /// is framed messages over localhost sockets).
 ///
 /// It offers what a hybrid-parallel DLRM iteration needs and nothing
-/// more: all_to_all_v for the embedding lookups and their gradients,
+/// more: all_to_all_v_async for the embedding lookups and their gradients,
 /// all_reduce_sum for the MLP gradients, and barrier around eval and
 /// checkpoints. The two data collectives each reduce to one
 /// Transport::exchange carrying a control block of
@@ -21,12 +21,13 @@
 /// simulated clocks, loss trajectories and wire CRCs byte-identical
 /// across backends. See DESIGN.md "Transport backends and calibration".
 ///
-/// Collectives come in blocking and nonblocking flavors. A nonblocking
-/// call moves the payload immediately (real data motion completes inside
-/// the exchange) but defers the *clock* charge to
-/// PendingCollective::wait(): compute charged between issue and wait
-/// overlaps the modelled wire time, and only the exposed remainder
-/// stalls the rank. See DESIGN.md "Overlap and the simulated clock".
+/// The all-reduce comes in blocking and nonblocking flavors; the
+/// all-to-all is nonblocking only. A nonblocking call moves the payload
+/// immediately (real data motion completes inside the exchange) but
+/// defers the *clock* charge to PendingCollective::wait(): compute
+/// charged between issue and wait overlaps the modelled wire time, and
+/// only the exposed remainder stalls the rank. See DESIGN.md "Overlap
+/// and the simulated clock".
 
 #include <array>
 #include <cstddef>
@@ -203,15 +204,11 @@ class Communicator {
   void barrier();
 
   /// Variable-size all-to-all over byte chunks: send[d] goes to rank d;
-  /// result[s] is the chunk rank s sent here. This models the paper's
-  /// stage (2)+(3): chunk sizes are exchanged first (metadata all-to-all,
-  /// charged separately to phase "<phase>/metadata"), then payloads move.
-  /// Equivalent to all_to_all_v_async immediately waited.
-  [[nodiscard]] std::vector<std::vector<std::byte>> all_to_all_v(
-      const std::vector<std::vector<std::byte>>& send, std::string_view phase);
-
-  /// Nonblocking all_to_all_v: payloads move now, the clock is charged at
-  /// handle.wait() under the overlap model. `not_before` floors the
+  /// handle.recv()[s] is the chunk rank s sent here. This models the
+  /// paper's stage (2)+(3): chunk sizes are exchanged first (metadata
+  /// all-to-all, charged separately to phase "<phase>/metadata"), then
+  /// payloads move. Nonblocking: payloads move now, the clock is charged
+  /// at handle.wait() under the overlap model. `not_before` floors the
   /// simulated start time (every rank must pass the same value) — the
   /// pipelined exchange uses it to serialize chunk groups on one link.
   [[nodiscard]] PendingCollective all_to_all_v_async(

@@ -52,13 +52,6 @@ void LatencyRecorder::snapshot_to(MetricsSnapshot& snap,
   snap.set(name + "/p999", s.p999_s);
 }
 
-void LatencyRecorder::reset() {
-  samples_.clear();
-  sum_ = 0.0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = 0.0;
-}
-
 std::string format_latency(const LatencySummary& summary) {
   char buf[160];
   std::snprintf(buf, sizeof buf,

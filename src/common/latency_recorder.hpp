@@ -61,8 +61,6 @@ class LatencyRecorder {
     return HistogramBuckets::exponential(1e-6, 2.0, 26);
   }
 
-  void reset();
-
  private:
   std::vector<float> samples_;
   double sum_ = 0.0;

@@ -34,11 +34,6 @@ const Compressor* const kRegistry[] = {
     &kGenericLz, &kDeflate, &kFp16,  &kFp8,      &kHybrid,
 };
 
-constexpr std::array<std::string_view, 8> kPipelineNames = {
-    "cusz-like", "zfp-like", "fz-gpu-like", "vector-lz",
-    "huffman",   "generic-lz", "deflate-like", "hybrid",
-};
-
 }  // namespace
 
 const Compressor& get_compressor(std::string_view name) {
@@ -62,10 +57,6 @@ std::span<const std::string_view> all_compressor_names() noexcept {
     return out;
   }();
   return names;
-}
-
-std::span<const std::string_view> pipeline_compressor_names() noexcept {
-  return kPipelineNames;
 }
 
 }  // namespace dlcomp

@@ -28,8 +28,4 @@ const Compressor& get_compressor(CodecId id);
 /// Table V / Fig. 11 use.
 std::span<const std::string_view> all_compressor_names() noexcept;
 
-/// Names of the codecs usable inside the training pipeline (anything
-/// that honors an error bound or is lossless).
-std::span<const std::string_view> pipeline_compressor_names() noexcept;
-
 }  // namespace dlcomp

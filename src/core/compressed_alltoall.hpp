@@ -11,7 +11,7 @@
 /// for it (e.g. one chunk per owned embedding table) behind a small
 /// directory, so multiple tensors travel as a single message -- the wire
 /// analogue of the buffer optimization. Stage (2) is realized inside
-/// Communicator::all_to_all_v, which charges the metadata exchange
+/// Communicator::all_to_all_v_async, which charges the metadata exchange
 /// separately.
 ///
 /// Buffer optimization, CPU edition: stage (1) sizes each destination's

@@ -1,7 +1,9 @@
 #include "core/report_io.hpp"
 
+#include <cmath>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 #include "common/error.hpp"
 #include "common/file_io.hpp"
@@ -92,30 +94,43 @@ CompressionPlan read_plan(std::istream& is) {
   }
   std::size_t count = 0;
   is >> word >> count;
-  if (word != "tables") throw FormatError("plan missing table count");
+  if (word != "tables" || !is) throw FormatError("plan missing table count");
 
+  // The file comes from outside, so `count` only bounds the loop: memory
+  // grows with the rows actually read, never with the claimed count.
+  // `count` rows with distinct ids below `count` are exactly 0..count-1.
   CompressionPlan plan;
-  plan.tables.reserve(count);
+  std::unordered_set<std::size_t> ids;
   for (std::size_t i = 0; i < count; ++i) {
+    const auto bad = [i](const std::string& what) {
+      return FormatError("plan row " + std::to_string(i + 1) + ": " + what);
+    };
+    const auto field = [&](const std::string& name, auto& value) {
+      std::string key;
+      is >> key >> value;
+      if (!is || key != name) throw bad("missing or malformed " + name);
+    };
     CompressionPlan::Table t;
-    std::string key;
     std::string cls;
     std::string codec;
-    is >> key >> t.table_id;
-    if (key != "table") throw FormatError("plan table row malformed");
-    is >> key >> t.error_bound;
-    if (key != "eb") throw FormatError("plan missing eb");
-    is >> key >> cls;
-    if (key != "class") throw FormatError("plan missing class");
+    field("table", t.table_id);
+    field("eb", t.error_bound);
+    field("class", cls);
     t.eb_class = parse_class(cls);
-    is >> key >> codec;
-    if (key != "codec") throw FormatError("plan missing codec");
+    field("codec", codec);
     t.choice = parse_choice(codec);
-    is >> key >> t.homo_index;
-    if (key != "homo") throw FormatError("plan missing homo");
-    is >> key >> t.pattern_retention;
-    if (key != "retention") throw FormatError("plan missing retention");
-    if (!is) throw FormatError("plan truncated");
+    field("homo", t.homo_index);
+    field("retention", t.pattern_retention);
+    if (t.table_id >= count) {
+      throw bad("table id " + std::to_string(t.table_id) + " outside 0.." +
+                std::to_string(count - 1));
+    }
+    if (!ids.insert(t.table_id).second) {
+      throw bad("table id " + std::to_string(t.table_id) + " repeated");
+    }
+    if (!(std::isfinite(t.error_bound) && t.error_bound > 0.0)) {
+      throw bad("error bound must be finite and positive");
+    }
     plan.tables.push_back(t);
   }
   return plan;

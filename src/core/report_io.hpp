@@ -48,7 +48,9 @@ CompressionPlan make_plan(const AnalysisReport& report);
 void write_plan(std::ostream& os, const CompressionPlan& plan);
 std::string plan_to_string(const CompressionPlan& plan);
 
-/// Parses a plan; throws FormatError on malformed input.
+/// Parses a plan; throws FormatError on malformed input, naming the row.
+/// A plan of N tables must list each id 0..N-1 exactly once, with a
+/// finite, positive error bound.
 CompressionPlan read_plan(std::istream& is);
 CompressionPlan plan_from_string(const std::string& text);
 

@@ -4,7 +4,7 @@
 /// The mini-batch contract between data sources and the training /
 /// analysis / serving stack. Everything that consumes batches (the
 /// single-process DlrmModel, the hybrid-parallel trainer, the offline
-/// analyzer, the auto-tuner) takes a `BatchSource`, so synthetic
+/// analyzer) takes a `BatchSource`, so synthetic
 /// generation and real-dataset shard reading are interchangeable behind
 /// one flag.
 ///

@@ -106,12 +106,6 @@ DatasetSpec build(std::string name, std::span<const std::size_t> cards,
 
 }  // namespace
 
-std::size_t DatasetSpec::total_rows() const noexcept {
-  std::size_t total = 0;
-  for (const auto& t : tables) total += t.cardinality;
-  return total;
-}
-
 DatasetSpec DatasetSpec::criteo_kaggle_like(std::size_t cardinality_cap) {
   return build("criteo-kaggle-like", kKaggleCardinalities, cardinality_cap,
                /*dim=*/32, /*batch=*/128);

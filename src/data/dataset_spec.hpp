@@ -48,9 +48,6 @@ struct DatasetSpec {
 
   [[nodiscard]] std::size_t num_tables() const noexcept { return tables.size(); }
 
-  /// Total embedding parameter count across tables.
-  [[nodiscard]] std::size_t total_rows() const noexcept;
-
   /// Criteo-Kaggle-shaped workload: 26 tables, dim 32, batch 128
   /// (the paper's Kaggle settings). `cardinality_cap` bounds table rows
   /// (the three >1M tables are capped, like DLRM's --max-ind-range).

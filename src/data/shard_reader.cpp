@@ -172,7 +172,7 @@ ShardedDatasetReader::ShardedDatasetReader(DatasetSpec spec,
   slots_ = std::vector<Slot>(shards_.size());
 
   // Eval holdout: the file-order tail of shards, so held-out metrics
-  // (auto-tuner, trainer eval) never see training samples. Impossible
+  // (trainer eval) never see training samples. Impossible
   // with a single shard -- then eval falls back to the training set.
   std::size_t eval_shards = 0;
   if (shards_.size() > 1) {
@@ -302,12 +302,6 @@ void ShardedDatasetReader::fill_batch(std::size_t batch_size,
                                       std::uint64_t batch_index,
                                       SampleBatch& out) const {
   fill_impl(batch_size, batch_index, out, /*training=*/true);
-}
-
-void ShardedDatasetReader::fill_eval_batch(std::size_t batch_size,
-                                           std::uint64_t batch_index,
-                                           SampleBatch& out) const {
-  fill_impl(batch_size, batch_index, out, /*training=*/false);
 }
 
 SampleBatch ShardedDatasetReader::make_batch(std::size_t batch_size,

@@ -90,10 +90,6 @@ class ShardedDatasetReader : public BatchSource {
   /// is amortized once per epoch). Wraps around epochs indefinitely.
   void fill_batch(std::size_t batch_size, std::uint64_t batch_index,
                   SampleBatch& out) const;
-  /// Same over the held-out shard tail, in file order (the evaluation
-  /// stream).
-  void fill_eval_batch(std::size_t batch_size, std::uint64_t batch_index,
-                       SampleBatch& out) const;
 
   [[nodiscard]] SampleBatch make_batch(std::size_t batch_size,
                                        std::uint64_t batch_index) const override;

@@ -93,8 +93,6 @@ void trace_sim_async(int rank, const char* name, double begin_s,
 
 void trace_bind_thread_rank(int rank) noexcept { tls_rank = rank; }
 
-int trace_thread_rank() noexcept { return tls_rank; }
-
 Tracer& Tracer::instance() {
   static Tracer* tracer = new Tracer();  // never destroyed: rings must
                                          // outlive detached TLS caches

@@ -101,7 +101,6 @@ void trace_sim_async(int rank, const char* name, double begin_s,
 /// grouped under "rank N" in the exported trace. Cluster::run binds each
 /// worker for the duration of the rank function.
 void trace_bind_thread_rank(int rank) noexcept;
-[[nodiscard]] int trace_thread_rank() noexcept;
 
 class Tracer {
  public:

@@ -41,7 +41,9 @@ TEST(Cluster, VariableAllToAllRoutesChunks) {
       send[d].assign(static_cast<std::size_t>(r * 7 + d + 1),
                      static_cast<std::byte>(10 * r + d));
     }
-    const auto recv = comm.all_to_all_v(send, "test");
+    auto pending = comm.all_to_all_v_async(send, "test");
+    pending.wait();
+    const auto& recv = pending.recv();
     for (int s = 0; s < world; ++s) {
       ASSERT_EQ(recv[s].size(), static_cast<std::size_t>(s * 7 + r + 1));
       for (const auto b : recv[s]) {
@@ -99,7 +101,7 @@ TEST(Cluster, WireBytesAccounting) {
   cluster.run([&](Communicator& comm) {
     const std::vector<std::vector<std::byte>> send(
         4, std::vector<std::byte>(payload, std::byte{1}));
-    (void)comm.all_to_all_v(send, "test");
+    comm.all_to_all_v_async(send, "test").wait();
   });
   for (const auto bytes : cluster.wire_bytes_sent()) {
     // 3 peers x payload plus 3 x 8 bytes of size metadata (the self
@@ -117,7 +119,9 @@ TEST(Cluster, SingleRankDegenerateCollectives) {
 
     std::vector<std::vector<std::byte>> send(1);
     send[0].assign(5, std::byte{7});
-    const auto recv = comm.all_to_all_v(send, "y");
+    auto pending = comm.all_to_all_v_async(send, "y");
+    pending.wait();
+    const auto& recv = pending.recv();
     EXPECT_EQ(recv[0].size(), 5u);
   });
   EXPECT_EQ(cluster.makespan_seconds(), 0.0);

@@ -680,7 +680,7 @@ std::string land_crafted(std::span<const std::byte> stream, std::size_t floats,
       append_pod(buffers[0], static_cast<std::uint64_t>(stream.size()) |
                                  detail::kDistinctRowsFlag);
       buffers[0].insert(buffers[0].end(), stream.begin(), stream.end());
-      (void)comm.all_to_all_v(buffers, "hostile");
+      comm.all_to_all_v_async(buffers, "hostile").wait();
       return;
     }
     std::vector<std::vector<A2AChunkSpec>> send(2);

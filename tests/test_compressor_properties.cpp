@@ -141,12 +141,6 @@ TEST(Registry, AllNamesResolveAndMatch) {
   EXPECT_THROW(get_compressor(static_cast<CodecId>(0xEE)), FormatError);
 }
 
-TEST(Registry, PipelineSubset) {
-  for (const auto name : pipeline_compressor_names()) {
-    (void)get_compressor(name);  // must resolve
-  }
-}
-
 TEST(StreamFormat, SelfDescribingCount) {
   Rng rng(5);
   std::vector<float> input(777);

@@ -89,7 +89,7 @@ TEST(FusedCharging, AllToAllVMatchesSerialModelBitwise) {
       send[d].assign(static_cast<std::size_t>(r * 7 + d + 1),
                      static_cast<std::byte>(r));
     }
-    (void)comm.all_to_all_v(send, "x");
+    comm.all_to_all_v_async(send, "x").wait();
 
     EXPECT_DOUBLE_EQ(comm.clock().phase_seconds("x/wait"),
                      latest_pre - 1e-3 * r);

@@ -4,6 +4,10 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <cstdint>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "core/offline_analyzer.hpp"
 #include "core/report_io.hpp"
@@ -71,6 +75,44 @@ TEST(ReportIo, GarbageRejected) {
                                 "table 0 eb 0.01 class X codec auto homo 0 "
                                 "retention 1"),
                FormatError);
+
+  // A plan file comes from outside (`dlcomp ckpt save --plan FILE`): a
+  // count, id or bound that would fail far from the parser is rejected
+  // in it, with the offending row named.
+  const auto plan = [](std::uint64_t count,
+                       std::vector<std::pair<std::string, std::string>> rows) {
+    std::string text = "dlcomp-plan v1\ntables " + std::to_string(count) + "\n";
+    for (const auto& [id, eb] : rows) {
+      text += "table " + id + " eb " + eb +
+              " class M codec auto homo 0 retention 1\n";
+    }
+    return text;
+  };
+  const std::pair<std::string, std::string> hostile[] = {
+      // A huge claimed count is not reserved: the parse runs out of rows.
+      {plan(1000000000000, {{"0", "0.01"}}), "plan row 2"},
+      // Ids must be 0..count-1, each once.
+      {plan(3, {{"0", "0.01"}, {"99", "0.01"}, {"2", "0.01"}}), "plan row 2"},
+      {plan(3, {{"0", "0.01"}, {"-1", "0.01"}, {"2", "0.01"}}), "plan row 2"},
+      {plan(3, {{"0", "0.01"}, {"2", "0.01"}, {"0", "0.01"}}), "plan row 3"},
+      // Bounds must be finite and positive.
+      {plan(3, {{"0", "-1"}, {"1", "0.01"}, {"2", "0.01"}}), "plan row 1"},
+      {plan(3, {{"0", "0.01"}, {"1", "0"}, {"2", "0.01"}}), "plan row 2"},
+      {plan(3, {{"0", "0.01"}, {"1", "0.01"}, {"2", "nan"}}), "plan row 3"},
+  };
+  for (const auto& [text, row] : hostile) {
+    try {
+      (void)plan_from_string(text);
+      ADD_FAILURE() << "accepted: " << text;
+    } catch (const FormatError& e) {
+      EXPECT_NE(std::string(e.what()).find(row), std::string::npos)
+          << e.what();
+    }
+  }
+  // Any order of the ids 0..count-1 is a valid plan.
+  const CompressionPlan ok = plan_from_string(
+      plan(3, {{"2", "0.03"}, {"0", "0.01"}, {"1", "0.02"}}));
+  EXPECT_EQ(ok.table_error_bounds(), (std::vector<double>{0.01, 0.02, 0.03}));
 }
 
 TEST(ReportIo, FileRoundTrip) {

@@ -11,6 +11,7 @@
 #include <map>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "comm/calibration.hpp"
@@ -232,7 +233,9 @@ void collective_body(Communicator& comm, RankObservation& obs) {
         static_cast<std::size_t>(r + d + 1) * 8,
         static_cast<std::byte>(16 * r + d));
   }
-  obs.variable_recv = comm.all_to_all_v(var_send, "a2a_var");
+  auto var = comm.all_to_all_v_async(var_send, "a2a_var");
+  var.wait();
+  obs.variable_recv = std::move(var.recv());
 
   obs.reduced.assign(64, static_cast<float>(r + 1) * 0.5f);
   comm.all_reduce_sum(obs.reduced, "reduce");
