@@ -9,7 +9,6 @@
 #include "common/byte_io.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
-#include "common/timer.hpp"
 #include "obs/trace.hpp"
 
 namespace dlcomp {
@@ -152,7 +151,6 @@ void CompressedAllToAll::find_group_rows(
     scratch_.send_rows.resize(chunks.size());
     if (scratch_.send_rows.capacity() != cap) ++scratch_.grow_events;
   }
-  const bool gather = config_.codec != nullptr;
   for_each_chunk(config_.pool, chunks.size(), [&](std::size_t k) {
     const A2AChunkSpec& chunk = *chunks[k];
     SendRows& sr = scratch_.send_rows[k];
@@ -175,18 +173,17 @@ void CompressedAllToAll::find_group_rows(
         sr.width = width;
         sr.distinct = distinct;
       }
-      // Codecs encode the gathered rows. The buffer is sized to the whole
-      // chunk whatever the count, so its capacity does not track the batch.
-      if (gather) {
-        if (sr.rows.size() < n) sr.rows.resize(n);
-        if (sr.distinct_rows) {
-          std::size_t next = 0;
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (map[r] != next) continue;
-            std::memcpy(sr.rows.data() + next * width,
-                        chunk.data.data() + r * width, row_bytes);
-            ++next;
-          }
+      // The engine encodes the gathered rows. The buffer is sized to the
+      // whole chunk whatever the count, so its capacity does not track
+      // the batch.
+      if (sr.rows.size() < n) sr.rows.resize(n);
+      if (sr.distinct_rows) {
+        std::size_t next = 0;
+        for (std::size_t r = 0; r < rows; ++r) {
+          if (map[r] != next) continue;
+          std::memcpy(sr.rows.data() + next * width,
+                      chunk.data.data() + r * width, row_bytes);
+          ++next;
         }
       }
     }
@@ -203,16 +200,14 @@ std::size_t CompressedAllToAll::pack_group(
   const auto world = static_cast<std::size_t>(comm.world());
 
   DLCOMP_TRACE_SPAN("a2a/pack_group");
-  WallTimer compress_timer;
-  // Four phases. (0) Every chunk's distinct rows, one pool task per
-  // chunk. (a) Serial framing — directories written, every chunk (or its
-  // gathered distinct rows) registered with the engine (large chunks
+  // Four phases. (0) Every chunk's distinct rows, gathered, one pool task
+  // per chunk. (a) Serial framing — directories written, every chunk (or
+  // its gathered distinct rows) registered with the engine (large chunks
   // split into blocks). (b) One flat parallel run over all blocks of all
   // destinations — parallelism scales with total block count, so a group
   // dominated by one huge chunk still uses the whole pool. (c) Serial
   // assembly — deterministic wire bytes, sizes patched. Raw chunks have
-  // no blocks: (c) copies them, a distinct-row chunk's rows straight from
-  // the caller's tensor.
+  // no blocks: (c) copies them.
   find_group_rows(send, g, groups);
   BlockEngine& engine = *scratch_.engine;
   engine.compress_begin();
@@ -243,7 +238,7 @@ std::size_t CompressedAllToAll::pack_group(
       const SendRows& sr = scratch_.send_rows[k];
       if (!sr.distinct_rows) {
         (void)engine.add_tensor(chunks[i].data, chunks[i].params);
-      } else if (config_.codec != nullptr) {
+      } else {
         // Scratch sized for the whole chunk: the distinct count moves
         // with every batch, the chunk's shape does not.
         (void)engine.add_tensor(
@@ -269,9 +264,7 @@ std::size_t CompressedAllToAll::pack_group(
       const SendRows& sr = scratch_.send_rows[k];
       const std::size_t before = buf.size();
       std::uint64_t flag = 0;
-      if (!sr.distinct_rows) {
-        engine.append_stream(slot++, buf);
-      } else {
+      if (sr.distinct_rows) {
         flag = detail::kDistinctRowsFlag;
         const std::size_t rows = chunks[i].data.size() / sr.width;
         append_pod(buf, static_cast<std::uint32_t>(sr.width));
@@ -285,34 +278,21 @@ std::size_t CompressedAllToAll::pack_group(
         for (std::size_t r = 0; r < rows; ++r) map_writer.write(sr.map[r], bits);
         map_writer.finish_into(buf);
         if (map_writer.capacity_bytes() != writer_cap) ++scratch_.grow_events;
-        if (config_.codec != nullptr) {
-          engine.append_stream(slot++, buf);
-        } else {
-          const auto data = std::as_bytes(chunks[i].data);
-          const std::size_t row_bytes = sr.width * sizeof(float);
-          std::size_t next = 0;
-          for (std::size_t r = 0; r < rows; ++r) {
-            if (sr.map[r] != next) continue;
-            const auto row = data.subspan(r * row_bytes, row_bytes);
-            buf.insert(buf.end(), row.begin(), row.end());
-            ++next;
-          }
-        }
       }
+      engine.append_stream(slot++, buf);
       const auto stream_bytes =
           static_cast<std::uint64_t>(buf.size() - before);
       const std::uint64_t word = stream_bytes | flag;
       std::memcpy(buf.data() + sizes_at + (i - lo) * sizeof(std::uint64_t),
                   &word, sizeof(word));
       if (chunks[i].tag != A2AChunkSpec::kNoTag) {
-        scratch_.tag_wire[chunks[i].tag] += stream_bytes;
+        scratch_.tags[chunks[i].tag].wire += stream_bytes;
       }
     }
     if (buf.capacity() != scratch_.packed_caps[d]) {
       ++scratch_.grow_events;
     }
   }
-  stats.compress_wall_seconds += compress_timer.seconds();
 
   std::size_t group_raw = 0;
   const auto me = static_cast<std::size_t>(comm.rank());
@@ -384,20 +364,9 @@ void CompressedAllToAll::add_distinct_rows(std::span<const std::byte> stream,
     throw FormatError("row map refers to " + std::to_string(next) + " of " +
                       std::to_string(distinct) + " distinct rows");
   }
-  const auto rows_stream = stream.subspan(kDistinctHeaderBytes + packed_map);
-  const auto head = out.first(distinct * width);
-  if (config_.codec == nullptr) {
-    if (rows_stream.size() != head.size_bytes()) {
-      throw FormatError("raw stream: received " +
-                        std::to_string(rows_stream.size()) +
-                        " bytes, expected " +
-                        std::to_string(head.size_bytes()));
-    }
-    rows.src = rows_stream;
-  } else {
-    scratch_.engine->add_stream(rows_stream, head, out.size());
-    rows.src = std::as_bytes(head);
-  }
+  scratch_.engine->add_stream(
+      stream.subspan(kDistinctHeaderBytes + packed_map),
+      out.first(distinct * width), out.size());
   rows.out = out;
   rows.width = width;
   rows.distinct = distinct;
@@ -409,18 +378,17 @@ void CompressedAllToAll::expand_group_rows(std::size_t count) const {
     const RecvRows& rows = scratch_.recv_rows[k];
     if (!rows.pending) return;
     // Last row first: in first-seen order row r's source index is at most
-    // r, and every row that reads source j sits at or after row j, so a
-    // codec's rows, decoded into the head of the span, are each read
+    // r, and every row that reads source j sits at or after row j, so the
+    // distinct rows, decoded into the head of the span, are each read
     // before they are overwritten.
-    const std::size_t row_bytes = rows.width * sizeof(float);
     const unsigned bits = map_bits(rows.distinct);
     BitReader map(rows.map);
-    auto* out = reinterpret_cast<std::byte*>(rows.out.data());
+    float* out = rows.out.data();
     for (std::size_t r = rows.out.size() / rows.width; r-- > 0;) {
       map.set_bit_position(r * bits);
-      const std::byte* from = rows.src.data() + map.read(bits) * row_bytes;
-      std::byte* to = out + r * row_bytes;
-      if (from != to) std::memcpy(to, from, row_bytes);
+      const float* from = out + map.read(bits) * rows.width;
+      float* to = out + r * rows.width;
+      if (from != to) std::memcpy(to, from, rows.width * sizeof(float));
     }
   });
 }
@@ -440,7 +408,6 @@ void CompressedAllToAll::land_group(
   // ---- Stage (4): decompress this group (parallel across sources,
   // chunks within a source in order; per-peer workspaces as in stage 1 —
   // the two stages never run concurrently, so sharing is safe).
-  WallTimer decompress_timer;
   scratch_.dirs.resize(world);
   std::size_t group_recv_raw = 0;
   std::size_t group_chunks = 0;
@@ -496,13 +463,11 @@ void CompressedAllToAll::land_group(
     engine.decompress_run();
     if (expand > 0) expand_group_rows(group_chunks);
   }
-  stats.decompress_wall_seconds += decompress_timer.seconds();
 
-  if (config_.charge_modeled_time && config_.codec != nullptr) {
-    const double modeled = config_.device.codec_seconds(
-        1, group_recv_raw, throughput_.decompress_bps);
-    stats.modeled_decompress_seconds += modeled;
-    comm.advance_compute(names.decompress, modeled);
+  if (config_.codec != nullptr) {
+    comm.advance_compute(names.decompress,
+                         config_.device.codec_seconds(
+                             1, group_recv_raw, throughput_.decompress_bps));
   }
 }
 
@@ -538,15 +503,14 @@ CompressedAllToAll::PendingExchange CompressedAllToAll::exchange_begin(
       }
     }
   }
-  if (tags_needed > scratch_.tag_raw.size()) {
-    scratch_.tag_raw.resize(tags_needed, 0);
-    scratch_.tag_wire.resize(tags_needed, 0);
+  if (tags_needed > scratch_.tags.size()) {
+    scratch_.tags.resize(tags_needed);
     ++scratch_.grow_events;
   }
   for (std::size_t d = 0; d < world; ++d) {
     for (const auto& chunk : send[d]) {
       if (chunk.tag != A2AChunkSpec::kNoTag) {
-        scratch_.tag_raw[chunk.tag] += chunk.data.size_bytes();
+        scratch_.tags[chunk.tag].raw += chunk.data.size_bytes();
       }
     }
   }
@@ -565,11 +529,10 @@ CompressedAllToAll::PendingExchange CompressedAllToAll::exchange_begin(
     // writing into the send buffer per the buffer optimization). Charged
     // before the group is issued, so it overlaps the previous group's
     // wire time.
-    if (config_.charge_modeled_time && config_.codec != nullptr) {
-      const double modeled = config_.device.codec_seconds(
-          1, group_raw, throughput_.compress_bps);
-      ex.stats_.modeled_compress_seconds += modeled;
-      comm.advance_compute(names.compress, modeled);
+    if (config_.codec != nullptr) {
+      comm.advance_compute(names.compress,
+                           config_.device.codec_seconds(
+                               1, group_raw, throughput_.compress_bps));
     }
 
     PendingCollective issued =
@@ -603,16 +566,6 @@ A2AStats CompressedAllToAll::exchange(
 
 std::uint64_t CompressedAllToAll::workspace_grow_events() const {
   return scratch_.grow_events + scratch_.engine->grow_events();
-}
-
-std::vector<CompressedAllToAll::TagBytes> CompressedAllToAll::per_tag_bytes()
-    const {
-  std::vector<TagBytes> out(scratch_.tag_raw.size());
-  for (std::size_t t = 0; t < out.size(); ++t) {
-    out[t].raw = scratch_.tag_raw[t];
-    out[t].wire = scratch_.tag_wire[t];
-  }
-  return out;
 }
 
 std::size_t CompressedAllToAll::scratch_capacity_bytes() const {

@@ -48,20 +48,22 @@
 /// or the codec's stream of them. The top bit of the chunk's u64
 /// directory size marks the form; any other chunk keeps the plain
 /// engine stream, byte for byte. The receiver decodes the distinct rows
-/// and expands them into the receive span. The rule is the same for raw
-/// and every codec. Raw rows land bitwise as sent, and so do the rows of
-/// a codec that reconstructs element by element (hybrid among them): a
-/// repeated row decodes to the same floats whether it was sent or
-/// expanded. cusz-like's 2-D Lorenzo predicts each row from the one
+/// through the engine into the head of the receive span and expands
+/// them in place. Rule and path are the same for raw (the engine's raw
+/// mode) and every codec. Raw rows land bitwise as sent, and so do the
+/// rows of a codec that reconstructs element by element (hybrid among
+/// them): a repeated row decodes to the same floats whether it was sent
+/// or expanded. cusz-like's 2-D Lorenzo predicts each row from the one
 /// before, whose neighbours change, so its reconstruction may change
 /// within the bound (DESIGN.md lists the codecs).
-/// Modelled codec time is still charged on the full chunk bytes.
 ///
-/// Wall time of the CPU codecs is measured and reported; simulated clocks
-/// are charged with modelled GPU codec time (calibrated throughput +
-/// kernel launches) so breakdowns compose consistently with the network
-/// model. A2AStats splits the modelled wire time into exposed (stalled
-/// the rank) and hidden (overlapped by codec/compute) seconds.
+/// Codec wall time lands in the `a2a/compress` and `a2a/decompress`
+/// trace spans. A codec's modelled GPU time (calibrated throughput +
+/// kernel launches) on the full chunk bytes is charged to the rank's
+/// SimClock as "<phase>/compress" and "<phase>/decompress", so
+/// breakdowns compose with the network model. A2AStats splits the
+/// modelled wire time into exposed (stalled the rank) and hidden
+/// (overlapped by codec/compute) seconds.
 
 #include <cstddef>
 #include <cstdint>
@@ -121,14 +123,11 @@ struct A2AChunkSpec {
   std::uint32_t tag = kNoTag;
 };
 
-/// Per-rank statistics for one exchange.
+/// Per-rank statistics for one exchange (codec time is in the trace
+/// spans and the SimClock ledger; see the file comment).
 struct A2AStats {
   std::size_t send_raw_bytes = 0;    ///< uncompressed payload this rank sent
   std::size_t send_wire_bytes = 0;   ///< compressed payload this rank sent
-  double compress_wall_seconds = 0.0;
-  double decompress_wall_seconds = 0.0;
-  double modeled_compress_seconds = 0.0;
-  double modeled_decompress_seconds = 0.0;
   /// Modelled wire seconds (metadata + payload + wait) that stalled this
   /// rank's clock vs. the part absorbed by overlapped codec/compute work.
   /// Serial (monolithic, no exchange_begin overlap) exchanges expose
@@ -157,9 +156,8 @@ struct CompressedAllToAllConfig {
   /// Pool for parallel per-destination compression/decompression; may be
   /// null.
   ThreadPool* pool = nullptr;
+  /// Models the codec's GPU time, always charged to the rank's SimClock.
   DeviceModel device;
-  /// Whether to advance the rank's SimClock by modelled codec time.
-  bool charge_modeled_time = true;
   /// Chunk groups per destination for the stage-pipelined exchange; 1 =
   /// monolithic (compress everything, then one collective). Every rank
   /// must configure the same value.
@@ -242,7 +240,9 @@ class CompressedAllToAll {
     std::uint64_t raw = 0;
     std::uint64_t wire = 0;
   };
-  [[nodiscard]] std::vector<TagBytes> per_tag_bytes() const;
+  [[nodiscard]] const std::vector<TagBytes>& per_tag_bytes() const {
+    return scratch_.tags;
+  }
 
   /// High-water heap capacity of the reused send buffers + workspaces.
   [[nodiscard]] std::size_t scratch_capacity_bytes() const;
@@ -260,7 +260,7 @@ class CompressedAllToAll {
   struct SendRows {
     std::vector<detail::DistinctRowSlot> table;
     std::vector<std::uint32_t> map;  ///< first-seen index per row
-    std::vector<float> rows;         ///< gathered distinct rows (codecs)
+    std::vector<float> rows;         ///< gathered distinct rows
     std::size_t width = 0;
     std::size_t distinct = 0;
     bool distinct_rows = false;      ///< this chunk travels in that form
@@ -274,10 +274,10 @@ class CompressedAllToAll {
 
   /// A received distinct-row chunk waiting to be expanded, indexed like
   /// SendRows by the chunk's position in the group (source-major). It
-  /// only views the received payload and the receive span.
+  /// only views the received map and the receive span, whose head the
+  /// engine decodes the distinct rows into.
   struct RecvRows {
     std::span<const std::byte> map;  ///< packed first-seen indices
-    std::span<const std::byte> src;  ///< the distinct rows' float32 bytes
     std::span<float> out;
     std::size_t width = 0;
     std::size_t distinct = 0;
@@ -307,8 +307,7 @@ class CompressedAllToAll {
     BitWriter map_writer;
     /// Per-tag cumulative totals, sized to the high-water tag count
     /// (growth counted like any other scratch).
-    std::vector<std::uint64_t> tag_raw;
-    std::vector<std::uint64_t> tag_wire;
+    std::vector<TagBytes> tags;
     /// Packed-buffer capacity growth + workspace creation, counted so a
     /// freshly constructed (or wrongly re-constructed-per-iteration)
     /// instance is visible to the steady-state grow-event tests.
@@ -323,8 +322,8 @@ class CompressedAllToAll {
   }
 
   /// Compresses group g of every destination into scratch_.packed.
-  /// Returns the group's raw payload bytes; adds its wire bytes and wall
-  /// seconds to `stats`.
+  /// Returns the group's raw payload bytes; adds its wire bytes and wire
+  /// CRC to `stats`.
   std::size_t pack_group(Communicator& comm,
                          const std::vector<std::vector<A2AChunkSpec>>& send,
                          std::size_t g, std::size_t groups,
@@ -346,9 +345,9 @@ class CompressedAllToAll {
   /// task per chunk.
   void expand_group_rows(std::size_t count) const;
 
-  /// Checks a received distinct-row stream against its receive span and
-  /// registers it for expansion: a codec's stream decodes into the head
-  /// of the span, raw rows expand straight from the payload.
+  /// Checks a received distinct-row stream against its receive span,
+  /// registers its rows stream with the engine to decode into the head
+  /// of the span, and registers the chunk for expansion.
   void add_distinct_rows(std::span<const std::byte> stream,
                          std::span<float> out, RecvRows& rows) const;
 

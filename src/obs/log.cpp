@@ -21,6 +21,9 @@ std::string_view log_level_name(LogLevel level) noexcept {
 
 namespace {
 
+/// The per-site rate-limit window (see Logger::kSiteBurst).
+constexpr std::uint64_t kSiteWindowNs = 1'000'000'000;
+
 std::uint64_t steady_ns() noexcept {
   return static_cast<std::uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -53,14 +56,6 @@ Logger& Logger::global() {
   return *logger;
 }
 
-void Logger::configure(const LogConfig& config) {
-  set_min_level(config.min_level);
-  site_burst_.store(config.site_burst, std::memory_order_relaxed);
-  site_window_ns_.store(
-      static_cast<std::uint64_t>(config.site_window_s * 1e9),
-      std::memory_order_relaxed);
-}
-
 bool Logger::admit(LogLevel level, LogSite& site) noexcept {
   if (static_cast<int>(level) <
       min_level_.load(std::memory_order_relaxed)) {
@@ -69,9 +64,8 @@ bool Logger::admit(LogLevel level, LogSite& site) noexcept {
   if (level == LogLevel::kError) return true;
 
   const std::uint64_t now = steady_ns();
-  const std::uint64_t window = site_window_ns_.load(std::memory_order_relaxed);
   std::uint64_t start = site.window_start_ns.load(std::memory_order_relaxed);
-  if (now - start >= window) {
+  if (now - start >= kSiteWindowNs) {
     // Window rolled over; one racing winner resets the token count. The
     // losers observe the fresh window and take tokens from it.
     if (site.window_start_ns.compare_exchange_strong(
@@ -81,7 +75,7 @@ bool Logger::admit(LogLevel level, LogSite& site) noexcept {
   }
   const std::uint32_t taken =
       site.in_window.fetch_add(1, std::memory_order_relaxed);
-  if (taken < site_burst_.load(std::memory_order_relaxed)) return true;
+  if (taken < kSiteBurst) return true;
   site.suppressed.fetch_add(1, std::memory_order_relaxed);
   lines_suppressed_.fetch_add(1, std::memory_order_relaxed);
   return false;

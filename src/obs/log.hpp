@@ -13,8 +13,8 @@
 /// since its last emitted line.
 ///
 /// Rate limiting is per call site: the DLCOMP_LOG_* macros plant a static
-/// LogSite whose token window admits at most `LogConfig::site_burst`
-/// lines per `site_window_s`; excess calls only bump the site's
+/// LogSite whose token window admits at most `Logger::kSiteBurst`
+/// lines per second; excess calls only bump the site's
 /// suppressed counter (two relaxed atomic ops -- a hot loop logging a
 /// recurring warning costs nanoseconds, not I/O). kError lines are never
 /// rate limited.
@@ -75,12 +75,6 @@ struct LogSite {
   std::atomic<std::uint64_t> suppressed{0};
 };
 
-struct LogConfig {
-  LogLevel min_level = LogLevel::kWarn;  ///< library default: quiet
-  std::uint32_t site_burst = 10;         ///< lines per site per window
-  double site_window_s = 1.0;
-};
-
 /// A recent-ring entry, already rendered (the ring stores copies; the
 /// logging path allocates only while formatting, never while publishing).
 struct LogEntry {
@@ -94,6 +88,8 @@ struct LogEntry {
 class Logger {
  public:
   static constexpr std::size_t kRingCapacity = 64;
+  /// Lines one call site may emit per one-second window.
+  static constexpr std::uint32_t kSiteBurst = 10;
 
   static Logger& global();
 
@@ -101,7 +97,6 @@ class Logger {
   Logger(const Logger&) = delete;
   Logger& operator=(const Logger&) = delete;
 
-  void configure(const LogConfig& config);
   void set_min_level(LogLevel level) noexcept {
     min_level_.store(static_cast<int>(level), std::memory_order_relaxed);
   }
@@ -159,8 +154,6 @@ class Logger {
 
   std::atomic<int> min_level_{static_cast<int>(LogLevel::kWarn)};
   std::atomic<std::FILE*> sink_{stderr};
-  std::atomic<std::uint32_t> site_burst_{10};
-  std::atomic<std::uint64_t> site_window_ns_{1000000000ull};
 
   std::atomic<std::uint64_t> ring_head_{0};
   RingSlot ring_[kRingCapacity];

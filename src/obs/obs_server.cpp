@@ -68,7 +68,6 @@ std::string ObservabilityServer::status_json() const {
           JsonValue(static_cast<double>(board_.iteration())));
   doc.set("total_iterations",
           JsonValue(static_cast<double>(board_.total_iterations())));
-  doc.set("epoch", JsonValue(static_cast<double>(board_.epoch())));
   doc.set("items_per_s", JsonValue(board_.items_per_s()));
   doc.set("heartbeat_age_s", JsonValue(board_.heartbeat_age_s()));
   doc.set("uptime_s", JsonValue(steady_seconds() - start_s_));

@@ -14,7 +14,7 @@
 ///             200 after; flips back to 503 on set_ready(false)
 ///             (drain/shutdown). Scrapers use it to gate traffic.
 ///   /status   JSON progress report: state string, iteration / total,
-///             epoch, items/s throughput, uptime, seconds since the last
+///             items/s throughput, uptime, seconds since the last
 ///             heartbeat, and the recent warning/error ring from the
 ///             structured logger.
 ///
@@ -59,18 +59,12 @@ class StatusBoard {
   void set_total_iterations(std::uint64_t n) noexcept {
     total_iterations_.store(n, std::memory_order_relaxed);
   }
-  void set_epoch(std::uint64_t epoch) noexcept {
-    epoch_.store(epoch, std::memory_order_relaxed);
-  }
 
   [[nodiscard]] std::uint64_t iteration() const noexcept {
     return iteration_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] std::uint64_t total_iterations() const noexcept {
     return total_iterations_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t epoch() const noexcept {
-    return epoch_.load(std::memory_order_relaxed);
   }
   [[nodiscard]] double items_per_s() const noexcept {
     return items_per_s_.load(std::memory_order_relaxed);
@@ -84,7 +78,6 @@ class StatusBoard {
   std::atomic<bool> ready_{false};
   std::atomic<std::uint64_t> iteration_{0};
   std::atomic<std::uint64_t> total_iterations_{0};
-  std::atomic<std::uint64_t> epoch_{0};
   std::atomic<double> items_per_s_{0.0};
   std::atomic<double> last_heartbeat_s_{-1.0};  ///< steady-clock seconds
   mutable std::mutex mutex_;

@@ -733,7 +733,6 @@ TEST(CompressedAllToAllHotPath, SteadyStateExchangeDoesNotAllocate) {
     CompressedAllToAllConfig config;
     config.codec = &get_compressor("hybrid");
     config.pool = &pool;
-    config.charge_modeled_time = false;
     a2a.emplace_back(config);
   }
 

@@ -129,7 +129,6 @@ TEST_P(CompressedA2ACodecs, ErrorBoundedRouting) {
     if (std::string(GetParam()) != "generic-lz") {
       EXPECT_GT(stats.compression_ratio(), 1.0);
     }
-    EXPECT_GT(stats.compress_wall_seconds, 0.0);
   });
 }
 
@@ -286,7 +285,6 @@ TEST(CompressedA2A, WireDeterministicAcrossPoolWidthAndStages) {
       CompressedAllToAllConfig config;
       config.codec = &get_compressor("huffman");
       config.pool = pool.get();
-      config.charge_modeled_time = false;
       config.pipeline_stages = stages;
       a2a.emplace_back(config);
     }
@@ -355,7 +353,6 @@ TEST(CompressedA2A, MultiBlockSteadyStateDoesNotAllocate) {
     CompressedAllToAllConfig config;
     config.codec = &get_compressor("huffman");
     config.pool = &pool;
-    config.charge_modeled_time = false;
     config.pipeline_stages = 2;
     a2a.emplace_back(config);
   }
@@ -576,7 +573,6 @@ TEST(CompressedA2A, RepeatedRowsSteadyStateDoesNotAllocate) {
       CompressedAllToAllConfig config;
       config.codec = codec;
       config.pool = &pool;
-      config.charge_modeled_time = false;
       a2a.emplace_back(config);
     }
     std::uint64_t warm = 0;

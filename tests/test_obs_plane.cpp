@@ -353,23 +353,20 @@ TEST(Logger, JsonlLineShape) {
 
 TEST(Logger, PerSiteRateLimitFoldsSuppressedCount) {
   Logger logger;
-  LogConfig config;
-  config.min_level = LogLevel::kDebug;
-  config.site_burst = 2;
-  config.site_window_s = 3600.0;  // one window for the whole test
-  logger.configure(config);
+  logger.set_min_level(LogLevel::kDebug);
   logger.set_sink(nullptr);  // ring + counters only
 
+  // Every call lands in the site's first one-second window.
   LogSite site;
-  int admitted = 0;
-  for (int i = 0; i < 5; ++i) {
+  std::uint32_t admitted = 0;
+  for (std::uint32_t i = 0; i < Logger::kSiteBurst + 3; ++i) {
     if (logger.admit(LogLevel::kWarn, site)) {
       logger.log(LogLevel::kWarn, "data", "recurring warning", {}, &site);
       ++admitted;
     }
   }
-  EXPECT_EQ(admitted, 2);
-  EXPECT_EQ(logger.lines_emitted(), 2u);
+  EXPECT_EQ(admitted, Logger::kSiteBurst);
+  EXPECT_EQ(logger.lines_emitted(), Logger::kSiteBurst);
   EXPECT_EQ(logger.lines_suppressed(), 3u);
 
   // Errors bypass the exhausted window and fold the suppressed count

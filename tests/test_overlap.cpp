@@ -215,7 +215,6 @@ struct ExchangeOutcome {
 ExchangeOutcome run_exchange(const char* codec_name, int world,
                              std::size_t chunks, std::size_t elems,
                              std::size_t pipeline_stages,
-                             bool charge_modeled_time,
                              std::size_t empty_sender_rank = SIZE_MAX) {
   ExchangeOutcome outcome;
   outcome.out.resize(static_cast<std::size_t>(world));
@@ -263,7 +262,6 @@ ExchangeOutcome run_exchange(const char* codec_name, int world,
     CompressedAllToAllConfig config;
     if (codec_name != nullptr) config.codec = &get_compressor(codec_name);
     config.pool = &pool;
-    config.charge_modeled_time = charge_modeled_time;
     config.pipeline_stages = pipeline_stages;
     const CompressedAllToAll a2a(config);
     outcome.stats[r] = a2a.exchange(comm, send, recv, "exchange");
@@ -281,9 +279,9 @@ TEST_P(PipelinedExchange, ByteIdenticalToMonolithic) {
   const std::size_t stages = GetParam();
 
   const ExchangeOutcome mono =
-      run_exchange("hybrid", world, chunks, elems, 1, true);
+      run_exchange("hybrid", world, chunks, elems, 1);
   const ExchangeOutcome pipe =
-      run_exchange("hybrid", world, chunks, elems, stages, true);
+      run_exchange("hybrid", world, chunks, elems, stages);
 
   for (int r = 0; r < world; ++r) {
     const auto& a = mono.out[static_cast<std::size_t>(r)];
@@ -310,9 +308,9 @@ INSTANTIATE_TEST_SUITE_P(StageCounts, PipelinedExchange,
 TEST(PipelinedExchangeEdge, RawCodecAndEmptySender) {
   const int world = 3;
   const ExchangeOutcome mono =
-      run_exchange(nullptr, world, 2, 64, 1, false, /*empty_sender_rank=*/1);
+      run_exchange(nullptr, world, 2, 64, 1, /*empty_sender_rank=*/1);
   const ExchangeOutcome pipe =
-      run_exchange(nullptr, world, 2, 64, 4, false, /*empty_sender_rank=*/1);
+      run_exchange(nullptr, world, 2, 64, 4, /*empty_sender_rank=*/1);
   for (int r = 0; r < world; ++r) {
     const auto& a = mono.out[static_cast<std::size_t>(r)];
     const auto& b = pipe.out[static_cast<std::size_t>(r)];
@@ -330,9 +328,9 @@ TEST(PipelinedExchange, HidesCommBehindCodecTime) {
   const int world = 4;
   // Large chunks so the wire and codec slices dominate the alpha terms.
   const ExchangeOutcome mono =
-      run_exchange("hybrid", world, 4, 16 * 1024, 1, true);
+      run_exchange("hybrid", world, 4, 16 * 1024, 1);
   const ExchangeOutcome pipe =
-      run_exchange("hybrid", world, 4, 16 * 1024, 4, true);
+      run_exchange("hybrid", world, 4, 16 * 1024, 4);
 
   double mono_exposed = 0.0;
   double pipe_exposed = 0.0;

@@ -5,20 +5,25 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <memory>
 #include <span>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "ckpt/checkpoint.hpp"
 #include "common/crc32.hpp"
 #include "common/error.hpp"
 #include "common/latency_recorder.hpp"
 #include "common/stats.hpp"
 #include "data/synthetic.hpp"
 #include "dlrm/embedding_table.hpp"
+#include "dlrm/model.hpp"
 #include "serve/batch_scheduler.hpp"
 #include "serve/inference_engine.hpp"
 #include "serve/load_generator.hpp"
@@ -249,28 +254,32 @@ TEST(ServingSimulator, EndToEndExact) {
 }
 
 /// What a fleet built from `config` must serve: every planned batch
-/// scored in batch order by one engine whose embedding tables are
-/// make_embedding_set(spec, seed), copied in, or (when config.store has
-/// shards) by that engine over a store built straight from that set.
-/// Returns the ServingReport::scores_crc32 such a fleet reports and fills
-/// `stats` with the reference store's.
+/// scored in batch order by one engine whose model is the one
+/// config.engine's checkpoint holds, loaded through the engine's own
+/// EngineConfig::checkpoint_path, or without a checkpoint the seed's
+/// model with make_embedding_set(spec, seed) copied in; when config.store
+/// has shards, by that engine over a store built straight from its
+/// tables. Returns the ServingReport::scores_crc32 such a fleet reports
+/// and fills `stats` with the reference store's.
 std::uint32_t reference_scores_crc32(const ServingConfig& config,
                                      ShardStoreStats& stats) {
   const std::vector<Query> queries = LoadGenerator(config.load).generate();
   const SchedulePlan plan = BatchScheduler(config.scheduler).plan(queries);
   const SyntheticClickDataset dataset(config.spec, config.seed);
-  const std::vector<EmbeddingTable> tables =
-      make_embedding_set(config.spec, config.seed);
 
-  InferenceEngine engine(config.spec, config.model, EngineConfig{},
+  InferenceEngine engine(config.spec, config.model, config.engine,
                          config.seed);
-  for (std::size_t t = 0; t < tables.size(); ++t) {
-    engine.model().table(t).weights() = tables[t].weights();
+  if (config.engine.checkpoint_path.empty()) {
+    const std::vector<EmbeddingTable> tables =
+        make_embedding_set(config.spec, config.seed);
+    for (std::size_t t = 0; t < tables.size(); ++t) {
+      engine.model().table(t).weights() = tables[t].weights();
+    }
   }
   std::unique_ptr<ShardedEmbeddingStore> store;
   if (config.store.num_shards > 0) {
-    store = std::make_unique<ShardedEmbeddingStore>(config.spec, tables,
-                                                    config.store);
+    store = std::make_unique<ShardedEmbeddingStore>(
+        config.spec, engine.model().tables(), config.store);
     engine.use_store(store.get());
   }
   std::vector<std::uint32_t> batch_crcs;
@@ -283,11 +292,15 @@ std::uint32_t reference_scores_crc32(const ServingConfig& config,
   return crc32(std::as_bytes(std::span(batch_crcs)));
 }
 
-TEST(ServingSimulator, FleetServesTheEmbeddingSetWithAndWithoutStore) {
+TEST(ServingSimulator, FleetServesItsModelWithAndWithoutStoreOrCheckpoint) {
   // Replicas draw their tables on first read: with a store only replica
   // 0's are read (to build it), without one every replica's are. Either
   // way the fleet must serve exactly the scores of the seed's embedding
   // set, and the store must hold exactly what a store over that set does.
+  // With a checkpoint (`dlcomp serve --checkpoint`) the simulator reads it
+  // once and applies it to every replica, while the reference engine
+  // loads it through EngineConfig::checkpoint_path: both must serve the
+  // checkpoint's model, not the seed's.
   ServingConfig config;
   config.spec = DatasetSpec::small_training_proxy(6, 16);
   config.load = base_load(ArrivalPattern::kPoisson, 150);
@@ -298,25 +311,53 @@ TEST(ServingSimulator, FleetServesTheEmbeddingSetWithAndWithoutStore) {
   config.scheduler.max_delay_s = 0.002;
   config.replicas = 3;
   config.seed = 9;
+
+  // A model of the same shapes drawn from another seed and trained a
+  // little, saved with the hybrid codec the trainer writes at rest.
+  const SyntheticClickDataset data(config.spec, 31);
+  DlrmModel trained(config.spec, config.model, 31);
+  for (std::size_t i = 0; i < 4; ++i) {
+    (void)trained.train_step(data.make_batch(64, i));
+  }
+  const std::string checkpoint =
+      (std::filesystem::temp_directory_path() /
+       ("dlcomp_serving_" + std::to_string(::getpid()) + ".dlck"))
+          .string();
+  CheckpointOptions options;
+  options.codec = "hybrid";
+  CheckpointWriter(options).save_full(checkpoint,
+                                      make_model_state(trained, 4, 31));
+
   for (const std::size_t shards : {std::size_t{0}, std::size_t{3}}) {
-    SCOPED_TRACE("shards " + std::to_string(shards));
     config.store.num_shards = shards;
     config.store.rows_per_page = 64;
     config.store.codec = "hybrid";
     config.store.error_bound = 0.01;
     config.store.cache_budget_bytes = 64 << 10;
 
-    ShardStoreStats want_stats;
-    const std::uint32_t want = reference_scores_crc32(config, want_stats);
-    const ServingReport report = ServingSimulator(config).run();
-    EXPECT_EQ(report.scores_crc32, want);
-    EXPECT_EQ(report.store_stats.input_bytes, want_stats.input_bytes);
-    EXPECT_EQ(report.store_stats.stored_bytes, want_stats.stored_bytes);
-    EXPECT_EQ(report.store_stats.max_abs_error, want_stats.max_abs_error);
-    if (shards > 0) {
-      EXPECT_GT(report.store_stats.stored_bytes, 0u);
+    std::uint32_t seed_scores = 0;
+    for (const std::string& path : {std::string(), checkpoint}) {
+      SCOPED_TRACE("shards " + std::to_string(shards) + ", checkpoint '" +
+                   path + "'");
+      config.engine.checkpoint_path = path;
+      ShardStoreStats want_stats;
+      const std::uint32_t want = reference_scores_crc32(config, want_stats);
+      const ServingReport report = ServingSimulator(config).run();
+      EXPECT_EQ(report.scores_crc32, want);
+      EXPECT_EQ(report.store_stats.input_bytes, want_stats.input_bytes);
+      EXPECT_EQ(report.store_stats.stored_bytes, want_stats.stored_bytes);
+      EXPECT_EQ(report.store_stats.max_abs_error, want_stats.max_abs_error);
+      if (shards > 0) {
+        EXPECT_GT(report.store_stats.stored_bytes, 0u);
+      }
+      if (path.empty()) {
+        seed_scores = report.scores_crc32;
+      } else {
+        EXPECT_NE(report.scores_crc32, seed_scores);
+      }
     }
   }
+  std::filesystem::remove(checkpoint);
 }
 
 }  // namespace

@@ -195,7 +195,6 @@ void measure_alltoall(std::span<const float> input, std::size_t reps,
     CompressedAllToAllConfig config;
     config.codec = &get_compressor(kCodec);
     config.pool = &pool;
-    config.charge_modeled_time = false;
     const CompressedAllToAll a2a(config);
     ExchangeBuffers x = split_exchange(input, kWorld, 2);
     const auto exchange = [&] {
